@@ -43,6 +43,8 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2, 3
 _DEFAULT_SEED = 7
 _DEFAULT_TRIALS = {"verify": 1_000_000, "simulate": 100_000, "mi": 1_000_000, "cost": 100_000}
 _DEFAULT_BINS = 4096
+#: largest --bins accepted; the protocol keeps several float arrays of this length
+_MAX_BINS = 1 << 20
 _GRID_ANGLES = 13
 
 _VERIFY_SALT = 0x766679
@@ -80,7 +82,11 @@ def _vector_arg(text: str) -> tuple[float, float, float]:
         v = np.array([float(p) for p in parts])
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric component in {text!r}") from None
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm):
+        raise argparse.ArgumentTypeError(
+            f"vector components and length must be finite, got {text!r}")
     if norm < 1e-12:
         raise argparse.ArgumentTypeError("vector must have nonzero length")
     v = v / norm
@@ -92,8 +98,9 @@ def _bins_arg(text: str) -> int:
         bins = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bins must be an integer, got {text!r}") from None
-    if bins < 2 or bins % 2:
-        raise argparse.ArgumentTypeError(f"bins must be even and >= 2, got {bins}")
+    if bins < 2 or bins % 2 or bins > _MAX_BINS:
+        raise argparse.ArgumentTypeError(
+            f"bins must be even and in [2, {_MAX_BINS}], got {bins}")
     return bins
 
 
@@ -123,7 +130,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                        help=f"64-bit master seed (default {_DEFAULT_SEED})")
         p.add_argument("--bins", type=_bins_arg, default=_DEFAULT_BINS,
-                       help=f"height bins for the protocol, even (default {_DEFAULT_BINS})")
+                       help=f"height bins for the protocol, even, at most {_MAX_BINS} "
+                            f"(default {_DEFAULT_BINS})")
         p.add_argument("--state", type=_vector_arg, default=None, metavar="X,Y,Z",
                        help="fix the prepared Bloch vector (normalized on ingest)")
         p.add_argument("--meas", type=_vector_arg, default=None, metavar="X,Y,Z",
@@ -350,26 +358,43 @@ def render_csv(report: dict) -> str:
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "csv":
         return render_csv(report)
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
+def _join_vector_values(argv: list[str]) -> list[str]:
+    """Attach the token after --state/--meas (or a prefix of them) to it, so that
+    argparse does not read a value with a leading minus (``--state -0.3,0.4,0.5``)
+    as an option."""
+    joined = []
+    tokens = iter(argv)
+    for token in tokens:
+        vector_flag = len(token) > 2 and ("--state".startswith(token) or
+                                          "--meas".startswith(token))
+        value = next(tokens, None) if vector_flag else None
+        joined.append(token if value is None else f"{token}={value}")
+    return joined
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else list(argv)))
     cfg = config_from_args(args)
     start = time.perf_counter()
     try:
         results, ok = _COMMANDS[cfg.command](cfg)
+        report = {
+            "config": asdict(cfg),
+            "results": results,
+            "runtime_seconds": time.perf_counter() - start,
+            "version": __version__,
+        }
+        text = render_report(report, cfg.format)  # ValueError on a non-finite number
     except (ProtocolFailure, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    report = {
-        "config": asdict(cfg),
-        "results": results,
-        "runtime_seconds": time.perf_counter() - start,
-        "version": __version__,
-    }
-    text = render_report(report, cfg.format)
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RUNTIME
     if cfg.out is None:
         sys.stdout.write(text)
     else:

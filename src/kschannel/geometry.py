@@ -38,12 +38,15 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
 
 
 def require_unit(vec, name: str = "vector") -> np.ndarray:
-    """Validate that ``vec`` has unit norm (within UNIT_ATOL on the squared norm)."""
+    """Validate that ``vec`` has unit norm (within UNIT_ATOL on the squared norm).
+
+    NaN or infinite components fail the check too.
+    """
     vec = np.asarray(vec, dtype=float)
     if vec.shape[-1:] != (3,):
         raise ValueError(f"{name} must have a trailing axis of length 3, got shape {vec.shape}")
     err = np.abs(dot3(vec, vec) - 1.0)
-    if np.any(err > UNIT_ATOL):
+    if not np.all(err <= UNIT_ATOL):
         raise ValueError(f"{name} is not unit-norm (max |v.v - 1| = {float(np.max(err)):.3e})")
     return vec
 

@@ -12,6 +12,16 @@ delta_i(a_i) / ((1 - S_{i-1}) p(a_i)).  The chance of surviving to round i
 is exactly 1 - S_{i-1}, so the unconditional law of the accepted symbol is
 sum_i delta_i = t: the receiver, who only learns the accepted round index,
 ends up holding a sample distributed exactly by the target.
+
+The mass schedule s_i depends on the two laws only, never on the draws, so
+it is built once and shared by every run (:class:`GreedySchedule`).  Its
+acceptance law has a simple shape: symbol a is accepted with probability 1
+before its saturation round k_a, with probability f_a at k_a, and never
+after it; from the first round whose remainder 1 - S is at most
+``_REMAINDER_FLOOR``, every symbol with t(a) > 0 is accepted outright.
+:func:`greedy_sample_batch` and the protocol's chunk scan read their
+acceptance probabilities from that schedule; :func:`greedy_one_shot` keeps
+the per-round loop as the independent scalar reference.
 """
 
 from __future__ import annotations
@@ -25,6 +35,9 @@ DEFAULT_ROUND_CAP = 1 << 32
 
 #: below this remaining target mass the next wanted symbol is accepted outright
 _REMAINDER_FLOOR = 1e-15
+
+#: saturation round of a symbol that has not saturated (yet)
+_UNSATURATED = np.iinfo(np.int64).max
 
 
 class ProtocolFailure(RuntimeError):
@@ -71,6 +84,81 @@ def _advance(s: np.ndarray, remainder: float, target: np.ndarray,
 def _check_support(target: np.ndarray, proposal: np.ndarray) -> None:
     if np.any((proposal == 0.0) & (target > 0.0)):
         raise ValueError("target puts mass on a symbol the proposal never emits")
+
+
+class GreedySchedule:
+    """The acceptance law of every round, shared by all runs on one (target, proposal).
+
+    Built lazily, one round at a time, with the arithmetic of the scalar
+    loop: ``delta = _advance(s, 1 - S, t, p)``, ``s += delta``,
+    ``S = sum(s)``.  Per symbol it records the saturation round k (the
+    first round whose claim is cut by the target, ``delta < (1 - S) p``)
+    and the acceptance probability f = delta / ((1 - S) p) at that round.
+    A symbol is never accepted after its saturation round, because it then
+    holds s == t exactly: at k = 1 the claim is t itself, and at k > 1
+    s >= p (its round-1 claim) >= (1 - S) p > delta = t - s, so s > t / 2,
+    the difference t - s is exact and s + (t - s) is exactly t.  Saturated
+    symbols therefore claim 0 in every later round and are left out of the
+    update without changing any value.  ``floor_round`` is the first round
+    whose remainder is at most ``_REMAINDER_FLOOR``; from it on every
+    symbol with t > 0 is accepted.
+    """
+
+    def __init__(self, target: DiscreteDistribution, proposal: DiscreteDistribution):
+        t = target.masses
+        p = proposal.masses
+        _check_support(t, p)
+        self.target = t
+        #: round at which each symbol saturates; ``_UNSATURATED`` until it does
+        self.saturation = np.where(t > 0.0, _UNSATURATED, 1)
+        #: acceptance probability at the saturation round
+        self.fraction = np.where(t > 0.0, 1.0, 0.0)
+        self.floor_round = _UNSATURATED
+        self.rounds = 0      # rounds built so far
+        self.total = 0.0     # S after the last built round
+        self._s = np.zeros_like(t)
+        self._live = np.flatnonzero(t > 0.0)
+        self._live_t = t[self._live]
+        self._live_p = p[self._live]
+        self._live_s = np.zeros(self._live.size)
+
+    def extend(self, rounds: int) -> None:
+        """Build the schedule through round ``rounds``; a no-op once the floor round is known."""
+        s, live = self._s, self._live
+        t, p, s_live = self._live_t, self._live_p, self._live_s
+        i, total = self.rounds, self.total
+        while i < rounds and self.floor_round == _UNSATURATED:
+            remainder = max(0.0, 1.0 - total)
+            if remainder <= _REMAINDER_FLOOR:
+                self.floor_round = i + 1
+                break
+            i += 1
+            delta = _advance(s_live, remainder, t, p)
+            step = remainder * p
+            s_live += delta
+            s[live] = s_live
+            cut = (delta < step).nonzero()[0]
+            if cut.size:
+                self.saturation[live[cut]] = i
+                self.fraction[live[cut]] = delta[cut] / step[cut]
+                keep = np.ones(live.size, dtype=bool)
+                keep[cut] = False
+                live, t, p, s_live = live[keep], t[keep], p[keep], s_live[keep]
+            total = float(s.sum())
+        self.rounds, self.total = i, total
+        self._live, self._live_t, self._live_p, self._live_s = live, t, p, s_live
+
+    def accept_prob(self, symbols, rounds) -> np.ndarray:
+        """Acceptance probability of ``symbols`` drawn at ``rounds`` (1-based; broadcast)."""
+        symbols = np.asarray(symbols)
+        rounds = np.asarray(rounds)
+        last = int(np.max(rounds))
+        self.extend(last)
+        k = self.saturation[symbols]
+        prob = np.where(rounds < k, 1.0, np.where(rounds == k, self.fraction[symbols], 0.0))
+        if self.floor_round <= last:
+            prob = np.where(rounds >= self.floor_round, self.target[symbols] > 0.0, prob)
+        return prob
 
 
 def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution,
@@ -135,42 +223,25 @@ def greedy_sample_batch(target: DiscreteDistribution, proposal: DiscreteDistribu
                         cap: int = DEFAULT_ROUND_CAP) -> tuple[np.ndarray, np.ndarray]:
     """Run ``n_runs`` independent acceptance loops in lockstep.
 
-    Proposal draws and coins come from ``rng``; all runs share the
-    (run-independent) mass schedule, so each round is a handful of
-    vectorized operations over the still-active runs.  Returns the arrays
-    (accepted round indices, accepted symbols).
+    Each round draws one proposal symbol and then one coin per still-active
+    run from ``rng``; the acceptance probabilities come from the shared
+    :class:`GreedySchedule`.  Returns the arrays (accepted round indices,
+    accepted symbols).
     """
-    t = target.masses
-    p = proposal.masses
-    _check_support(t, p)
-    cdf = np.cumsum(p)
+    schedule = GreedySchedule(target, proposal)
+    cdf = np.cumsum(proposal.masses)
     indices = np.zeros(n_runs, dtype=np.int64)
     symbols_out = np.zeros(n_runs, dtype=np.int64)
     active = np.arange(n_runs)
-    s = np.zeros_like(t)
-    total = 0.0
     i = 0
     while active.size:
         i += 1
         if i > cap:
             raise ProtocolFailure(f"no acceptance within {cap} rounds")
-        remainder = max(0.0, 1.0 - total)
-        delta = _advance(s, remainder, t, p)
         a = np.searchsorted(cdf, rng.random(active.size), side="right")
-        np.clip(a, 0, t.size - 1, out=a)
-        if remainder <= _REMAINDER_FLOOR:
-            p_accept = (t[a] > 0.0).astype(float)
-        else:
-            denom = remainder * p[a]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                p_accept = np.where(denom > 0.0, delta[a] / denom,
-                                    (t[a] > 0.0).astype(float))
-            np.minimum(p_accept, 1.0, out=p_accept)
-        u = rng.random(active.size)
-        hit = u < p_accept
+        np.clip(a, 0, cdf.size - 1, out=a)
+        hit = rng.random(active.size) < schedule.accept_prob(a, i)
         indices[active[hit]] = i
         symbols_out[active[hit]] = a[hit]
         active = active[~hit]
-        s += delta
-        total = float(np.sum(s))
     return indices, symbols_out

@@ -10,6 +10,17 @@ hemisphere response.  The receiver's point is then distributed exactly by
 the bin-averaged conditional density, so the simulation error is purely
 the 1-D binning of the height z = v.x, of order 1/bins.
 
+The bin laws do not depend on the state, so one :class:`GreedySchedule`
+serves every trial of a chunk.  :func:`run_trials` scans each chunk in
+blocks of rounds: a block draws the codebook points, bins and coins of
+rounds done+1 .. done+R for every still-active trial as (active, R)
+arrays, looks their acceptance probabilities up in the schedule, and ends
+each trial at its first accepting round.  R is a fixed element budget over
+the active count, capped at the rounds already done, so the schedule is
+never built more than about twice as deep as the slowest trial needs.
+Every draw is the counter word the one-round-at-a-time scalar path
+(:func:`run_trial`) reads, so both give the same trial bit for bit.
+
 Wire format: the raw Elias delta bitstring of the accepted index, most
 significant bit first, no padding.  Everything is deterministic given the
 64-bit master seed; trial t uses sub-streams keyed off mix(master, t), so
@@ -25,8 +36,8 @@ import numpy as np
 
 from .coding import code_lengths, elias_delta_decode, elias_delta_encode
 from .geometry import Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
-from .greedy import (DEFAULT_ROUND_CAP, _REMAINDER_FLOOR, DiscreteDistribution,
-                     ProtocolFailure, _advance, greedy_one_shot)
+from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
+                     ProtocolFailure, greedy_one_shot)
 from .model import ks_response
 from .rngstream import mix, mix_vec, to_unit
 
@@ -39,6 +50,8 @@ _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 
 #: trials per vectorized chunk; fixed so that results never depend on worker count
 _CHUNK = 8192
+#: (trial, round) draws per block of the chunk scan
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -111,6 +124,12 @@ def bin_index(z, bins: int) -> np.ndarray:
     return np.clip(idx, 0, bins - 1)
 
 
+def _ks_laws(bins: int) -> tuple[DiscreteDistribution, DiscreteDistribution]:
+    """Target and proposal bin laws; neither depends on the state."""
+    return (DiscreteDistribution(ks_bin_masses(bins)),
+            DiscreteDistribution(np.full(bins, 1.0 / bins)))
+
+
 def discretize_ks(v, bins: int):
     """Height-bin reduction of the steering problem for state v.
 
@@ -120,8 +139,7 @@ def discretize_ks(v, bins: int):
     sphere points to their bin.
     """
     v = require_unit(v, "state v")
-    target = DiscreteDistribution(ks_bin_masses(bins))
-    proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
+    target, proposal = _ks_laws(bins)
 
     def binner(x) -> np.ndarray:
         return bin_index(dot3(x, v), bins)
@@ -219,40 +237,35 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
     else:
         m = _counter_sphere(keys["meas"])
 
-    target = ks_bin_masses(bins)
-    proposal = np.full(bins, 1.0 / bins)
-    s = np.zeros(bins)
-    total = 0.0
-
+    schedule = GreedySchedule(*_ks_laws(bins))
     accepted = np.zeros(count, dtype=np.int64)
     x_final = np.zeros((count, 3))
     active = np.arange(count)
     cb_keys = keys["codebook"]
     acc_keys = keys["accept"]
-    i = 0
+    done = 0
     while active.size:
-        i += 1
-        if i > cap:
+        if done >= cap:
             raise ProtocolFailure(f"no acceptance within {cap} rounds")
-        remainder = max(0.0, 1.0 - total)
-        delta = _advance(s, remainder, target, proposal)
-        cb = cb_keys[active]
-        uz = to_unit(mix_vec(cb, 2 * i))
-        uphi = to_unit(mix_vec(cb, 2 * i + 1))
+        # rounds done + 1 .. done + width for every active trial at once; the
+        # width never exceeds done, so the schedule is built at most twice
+        # as deep as the slowest trial needs
+        width = min(max(1, _BLOCK_ELEMENTS // active.size), max(1, done), cap - done)
+        rounds = np.arange(done + 1, done + width + 1)
+        ctr = rounds.astype(np.uint64)
+        cb = cb_keys[active, None]
+        uz = to_unit(mix_vec(cb, 2 * ctr))
+        uphi = to_unit(mix_vec(cb, 2 * ctr + 1))
         x = sphere_from_zphi(2.0 * uz - 1.0, _TWO_PI * uphi)
-        bidx = bin_index(dot3(x, v[active]), bins)
-        if remainder <= _REMAINDER_FLOOR:
-            p_accept = (target[bidx] > 0.0).astype(float)
-        else:
-            p_accept = np.minimum(1.0, delta[bidx] / (remainder * proposal[bidx]))
-        u = to_unit(mix_vec(acc_keys[active], i))
-        hit = u < p_accept
-        rows = active[hit]
-        accepted[rows] = i
-        x_final[rows] = x[hit]
-        active = active[~hit]
-        s += delta
-        total = float(np.sum(s))
+        bidx = bin_index(dot3(x, v[active, None]), bins)
+        u = to_unit(mix_vec(acc_keys[active, None], ctr))
+        hit = u < schedule.accept_prob(bidx, rounds)
+        won = np.flatnonzero(hit.any(axis=1))
+        first = np.argmax(hit[won], axis=1)  # each finished trial's first accepting round
+        accepted[active[won]] = rounds[first]
+        x_final[active[won]] = x[won, first]
+        active = np.delete(active, won)
+        done += width
 
     outcome = np.where(dot3(x_final, m) >= 0.0, 1, -1)
     born = np.asarray(born_from_dot(dot3(v, m)))

@@ -28,11 +28,28 @@ class TestUsageErrors:
         ["mi", "--trials", "-5"],
         ["cost", "--format", "xml"],
         ["notacommand"],
+        ["simulate", "--state", "nan,0,1"],
+        ["simulate", "--meas", "inf,0,1"],
+        ["verify", "--state", "1e308,1e308,0"],
+        ["simulate", "--bins", "1000000000"],
+        ["simulate", "--bins", str(cli._MAX_BINS + 2)],
+        ["verify", "--state"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+
+    def test_largest_bin_count_is_accepted(self):
+        assert cli._bins_arg(str(cli._MAX_BINS)) == cli._MAX_BINS
+
+    def test_negative_vector_components_parse(self, capsys):
+        code, report = run_json(capsys, ["verify", "--trials", "4000", "--seed", "3",
+                                         "--state", "-0.6,0,-0.8", "--mea", "-1,0,0"])
+        assert code == 0
+        assert report["config"]["state"] == [-0.6, 0.0, -0.8]
+        assert report["config"]["meas"] == [-1.0, 0.0, 0.0]
+        assert report["results"]["cells"][0]["born"] == pytest.approx(0.8, abs=1e-12)
 
 
 class TestVerify:
@@ -168,6 +185,18 @@ class TestOutputFormats:
             raise cli.ProtocolFailure("no acceptance")
         monkeypatch.setitem(cli._COMMANDS, "simulate", boom)
         assert cli.main(["simulate"]) == 3
+
+    def test_memory_error_maps_to_exit_3(self, capsys, monkeypatch):
+        def boom(cfg):
+            raise MemoryError
+        monkeypatch.setitem(cli._COMMANDS, "simulate", boom)
+        assert cli.main(["simulate"]) == 3
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_non_finite_result_is_not_written_as_json(self, capsys, monkeypatch):
+        monkeypatch.setitem(cli._COMMANDS, "mi", lambda cfg: ({"value": float("nan")}, True))
+        assert cli.main(["mi"]) == 3
+        assert capsys.readouterr().out == ""
 
 
 def test_mean_index_consistency(capsys):

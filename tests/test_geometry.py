@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from kschannel import (Measurement, born_probability, random_unit_vec, rotate_to_frame,
-                       sphere_from_zphi, unit_vector)
+from kschannel import (Measurement, born_probability, random_unit_vec, require_unit,
+                       rotate_to_frame, sphere_from_zphi, unit_vector)
 from conftest import unit_vectors
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -30,6 +30,12 @@ class TestBornProbability:
             born_probability(np.array([0.0, 0.0, 2.0]), Measurement(ZHAT))
         with pytest.raises(ValueError):
             Measurement(np.array([0.1, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0, 1.0], [np.inf, 0.0, 0.0],
+                                     [[0.0, 0.0, 1.0], [0.0, np.nan, 1.0]]])
+    def test_require_unit_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="not unit-norm"):
+            require_unit(np.array(bad))
 
 
 class TestRandomUnitVec:

@@ -5,6 +5,8 @@ import pytest
 
 from kschannel import (DiscreteDistribution, ProtocolFailure, SamplerLedger,
                        greedy_one_shot, greedy_sample_batch)
+from kschannel.greedy import GreedySchedule
+from kschannel.protocol import ks_bin_masses
 
 
 def dp_output_distribution(target, proposal, tol=1e-9, max_rounds=10**6):
@@ -145,3 +147,112 @@ class TestOutputLaw:
                                      uniform_stream(rng))
             counts[sym] += 1
         assert total_variation(counts / 3000, target.masses) <= 0.03
+
+
+def per_round_loop(target, proposal, max_rounds=None):
+    """Reference acceptance law from the plain per-round loop, one round at a time.
+
+    Yields (round, acceptance probability of every symbol, S after the
+    round's update); stops after ``max_rounds`` rounds or after the first
+    round whose remainder is at most 1e-15, where every symbol with t > 0 is
+    accepted outright.
+    """
+    t = target.masses
+    p = proposal.masses
+    s = np.zeros_like(t)
+    total = 0.0
+    for i in itertools.count(1):
+        if max_rounds is not None and i > max_rounds:
+            return
+        remainder = max(0.0, 1.0 - total)
+        delta = np.minimum(remainder * p, t - s)
+        if remainder <= 1e-15:
+            yield i, (t > 0.0).astype(float), None
+            return
+        p_accept = np.minimum(1.0, delta / (remainder * p))
+        s += delta
+        total = float(np.sum(s))
+        yield i, p_accept, total
+
+
+class TestSchedule:
+    # rounds=None runs to the floor round (24,656 rounds at 1024 bins)
+    @pytest.mark.parametrize("bins,rounds", [(2, None), (4, None), (64, None), (256, None),
+                                             (1024, None), (4096, 3000)])
+    def test_matches_per_round_loop(self, bins, rounds):
+        target = DiscreteDistribution(ks_bin_masses(bins))
+        proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
+        schedule = GreedySchedule(target, proposal)
+        symbols = np.arange(bins)
+        never = np.iinfo(np.int64).max
+        k = np.full(bins, never)
+        f = np.ones(bins)
+        fractional = np.zeros(bins, dtype=int)
+        floor = never
+        for i, p_accept, total in per_round_loop(target, proposal, rounds):
+            assert np.array_equal(schedule.accept_prob(symbols, i), p_accept)
+            if total is None:
+                floor = i
+                break
+            assert schedule.total == total
+            cut = (p_accept < 1.0) & (k == never)
+            k[cut] = i
+            f[cut] = p_accept[cut]
+            # after its saturation round a symbol is never accepted again
+            assert np.all(p_accept[(k < i)] == 0.0)
+            fractional += (p_accept > 0.0) & (p_accept < 1.0)
+        assert schedule.floor_round == floor
+        assert np.array_equal(schedule.saturation, k)
+        assert np.array_equal(schedule.fraction, f)
+        # one round at most strictly between 0 and 1 (a claim can also close
+        # the gap exactly, which leaves f = 0 at the following round)
+        assert np.all(fractional <= 1)
+        positive = target.masses > 0.0
+        saturated = positive & (k < never)
+        assert np.array_equal(schedule._s[saturated], target.masses[saturated])
+        if rounds is None:
+            assert floor < never
+            # only the largest bins are still taking full claims at the floor round
+            assert 1 <= np.count_nonzero(positive & (k == never)) <= 2
+
+    def test_accept_prob_broadcasts_over_rounds(self):
+        target = DiscreteDistribution(ks_bin_masses(64))
+        proposal = DiscreteDistribution(np.full(64, 1.0 / 64))
+        schedule = GreedySchedule(target, proposal)
+        symbols = np.arange(64)[:, None]
+        block = schedule.accept_prob(symbols, np.arange(1, 3001))
+        fresh = GreedySchedule(target, proposal)
+        for i in (1, 2, 17, 900, 1877, 1878, 3000):
+            assert np.array_equal(block[:, i - 1], fresh.accept_prob(symbols[:, 0], i))
+
+    def test_batch_sampler_keeps_its_draws_and_outputs(self):
+        # replay the per-round reference with the batch sampler's draw order:
+        # per round, one proposal draw and then one coin per active run
+        rng = np.random.default_rng(123)
+        for _ in range(10):
+            target, proposal = random_rational_pair(rng)
+            law = [p_accept for _, p_accept, _ in per_round_loop(target, proposal)]
+            seed = int(rng.integers(2**32))
+            idx, sym = greedy_sample_batch(target, proposal, 500, np.random.default_rng(seed))
+            draws = np.random.default_rng(seed)
+            cdf = np.cumsum(proposal.masses)
+            want_idx = np.zeros(500, dtype=np.int64)
+            want_sym = np.zeros(500, dtype=np.int64)
+            active = np.arange(500)
+            i = 0
+            while active.size:
+                i += 1
+                a = np.clip(np.searchsorted(cdf, draws.random(active.size), side="right"),
+                            0, target.n - 1)
+                hit = draws.random(active.size) < law[min(i, len(law)) - 1][a]
+                want_idx[active[hit]] = i
+                want_sym[active[hit]] = a[hit]
+                active = active[~hit]
+            assert np.array_equal(idx, want_idx)
+            assert np.array_equal(sym, want_sym)
+
+    def test_zero_target_symbols_are_never_accepted(self):
+        target = DiscreteDistribution(np.array([0.0, 0.25, 0.75, 0.0]))
+        proposal = DiscreteDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
+        schedule = GreedySchedule(target, proposal)
+        assert np.array_equal(schedule.accept_prob([0, 3], [1, 500]), [0.0, 0.0])

@@ -194,3 +194,36 @@ class TestTrials:
     def test_round_cap_propagates(self):
         with pytest.raises(ProtocolFailure):
             run_trials(3, 100, 4096, cap=1)
+
+
+class TestBlockScan:
+    # seed 19: trial 704 of the first 2000 accepts at round 1041 at 4096 bins, so
+    # the scan runs wide multi-round blocks over bins that saturate late
+    SEED = 19
+
+    @pytest.mark.parametrize("bins", [4, 64, 4096])
+    @pytest.mark.parametrize("fixed", [False, True])
+    def test_rows_match_scalar_path(self, bins, fixed):
+        kw = {"state": unit_vector(0.1, -0.2, 0.3), "meas": unit_vector(0.6, 0.0, 0.8)} \
+            if fixed else {}
+        batch = run_trials(self.SEED, 2000, bins, **kw)
+        if bins == 4096 and not fixed:
+            assert batch.accepted_index.max() > 1000
+        deepest = np.argsort(batch.accepted_index, kind="stable")[-4:]
+        for t in [*range(16), *deepest.tolist()]:
+            rep = run_trial(self.SEED, t, bins, **kw)
+            assert rep.accepted_index == batch.accepted_index[t]
+            assert rep.code_bits == batch.code_bits[t]
+            assert rep.outcome == batch.outcome[t]
+            assert np.array_equal(rep.state, batch.states[t])
+            assert np.array_equal(rep.meas, batch.meas[t])
+            entry = trial_codebook(self.SEED, t).entry(rep.accepted_index)
+            assert np.array_equal(batch.points[t], entry)
+
+    def test_round_cap_boundary(self):
+        batch = run_trials(self.SEED, 2000, 4096)
+        deepest = int(batch.accepted_index.max())
+        capped = run_trials(self.SEED, 2000, 4096, cap=deepest)
+        assert np.array_equal(capped.accepted_index, batch.accepted_index)
+        with pytest.raises(ProtocolFailure):
+            run_trials(self.SEED, 2000, 4096, cap=deepest - 1)
