@@ -29,9 +29,15 @@ def elias_delta_encode(i: int) -> str:
 
 
 def elias_delta_decode(bits: str) -> int:
-    """Inverse of :func:`elias_delta_encode`; the input must be exactly one codeword."""
-    pos = 0
+    """Inverse of :func:`elias_delta_encode`; the input must be exactly one codeword.
+
+    Any character other than '0' and '1' is a :class:`DecodeError` (``int(.., 2)``
+    alone would skip whitespace, underscores and a sign, and read non-ASCII digits).
+    """
     size = len(bits)
+    if bits.count("0") + bits.count("1") != size:
+        raise DecodeError("a codeword holds only the characters '0' and '1'")
+    pos = 0
     while pos < size and bits[pos] == "0":
         pos += 1
     if pos >= size:

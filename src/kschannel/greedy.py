@@ -19,13 +19,17 @@ acceptance law has a simple shape: symbol a is accepted with probability 1
 before its saturation round k_a, with probability f_a at k_a, and never
 after it; from the first round whose remainder 1 - S is at most
 ``_REMAINDER_FLOOR``, every symbol with t(a) > 0 is accepted outright.
-:func:`greedy_sample_batch` and the protocol's chunk scan read their
-acceptance probabilities from that schedule; :func:`greedy_one_shot` keeps
-the per-round loop as the independent scalar reference.
+The schedule is built lazily, only as deep as its readers' draws ask, and
+may be shared between threads: extension holds a lock, and readers only
+look at rounds that are already built.  :func:`greedy_sample_batch`, the
+protocol's sender and its chunk scan read their acceptance probabilities
+from a schedule; :func:`greedy_one_shot` keeps the per-round loop as the
+independent scalar reference.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,6 +106,12 @@ class GreedySchedule:
     update without changing any value.  ``floor_round`` is the first round
     whose remainder is at most ``_REMAINDER_FLOOR``; from it on every
     symbol with t > 0 is accepted.
+
+    One schedule may serve several threads.  :meth:`extend` holds a lock
+    and publishes ``rounds`` only after every value of those rounds is
+    written, so a reader that asks only about rounds up to :attr:`depth`
+    needs no lock: a saturation round it sees beyond them only tells it
+    that the symbol is still accepted in full.
     """
 
     def __init__(self, target: DiscreteDistribution, proposal: DiscreteDistribution):
@@ -121,9 +131,22 @@ class GreedySchedule:
         self._live_t = t[self._live]
         self._live_p = p[self._live]
         self._live_s = np.zeros(self._live.size)
+        self._lock = threading.Lock()
+
+    @property
+    def depth(self) -> int:
+        """Last round whose acceptance law is built; every round once the floor round is known."""
+        rounds = self.rounds
+        return rounds if self.floor_round == _UNSATURATED else _UNSATURATED
 
     def extend(self, rounds: int) -> None:
         """Build the schedule through round ``rounds``; a no-op once the floor round is known."""
+        if rounds <= self.depth:
+            return
+        with self._lock:
+            self._extend(rounds)
+
+    def _extend(self, rounds: int) -> None:
         s, live = self._s, self._live
         t, p, s_live = self._live_t, self._live_p, self._live_s
         i, total = self.rounds, self.total
@@ -159,6 +182,31 @@ class GreedySchedule:
         if self.floor_round <= last:
             prob = np.where(rounds >= self.floor_round, self.target[symbols] > 0.0, prob)
         return prob
+
+    def first_accept(self, symbols: np.ndarray, rounds: np.ndarray,
+                     coins: np.ndarray) -> np.ndarray:
+        """Column of each row's first accepting draw, or -1 where no draw of the row accepts.
+
+        ``symbols`` and ``coins`` are (runs, width) draws and coins at the
+        increasing 1-based ``rounds``.  The columns the schedule already
+        covers are decided at once; past them it is extended one round at
+        a time while some row has not accepted, so it is never built deeper
+        than the latest first acceptance, or ``rounds[-1]`` if a row has none.
+        """
+        known = int(np.searchsorted(rounds, self.depth, side="right"))
+        first = np.full(len(symbols), -1)
+        if known:
+            hit = coins[:, :known] < self.accept_prob(symbols[:, :known], rounds[:known])
+            won = np.flatnonzero(hit.any(axis=1))
+            first[won] = np.argmax(hit[won], axis=1)
+        waiting = np.flatnonzero(first < 0)
+        for j in range(known, rounds.size):
+            if not waiting.size:
+                break
+            hit = coins[waiting, j] < self.accept_prob(symbols[waiting, j], rounds[j])
+            first[waiting[hit]] = j
+            waiting = waiting[~hit]
+        return first
 
 
 def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution,

@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import require_unit
 from .model import OntologicalModel
+from .quadrature import quad
 
 _LN2 = np.log(2.0)
 

@@ -11,15 +11,19 @@ the bin-averaged conditional density, so the simulation error is purely
 the 1-D binning of the height z = v.x, of order 1/bins.
 
 The bin laws do not depend on the state, so one :class:`GreedySchedule`
-serves every trial of a chunk.  :func:`run_trials` scans each chunk in
-blocks of rounds: a block draws the codebook points, bins and coins of
-rounds done+1 .. done+R for every still-active trial as (active, R)
-arrays, looks their acceptance probabilities up in the schedule, and ends
-each trial at its first accepting round.  R is a fixed element budget over
-the active count, capped at the rounds already done, so the schedule is
-never built more than about twice as deep as the slowest trial needs.
-Every draw is the counter word the one-round-at-a-time scalar path
-(:func:`run_trial`) reads, so both give the same trial bit for bit.
+per bin count (:func:`_ks_schedule`) is built once per process and serves
+every trial, chunk and worker thread; it is extended, under its lock, only
+as deep as the deepest first acceptance asks.  :func:`run_trials` scans
+each chunk in blocks of rounds: a block draws the codebook points, bins
+and coins of rounds done+1 .. done+R for every still-active trial as
+(active, R) arrays, looks their acceptance probabilities up in the
+schedule, and ends each trial at its first accepting round.  R is a fixed
+element budget over the active count, capped at the rounds already done.
+:func:`alice_send` scans one trial the same way, in blocks of 8, 16, 32,
+... rounds, taking one coin per round up to its acceptance.  Every draw is
+the counter word the one-round-at-a-time reference
+(:func:`greedy.greedy_one_shot`) reads, so all paths give the same trial
+bit for bit.
 
 Wire format: the raw Elias delta bitstring of the accepted index, most
 significant bit first, no padding.  Everything is deterministic given the
@@ -31,13 +35,13 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .coding import code_lengths, elias_delta_decode, elias_delta_encode
 from .geometry import Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
-from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
-                     ProtocolFailure, greedy_one_shot)
+from .greedy import DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule, ProtocolFailure
 from .model import ks_response
 from .rngstream import mix, mix_vec, to_unit
 
@@ -52,6 +56,8 @@ _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 _CHUNK = 8192
 #: (trial, round) draws per block of the chunk scan
 _BLOCK_ELEMENTS = 1 << 14
+#: rounds in the sender's first block; each later block doubles
+_SEND_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -130,6 +136,12 @@ def _ks_laws(bins: int) -> tuple[DiscreteDistribution, DiscreteDistribution]:
             DiscreteDistribution(np.full(bins, 1.0 / bins)))
 
 
+@lru_cache(maxsize=8)
+def _ks_schedule(bins: int) -> GreedySchedule:
+    """The greedy schedule of the bin laws, one per bin count, shared by every trial and thread."""
+    return GreedySchedule(*_ks_laws(bins))
+
+
 def discretize_ks(v, bins: int):
     """Height-bin reduction of the steering problem for state v.
 
@@ -152,23 +164,37 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms,
     """Sender half of one trial: steer the codebook onto rho(.|state).
 
     ``accept_uniforms`` supplies the sender's private coins (an iterable of
-    floats in [0, 1), one per round).  Returns the transmitted bitstring
-    and the sender-side report.
+    floats in [0, 1)); exactly one is taken per round up to the accepted
+    one.  Returns the transmitted bitstring and the sender-side report.
+    Raises :class:`ProtocolFailure` if nothing is accepted within ``cap``
+    rounds or the coins run out first.
     """
     state = require_unit(state, "state")
-    target, proposal, binner = discretize_ks(state, bins)
-
-    def binned_stream():
-        i = 1
-        while True:
-            yield int(binner(codebook.entry(i)))
-            i += 1
-
-    index, _ = greedy_one_shot(target, proposal, binned_stream(), accept_uniforms, cap=cap)
-    bits = elias_delta_encode(index)
-    report = TrialReport(state=state, meas=None, accepted_index=index,
-                         code_bits=len(bits), outcome=None)
-    return bits, report
+    schedule = _ks_schedule(bins)
+    coins = iter(accept_uniforms)
+    done, width = 0, _SEND_BLOCK
+    while True:
+        width = min(width, cap - done)
+        if width <= 0:
+            raise ProtocolFailure(f"no acceptance within {cap} rounds")
+        rounds = np.arange(done + 1, done + width + 1)
+        bidx = bin_index(dot3(codebook.entries(rounds), state), bins)
+        known = int(np.searchsorted(rounds, schedule.depth, side="right"))
+        prob = schedule.accept_prob(bidx[:known], rounds[:known]).tolist() if known else []
+        for j in range(width):
+            # past the built rounds the schedule is extended one round at a time
+            p = prob[j] if j < known else float(schedule.accept_prob(bidx[j], rounds[j]))
+            try:
+                u = float(next(coins))
+            except StopIteration:
+                raise ProtocolFailure(f"stream exhausted after {done + j} rounds") from None
+            if u < p:
+                index = done + j + 1
+                bits = elias_delta_encode(index)
+                return bits, TrialReport(state=state, meas=None, accepted_index=index,
+                                         code_bits=len(bits), outcome=None)
+        done += width
+        width *= 2
 
 
 def bob_receive(bits: str, codebook: Codebook, meas: Measurement) -> int:
@@ -195,9 +221,14 @@ def _counter_sphere(keys: np.ndarray) -> np.ndarray:
 
 
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
-    """The per-trial codebook both parties derive from the shared master seed."""
-    keys = _trial_keys(master_seed, np.array([trial_index], dtype=np.uint64))
-    return Codebook(seed=int(keys["codebook"][0]))
+    """The per-trial codebook both parties derive from the shared master seed.
+
+    The scalar image of the codebook key :func:`_trial_keys` derives.
+    """
+    trial_index = int(trial_index)
+    if not 0 <= trial_index < 1 << 64:
+        raise ValueError(f"trial index must be in [0, 2**64), got {trial_index}")
+    return Codebook(seed=mix(mix(mix(master_seed, _TRIAL_SALT), trial_index), _SUB_CODEBOOK))
 
 
 def run_trial(master_seed: int, trial_index: int, bins: int,
@@ -225,7 +256,7 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
 
 
 def _run_chunk(master_seed: int, start: int, count: int, bins: int,
-               state, meas, cap: int) -> TrialBatch:
+               state, meas, cap: int, schedule: GreedySchedule) -> TrialBatch:
     indices = np.arange(start, start + count, dtype=np.uint64)
     keys = _trial_keys(master_seed, indices)
     if state is not None:
@@ -237,7 +268,6 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
     else:
         m = _counter_sphere(keys["meas"])
 
-    schedule = GreedySchedule(*_ks_laws(bins))
     accepted = np.zeros(count, dtype=np.int64)
     x_final = np.zeros((count, 3))
     active = np.arange(count)
@@ -247,9 +277,7 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
     while active.size:
         if done >= cap:
             raise ProtocolFailure(f"no acceptance within {cap} rounds")
-        # rounds done + 1 .. done + width for every active trial at once; the
-        # width never exceeds done, so the schedule is built at most twice
-        # as deep as the slowest trial needs
+        # rounds done + 1 .. done + width for every active trial at once
         width = min(max(1, _BLOCK_ELEMENTS // active.size), max(1, done), cap - done)
         rounds = np.arange(done + 1, done + width + 1)
         ctr = rounds.astype(np.uint64)
@@ -259,11 +287,10 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
         x = sphere_from_zphi(2.0 * uz - 1.0, _TWO_PI * uphi)
         bidx = bin_index(dot3(x, v[active, None]), bins)
         u = to_unit(mix_vec(acc_keys[active, None], ctr))
-        hit = u < schedule.accept_prob(bidx, rounds)
-        won = np.flatnonzero(hit.any(axis=1))
-        first = np.argmax(hit[won], axis=1)  # each finished trial's first accepting round
-        accepted[active[won]] = rounds[first]
-        x_final[active[won]] = x[won, first]
+        first = schedule.first_accept(bidx, rounds, u)
+        won = np.flatnonzero(first >= 0)
+        accepted[active[won]] = rounds[first[won]]
+        x_final[active[won]] = x[won, first[won]]
         active = np.delete(active, won)
         done += width
 
@@ -287,13 +314,15 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
         state = require_unit(state, "state")
     if meas is not None:
         meas = require_unit(meas, "measurement direction")
+    schedule = _ks_schedule(bins)
     spans = [(s0, min(_CHUNK, n_trials - s0)) for s0 in range(0, n_trials, _CHUNK)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(
-                lambda sp: _run_chunk(master_seed, sp[0], sp[1], bins, state, meas, cap), spans))
+            parts = list(pool.map(lambda sp: _run_chunk(master_seed, sp[0], sp[1], bins, state,
+                                                        meas, cap, schedule), spans))
     else:
-        parts = [_run_chunk(master_seed, s0, c, bins, state, meas, cap) for s0, c in spans]
+        parts = [_run_chunk(master_seed, s0, c, bins, state, meas, cap, schedule)
+                 for s0, c in spans]
     if not parts:
         empty3 = np.zeros((0, 3))
         empty = np.zeros(0, dtype=np.int64)

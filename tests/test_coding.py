@@ -35,6 +35,22 @@ class TestDecode:
         with pytest.raises(DecodeError):
             elias_delta_decode(bits)
 
+    # int(..., 2) would read each of these as a number
+    @pytest.mark.parametrize("bits", ["0 1", "0\t1", "001_00", "\u0661", "+1", " 1", "1\n",
+                                      "0100 ", "-1", "0b1"])
+    def test_non_binary_characters_raise(self, bits):
+        with pytest.raises(DecodeError):
+            elias_delta_decode(bits)
+
+    @settings(max_examples=1000)
+    @given(st.one_of(st.text(), st.text(alphabet="01"), st.text(alphabet="01 _+\t\u0661")))
+    def test_any_text_decodes_to_its_codeword_or_raises(self, text):
+        try:
+            i = elias_delta_decode(text)
+        except DecodeError:
+            return
+        assert elias_delta_encode(i) == text
+
 
 def test_prefix_free_kraft_sum():
     assert kraft_sum(1 << 16) <= 1.0

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -250,6 +252,57 @@ class TestSchedule:
                 active = active[~hit]
             assert np.array_equal(idx, want_idx)
             assert np.array_equal(sym, want_sym)
+
+    @pytest.mark.parametrize("bins", [2, 64, 4096])
+    def test_first_accept_is_the_first_hit_and_builds_only_that_deep(self, bins):
+        target = DiscreteDistribution(ks_bin_masses(bins))
+        proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
+        full = GreedySchedule(target, proposal)
+        rng = np.random.default_rng(bins)
+        for start, built in ((1, 0), (1, 5), (40, 10), (40, 60), (300, 0)):
+            lazy = GreedySchedule(target, proposal)
+            lazy.extend(built)
+            rounds = np.arange(start, start + 64)
+            symbols = rng.integers(0, bins, size=(500, rounds.size))
+            coins = rng.random((500, rounds.size))
+            hit = coins < full.accept_prob(symbols, rounds)
+            want = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
+            first = lazy.first_accept(symbols, rounds, coins)
+            assert np.array_equal(first, want)
+            deepest = rounds[-1] if np.any(first < 0) else rounds[first].max()
+            # the build stops short at the floor round (about round 50 at 2 bins)
+            assert lazy.rounds == min(max(built, deepest), lazy.floor_round - 1)
+
+    def test_concurrent_readers_see_the_serial_schedule(self):
+        # four threads (more than cores) extend one shared schedule a round
+        # at a time; a lost or interleaved update changes some round's law
+        target = DiscreteDistribution(ks_bin_masses(4096))
+        proposal = DiscreteDistribution(np.full(4096, 1.0 / 4096))
+        serial = GreedySchedule(target, proposal)
+        serial.extend(1500)
+        shared = GreedySchedule(target, proposal)
+        symbols = np.arange(4096)
+        wrong = []
+
+        def read(k):
+            for i in range(1 + k, 1501, 4):
+                if not np.array_equal(shared.accept_prob(symbols, i), serial.accept_prob(symbols, i)):
+                    wrong.append(i)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            sys.setswitchinterval(switch)
+        assert wrong == []
+        assert shared.rounds == serial.rounds and shared.total == serial.total
+        assert np.array_equal(shared.saturation, serial.saturation)
+        assert np.array_equal(shared.fraction, serial.fraction)
 
     def test_zero_target_symbols_are_never_accepted(self):
         target = DiscreteDistribution(np.array([0.0, 0.25, 0.75, 0.0]))

@@ -1,12 +1,17 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
 from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
-                       elias_delta_decode, elias_delta_encode, random_unit_vec,
-                       rotate_to_frame, sphere_from_zphi, unit_vector)
-from kschannel.protocol import (alice_send, bin_index, bob_receive, discretize_ks,
-                                ks_bin_masses, run_trial, run_trials, trial_codebook)
+                       elias_delta_decode, elias_delta_encode, greedy_one_shot,
+                       random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
+from kschannel.protocol import (_counter_sphere, _ks_schedule, _trial_keys, alice_send,
+                                bin_index, bob_receive, discretize_ks, ks_bin_masses,
+                                run_trial, run_trials, trial_codebook)
 from kschannel.quadrature import min_overlap_integral
 from kschannel.rngstream import counter_uniforms, mix, mix_vec
 
@@ -227,3 +232,158 @@ class TestBlockScan:
         assert np.array_equal(capped.accepted_index, batch.accepted_index)
         with pytest.raises(ProtocolFailure):
             run_trials(self.SEED, 2000, 4096, cap=deepest - 1)
+
+
+def trial_inputs(seed, t):
+    """The state, codebook and coin key that run_trial derives for trial t."""
+    keys = _trial_keys(seed, np.array([t], dtype=np.uint64))
+    return (_counter_sphere(keys["state"])[0], Codebook(seed=int(keys["codebook"][0])),
+            int(keys["accept"][0]))
+
+
+class CountingCoins:
+    """The counter coin stream of ``key``, counting the coins taken."""
+
+    def __init__(self, key):
+        self.taken = 0
+        self._it = counter_uniforms(key)
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.taken += 1
+        return next(self._it)
+
+
+def reference_send(v, codebook, bins, coins, cap=1 << 32):
+    """greedy_one_shot on the binned codebook stream, one round at a time."""
+    target, proposal, binner = discretize_ks(v, bins)
+    stream = (int(binner(codebook.entry(i))) for i in itertools.count(1))
+    return greedy_one_shot(target, proposal, stream, coins, cap=cap)[0]
+
+
+class TestTrialCodebook:
+    def test_matches_the_vector_key_derivation(self):
+        rng = np.random.default_rng(71)
+        seeds = rng.integers(0, 2**63, size=50, dtype=np.uint64).tolist()
+        trials = [0, 1, 2**63, 2**64 - 1,
+                  *rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False).tolist()]
+        for seed in seeds:
+            want = _trial_keys(seed, np.array(trials, dtype=np.uint64))["codebook"]
+            for t, key in zip(trials, want.tolist()):
+                assert trial_codebook(seed, t).seed == key
+
+    def test_accepts_numpy_integers(self):
+        assert trial_codebook(5, np.uint64(2**64 - 1)) == trial_codebook(5, 2**64 - 1)
+
+    @pytest.mark.parametrize("t", [-1, 2**64])
+    def test_rejects_out_of_range_indices(self, t):
+        with pytest.raises(ValueError):
+            trial_codebook(5, t)
+
+
+class TestSender:
+    SEED = 23
+
+    @pytest.mark.parametrize("bins", [2, 64, 4096])
+    def test_matches_scalar_reference(self, bins):
+        # the first 200 trials plus the three deepest of 5000, whose indices pass 64
+        deep = np.argsort(run_trials(self.SEED, 5000, bins).accepted_index, kind="stable")[-3:]
+        indices = []
+        for t in [*range(200), *deep.tolist()]:
+            v, codebook, key = trial_inputs(self.SEED, t)
+            sent, want = CountingCoins(key), CountingCoins(key)
+            bits, report = alice_send(v, codebook, bins, sent)
+            index = reference_send(v, codebook, bins, want)
+            assert report.accepted_index == index
+            assert bits == elias_delta_encode(index)
+            assert sent.taken == want.taken == index
+            indices.append(index)
+        if bins > 2:
+            assert max(indices) > 64
+
+    def deep_trial(self):
+        for t in itertools.count():
+            v, codebook, key = trial_inputs(self.SEED, t)
+            _, report = alice_send(v, codebook, 4096, counter_uniforms(key))
+            if report.accepted_index >= 20:
+                return v, codebook, key, report.accepted_index
+
+    def test_round_cap(self):
+        v, codebook, key, index = self.deep_trial()
+        _, report = alice_send(v, codebook, 4096, counter_uniforms(key), cap=index)
+        assert report.accepted_index == index
+        for cap in (index - 1, 8, 1, 0):
+            with pytest.raises(ProtocolFailure, match="no acceptance"):
+                alice_send(v, codebook, 4096, counter_uniforms(key), cap=cap)
+
+    def test_finite_coins(self):
+        v, codebook, key, index = self.deep_trial()
+        coins = list(itertools.islice(counter_uniforms(key), index))
+        _, report = alice_send(v, codebook, 4096, coins)
+        assert report.accepted_index == index
+        for n in (index - 1, 8, 0):
+            with pytest.raises(ProtocolFailure, match="exhausted"):
+                alice_send(v, codebook, 4096, coins[:n])
+
+
+class TestSharedSchedule:
+    def test_one_schedule_per_bin_count(self):
+        assert _ks_schedule(64) is _ks_schedule(64)
+        assert _ks_schedule(64) is not _ks_schedule(4096)
+
+    @pytest.mark.parametrize("bins", [64, 4096])
+    def test_built_no_deeper_than_the_deepest_acceptance(self, bins):
+        for seed in (19, 301):
+            _ks_schedule.cache_clear()   # build the schedule from round 0
+            batch = run_trials(seed, 10_000, bins)
+            schedule = _ks_schedule(bins)
+            assert schedule.depth == schedule.rounds == batch.accepted_index.max()
+        _ks_schedule.cache_clear()
+        deepest = 0
+        for t in range(300):
+            v, codebook, key = trial_inputs(7, t)
+            _, report = alice_send(v, codebook, bins, counter_uniforms(key))
+            deepest = max(deepest, report.accepted_index)
+            assert _ks_schedule(bins).rounds == deepest
+
+    def test_concurrent_senders_match_a_serial_run(self):
+        def send(t):
+            v, codebook, key = trial_inputs(31, t)
+            bits, _ = alice_send(v, codebook, 4096, counter_uniforms(key))
+            return bits
+
+        def worker(k):
+            for t in range(k, 400, 4):
+                out[t] = send(t)
+
+        _ks_schedule.cache_clear()
+        serial = [send(t) for t in range(400)]
+        _ks_schedule.cache_clear()
+        out = {}
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)   # interleave the threads as finely as possible
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join()
+        finally:
+            sys.setswitchinterval(switch)
+        assert [out[t] for t in range(400)] == serial
+
+    def test_worker_threads_match_a_serial_run(self):
+        _ks_schedule.cache_clear()
+        serial = run_trials(19, 20_000, 4096)
+        _ks_schedule.cache_clear()
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_trials(19, 20_000, 4096, workers=4)   # three chunks
+        finally:
+            sys.setswitchinterval(switch)
+        for field in ("states", "meas", "accepted_index", "code_bits", "outcome", "born",
+                      "points"):
+            assert np.array_equal(getattr(serial, field), getattr(threaded, field))
