@@ -189,23 +189,32 @@ class GreedySchedule:
 
         ``symbols`` and ``coins`` are (runs, width) draws and coins at the
         increasing 1-based ``rounds``.  The columns the schedule already
-        covers are decided at once; past them it is extended one round at
-        a time while some row has not accepted, so it is never built deeper
-        than the latest first acceptance, or ``rounds[-1]`` if a row has none.
+        covers are decided at once.  Past them, a waiting row cannot accept
+        before its first draw of a symbol that is not yet saturated (the
+        earlier draws have probability 0, unless the floor round comes
+        first, which ends the build), and if it has no such draw it does
+        not accept before the last column.  So the schedule is extended to
+        the latest of these rounds over the waiting rows, the new columns
+        are decided, and this repeats.  The row that set the extension
+        accepts there or later, so the schedule is never built deeper than
+        the latest first acceptance, or ``rounds[-1]`` if a row has none.
         """
-        known = int(np.searchsorted(rounds, self.depth, side="right"))
         first = np.full(len(symbols), -1)
-        if known:
-            hit = coins[:, :known] < self.accept_prob(symbols[:, :known], rounds[:known])
-            won = np.flatnonzero(hit.any(axis=1))
-            first[won] = np.argmax(hit[won], axis=1)
-        waiting = np.flatnonzero(first < 0)
-        for j in range(known, rounds.size):
-            if not waiting.size:
-                break
-            hit = coins[waiting, j] < self.accept_prob(symbols[waiting, j], rounds[j])
-            first[waiting[hit]] = j
-            waiting = waiting[~hit]
+        rows, lo = np.arange(len(symbols)), 0
+        while rows.size:
+            depth = self.depth
+            known = int(np.searchsorted(rounds, depth, side="right"))
+            if known > lo:
+                hit = coins[:, lo:known] < self.accept_prob(symbols[:, lo:known], rounds[lo:known])
+                won = hit.any(axis=1)
+                first[rows[won]] = lo + np.argmax(hit[won], axis=1)
+                lo = known
+                if lo == rounds.size or won.all():
+                    return first
+                rows, symbols, coins = rows[~won], symbols[~won], coins[~won]
+            live = self.saturation[symbols[:, lo:]] > depth
+            reach = np.where(live.any(axis=1), np.argmax(live, axis=1), live.shape[1] - 1)
+            self.extend(int(rounds[lo + reach.max()]))
         return first
 
 

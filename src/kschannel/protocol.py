@@ -22,8 +22,8 @@ element budget over the active count, capped at the rounds already done.
 :func:`alice_send` scans one trial the same way, in blocks of 8, 16, 32,
 ... rounds, taking one coin per round up to its acceptance.  Every draw is
 the counter word the one-round-at-a-time reference
-(:func:`greedy.greedy_one_shot`) reads, so all paths give the same trial
-bit for bit.
+(:func:`greedy.greedy_one_shot`, which :func:`run_trial` uses) reads, so
+all paths give the same trial bit for bit.
 
 Wire format: the raw Elias delta bitstring of the accepted index, most
 significant bit first, no padding.  Everything is deterministic given the
@@ -41,7 +41,8 @@ import numpy as np
 
 from .coding import code_lengths, elias_delta_decode, elias_delta_encode
 from .geometry import Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
-from .greedy import DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule, ProtocolFailure
+from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
+                     ProtocolFailure, greedy_one_shot)
 from .model import ks_response
 from .rngstream import mix, mix_vec, to_unit
 
@@ -136,7 +137,7 @@ def _ks_laws(bins: int) -> tuple[DiscreteDistribution, DiscreteDistribution]:
             DiscreteDistribution(np.full(bins, 1.0 / bins)))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=1)   # every caller in the package uses one bin count per process
 def _ks_schedule(bins: int) -> GreedySchedule:
     """The greedy schedule of the bin laws, one per bin count, shared by every trial and thread."""
     return GreedySchedule(*_ks_laws(bins))
@@ -235,7 +236,10 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
               state=None, meas=None, cap: int = DEFAULT_ROUND_CAP) -> TrialReport:
     """Reference scalar path for one complete trial (sender then receiver).
 
-    Bit-identical to the corresponding row of :func:`run_trials`.
+    The sender is the per-round loop :func:`greedy.greedy_one_shot` over
+    the binned codebook stream, independent of the shared schedule that
+    :func:`alice_send` and :func:`run_trials` read.  Bit-identical to the
+    corresponding row of :func:`run_trials`.
     """
     keys = _trial_keys(master_seed, np.array([trial_index], dtype=np.uint64))
     v = np.asarray(state, float) if state is not None else _counter_sphere(keys["state"])[0]
@@ -249,10 +253,19 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
             yield to_unit(mix(acc_key, i))
             i += 1
 
-    bits, report = alice_send(v, codebook, bins, coins(), cap=cap)
+    target, proposal, binner = discretize_ks(v, bins)
+
+    def binned_stream():
+        i = 1
+        while True:
+            yield int(binner(codebook.entry(i)))
+            i += 1
+
+    index, _ = greedy_one_shot(target, proposal, binned_stream(), coins(), cap=cap)
+    bits = elias_delta_encode(index)
     outcome = bob_receive(bits, codebook, Measurement(m))
-    return TrialReport(state=v, meas=m, accepted_index=report.accepted_index,
-                       code_bits=report.code_bits, outcome=outcome)
+    return TrialReport(state=v, meas=m, accepted_index=index,
+                       code_bits=len(bits), outcome=outcome)
 
 
 def _run_chunk(master_seed: int, start: int, count: int, bins: int,

@@ -269,9 +269,36 @@ class TestSchedule:
             want = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
             first = lazy.first_accept(symbols, rounds, coins)
             assert np.array_equal(first, want)
-            deepest = rounds[-1] if np.any(first < 0) else rounds[first].max()
-            # the build stops short at the floor round (about round 50 at 2 bins)
-            assert lazy.rounds == min(max(built, deepest), lazy.floor_round - 1)
+            accepted = rounds[first[first >= 0]].max(initial=0)
+            deepest = rounds[-1] if np.any(first < 0) else accepted
+            # built through every first acceptance and no deeper, unless a row
+            # has none in the block; the build stops short at the floor round
+            # (about round 50 at 2 bins)
+            cut = lazy.floor_round - 1
+            assert min(max(built, accepted), cut) <= lazy.rounds <= min(max(built, deepest), cut)
+
+    def test_first_accept_reaches_the_floor_round_through_saturated_draws(self):
+        # at 4 bins symbol 2 saturates at round 2 and symbol 3 never does; the
+        # floor round (120) accepts draws of symbol 2 that no unsaturated draw
+        # of the row comes before
+        target = DiscreteDistribution(ks_bin_masses(4))
+        proposal = DiscreteDistribution(np.full(4, 0.25))
+        full = GreedySchedule(target, proposal)
+        full.extend(1000)
+        assert full.floor_round == 120 and full.saturation[2] == 2
+        rounds = np.arange(100, 140)
+        symbols = np.full((6, rounds.size), 2)
+        symbols[2, :] = 0
+        coins = np.random.default_rng(4).random(symbols.shape)
+        for late_unsaturated in (False, True):
+            symbols[1, 30:] = 3 if late_unsaturated else 2
+            lazy = GreedySchedule(target, proposal)
+            lazy.extend(99)
+            first = lazy.first_accept(symbols, rounds, coins)
+            assert list(first) == [20, 20, -1, 20, 20, 20]
+            hit = coins < full.accept_prob(symbols, rounds)
+            assert np.array_equal(first, np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1))
+            assert lazy.rounds == 119 and lazy.floor_round == 120
 
     def test_concurrent_readers_see_the_serial_schedule(self):
         # four threads (more than cores) extend one shared schedule a round

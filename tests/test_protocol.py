@@ -224,6 +224,10 @@ class TestBlockScan:
             assert np.array_equal(rep.meas, batch.meas[t])
             entry = trial_codebook(self.SEED, t).entry(rep.accepted_index)
             assert np.array_equal(batch.points[t], entry)
+            # the wire sender reads the same schedule as the batch rows
+            _, codebook, key = trial_inputs(self.SEED, t)
+            _, sent = alice_send(rep.state, codebook, bins, counter_uniforms(key))
+            assert sent.accepted_index == rep.accepted_index
 
     def test_round_cap_boundary(self):
         batch = run_trials(self.SEED, 2000, 4096)
