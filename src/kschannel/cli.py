@@ -32,7 +32,7 @@ from . import __version__
 from .geometry import (Measurement, born_from_dot, random_unit_vec, rotate_to_frame,
                        sphere_from_zphi)
 from .greedy import ProtocolFailure
-from .info import (conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
+from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
 from .model import KsModel, ks_response, ks_sample
 from .protocol import ks_bin_masses, run_trials
@@ -114,6 +114,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _mi_trials(text: str) -> int:
+    value = _positive_int(text)
+    if value < MIN_MI_SAMPLES:
+        raise argparse.ArgumentTypeError(f"mi needs at least {MIN_MI_SAMPLES} trials, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kschannel",
@@ -125,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("mi", "exact and Monte Carlo mutual information"),
             ("cost", "communication-cost histograms and reference comparison")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--trials", type=_positive_int, default=None,
+        p.add_argument("--trials", type=_mi_trials if name == "mi" else _positive_int, default=None,
                        help=f"samples per cell / trials (default {_DEFAULT_TRIALS[name]})")
         p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                        help=f"64-bit master seed (default {_DEFAULT_SEED})")

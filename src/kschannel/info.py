@@ -23,9 +23,11 @@ import numpy as np
 
 from .geometry import require_unit
 from .model import OntologicalModel
-from .quadrature import quad
 
 _LN2 = np.log(2.0)
+
+#: fewest samples :func:`mc_mutual_information` accepts
+MIN_MI_SAMPLES = 1000
 
 
 def exact_ks_mi() -> float:
@@ -39,6 +41,8 @@ def conditional_entropy_ks() -> float:
     With z = v.x distributed as 2z dz on (0, 1], the entropy reduces to the
     1-D integral -2 int_0^1 z log2(z/pi) dz = log2(pi) + 1/(2 ln 2).
     """
+    from scipy.integrate import quad  # scipy adds ~50 MB; the protocol never needs it
+
     value, _ = quad(lambda z: -2.0 * z * np.log2(z / np.pi), 0.0, 1.0,
                     epsabs=1e-12, epsrel=1e-12)
     return value
@@ -57,6 +61,8 @@ def kl_divergence_ks(v) -> float:
     symmetry.
     """
     require_unit(v, "state v")
+    from scipy.integrate import quad
+
     value, _ = quad(lambda z: 2.0 * z * np.log2(4.0 * z), 0.0, 1.0,
                     epsabs=1e-12, epsrel=1e-12)
     return value
@@ -81,12 +87,12 @@ def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Genera
 
     Draws states from the model prior, a model point per state, and averages
     log2[ conditional / marginal ] over the pairs; the standard error is the
-    sample deviation over sqrt(n).  Requires n >= 1000.  A vanishing marginal
-    at a sampled point is a hard error (it cannot occur for the hemisphere
-    model, whose marginal is constant).
+    sample deviation over sqrt(n).  Requires n >= MIN_MI_SAMPLES.  A
+    vanishing marginal at a sampled point is a hard error (it cannot occur
+    for the hemisphere model, whose marginal is constant).
     """
-    if n < 1000:
-        raise ValueError(f"need at least 1000 samples for a usable estimate, got {n}")
+    if n < MIN_MI_SAMPLES:
+        raise ValueError(f"need at least {MIN_MI_SAMPLES} samples for a usable estimate, got {n}")
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -3,11 +3,24 @@
 The integrands here all have hard edges (the support boundary of the
 conditional density, the response boundary of a measurement), so blind 2-D
 product rules stall far above the 1e-6 tolerances these checks target.
-Every integral is instead reduced to an adaptive 1-D integral over the
-height z, with the azimuthal part handled exactly: for fixed z the edge
-locations are known in closed form, and the integrand is evaluated —
-through the real model functions — only on nodes placed inside each smooth
-arc.
+Every integral is instead reduced to a 1-D integral over the height z, with
+the azimuthal part handled exactly: for fixed z the edge locations are
+known in closed form, and the integrand is evaluated — through the real
+model functions — only on Gauss-Legendre nodes placed inside each smooth
+arc.  A ring function takes an array of heights and returns the azimuthal
+integral at each, so one call evaluates the model on an (nz, nodes) grid.
+
+The z integral is a vectorized adaptive Gauss-Kronrod rule
+(:func:`_integrate_z`).  It starts from the panels between the heights
+where a ring has a kink, evaluates the 15 Kronrod nodes of every open
+interval in one ring call per level, and takes |K15 - G7| as each
+interval's error.  The error budget (1e-10 absolute, 1e-9 for the entropy)
+is global: the integral is done once the errors of all intervals sum to
+within it.  Until then an interval whose error is within its share of the
+budget, in proportion to its width, is settled, and the rest are bisected.
+More than 50 levels or 256 open intervals raise RuntimeError, so an
+integrand that cannot converge fails instead of looping (the model checks
+need at most 25 levels and 6 open intervals).
 """
 
 from __future__ import annotations
@@ -21,30 +34,80 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 _GL32 = np.polynomial.legendre.leggauss(32)
 _GL64 = np.polynomial.legendre.leggauss(64)
 
-_QUAD_OPTS = dict(epsabs=1e-10, epsrel=1e-10, limit=200)
+# 15-point Kronrod rule and its embedded 7-point Gauss rule on [-1, 1]
+# (QUADPACK's qk15): nodes and weights for x >= 0, from the outside in
+_K15_HALF = np.array([0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+                      0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+                      0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+                      0.207784955007898467600689403773245, 0.0])
+_WK15_HALF = np.array([0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                       0.204432940075298892414161999234649, 0.209482141084727828012999174891714])
+_WG7_HALF = np.array([0.0, 0.129484966168869693270611432679082,
+                      0.0, 0.279705391489276667901467771423780,
+                      0.0, 0.381830050505118944950369775488975,
+                      0.0, 0.417959183673469387755102040816327])
+_K15 = np.concatenate([-_K15_HALF[:-1], _K15_HALF[::-1]])
+_WK15 = np.concatenate([_WK15_HALF[:-1], _WK15_HALF[::-1]])
+_WG7 = np.concatenate([_WG7_HALF[:-1], _WG7_HALF[::-1]])
+
+_TOL = 1e-10
+_MAX_LEVELS = 50
+_MAX_OPEN = 256
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on first use.
+def _integrate_z(ring, kinks, tol: float = _TOL) -> float:
+    """Integral of ``ring`` over z in [-1, 1], split at those ``kinks`` inside (-1, 1).
 
-    Importing scipy.integrate adds about 50 MB to the resident memory of a
-    process, which the protocol and the wire path never need.
+    ``ring`` maps an array of heights to an array of values.  Adaptive
+    G7-K15 with a global absolute error budget ``tol``; see the module
+    docstring.
     """
-    from scipy.integrate import quad as scipy_quad
-    return scipy_quad(*args, **kwargs)
+    edges = np.array([-1.0, *sorted({k for k in kinks if -1.0 < k < 1.0}), 1.0])
+    lo, hi = edges[:-1], edges[1:]
+    total = settled_err = 0.0
+    for _ in range(_MAX_LEVELS):
+        mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+        f = ring((mid[:, None] + half[:, None] * _K15).ravel()).reshape(-1, _K15.size)
+        kronrod = half * (f @ _WK15)
+        err = np.abs(kronrod - half * (f @ _WG7))
+        if settled_err + float(np.sum(err)) <= tol:
+            return total + float(np.sum(kronrod))
+        done = err <= tol * half  # the share of an interval of width 2*half out of 2
+        total += float(np.sum(kronrod[done]))
+        settled_err += float(np.sum(err[done]))
+        lo, mid, hi = lo[~done], mid[~done], hi[~done]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        if lo.size > _MAX_OPEN:
+            raise RuntimeError(f"z quadrature did not converge: {lo.size} open intervals")
+    raise RuntimeError(f"z quadrature did not converge in {_MAX_LEVELS} levels")
 
 
-def _arc_halfwidth(a: float, b: float) -> float:
-    """Half-width of the azimuth arc where a + b*cos(phi) > 0, b >= 0."""
-    if b < 1e-14:
-        return np.pi if a > 0.0 else 0.0
-    return float(np.arccos(np.clip(-a / b, -1.0, 1.0)))
+def _arc_halfwidth(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half-width of the azimuth arc where a + b*cos(phi) > 0, b >= 0, elementwise."""
+    narrow = b < 1e-14
+    return np.where(narrow, np.where(a > 0.0, np.pi, 0.0),
+                    np.arccos(np.clip(-a / np.where(narrow, 1.0, b), -1.0, 1.0)))
 
 
-def _gl_nodes(lo: float, hi: float, rule) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = rule
-    half = 0.5 * (hi - lo)
-    return 0.5 * (hi + lo) + half * nodes, half * weights
+def _arc_nodes(*arcs) -> tuple[np.ndarray, np.ndarray]:
+    """Azimuth nodes and weights, each of shape (nz, total rule length), for
+    arcs given as (lo, hi, rule) with lo and hi arrays of length nz.
+
+    Arcs narrower than 1e-15 get zero weight.
+    """
+    phis, weights = [], []
+    for lo, hi, (nodes, w) in arcs:
+        width = (hi - lo)[:, None]
+        phis.append(0.5 * (hi + lo)[:, None] + 0.5 * width * nodes)
+        weights.append(np.where(width < 1e-15, 0.0, 0.5 * width) * w)
+    return np.concatenate(phis, axis=1), np.concatenate(weights, axis=1)
+
+
+def _heights(z, phi) -> np.ndarray:
+    """z broadcast to the (nz, nodes) shape of the azimuth grid ``phi``."""
+    return np.broadcast_to(z[:, None], phi.shape)
 
 
 def born_plus_integral(v, m) -> float:
@@ -66,22 +129,15 @@ def born_plus_integral(v, m) -> float:
     ms = float(np.hypot(m1, m2))
     alpha = float(np.arctan2(m2, m1))
 
-    def ring(z: float) -> float:
-        b = ms * np.sqrt(max(0.0, 1.0 - z * z))
-        phi0 = _arc_halfwidth(mz * z, b)
-        total = 0.0
-        for lo, hi in ((alpha - phi0, alpha + phi0), (alpha + phi0, alpha + 2.0 * np.pi - phi0)):
-            if hi - lo < 1e-15:
-                continue
-            phi, w = _gl_nodes(lo, hi, _GL16)
-            x = rotate_to_frame(sphere_from_zphi(np.full_like(phi, z), phi), v)
-            f = np.asarray(ks_density(x, v)) * (np.asarray(ks_response(x, meas)) == 1)
-            total += float(np.sum(w * f))
-        return total
+    def ring(z: np.ndarray) -> np.ndarray:
+        phi0 = _arc_halfwidth(mz * z, ms * np.sqrt(np.maximum(0.0, 1.0 - z * z)))
+        phi, w = _arc_nodes((alpha - phi0, alpha + phi0, _GL16),
+                            (alpha + phi0, alpha + 2.0 * np.pi - phi0, _GL16))
+        x = rotate_to_frame(sphere_from_zphi(_heights(z, phi), phi), v)
+        f = np.asarray(ks_density(x, v)) * (np.asarray(ks_response(x, meas)) == 1)
+        return np.sum(w * f, axis=1)
 
-    kinks = sorted({p for p in (-ms, 0.0, ms) if -1.0 < p < 1.0})
-    value, _ = quad(ring, -1.0, 1.0, points=kinks or None, **_QUAD_OPTS)
-    return value
+    return _integrate_z(ring, (-ms, 0.0, ms))
 
 
 def density_normalization(v) -> float:
@@ -91,22 +147,14 @@ def density_normalization(v) -> float:
     vs = float(np.hypot(v[0], v[1]))
     alpha = float(np.arctan2(v[1], v[0]))
 
-    def ring(z: float) -> float:
-        b = vs * np.sqrt(max(0.0, 1.0 - z * z))
-        phi0 = _arc_halfwidth(vz * z, b)
-        total = 0.0
-        for (lo, hi), rule in (((alpha - phi0, alpha + phi0), _GL32),
-                               ((alpha + phi0, alpha + 2.0 * np.pi - phi0), _GL16)):
-            if hi - lo < 1e-15:
-                continue
-            phi, w = _gl_nodes(lo, hi, rule)
-            x = sphere_from_zphi(np.full_like(phi, z), phi)
-            total += float(np.sum(w * np.asarray(ks_density(x, v))))
-        return total
+    def ring(z: np.ndarray) -> np.ndarray:
+        phi0 = _arc_halfwidth(vz * z, vs * np.sqrt(np.maximum(0.0, 1.0 - z * z)))
+        phi, w = _arc_nodes((alpha - phi0, alpha + phi0, _GL32),
+                            (alpha + phi0, alpha + 2.0 * np.pi - phi0, _GL16))
+        x = sphere_from_zphi(_heights(z, phi), phi)
+        return np.sum(w * np.asarray(ks_density(x, v)), axis=1)
 
-    kinks = sorted({p for p in (-vs, vs) if -1.0 < p < 1.0})
-    value, _ = quad(ring, -1.0, 1.0, points=kinks or None, **_QUAD_OPTS)
-    return value
+    return _integrate_z(ring, (-vs, vs))
 
 
 def marginal_from_prior(x) -> float:
@@ -121,18 +169,13 @@ def marginal_from_prior(x) -> float:
     alpha = float(np.arctan2(x[1], x[0]))
     prior = MARGINAL_DENSITY  # uniform prior density on the state sphere
 
-    def ring(z: float) -> float:
-        b = xs * np.sqrt(max(0.0, 1.0 - z * z))
-        phi0 = _arc_halfwidth(xz * z, b)
-        if phi0 < 1e-15:
-            return 0.0
-        phi, w = _gl_nodes(alpha - phi0, alpha + phi0, _GL32)
-        v = sphere_from_zphi(np.full_like(phi, z), phi)
-        return float(np.sum(w * np.asarray(ks_density(x, v)))) * prior
+    def ring(z: np.ndarray) -> np.ndarray:
+        phi0 = _arc_halfwidth(xz * z, xs * np.sqrt(np.maximum(0.0, 1.0 - z * z)))
+        phi, w = _arc_nodes((alpha - phi0, alpha + phi0, _GL32))
+        v = sphere_from_zphi(_heights(z, phi), phi)
+        return np.sum(w * np.asarray(ks_density(x, v)), axis=1) * prior
 
-    kinks = sorted({p for p in (-xs, xs) if -1.0 < p < 1.0})
-    value, _ = quad(ring, -1.0, 1.0, points=kinks or None, **_QUAD_OPTS)
-    return value
+    return _integrate_z(ring, (-xs, xs))
 
 
 def conditional_entropy_2d(v) -> float:
@@ -148,23 +191,20 @@ def conditional_entropy_2d(v) -> float:
     vz = float(v[2])
     vs = float(np.hypot(v[0], v[1]))
     alpha = float(np.arctan2(v[1], v[0]))
-    tau, tau_w = _gl_nodes(0.0, 1.0, _GL64)
+    tau, tau_w = _GL64
+    tau, tau_w = 0.5 + 0.5 * tau, 0.5 * tau_w  # Gauss-Legendre on [0, 1]
 
-    def ring(z: float) -> float:
-        b = vs * np.sqrt(max(0.0, 1.0 - z * z))
-        phi0 = _arc_halfwidth(vz * z, b)
-        if phi0 < 1e-15:
-            return 0.0
+    def ring(z: np.ndarray) -> np.ndarray:
+        phi0 = _arc_halfwidth(vz * z, vs * np.sqrt(np.maximum(0.0, 1.0 - z * z)))
+        phi0 = np.where(phi0 < 1e-15, 0.0, phi0)[:, None]
         psi = phi0 * (1.0 - tau * tau)
         w = tau_w * (2.0 * phi0 * tau)
-        x = sphere_from_zphi(np.full_like(psi, z), alpha + psi)
+        x = sphere_from_zphi(_heights(z, psi), alpha + psi)
         rho = np.asarray(ks_density(x, v))
         g = np.where(rho > 0.0, -rho * np.log2(np.where(rho > 0.0, rho, 1.0)), 0.0)
-        return 2.0 * float(np.sum(w * g))  # arc is symmetric about alpha
+        return 2.0 * np.sum(w * g, axis=1)  # arc is symmetric about alpha
 
-    kinks = sorted({p for p in (-vs, vs) if -1.0 < p < 1.0})
-    value, _ = quad(ring, -1.0, 1.0, points=kinks or None, epsabs=1e-9, epsrel=1e-9, limit=150)
-    return value
+    return _integrate_z(ring, (-vs, vs), tol=1e-9)
 
 
 def min_overlap_integral() -> float:
@@ -175,9 +215,8 @@ def min_overlap_integral() -> float:
     exact value is 7/16.
     """
 
-    def ring(z: float) -> float:
-        cond = max(z, 0.0) / np.pi
-        return 2.0 * np.pi * min(MARGINAL_DENSITY, cond)
+    def ring(z: np.ndarray) -> np.ndarray:
+        cond = np.maximum(z, 0.0) / np.pi
+        return 2.0 * np.pi * np.minimum(MARGINAL_DENSITY, cond)
 
-    value, _ = quad(ring, -1.0, 1.0, points=[0.0, 0.25], **_QUAD_OPTS)
-    return value
+    return _integrate_z(ring, (0.0, 0.25))

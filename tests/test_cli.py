@@ -2,10 +2,15 @@ import csv
 import io
 import json
 
+import argparse
+import math
+
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from kschannel import cli
+from kschannel import cli, require_unit
 
 
 def run_cli(capsys, argv):
@@ -34,11 +39,14 @@ class TestUsageErrors:
         ["simulate", "--bins", "1000000000"],
         ["simulate", "--bins", str(cli._MAX_BINS + 2)],
         ["verify", "--state"],
+        ["mi", "--trials", "999"],
+        ["mi", "--trials", "1"],
     ])
-    def test_bad_arguments_exit_2(self, argv):
+    def test_bad_arguments_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_largest_bin_count_is_accepted(self):
         assert cli._bins_arg(str(cli._MAX_BINS)) == cli._MAX_BINS
@@ -50,6 +58,49 @@ class TestUsageErrors:
         assert report["config"]["state"] == [-0.6, 0.0, -0.8]
         assert report["config"]["meas"] == [-1.0, 0.0, 0.0]
         assert report["results"]["cells"][0]["born"] == pytest.approx(0.8, abs=1e-12)
+
+
+# text the parsers meet: numbers in many spellings, their separators, and anything else
+_NUMBERY = st.text(alphabet="0123456789+-.,eEinfatyINFATY_ \t\u0661\u00b2", max_size=40)
+_ARG_TEXT = st.one_of(st.text(max_size=40), _NUMBERY,
+                      st.builds(lambda *c: ",".join(map(repr, c)), st.floats(), st.floats(),
+                                st.floats()),
+                      st.integers().map(str))
+
+
+def _parsed_or_rejected(parse, text):
+    """parse(text), or None when it raises ArgumentTypeError (any other exception propagates)."""
+    try:
+        return parse(text)
+    except argparse.ArgumentTypeError:
+        return None
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=400)
+    @given(_ARG_TEXT)
+    def test_vector_arg(self, text):
+        v = _parsed_or_rejected(cli._vector_arg, text)
+        if v is not None:
+            assert isinstance(v, tuple) and len(v) == 3
+            assert all(isinstance(c, float) and math.isfinite(c) for c in v)
+            require_unit(np.array(v))
+
+    @settings(max_examples=400)
+    @given(_ARG_TEXT)
+    def test_bins_arg(self, text):
+        bins = _parsed_or_rejected(cli._bins_arg, text)
+        if bins is not None:
+            assert isinstance(bins, int) and bins % 2 == 0 and 2 <= bins <= cli._MAX_BINS
+
+    @pytest.mark.parametrize("parse, least", [(cli._positive_int, 1),
+                                              (cli._mi_trials, cli.MIN_MI_SAMPLES)])
+    @settings(max_examples=400)
+    @given(text=_ARG_TEXT)
+    def test_trial_counts(self, parse, least, text):
+        value = _parsed_or_rejected(parse, text)
+        if value is not None:
+            assert isinstance(value, int) and value >= least
 
 
 class TestVerify:

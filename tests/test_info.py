@@ -4,6 +4,7 @@ import pytest
 from kschannel import (KsModel, conditional_entropy_ks, exact_ks_mi, kl_divergence_ks,
                        marginal_entropy_ks, mc_mutual_information, random_unit_vec)
 from kschannel.quadrature import conditional_entropy_2d
+from test_model import POLES
 
 # frozen closed forms: 2 - 1/(2 ln 2), log2(pi) + 1/(2 ln 2), log2(4 pi)
 MI_EXACT = 1.2786524795555183
@@ -23,6 +24,10 @@ class TestClosedForms:
         rng = np.random.default_rng(31)
         for v in random_unit_vec(rng, 10):
             assert conditional_entropy_2d(v) == pytest.approx(COND_ENTROPY, abs=1e-6)
+
+    @pytest.mark.parametrize("v", POLES)
+    def test_conditional_entropy_2d_at_the_poles(self, v):
+        assert conditional_entropy_2d(v) == pytest.approx(COND_ENTROPY, abs=1e-9)
 
     def test_marginal_entropy(self):
         assert marginal_entropy_ks() == pytest.approx(MARG_ENTROPY, abs=1e-12)

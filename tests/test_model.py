@@ -6,12 +6,28 @@ from scipy.stats import kstest
 
 from kschannel import (KsModel, Measurement, OntologicalModel, born_probability,
                        ks_density, ks_marginal, ks_response, ks_sample, random_unit_vec,
-                       sphere_from_zphi)
-from kschannel.quadrature import (born_plus_integral, density_normalization,
+                       rotate_to_frame, sphere_from_zphi, unit_vector)
+from kschannel import quadrature
+from kschannel.quadrature import (_integrate_z, born_plus_integral, density_normalization,
                                   marginal_from_prior)
 from conftest import unit_vectors
 
 ZHAT = np.array([0.0, 0.0, 1.0])
+XHAT = np.array([1.0, 0.0, 0.0])
+
+#: exact poles and poles 1e-10 off them (rotate_to_frame's near-pole branch)
+POLES = [ZHAT, -ZHAT, unit_vector(1e-10, 0.0, 1.0), unit_vector(0.0, 1e-10, -1.0)]
+GENERIC = unit_vector(0.3, -0.5, 0.8)
+
+
+def at_dot(v, dot, phi=0.7):
+    """A unit m with m.v = dot (to rounding), at azimuth phi about v."""
+    m = rotate_to_frame(sphere_from_zphi(dot, phi), v)
+    return m / np.linalg.norm(m)
+
+
+def born_error(v, m):
+    return abs(born_plus_integral(v, m) - born_probability(v, Measurement(m)))
 
 
 class TestKsDensity:
@@ -44,6 +60,10 @@ class TestKsDensity:
         rng = np.random.default_rng(21)
         for v in random_unit_vec(rng, 20):
             assert density_normalization(v) == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("v", POLES)
+    def test_normalization_at_the_poles(self, v):
+        assert density_normalization(v) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestKsSample:
@@ -109,6 +129,71 @@ class TestKsResponse:
                 assert lhs == pytest.approx(rhs, abs=1e-6)
 
 
+class TestBornQuadrature:
+    """born_plus_integral against (1 + v.m)/2 where the geometry is hardest."""
+
+    @pytest.mark.parametrize("v", POLES + [GENERIC])
+    @pytest.mark.parametrize("dot", [0.0, 1e-4, -1e-4, 1e-9, -1e-9, 0.5, -0.5])
+    def test_hard_geometries(self, v, dot):
+        assert born_error(v, at_dot(v, dot)) <= 1e-9
+
+    def test_exactly_orthogonal(self):
+        yhat = np.array([0.0, 1.0, 0.0])
+        for v, m in ((ZHAT, XHAT), (XHAT, ZHAT), (XHAT, yhat),
+                     (np.array([0.6, 0.8, 0.0]), ZHAT), (np.array([0.6, 0.0, -0.8]), yhat)):
+            assert float(np.dot(v, m)) == 0.0
+            assert born_error(v, m) <= 1e-9
+
+    @pytest.mark.parametrize("v", POLES + [GENERIC])
+    def test_parallel_and_antiparallel(self, v):
+        assert born_error(v, v) <= 1e-9
+        assert born_error(v, -v) <= 1e-9
+
+    def test_random_pairs(self):
+        rng = np.random.default_rng(2026)
+        states, meas = random_unit_vec(rng, 200), random_unit_vec(rng, 200)
+        assert max(born_error(v, m) for v, m in zip(states, meas)) <= 1e-9
+
+    def test_wrong_response_is_detected(self, monkeypatch):
+        # a model that answers "+" only for x.m >= 0.05 must miss the Born rule
+        def shifted(x, meas):
+            return np.where(np.asarray(x) @ meas.direction >= 0.05, 1, -1)
+
+        m = at_dot(GENERIC, 0.3)
+        assert born_error(GENERIC, m) <= 1e-9
+        monkeypatch.setattr(quadrature, "ks_response", shifted)
+        assert born_error(GENERIC, m) > 1e-3
+
+    def test_wrong_density_is_detected(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "ks_density", lambda x, s: 1.01 * ks_density(x, s))
+        assert born_error(GENERIC, at_dot(GENERIC, 0.3)) > 1e-3
+
+
+class TestIntegrateZ:
+    def test_kronrod_rule_is_exact_on_polynomials(self):
+        # K15 integrates degree 22 exactly, with or without splits
+        coeffs = np.random.default_rng(4).normal(size=23)
+        exact = sum(c * (1.0 - (-1.0) ** (p + 1)) / (p + 1) for p, c in enumerate(coeffs))
+        ring = np.polynomial.Polynomial(coeffs)
+        assert _integrate_z(ring, [], tol=1e-3) == pytest.approx(exact, abs=1e-13)
+        assert _integrate_z(ring, [-0.5, 0.2], tol=1e-3) == pytest.approx(exact, abs=1e-13)
+
+    def test_non_convergent_integrand_raises(self):
+        # a square wave far finer than any interval: every error stays O(width)
+        with pytest.raises(RuntimeError, match="open intervals"):
+            _integrate_z(lambda z: np.floor(z * 2.0 ** 40) % 2.0, [], tol=1e-10)
+
+    def test_divergent_integrand_raises(self):
+        # 1/|z| is not integrable at the kink: the panels next to it never settle
+        with pytest.raises(RuntimeError, match="did not converge"):
+            _integrate_z(lambda z: 1.0 / np.abs(z), [0.0], tol=1e-10)
+
+    def test_level_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_LEVELS", 3)
+        with pytest.raises(RuntimeError, match="in 3 levels"):
+            born_plus_integral(GENERIC, at_dot(GENERIC, 1e-4))
+
+
 class TestKsMarginal:
     def test_constant_value(self):
         assert ks_marginal(ZHAT) == pytest.approx(1.0 / (4.0 * np.pi), abs=1e-16)
@@ -133,6 +218,10 @@ class TestKsMarginal:
         rng = np.random.default_rng(12)
         for x in random_unit_vec(rng, 5):
             assert marginal_from_prior(x) == pytest.approx(ks_marginal(x), abs=1e-6)
+
+    @pytest.mark.parametrize("x", POLES)
+    def test_prior_average_at_the_poles(self, x):
+        assert marginal_from_prior(x) == pytest.approx(ks_marginal(x), abs=1e-9)
 
 
 def test_ks_model_satisfies_interface():
