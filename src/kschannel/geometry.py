@@ -18,14 +18,16 @@ UNIT_ATOL = 1e-12
 #: |pole_z| above this uses the fixed polar frame instead of the cross-product triad
 _POLE_EPS = 1e-9
 
-_XHAT = np.array([1.0, 0.0, 0.0])
-_YHAT = np.array([0.0, 1.0, 0.0])
-_ZHAT = np.array([0.0, 0.0, 1.0])
-
-
 def dot3(a, b) -> np.ndarray:
-    """Euclidean dot product over the trailing axis."""
-    return np.sum(np.asarray(a, float) * np.asarray(b, float), axis=-1)
+    """Euclidean dot product over the trailing axis.
+
+    The products are added left to right starting from +0.0, the order of
+    ``np.sum`` over the trailing axis (so a zero dot is +0.0, never -0.0),
+    without numpy's slow reduction over an axis of length 3.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    return 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def unit_vector(x: float, y: float, z: float) -> np.ndarray:
@@ -56,7 +58,11 @@ def sphere_from_zphi(z, phi) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     phi = np.asarray(phi, dtype=float)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    return np.stack([r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, r.shape).copy()], axis=-1)
+    out = np.empty(r.shape + (3,))
+    np.multiply(r, np.cos(phi), out=out[..., 0])
+    np.multiply(r, np.sin(phi), out=out[..., 1])
+    out[..., 2] = z
+    return out
 
 
 def random_unit_vec(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -86,29 +92,33 @@ def rotate_to_frame(local, pole) -> np.ndarray:
     local = np.asarray(local, dtype=float)
     pole = np.asarray(pole, dtype=float)
     px, py, pz = pole[..., 0], pole[..., 1], pole[..., 2]
+    # frame axes e1, e2 as three components each; the zero components are still
+    # multiplied in below, since they set the sign of a zero result
     s = np.hypot(px, py)
     safe_s = np.maximum(s, 1e-300)
-    e1 = np.stack([-py / safe_s, px / safe_s, np.zeros_like(px)], axis=-1)
-    e2 = np.stack([-pz * px / safe_s, -pz * py / safe_s, s], axis=-1)
+    e1 = (-py / safe_s, px / safe_s, 0.0)
+    neg_pz = -pz
+    e2 = (neg_pz * px / safe_s, neg_pz * py / safe_s, s)
     near = np.abs(pz) > 1.0 - _POLE_EPS
     if np.any(near):
         h = np.hypot(py, pz)
         safe_h = np.maximum(h, 1e-300)
-        zeros = np.zeros_like(px)
-        e1_axis = np.stack([zeros, pz / safe_h, -py / safe_h], axis=-1)
-        e2_axis = np.stack([-h, px * py / safe_h, px * pz / safe_h], axis=-1)
-        e1 = np.where(near[..., None], e1_axis, e1)
-        e2 = np.where(near[..., None], e2_axis, e2)
+        e1 = _select(near, (0.0, pz / safe_h, -py / safe_h), e1)
+        e2 = _select(near, (-h, px * py / safe_h, px * pz / safe_h), e2)
         on_axis = near & (s == 0.0)
         if np.any(on_axis):
-            sign = np.where(pz >= 0.0, 1.0, -1.0)
-            e2_fixed = np.stack([zeros, sign, zeros], axis=-1)
-            e1 = np.where(on_axis[..., None], _XHAT, e1)
-            e2 = np.where(on_axis[..., None], e2_fixed, e2)
-    lx = local[..., 0:1]
-    ly = local[..., 1:2]
-    lz = local[..., 2:3]
-    return lx * e1 + ly * e2 + lz * pole
+            e1 = _select(on_axis, (1.0, 0.0, 0.0), e1)
+            e2 = _select(on_axis, (0.0, np.where(pz >= 0.0, 1.0, -1.0), 0.0), e2)
+    lx, ly, lz = local[..., 0], local[..., 1], local[..., 2]
+    out = np.empty(np.broadcast_shapes(local.shape, pole.shape))
+    for c in range(3):
+        np.add(lx * e1[c] + ly * e2[c], lz * pole[..., c], out=out[..., c])
+    return out
+
+
+def _select(mask, when_true, when_false) -> tuple:
+    """Componentwise ``np.where`` over two 3-component frame axes."""
+    return tuple(np.where(mask, a, b) for a, b in zip(when_true, when_false))
 
 
 @dataclass(frozen=True, eq=False)

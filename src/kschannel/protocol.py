@@ -59,29 +59,33 @@ _CHUNK = 8192
 _BLOCK_ELEMENTS = 1 << 14
 #: rounds in the sender's first block; each later block doubles
 _SEND_BLOCK = 8
+#: codebook entries are indexed in [1, 2**63), so the counters 2i and 2i + 1 fit in 64 bits
+_ENTRY_LIMIT = 1 << 63
 
 
 @dataclass(frozen=True)
 class Codebook:
     """Shared stream of uniform sphere points, random-access by entry index.
 
-    Entry i >= 1 is built from the two counter words (2i, 2i+1) of the
-    seed's stream: z = 2 u - 1 from the first, azimuth = 2 pi u' from the
-    second.  Both parties reconstruct any entry independently, bit for bit.
+    Entry i in [1, 2**63) is built from the two counter words (2i, 2i+1)
+    of the seed's stream: z = 2 u - 1 from the first, azimuth = 2 pi u'
+    from the second.  Both parties reconstruct any entry independently,
+    bit for bit.  Indices outside that range raise ValueError.
     """
 
     seed: int
 
     def entries(self, indices) -> np.ndarray:
-        idx = np.asarray(indices, dtype=np.uint64)
-        if np.any(np.asarray(indices) < 1):
-            raise ValueError("codebook entries are indexed from 1")
+        raw = np.asarray(indices)
+        if not np.all((raw >= 1) & (raw < _ENTRY_LIMIT)):  # NaN fails too
+            raise ValueError("codebook entries are indexed in [1, 2**63)")
+        idx = raw.astype(np.uint64)
         z = 2.0 * to_unit(mix_vec(self.seed, 2 * idx)) - 1.0
         phi = _TWO_PI * to_unit(mix_vec(self.seed, 2 * idx + np.uint64(1)))
         return sphere_from_zphi(z, phi)
 
     def entry(self, i: int) -> np.ndarray:
-        return self.entries(np.array([i], dtype=np.uint64))[0]
+        return self.entries([i])[0]
 
 
 @dataclass(eq=False)

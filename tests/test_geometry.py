@@ -6,6 +6,7 @@ from scipy.stats import kstest
 
 from kschannel import (Measurement, born_probability, random_unit_vec, require_unit,
                        rotate_to_frame, sphere_from_zphi, unit_vector)
+from kschannel.geometry import dot3
 from conftest import unit_vectors
 
 ZHAT = np.array([0.0, 0.0, 1.0])
@@ -140,3 +141,136 @@ def test_born_complement_is_exactly_one():
 def test_born_complement_hypothesis(v, m):
     meas = Measurement(m)
     assert born_probability(v, meas) + born_probability(v, meas.flipped()) == 1.0
+
+
+# Frozen copies of the stack-based kernels the component-wise ones replaced;
+# the current kernels must reproduce them bit for bit, signed zeros included.
+
+def _stacked_dot3(a, b):
+    return np.sum(np.asarray(a, float) * np.asarray(b, float), axis=-1)
+
+
+def _stacked_sphere_from_zphi(z, phi):
+    z = np.asarray(z, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), np.broadcast_to(z, r.shape).copy()], axis=-1)
+
+
+def _stacked_rotate_to_frame(local, pole):
+    local = np.asarray(local, dtype=float)
+    pole = np.asarray(pole, dtype=float)
+    px, py, pz = pole[..., 0], pole[..., 1], pole[..., 2]
+    s = np.hypot(px, py)
+    safe_s = np.maximum(s, 1e-300)
+    e1 = np.stack([-py / safe_s, px / safe_s, np.zeros_like(px)], axis=-1)
+    e2 = np.stack([-pz * px / safe_s, -pz * py / safe_s, s], axis=-1)
+    near = np.abs(pz) > 1.0 - 1e-9
+    if np.any(near):
+        h = np.hypot(py, pz)
+        safe_h = np.maximum(h, 1e-300)
+        zeros = np.zeros_like(px)
+        e1_axis = np.stack([zeros, pz / safe_h, -py / safe_h], axis=-1)
+        e2_axis = np.stack([-h, px * py / safe_h, px * pz / safe_h], axis=-1)
+        e1 = np.where(near[..., None], e1_axis, e1)
+        e2 = np.where(near[..., None], e2_axis, e2)
+        on_axis = near & (s == 0.0)
+        if np.any(on_axis):
+            sign = np.where(pz >= 0.0, 1.0, -1.0)
+            e2_fixed = np.stack([zeros, sign, zeros], axis=-1)
+            e1 = np.where(on_axis[..., None], np.array([1.0, 0.0, 0.0]), e1)
+            e2 = np.where(on_axis[..., None], e2_fixed, e2)
+    return local[..., 0:1] * e1 + local[..., 1:2] * e2 + local[..., 2:3] * pole
+
+
+def assert_bit_identical(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # array_equal has -0.0 == 0.0
+
+
+def assert_fresh_vectors(out, shape):
+    # callers index and write the result in place, e.g. x[won, first[won]] in the chunk scan
+    assert out.shape == shape
+    assert out.flags.c_contiguous and out.flags.writeable
+
+
+def _with_zeros(rng, x):
+    """x with about a third of its entries replaced by +0.0 or -0.0."""
+    pick = rng.integers(0, 6, size=x.shape)
+    return np.where(pick == 0, 0.0, np.where(pick == 1, -0.0, x))
+
+
+def _awkward_poles(rng, n):
+    """Unit poles mixing random directions, the pole caps and the exact axes."""
+    poles = random_unit_vec(rng, n)
+    cap = sphere_from_zphi(1.0 - rng.uniform(0.0, 2e-9, n), rng.uniform(0.0, 2 * np.pi, n))
+    kind = rng.integers(0, 7, size=n)[:, None]
+    poles = np.where(kind == 0, cap, poles)
+    poles = np.where(kind == 1, -cap, poles)
+    poles = np.where(kind == 2, [0.0, 0.0, 1.0], poles)
+    poles = np.where(kind == 3, [-0.0, 0.0, -1.0], poles)
+    poles = np.where(kind == 4, [0.0, -0.0, 1.0], poles)
+    return np.where(kind == 5, [-1.0, 0.0, -0.0], poles)
+
+
+class TestKernelsMatchStackedForms:
+    @pytest.mark.parametrize("shape_a, shape_b", [
+        ((3,), (3,)), ((500, 3), (3,)), ((3,), (500, 3)), ((500, 3), (500, 3)),
+        ((20, 25, 3), (25, 3)), ((0, 3), (3,))])
+    def test_dot3(self, shape_a, shape_b):
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            a = _with_zeros(rng, rng.standard_normal(shape_a) * 10.0 ** rng.integers(-8, 8, shape_a))
+            b = _with_zeros(rng, rng.standard_normal(shape_b))
+            assert_bit_identical(dot3(a, b), _stacked_dot3(a, b))
+
+    def test_dot3_adds_left_to_right_from_positive_zero(self):
+        a = np.array([[1.0, 1e16, -1e16], [-0.0, -0.0, -0.0], [-1.0, 0.0, 0.0]])
+        b = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [0.0, -1.0, -0.0]])
+        got = dot3(a, b)
+        assert_bit_identical(got, _stacked_dot3(a, b))
+        assert got[0] == 0.0 and not np.any(np.signbit(got))
+
+    @pytest.mark.parametrize("z_shape, phi_shape", [
+        ((), ()), ((400,), (400,)), ((400,), ()), ((16, 25), (16, 25)), ((16, 25), ())])
+    def test_sphere_from_zphi(self, z_shape, phi_shape):
+        rng = np.random.default_rng(42)
+        z = _with_zeros(rng, rng.uniform(-1.0, 1.0, z_shape))
+        z = np.where(rng.random(z_shape) < 0.1, -1.0, np.where(rng.random(z_shape) < 0.1, 1.0, z))
+        phi = _with_zeros(rng, rng.uniform(0.0, 2 * np.pi, phi_shape))
+        out = sphere_from_zphi(z, phi)
+        assert_bit_identical(out, _stacked_sphere_from_zphi(z, phi))
+        assert_fresh_vectors(out, np.broadcast_shapes(np.shape(z), np.shape(phi)) + (3,))
+
+    @pytest.mark.parametrize("z, phi", [(0.0, 0.0), (-0.0, -0.0), (1.0, 0.3), (-1.0, np.pi),
+                                        (1.5, 1.0)])
+    def test_sphere_from_zphi_scalars(self, z, phi):
+        out = sphere_from_zphi(z, phi)
+        assert_bit_identical(out, _stacked_sphere_from_zphi(z, phi))
+        assert_fresh_vectors(out, (3,))
+
+    def test_rotate_to_frame_per_sample_poles(self):
+        rng = np.random.default_rng(43)
+        poles = _awkward_poles(rng, 600)
+        local = _with_zeros(rng, random_unit_vec(rng, 600))
+        for lo, po in [(local, poles), (local[0], poles), (local.reshape(2, 300, 3), poles[:300]),
+                       (local[:8, None, :], poles[None, :5])]:
+            out = rotate_to_frame(lo, po)
+            assert_bit_identical(out, _stacked_rotate_to_frame(lo, po))
+            assert_fresh_vectors(out, np.broadcast_shapes(lo.shape, po.shape))
+
+    @pytest.mark.parametrize("pole", [
+        [0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, 1.0], [0.0, -0.0, -1.0],
+        [1.0, 0.0, 0.0], [0.0, -1.0, -0.0], [3e-5, 4e-5, 1.0 - 2.5e-9], [-3e-5, 0.0, -(1.0 - 4.5e-10)],
+        [0.6, 0.0, 0.8]])
+    def test_rotate_to_frame_single_pole(self, pole):
+        rng = np.random.default_rng(44)
+        pole = np.array(pole)
+        local = _with_zeros(rng, random_unit_vec(rng, 300))
+        for lo in (local, local.reshape(3, 100, 3), local[0], np.array([-0.0, -0.0, -0.0]),
+                   np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])):
+            out = rotate_to_frame(lo, pole)
+            assert_bit_identical(out, _stacked_rotate_to_frame(lo, pole))
+            assert_fresh_vectors(out, lo.shape)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from kschannel import (KsModel, conditional_entropy_ks, exact_ks_mi, kl_divergence_ks,
                        marginal_entropy_ks, mc_mutual_information, random_unit_vec)
@@ -18,7 +19,13 @@ class TestClosedForms:
         assert exact_ks_mi() == pytest.approx(MI_EXACT, abs=1e-12)
 
     def test_conditional_entropy(self):
-        assert conditional_entropy_ks() == pytest.approx(COND_ENTROPY, abs=1e-9)
+        assert conditional_entropy_ks() == COND_ENTROPY
+
+    def test_conditional_entropy_matches_its_integral(self):
+        # -2 int_0^1 z log2(z/pi) dz, the 1-D form the closed form comes from
+        value, _ = quad(lambda z: -2.0 * z * np.log2(z / np.pi), 0.0, 1.0,
+                        epsabs=1e-12, epsrel=1e-12)
+        assert conditional_entropy_ks() == pytest.approx(value, abs=1e-12)
 
     def test_conditional_entropy_v_independent_full_2d(self):
         rng = np.random.default_rng(31)

@@ -88,6 +88,30 @@ class TestCodebook:
         with pytest.raises(ValueError):
             Codebook(seed=1).entry(0)
 
+    @pytest.mark.parametrize("index", [0, -1, 2**63, 2**63 + 1, 2**64])
+    def test_rejects_indices_outside_the_counter_range(self, index):
+        # the counters 2i and 2i + 1 must not wrap around 2**64
+        cb = trial_codebook(7, 0)
+        with pytest.raises(ValueError, match="indexed in"):
+            cb.entry(index)
+        with pytest.raises(ValueError, match="indexed in"):
+            cb.entries([1, index])
+        if index >= 1:
+            with pytest.raises(ValueError, match="indexed in"):
+                bob_receive(elias_delta_encode(index), cb, Measurement(unit_vector(0, 0, 1)))
+
+    def test_rejects_wrapped_unsigned_and_nan_indices(self):
+        with pytest.raises(ValueError, match="indexed in"):
+            Codebook(seed=1).entries(np.array([1, 2**63], dtype=np.uint64))
+        with pytest.raises(ValueError, match="indexed in"):
+            Codebook(seed=1).entries(np.array([1.0, np.nan]))
+
+    def test_largest_index_is_accepted(self):
+        cb = trial_codebook(7, 0)
+        top = 2**63 - 1
+        assert np.array_equal(cb.entry(top), cb.entries(np.array([top], dtype=np.uint64))[0])
+        assert not np.array_equal(cb.entry(top), cb.entry(1))
+
 
 class TestSenderReceiver:
     def test_bitstring_reproducible(self):
