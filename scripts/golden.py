@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Golden digests of the model commands' results.
+
+Runs each pinned `kschannel verify` / `kschannel mi` invocation in-process
+and hashes its `results` block (the JSON report without config, runtime and
+version, serialized with sorted keys).  The digests are floating-point
+outputs, so they are recorded together with the numpy version and the
+platform tag (OS, machine and the SIMD targets numpy dispatches to) they
+were produced on; `tests/test_golden.py` compares only where both match.
+
+    PYTHONPATH=src python scripts/golden.py            # print this tree's digests
+    PYTHONPATH=src python scripts/golden.py --write    # rewrite tests/golden/model.json
+
+A change that means to move one of these outputs regenerates the file and
+says why.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from kschannel import cli
+
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "model.json"
+
+_PINNED = ["--state", "0.6,0,-0.8", "--meas", "-0.36,0.48,0.8"]
+
+CASES = {
+    **{f"verify_grid_seed{seed}": ["verify", "--trials", "50000", "--seed", str(seed)]
+       for seed in (7, 11)},
+    **{f"verify_pinned_seed{seed}": ["verify", "--trials", "50000", "--seed", str(seed), *_PINNED]
+       for seed in (7, 11)},
+    "mi_seed7": ["mi", "--trials", "300000", "--seed", "7"],
+}
+
+
+def platform_tag() -> str:
+    """OS and machine, plus the SIMD targets this numpy build dispatches to here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        simd = ",".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))
+    except ImportError:
+        simd = "unknown"
+    return f"{sys.platform}-{platform.machine()} simd={simd}"
+
+
+def results_digest(argv: list[str]) -> str:
+    """sha256 of the `results` block of one CLI run (the exit code is not part of it)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "report.json")
+        if cli.main([*argv, "--out", path]) not in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED):
+            raise RuntimeError(f"kschannel {' '.join(argv)} did not produce a report")
+        with open(path, encoding="utf-8") as fh:
+            results = json.load(fh)["results"]
+    text = json.dumps(results, sort_keys=True, allow_nan=False)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--write", action="store_true", help=f"rewrite {GOLDEN_PATH.name}")
+    args = parser.parse_args()
+    golden = {
+        "numpy": np.__version__,
+        "platform": platform_tag(),
+        "cases": {name: {"argv": argv, "sha256": results_digest(argv)}
+                  for name, argv in CASES.items()},
+    }
+    text = json.dumps(golden, indent=2) + "\n"
+    if args.write:
+        GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
+        GOLDEN_PATH.write_text(text, encoding="utf-8")
+    sys.stdout.write(text)
+
+
+if __name__ == "__main__":
+    main()

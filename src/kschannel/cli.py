@@ -29,12 +29,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .geometry import (Measurement, born_from_dot, random_unit_vec, rotate_to_frame,
+from .geometry import (BLOCK, Measurement, born_from_dot, random_unit_vec, rotate_to_frame,
                        sphere_from_zphi)
 from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
-from .model import KsModel, ks_response, ks_sample
+from .model import KsModel, ks_draws, ks_response
 from .protocol import ks_bin_masses, run_trials
 from .rngstream import mix
 
@@ -83,6 +83,10 @@ def _vector_arg(text: str) -> tuple[float, float, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric component in {text!r}") from None
     with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm) and np.all(np.isfinite(v)):
+        # the squared length overflowed: scale first (only here, so no other vector moves)
+        v = v / np.max(np.abs(v))
         norm = float(np.linalg.norm(v))
     if not np.isfinite(norm):
         raise argparse.ArgumentTypeError(
@@ -147,7 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker threads for trial chunks; never changes results")
+                       help="worker threads for the trial chunks of simulate and cost; "
+                            "never changes results (verify and mi run single-threaded)")
     return parser
 
 
@@ -191,8 +196,15 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
                 # fixed measurement: sweep the state around it instead
                 m, v = np.asarray(cfg.meas, float), rotate_to_frame(tilt, np.asarray(cfg.meas, float))
         meas = Measurement(m)
-        x = ks_sample(v, rng, cfg.trials)
-        empirical = float(np.mean(ks_response(x, meas) == 1))
+        # ks_sample's draws, mapped and answered one block at a time: the count of
+        # "+" answers is exact, so plus / n is the mean of the whole response array
+        z, phi = ks_draws(rng, cfg.trials)
+        plus = 0
+        for lo in range(0, cfg.trials, BLOCK):
+            rows = slice(lo, lo + BLOCK)
+            x = rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), v)
+            plus += int(np.count_nonzero(ks_response(x, meas) == 1))
+        empirical = plus / cfg.trials
         born = float(born_from_dot(np.sum(v * m)))
         sigma = _binomial_sigma(born, cfg.trials)
         cells.append({

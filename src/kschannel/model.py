@@ -41,19 +41,29 @@ def ks_density(x, v) -> np.ndarray | float:
     return float(out) if out.ndim == 0 else out
 
 
-def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
-    """Draw x ~ rho(.|v) by inverse CDF in the polar coordinate.
+def ks_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
+    """Polar coordinates of draws from rho(.|v) about its pole: heights, then azimuths.
 
     The height z = v.x has marginal density 2z on (0, 1], so z = sqrt(u)
-    with u ~ U(0, 1]; the azimuth about v is uniform.  ``n`` draws per call
-    when given, a single (3,) sample otherwise; v may itself be a batch of
-    states (one draw each).
+    with u ~ U(0, 1]; the azimuth about v is uniform.  All heights are drawn
+    before all azimuths, so the generator is consumed the same way however
+    the caller later splits the draws.
+    """
+    u = rng.random(size)
+    np.subtract(1.0, u, out=u)  # (0, 1]: keeps every sample strictly on the open hemisphere
+    z = np.sqrt(u, out=u)
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    return z, phi
+
+
+def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Draw x ~ rho(.|v) by inverse CDF in the polar coordinate (see :func:`ks_draws`).
+
+    ``n`` draws per call when given, a single (3,) sample otherwise; v may
+    itself be a batch of states (one draw each).
     """
     v = np.asarray(v, dtype=float)
-    size = v.shape[:-1] if n is None else (n,)
-    u = 1.0 - rng.random(size)  # (0, 1]: keeps every sample strictly on the open hemisphere
-    z = np.sqrt(u)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    z, phi = ks_draws(rng, v.shape[:-1] if n is None else (n,))
     return rotate_to_frame(sphere_from_zphi(z, phi), v)
 
 
@@ -75,10 +85,10 @@ def ks_marginal(x) -> np.ndarray | float:
 class OntologicalModel(Protocol):
     """Contract for a hidden-variable model usable by the MI estimator.
 
-    States and model points are opaque batches (leading axis = sample);
-    densities are per-sample positive reals.  ``sample_state`` draws from
-    the model's own state prior, so discrete toy models fit the same
-    estimator as the sphere model.
+    States and model points are opaque batches (leading axis = sample) that
+    support row slicing; densities are per-sample positive reals.
+    ``sample_state`` draws from the model's own state prior, so discrete toy
+    models fit the same estimator as the sphere model.
     """
 
     def sample_state(self, n: int, rng: np.random.Generator) -> Any: ...

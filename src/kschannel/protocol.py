@@ -70,7 +70,8 @@ class Codebook:
     Entry i in [1, 2**63) is built from the two counter words (2i, 2i+1)
     of the seed's stream: z = 2 u - 1 from the first, azimuth = 2 pi u'
     from the second.  Both parties reconstruct any entry independently,
-    bit for bit.  Indices outside that range raise ValueError.
+    bit for bit.  Indices outside that range, and non-integral floats,
+    raise ValueError.
     """
 
     seed: int
@@ -79,6 +80,8 @@ class Codebook:
         raw = np.asarray(indices)
         if not np.all((raw >= 1) & (raw < _ENTRY_LIMIT)):  # NaN fails too
             raise ValueError("codebook entries are indexed in [1, 2**63)")
+        if raw.dtype.kind not in "iu" and np.any(raw % 1 != 0):  # integer arrays skip this
+            raise ValueError("codebook indices must be whole numbers")
         idx = raw.astype(np.uint64)
         z = 2.0 * to_unit(mix_vec(self.seed, 2 * idx)) - 1.0
         phi = _TWO_PI * to_unit(mix_vec(self.seed, 2 * idx + np.uint64(1)))

@@ -72,14 +72,6 @@ def to_unit(word) -> np.ndarray | float:
     return (np.asarray(word, dtype=np.uint64) >> _U11).astype(np.float64) * _INV53
 
 
-def to_unit_pos(word) -> np.ndarray | float:
-    """Map 64-bit words to floats in the half-open interval (0, 1]."""
-    if isinstance(word, (int, np.integer)):
-        return float((int(word) >> 11) + 1) * _INV53
-    w = (np.asarray(word, dtype=np.uint64) >> _U11).astype(np.float64)
-    return (w + 1.0) * _INV53
-
-
 def counter_uniforms(key: int, start: int = 1):
     """Endless stream of uniforms in [0, 1): ``to_unit(mix(key, i))`` for i >= start."""
     i = start

@@ -1,0 +1,144 @@
+"""Blocked evaluation at block edges: the kernels split inputs longer than
+BLOCK rows, verify and mi evaluate their samples block by block, and none
+of it may move a bit against the frozen whole-array forms."""
+
+import numpy as np
+import pytest
+
+from kschannel import KsModel, cli, mc_mutual_information, random_unit_vec
+from kschannel.geometry import BLOCK, rotate_to_frame, sphere_from_zphi
+from kschannel.rngstream import mix
+from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
+                           _stacked_sphere_from_zphi, _with_zeros, assert_bit_identical,
+                           assert_fresh_vectors)
+
+EDGE_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
+
+_CAP = _stacked_sphere_from_zphi(1.0 - 5e-10, 0.7)  # |pz| > 1 - 1e-9
+SPECIAL_POLES = [_CAP, -_CAP, [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, 1.0],
+                 [-1.0, 0.0, -0.0]]
+
+
+def _at_block_edges(x, values):
+    """x with ``values`` written into the rows around every multiple of BLOCK
+    (and at its end), so the special rows sit on both sides of each edge."""
+    x = np.array(x)
+    n, k = len(x), len(values)
+    for edge in list(range(BLOCK, n + 1, BLOCK)) + [n]:
+        for row, value in zip(range(edge - k // 2, edge - k // 2 + k), values):
+            if 0 <= row < n:
+                x[row] = value
+    return x
+
+
+class TestKernelsAtBlockEdges:
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_sphere_from_zphi(self, n):
+        rng = np.random.default_rng(n)
+        z = _at_block_edges(_with_zeros(rng, rng.uniform(-1.0, 1.0, n)),
+                            [1.0, -1.0, 0.0, -0.0, 1.0 - 1e-16, -0.0])
+        phi = _at_block_edges(_with_zeros(rng, rng.uniform(0.0, 2 * np.pi, n)),
+                              [-0.0, 0.0, np.pi, -0.0, 0.0, 2 * np.pi])
+        for p in (phi, phi[0], np.float64(-0.0)):
+            out = sphere_from_zphi(z, p)
+            assert_bit_identical(out, _stacked_sphere_from_zphi(z, p))
+            assert_fresh_vectors(out, (n, 3))
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_rotate_to_frame_per_row_poles(self, n):
+        rng = np.random.default_rng(n + 1)
+        poles = _at_block_edges(_awkward_poles(rng, n), SPECIAL_POLES)
+        local = _at_block_edges(_with_zeros(rng, random_unit_vec(rng, n)),
+                                [[-0.0, -0.0, -0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0],
+                                 [0.0, -0.0, -1.0], [-0.0, 1.0, 0.0], [0.6, -0.0, -0.8]])
+        for lo in (local, local[0], local[None, 3]):
+            out = rotate_to_frame(lo, poles)
+            assert_bit_identical(out, _stacked_rotate_to_frame(lo, poles))
+            assert_fresh_vectors(out, (n, 3))
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    @pytest.mark.parametrize("pole", SPECIAL_POLES + [[0.36, -0.48, 0.8]])
+    def test_rotate_to_frame_single_pole(self, n, pole):
+        rng = np.random.default_rng(n + 2)
+        local = _at_block_edges(_with_zeros(rng, random_unit_vec(rng, n)),
+                                [[-0.0, -0.0, -0.0], [0.0, 0.0, -1.0], [1.0, -0.0, 0.0]])
+        for po in (np.array(pole), np.array([pole])):
+            out = rotate_to_frame(local, po)
+            assert_bit_identical(out, _stacked_rotate_to_frame(local, po))
+            assert_fresh_vectors(out, (n, 3))
+
+    def test_rows_beyond_the_leading_axis_are_not_split(self):
+        rng = np.random.default_rng(3)
+        local = random_unit_vec(rng, 2 * (BLOCK + 3)).reshape(2, BLOCK + 3, 3)
+        poles = _awkward_poles(rng, BLOCK + 3)
+        assert_bit_identical(rotate_to_frame(local, poles), _stacked_rotate_to_frame(local, poles))
+        z = local[..., 2]
+        assert_bit_identical(sphere_from_zphi(z, 0.25), _stacked_sphere_from_zphi(z, 0.25))
+
+
+# Frozen whole-array forms of the two model commands before they were blocked.
+
+def _whole_array_ks_sample(v, rng, n):
+    z = np.sqrt(1.0 - rng.random(n))
+    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    return _stacked_rotate_to_frame(_stacked_sphere_from_zphi(z, phi), v)
+
+
+def _whole_array_verify(state, meas, seed, n):
+    """cells' empirical "+" rates of ``verify`` with state and/or measurement pinned."""
+    root = mix(seed, cli._VERIFY_SALT)
+    grid = [None] if state is not None and meas is not None else np.linspace(-1, 1, 13).tolist()
+    rates = []
+    for j, target_dot in enumerate(grid):
+        rng = np.random.default_rng(mix(root, j))
+        if target_dot is None:
+            v, m = np.array(state), np.array(meas)
+        else:
+            v = np.array(state)
+            m = _stacked_rotate_to_frame(_stacked_sphere_from_zphi(target_dot, 0.0), v)
+        x = _whole_array_ks_sample(v, rng, n)
+        rates.append(float(np.mean(np.where(_stacked_dot3(x, m) >= 0.0, 1, -1) == 1)))
+    return rates
+
+
+def _whole_array_mi(n, rng, chunk):
+    total = total_sq = 0.0
+    done = 0
+    while done < n:
+        m = min(chunk, n - done)
+        states = _stacked_sphere_from_zphi(rng.uniform(-1.0, 1.0, m),
+                                           rng.uniform(0.0, 2.0 * np.pi, m))
+        d = _stacked_dot3(_whole_array_ks_sample(states, rng, m), states)
+        w = np.log2(np.where(d > 0.0, d / np.pi, 0.0) / np.full(m, 1.0 / (4.0 * np.pi)))
+        total += float(np.sum(w))
+        total_sq += float(np.sum(w * w))
+        done += m
+    mean = total / n
+    return mean, float(np.sqrt(max(0.0, (total_sq - n * mean * mean) / (n - 1)) / n))
+
+
+def _verify_rates(state, meas, seed, n):
+    cfg = cli.RunConfig(command="verify", trials=n, seed=seed, bins=64, state=state, meas=meas,
+                        out=None, format="json", workers=1)
+    results, _ = cli.cmd_verify(cfg)
+    return [cell["empirical"] for cell in results["cells"]]
+
+
+class TestModelCommandsAtBlockEdges:
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, (1 << 18) + BLOCK + 1])
+    def test_verify_pinned(self, n):
+        state, meas = (0.6, 0.0, -0.8), (-0.36, 0.48, 0.8)
+        assert _verify_rates(state, meas, 11, n) == _whole_array_verify(state, meas, 11, n)
+
+    def test_verify_grid_about_a_fixed_state(self):
+        state = (0.0, -0.6, 0.8)
+        n = 2 * BLOCK + 3
+        assert _verify_rates(state, None, 7, n) == _whole_array_verify(state, None, 7, n)
+
+    @pytest.mark.parametrize("n, chunk", [((1 << 18) + BLOCK + 1, 1 << 18),
+                                          (3 * BLOCK + 2, BLOCK + 1), (BLOCK - 1, 1 << 18)])
+    def test_mc_mutual_information(self, n, chunk):
+        rng, frozen_rng = np.random.default_rng(5), np.random.default_rng(5)
+        est = mc_mutual_information(KsModel(), n, rng, chunk=chunk)
+        assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, chunk)
+        assert rng.random() == frozen_rng.random()  # the generator was consumed the same way

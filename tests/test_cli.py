@@ -39,7 +39,7 @@ class TestUsageErrors:
         ["notacommand"],
         ["simulate", "--state", "nan,0,1"],
         ["simulate", "--meas", "inf,0,1"],
-        ["verify", "--state", "1e308,1e308,0"],
+        ["verify", "--state", "1e309,0,0"],
         ["simulate", "--bins", "1000000000"],
         ["simulate", "--bins", str(cli._MAX_BINS + 2)],
         ["verify", "--state"],
@@ -51,6 +51,13 @@ class TestUsageErrors:
             cli.main(argv)
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1e200,1e200,0", "1e308,1e308,0"])
+    def test_vector_with_overflowing_square_norm_parses(self, text):
+        # the plain norm overflows; the direction is that of 1,1,0, bit for bit
+        assert cli._vector_arg(text) == cli._vector_arg("1,1,0")
+        assert cli._vector_arg(text) == pytest.approx((math.sqrt(0.5), math.sqrt(0.5), 0.0),
+                                                      abs=1e-15)
 
     def test_largest_bin_count_is_accepted(self):
         assert cli._bins_arg(str(cli._MAX_BINS)) == cli._MAX_BINS

@@ -1,0 +1,37 @@
+"""Pinned outputs: the model commands' results must hash to tests/golden/model.json.
+
+The digests are of floating-point reports, so they are compared only on the
+numpy version and platform they were recorded on; anywhere else the tests
+skip and say why, rather than fall back to a tolerance.  Regenerate with
+``scripts/golden.py --write`` when a change means to move an output.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+_spec = importlib.util.spec_from_file_location("golden", ROOT / "scripts" / "golden.py")
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+RECORDED = json.loads(golden.GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def test_golden_file_covers_every_case():
+    assert {name: case["argv"] for name, case in RECORDED["cases"].items()} == golden.CASES
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED["cases"]))
+def test_model_results_match_golden(name):
+    here = (np.__version__, golden.platform_tag())
+    there = (RECORDED["numpy"], RECORDED["platform"])
+    if here != there:
+        pytest.skip(f"golden digests were recorded on numpy {there[0]} / {there[1]}; "
+                    f"this is numpy {here[0]} / {here[1]}")
+    case = RECORDED["cases"][name]
+    assert golden.results_digest(case["argv"]) == case["sha256"]

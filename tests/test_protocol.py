@@ -106,6 +106,20 @@ class TestCodebook:
         with pytest.raises(ValueError, match="indexed in"):
             Codebook(seed=1).entries(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("index", [1.5, 2.9999, np.float64(3.5)])
+    def test_rejects_fractional_indices(self, index):
+        # truncating would hand out the entry of the integer below
+        cb = trial_codebook(7, 0)
+        with pytest.raises(ValueError, match="whole numbers"):
+            cb.entry(index)
+        with pytest.raises(ValueError, match="whole numbers"):
+            cb.entries([1, index])
+
+    def test_integral_floats_index_like_integers(self):
+        cb = trial_codebook(7, 0)
+        assert np.array_equal(cb.entries([1.0, 3.0]), cb.entries([1, 3]))
+        assert np.array_equal(cb.entry(np.float64(2.0)), cb.entry(2))
+
     def test_largest_index_is_accepted(self):
         cb = trial_codebook(7, 0)
         top = 2**63 - 1
