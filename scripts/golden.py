@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Golden digests of the model commands' results.
+"""Golden digests of the commands' results.
 
-Runs each pinned `kschannel verify` / `kschannel mi` invocation in-process
-and hashes its `results` block (the JSON report without config, runtime and
-version, serialized with sorted keys).  The digests are floating-point
-outputs, so they are recorded together with the numpy version and the
-platform tag (OS, machine and the SIMD targets numpy dispatches to) they
-were produced on; `tests/test_golden.py` compares only where both match.
+Runs each pinned `kschannel verify` / `mi` / `simulate` / `cost`
+invocation in-process and hashes its `results` block (the JSON report
+without config, runtime and version, serialized with sorted keys).  The
+digests are floating-point outputs, so they are recorded together with the
+numpy version and the platform tag (OS, machine and the SIMD targets numpy
+dispatches to) they were produced on; `tests/test_golden.py` compares only
+where both match.
 
     PYTHONPATH=src python scripts/golden.py            # print this tree's digests
     PYTHONPATH=src python scripts/golden.py --write    # rewrite tests/golden/model.json
@@ -40,6 +41,12 @@ CASES = {
     **{f"verify_pinned_seed{seed}": ["verify", "--trials", "50000", "--seed", str(seed), *_PINNED]
        for seed in (7, 11)},
     "mi_seed7": ["mi", "--trials", "300000", "--seed", "7"],
+    **{f"{cmd}_bins{bins}_seed{seed}": [cmd, "--trials", "20000", "--seed", str(seed),
+                                        "--bins", str(bins)]
+       for cmd in ("simulate", "cost") for seed in (7, 11) for bins in (4, 64, 4096)},
+    **{f"{cmd}_pinned_workers4": [cmd, "--trials", "20000", "--seed", "7", "--bins", "64",
+                                  *_PINNED, "--workers", "4"]
+       for cmd in ("simulate", "cost")},
 }
 
 

@@ -30,7 +30,7 @@ independent scalar reference.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,16 +67,6 @@ class DiscreteDistribution:
     @property
     def n(self) -> int:
         return self.masses.size
-
-
-@dataclass(eq=False)
-class SamplerLedger:
-    """Accepted-mass bookkeeping: s(a) per symbol, the total S, and the round index."""
-
-    accepted_mass: np.ndarray
-    total_accepted: float
-    step: int
-    history: list = field(default_factory=list)  # S after each completed round
 
 
 def _advance(s: np.ndarray, remainder: float, target: np.ndarray,
@@ -219,9 +209,7 @@ class GreedySchedule:
 
 
 def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution,
-                    symbols, uniforms, cap: int = DEFAULT_ROUND_CAP,
-                    debug: bool = False, ledger: SamplerLedger | None = None,
-                    ) -> tuple[int, int]:
+                    symbols, uniforms, cap: int = DEFAULT_ROUND_CAP) -> tuple[int, int]:
     """Run the acceptance loop on explicit symbol and coin streams.
 
     ``symbols`` yields proposal draws (symbol indices), ``uniforms`` yields
@@ -229,10 +217,6 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
     Returns (accepted round index, accepted symbol), 1-based index.  Raises
     :class:`ProtocolFailure` if either stream ends or the cap is exceeded,
     and ValueError if the proposal cannot reach the target's support.
-
-    Pass a :class:`SamplerLedger` to observe the bookkeeping; with
-    ``debug=True`` the per-round invariants (s <= t, S nondecreasing) are
-    asserted as the loop runs.
     """
     t = target.masses
     p = proposal.masses
@@ -260,19 +244,10 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
             p_accept = 1.0 if t[a] > 0.0 else 0.0
         else:
             p_accept = min(1.0, float(delta[a]) / denom)
-        if ledger is not None:
-            ledger.accepted_mass = s + delta
-            ledger.total_accepted = float(np.sum(s + delta))
-            ledger.step = i
-            ledger.history.append(ledger.total_accepted)
         if u < p_accept:
             return i, a
         s += delta
-        new_total = float(np.sum(s))
-        if debug:
-            assert np.all(s <= t + 1e-12), "accepted mass exceeded the target"
-            assert new_total >= total - 1e-15, "total accepted mass decreased"
-        total = new_total
+        total = float(np.sum(s))
 
 
 def greedy_sample_batch(target: DiscreteDistribution, proposal: DiscreteDistribution,

@@ -54,15 +54,12 @@ def kl_divergence_ks(v) -> float:
     """D( rho(.|v) || rho(.) ) in bits; equal to I(X:Psi) for every unit v.
 
     The density ratio on the support is 4 (v.x), so the divergence is the
-    1-D integral int_0^1 2z log2(4z) dz, independent of v by rotational
-    symmetry.
+    1-D integral int_0^1 2z log2(4z) dz = 2 - 1/(2 ln 2), independent of v
+    by rotational symmetry.  The tests check that closed form against the
+    integral by quadrature.
     """
     require_unit(v, "state v")
-    from scipy.integrate import quad  # scipy adds ~50 MB; nothing else in the package needs it
-
-    value, _ = quad(lambda z: 2.0 * z * np.log2(4.0 * z), 0.0, 1.0,
-                    epsabs=1e-12, epsrel=1e-12)
-    return value
+    return exact_ks_mi()
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ from .geometry import Measurement, born_from_dot, dot3, require_unit, sphere_fro
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
 from .model import ks_response
-from .rngstream import mix, mix_vec, to_unit
+from .rngstream import counter_uniforms, mix, mix_vec, to_unit
 
 _TWO_PI = 2.0 * np.pi
 
@@ -67,25 +67,23 @@ _ENTRY_LIMIT = 1 << 63
 class Codebook:
     """Shared stream of uniform sphere points, random-access by entry index.
 
-    Entry i in [1, 2**63) is built from the two counter words (2i, 2i+1)
-    of the seed's stream: z = 2 u - 1 from the first, azimuth = 2 pi u'
-    from the second.  Both parties reconstruct any entry independently,
-    bit for bit.  Indices outside that range, and non-integral floats,
-    raise ValueError.
+    Entry i in [1, 2**63) is the :func:`_sphere_point` of the counter
+    words (2i, 2i+1) of the seed's stream.  Both parties reconstruct any
+    entry independently, bit for bit.  Indices outside that range,
+    booleans and non-integral floats raise ValueError.
     """
 
     seed: int
 
     def entries(self, indices) -> np.ndarray:
         raw = np.asarray(indices)
+        if raw.dtype == bool:
+            raise ValueError("codebook indices must be whole numbers, not booleans")
         if not np.all((raw >= 1) & (raw < _ENTRY_LIMIT)):  # NaN fails too
             raise ValueError("codebook entries are indexed in [1, 2**63)")
         if raw.dtype.kind not in "iu" and np.any(raw % 1 != 0):  # integer arrays skip this
             raise ValueError("codebook indices must be whole numbers")
-        idx = raw.astype(np.uint64)
-        z = 2.0 * to_unit(mix_vec(self.seed, 2 * idx)) - 1.0
-        phi = _TWO_PI * to_unit(mix_vec(self.seed, 2 * idx + np.uint64(1)))
-        return sphere_from_zphi(z, phi)
+        return _sphere_point(self.seed, 2 * raw.astype(np.uint64))
 
     def entry(self, i: int) -> np.ndarray:
         return self.entries([i])[0]
@@ -222,10 +220,19 @@ def _trial_keys(master_seed: int, indices: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _counter_sphere(keys: np.ndarray) -> np.ndarray:
-    z = 2.0 * to_unit(mix_vec(keys, 1)) - 1.0
-    phi = _TWO_PI * to_unit(mix_vec(keys, 2))
+def _sphere_point(keys, ctr) -> np.ndarray:
+    """Uniform sphere point from the counter words ctr and ctr + 1 of the ``keys`` streams.
+
+    z = 2 u - 1 from the first word, azimuth = 2 pi u' from the second;
+    ``keys`` and ``ctr`` broadcast as in :func:`mix_vec`.
+    """
+    z = 2.0 * to_unit(mix_vec(keys, ctr)) - 1.0
+    phi = _TWO_PI * to_unit(mix_vec(keys, ctr + 1))
     return sphere_from_zphi(z, phi)
+
+
+def _counter_sphere(keys: np.ndarray) -> np.ndarray:
+    return _sphere_point(keys, 1)
 
 
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
@@ -252,14 +259,6 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     v = np.asarray(state, float) if state is not None else _counter_sphere(keys["state"])[0]
     m = np.asarray(meas, float) if meas is not None else _counter_sphere(keys["meas"])[0]
     codebook = Codebook(seed=int(keys["codebook"][0]))
-    acc_key = int(keys["accept"][0])
-
-    def coins():
-        i = 1
-        while True:
-            yield to_unit(mix(acc_key, i))
-            i += 1
-
     target, proposal, binner = discretize_ks(v, bins)
 
     def binned_stream():
@@ -268,7 +267,8 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
             yield int(binner(codebook.entry(i)))
             i += 1
 
-    index, _ = greedy_one_shot(target, proposal, binned_stream(), coins(), cap=cap)
+    index, _ = greedy_one_shot(target, proposal, binned_stream(),
+                               counter_uniforms(int(keys["accept"][0])), cap=cap)
     bits = elias_delta_encode(index)
     outcome = bob_receive(bits, codebook, Measurement(m))
     return TrialReport(state=v, meas=m, accepted_index=index,
@@ -301,10 +301,7 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
         width = min(max(1, _BLOCK_ELEMENTS // active.size), max(1, done), cap - done)
         rounds = np.arange(done + 1, done + width + 1)
         ctr = rounds.astype(np.uint64)
-        cb = cb_keys[active, None]
-        uz = to_unit(mix_vec(cb, 2 * ctr))
-        uphi = to_unit(mix_vec(cb, 2 * ctr + 1))
-        x = sphere_from_zphi(2.0 * uz - 1.0, _TWO_PI * uphi)
+        x = _sphere_point(cb_keys[active, None], 2 * ctr)
         bidx = bin_index(dot3(x, v[active, None]), bins)
         u = to_unit(mix_vec(acc_keys[active, None], ctr))
         first = schedule.first_accept(bidx, rounds, u)

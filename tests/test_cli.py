@@ -271,26 +271,37 @@ def test_mean_index_consistency(capsys):
 
 _NO_SCIPY_RUN = """
 import contextlib, io, sys
-from kschannel import Measurement, cli, unit_vector
+from kschannel import Measurement, cli, kl_divergence_ks, unit_vector
 from kschannel.protocol import alice_send, bob_receive, trial_codebook
 from kschannel.rngstream import counter_uniforms
 
 with contextlib.redirect_stdout(io.StringIO()):
-    for argv in (["mi", "--trials", "1000"], ["simulate", "--trials", "64", "--bins", "64"],
+    for argv in (["verify", "--trials", "1000"], ["mi", "--trials", "1000"],
+                 ["simulate", "--trials", "64", "--bins", "64"],
                  ["cost", "--trials", "64", "--bins", "64"]):
         assert cli.main(argv) == 0, argv
 cb = trial_codebook(7, 0)
 bits, _ = alice_send(unit_vector(0.3, 0.2, 0.5), cb, 64, counter_uniforms(1))
 bob_receive(bits, cb, Measurement(unit_vector(0, 0, 1)))
+kl_divergence_ks(unit_vector(0, 0, 1))
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_commands_and_wire_trial_never_import_scipy():
-    # scipy is only a test dependency (and kl_divergence_ks's); a fresh process keeps
-    # imports made by other tests out of sys.modules
+    # scipy is only a test dependency: every command, the wire trial and the closed
+    # forms run on numpy alone; a fresh process keeps imports made by other tests out
+    # of sys.modules
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_runtime_dependencies_are_numpy_only():
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])

@@ -1,4 +1,4 @@
-"""Pinned outputs: the model commands' results must hash to tests/golden/model.json.
+"""Pinned outputs: every command's results must hash to tests/golden/model.json.
 
 The digests are of floating-point reports, so they are compared only on the
 numpy version and platform they were recorded on; anywhere else the tests

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from kschannel import (DiscreteDistribution, ProtocolFailure, SamplerLedger,
-                       greedy_one_shot, greedy_sample_batch)
+from kschannel import (DiscreteDistribution, ProtocolFailure, greedy_one_shot,
+                       greedy_sample_batch)
 from kschannel.greedy import GreedySchedule
 from kschannel.protocol import ks_bin_masses
 
@@ -86,17 +86,6 @@ class TestSingleShot:
         idx, sym = greedy_one_shot(target, proposal, iter([1, 1, 0]),
                                    iter([0.0, 0.0, 0.999]))
         assert (idx, sym) == (3, 0)
-
-    def test_ledger_tracks_accepted_mass(self):
-        target = DiscreteDistribution(np.array([1.0, 0.0]))
-        proposal = DiscreteDistribution(np.array([0.5, 0.5]))
-        ledger = SamplerLedger(np.zeros(2), 0.0, 0, [])
-        greedy_one_shot(target, proposal, iter([1] * 6 + [0]), iter([0.5] * 7),
-                        ledger=ledger, debug=True)
-        # S after round i is 1 - 2^-i for this pair
-        assert ledger.history[:4] == pytest.approx([0.5, 0.75, 0.875, 0.9375], abs=1e-15)
-        assert np.all(ledger.accepted_mass <= target.masses + 1e-12)
-        assert all(b >= a for a, b in zip(ledger.history, ledger.history[1:]))
 
     def test_round_cap_raises(self):
         target = DiscreteDistribution(np.array([1.0, 0.0]))
@@ -216,6 +205,19 @@ class TestSchedule:
             assert floor < never
             # only the largest bins are still taking full claims at the floor round
             assert 1 <= np.count_nonzero(positive & (k == never)) <= 2
+
+    def test_accepted_mass_bookkeeping(self):
+        target = DiscreteDistribution(np.array([1.0, 0.0]))
+        proposal = DiscreteDistribution(np.array([0.5, 0.5]))
+        schedule = GreedySchedule(target, proposal)
+        previous = schedule.total
+        for i in range(1, 5):
+            schedule.extend(i)
+            # S after round i is 1 - 2^-i for this pair
+            assert schedule.total == 1.0 - 2.0 ** -i
+            assert np.all(schedule._s <= target.masses)
+            assert schedule.total >= previous
+            previous = schedule.total
 
     def test_accept_prob_broadcasts_over_rounds(self):
         target = DiscreteDistribution(ks_bin_masses(64))

@@ -50,10 +50,13 @@ class TestClosedForms:
 
     def test_kl_divergence_equals_mi_for_every_state(self):
         rng = np.random.default_rng(17)
-        vals = [kl_divergence_ks(v) for v in random_unit_vec(rng, 10)]
-        assert max(abs(x - exact_ks_mi()) for x in vals) <= 1e-9
-        assert max(vals) - min(vals) <= 1e-9
-        assert np.mean(vals) == pytest.approx(exact_ks_mi(), abs=1e-9)
+        assert all(kl_divergence_ks(v) == exact_ks_mi() for v in random_unit_vec(rng, 10))
+
+    def test_kl_divergence_matches_its_integral(self):
+        # int_0^1 2z log2(4z) dz: the density ratio on the support is 4 (v.x)
+        value, _ = quad(lambda z: 2.0 * z * np.log2(4.0 * z), 0.0, 1.0,
+                        epsabs=1e-12, epsrel=1e-12)
+        assert exact_ks_mi() == pytest.approx(value, abs=1e-12)
 
     def test_kl_rejects_non_unit(self):
         with pytest.raises(ValueError):

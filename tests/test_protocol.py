@@ -115,6 +115,15 @@ class TestCodebook:
         with pytest.raises(ValueError, match="whole numbers"):
             cb.entries([1, index])
 
+    @pytest.mark.parametrize("indices", [[True], np.array([True])], ids=["list", "array"])
+    def test_rejects_boolean_indices(self, indices):
+        # numpy cannot compare a bool array with the 2**63 limit, so bools need their own check
+        cb = trial_codebook(7, 0)
+        with pytest.raises(ValueError, match="whole numbers"):
+            cb.entries(indices)
+        with pytest.raises(ValueError, match="whole numbers"):
+            cb.entry(indices[0])
+
     def test_integral_floats_index_like_integers(self):
         cb = trial_codebook(7, 0)
         assert np.array_equal(cb.entries([1.0, 3.0]), cb.entries([1, 3]))
