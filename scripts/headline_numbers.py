@@ -14,6 +14,7 @@ import numpy as np
 
 from kschannel import (KsModel, conditional_entropy_ks, exact_ks_mi,
                        marginal_entropy_ks, mc_mutual_information, run_trials)
+from kschannel.cli import REFERENCE_COSTS
 from kschannel.rngstream import mix
 
 
@@ -42,10 +43,8 @@ def main() -> None:
     print(f"  guaranteed bracket    [{mi:.4f}, {upper:.4f}] bits")
 
     print("\nreference single-qubit simulation costs (bits)")
-    print(f"  hemisphere model, amortized parallel limit   {mi:.4f}")
-    print("  Toner-Bacon, every realization                2.0")
-    print("  Toner-Bacon, amortized                        1.85")
-    print("  Cerf-Gisin-Massar, on average                 2.19")
+    for row in REFERENCE_COSTS:
+        print(f"  {row['protocol']:<33} {row['bits']:.4f}   {row['note']}")
 
 
 if __name__ == "__main__":

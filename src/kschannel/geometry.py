@@ -18,7 +18,8 @@ UNIT_ATOL = 1e-12
 #: |pole_z| above this uses the fixed polar frame instead of the cross-product triad
 _POLE_EPS = 1e-9
 
-#: rows per block when a kernel splits a long input, so its temporaries stay in cache
+#: rows per block for callers that evaluate the kernels on long samples, so the
+#: temporaries of each step stay in cache
 BLOCK = 1 << 14
 
 
@@ -58,30 +59,15 @@ def require_unit(vec, name: str = "vector") -> np.ndarray:
 
 
 def sphere_from_zphi(z, phi) -> np.ndarray:
-    """Point(s) on the unit sphere with height z in [-1, 1] and azimuth phi.
-
-    Heights with more than BLOCK rows are evaluated block by block into the
-    one result; every element is computed the same way, so the bits do not
-    depend on the blocking.
-    """
+    """Point(s) on the unit sphere with height z in [-1, 1] and azimuth phi."""
     z = np.asarray(z, dtype=float)
     phi = np.asarray(phi, dtype=float)
     out = np.empty(z.shape + (3,))
-    if z.ndim and len(z) > BLOCK:
-        phi = np.broadcast_to(phi, z.shape)
-        for lo in range(0, len(z), BLOCK):
-            rows = slice(lo, lo + BLOCK)
-            _sphere_into(z[rows], phi[rows], out[rows])
-    else:
-        _sphere_into(z, phi, out)
-    return out
-
-
-def _sphere_into(z, phi, out) -> None:
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     np.multiply(r, np.cos(phi), out=out[..., 0])
     np.multiply(r, np.sin(phi), out=out[..., 1])
     out[..., 2] = z
+    return out
 
 
 def random_unit_vec(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -111,23 +97,6 @@ def rotate_to_frame(local, pole) -> np.ndarray:
     local = np.asarray(local, dtype=float)
     pole = np.asarray(pole, dtype=float)
     out = np.empty(np.broadcast_shapes(local.shape, pole.shape))
-    if out.ndim > 1 and len(out) > BLOCK:
-        # split only the operands that carry the rows; a shared pole stays whole
-        for lo in range(0, len(out), BLOCK):
-            rows = slice(lo, lo + BLOCK)
-            _rotate_into(_row_block(local, out.ndim, rows), _row_block(pole, out.ndim, rows),
-                         out[rows])
-    else:
-        _rotate_into(local, pole, out)
-    return out
-
-
-def _row_block(a, ndim: int, rows: slice) -> np.ndarray:
-    """The rows of ``a`` that land in ``out[rows]`` (all of ``a`` if it broadcasts)."""
-    return a[rows] if a.ndim == ndim and len(a) > 1 else a
-
-
-def _rotate_into(local, pole, out) -> None:
     px, py, pz = pole[..., 0], pole[..., 1], pole[..., 2]
     # frame axes e1, e2 as three components each; the zero components are still
     # multiplied in below, since they set the sign of a zero result
@@ -149,6 +118,7 @@ def _rotate_into(local, pole, out) -> None:
     lx, ly, lz = local[..., 0], local[..., 1], local[..., 2]
     for c in range(3):
         np.add(lx * e1[c] + ly * e2[c], lz * pole[..., c], out=out[..., c])
+    return out
 
 
 def _select(mask, when_true, when_false) -> tuple:

@@ -19,7 +19,8 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .geometry import Measurement, dot3, random_unit_vec, require_unit, rotate_to_frame, sphere_from_zphi
+from .geometry import (BLOCK, Measurement, dot3, random_unit_vec, require_unit, rotate_to_frame,
+                       sphere_from_zphi)
 
 #: conditional density on its support, divided by the dot product
 DENSITY_SCALE = 1.0 / np.pi
@@ -60,11 +61,22 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Draw x ~ rho(.|v) by inverse CDF in the polar coordinate (see :func:`ks_draws`).
 
     ``n`` draws per call when given, a single (3,) sample otherwise; v may
-    itself be a batch of states (one draw each).
+    itself be a batch of states (one draw each).  The draws are mapped and
+    rotated BLOCK rows at a time into the one result, so no array of local
+    points is built; a batch of states is split with the rows, and a single
+    state, (3,) or (1, 3), serves every block.
     """
     v = np.asarray(v, dtype=float)
     z, phi = ks_draws(rng, v.shape[:-1] if n is None else (n,))
-    return rotate_to_frame(sphere_from_zphi(z, phi), v)
+    out = np.empty(np.broadcast_shapes(z.shape + (3,), v.shape))
+    per_row = v.shape[:-1] == z.shape
+    flat, z, phi = out.reshape(-1, 3), z.reshape(-1), phi.reshape(-1)
+    poles = v.reshape(-1, 3)
+    for lo in range(0, len(z), BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        flat[rows] = rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]),
+                                     poles[rows] if per_row else v)
+    return out
 
 
 def ks_response(x, meas: Measurement) -> np.ndarray | int:

@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import code_lengths, elias_delta_decode, elias_delta_encode
-from .geometry import Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
+from .geometry import BLOCK, Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
 from .model import ks_response
@@ -55,8 +55,6 @@ _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 
 #: trials per vectorized chunk; fixed so that results never depend on worker count
 _CHUNK = 8192
-#: (trial, round) draws per block of the chunk scan
-_BLOCK_ELEMENTS = 1 << 14
 #: rounds in the sender's first block; each later block doubles
 _SEND_BLOCK = 8
 #: codebook entries are indexed in [1, 2**63), so the counters 2i and 2i + 1 fit in 64 bits
@@ -77,7 +75,9 @@ class Codebook:
 
     def entries(self, indices) -> np.ndarray:
         raw = np.asarray(indices)
-        if raw.dtype == bool:
+        # numpy turns a list mixing ints and bools into ints, so look at the elements too
+        if raw.dtype == bool or (isinstance(indices, (list, tuple))
+                                 and any(isinstance(i, (bool, np.bool_)) for i in indices)):
             raise ValueError("codebook indices must be whole numbers, not booleans")
         if not np.all((raw >= 1) & (raw < _ENTRY_LIMIT)):  # NaN fails too
             raise ValueError("codebook entries are indexed in [1, 2**63)")
@@ -298,7 +298,7 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
         if done >= cap:
             raise ProtocolFailure(f"no acceptance within {cap} rounds")
         # rounds done + 1 .. done + width for every active trial at once
-        width = min(max(1, _BLOCK_ELEMENTS // active.size), max(1, done), cap - done)
+        width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
         rounds = np.arange(done + 1, done + width + 1)
         ctr = rounds.astype(np.uint64)
         x = _sphere_point(cb_keys[active, None], 2 * ctr)
@@ -332,7 +332,7 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     if meas is not None:
         meas = require_unit(meas, "measurement direction")
     schedule = _ks_schedule(bins)
-    spans = [(s0, min(_CHUNK, n_trials - s0)) for s0 in range(0, n_trials, _CHUNK)]
+    spans = [(s0, min(_CHUNK, n_trials - s0)) for s0 in range(0, n_trials, _CHUNK)] or [(0, 0)]
     if workers > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(lambda sp: _run_chunk(master_seed, sp[0], sp[1], bins, state,
@@ -340,10 +340,6 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     else:
         parts = [_run_chunk(master_seed, s0, c, bins, state, meas, cap, schedule)
                  for s0, c in spans]
-    if not parts:
-        empty3 = np.zeros((0, 3))
-        empty = np.zeros(0, dtype=np.int64)
-        return TrialBatch(empty3, empty3, empty, empty, empty.copy(), np.zeros(0), empty3.copy())
     return TrialBatch(
         states=np.concatenate([p.states for p in parts]),
         meas=np.concatenate([p.meas for p in parts]),

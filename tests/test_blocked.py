@@ -1,11 +1,13 @@
-"""Blocked evaluation at block edges: the kernels split inputs longer than
-BLOCK rows, verify and mi evaluate their samples block by block, and none
-of it may move a bit against the frozen whole-array forms."""
+"""Blocked evaluation at block edges: ks_sample, verify and mi evaluate their
+samples BLOCK rows at a time, and none of it may move a bit against the frozen
+whole-array forms; the one-path kernels are checked at the same row counts."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from kschannel import KsModel, cli, mc_mutual_information, random_unit_vec
+from kschannel import KsModel, cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, rotate_to_frame, sphere_from_zphi
 from kschannel.rngstream import mix
 from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
@@ -115,6 +117,51 @@ def _whole_array_mi(n, rng, chunk):
         done += m
     mean = total / n
     return mean, float(np.sqrt(max(0.0, (total_sq - n * mean * mean) / (n - 1)) / n))
+
+
+class TestKsSampleAtBlockEdges:
+    @staticmethod
+    def _assert_matches_whole_array(v, n, seed):
+        rng, frozen_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = ks_sample(v, rng, n)
+        want = _whole_array_ks_sample(np.asarray(v), frozen_rng, len(v) if n is None else n)
+        assert_bit_identical(out, want)
+        assert_fresh_vectors(out, want.shape)
+        assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    @pytest.mark.parametrize("pole", SPECIAL_POLES + [[0.36, -0.48, 0.8]])
+    def test_single_pole(self, n, pole):
+        self._assert_matches_whole_array(np.array(pole), n, n)
+
+    def test_single_sample(self):
+        rng, frozen_rng = np.random.default_rng(4), np.random.default_rng(4)
+        v = np.array([0.36, -0.48, 0.8])
+        assert_bit_identical(ks_sample(v, rng), _whole_array_ks_sample(v, frozen_rng, None))
+        assert rng.random() == frozen_rng.random()
+
+    @pytest.mark.parametrize("pole", [SPECIAL_POLES[0], [0.36, -0.48, 0.8]])
+    def test_one_row_pole_is_shared(self, pole):
+        self._assert_matches_whole_array(np.array([pole]), 2 * BLOCK + 7, 9)
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_per_row_poles(self, n):
+        poles = _at_block_edges(_awkward_poles(np.random.default_rng(n + 3), n), SPECIAL_POLES)
+        self._assert_matches_whole_array(poles, None, n + 4)
+
+    def test_holds_no_array_of_local_points(self):
+        # draws (16 bytes/row) + result (24) + 16 bytes/row of slack; a whole (m, 3)
+        # array of local points before the rotation alone would cost 24 more
+        m = 1 << 18
+        states = random_unit_vec(np.random.default_rng(6), m)
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            ks_sample(states, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 56
 
 
 def _verify_rates(state, meas, seed, n):

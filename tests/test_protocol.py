@@ -115,14 +115,16 @@ class TestCodebook:
         with pytest.raises(ValueError, match="whole numbers"):
             cb.entries([1, index])
 
-    @pytest.mark.parametrize("indices", [[True], np.array([True])], ids=["list", "array"])
+    @pytest.mark.parametrize("indices", [[True], np.array([True]), [1, True], (True, 2),
+                                         [3, np.True_]],
+                             ids=["list", "array", "mixed-list", "mixed-tuple", "numpy-bool"])
     def test_rejects_boolean_indices(self, indices):
         # numpy cannot compare a bool array with the 2**63 limit, so bools need their own check
         cb = trial_codebook(7, 0)
         with pytest.raises(ValueError, match="whole numbers"):
             cb.entries(indices)
         with pytest.raises(ValueError, match="whole numbers"):
-            cb.entry(indices[0])
+            cb.entry(next(i for i in indices if isinstance(i, (bool, np.bool_))))
 
     def test_integral_floats_index_like_integers(self):
         cb = trial_codebook(7, 0)
@@ -246,6 +248,20 @@ class TestTrials:
     def test_round_cap_propagates(self):
         with pytest.raises(ProtocolFailure):
             run_trials(3, 100, 4096, cap=1)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
+    def test_zero_trials_give_empty_fields(self, workers, fixed):
+        kw = ({"state": unit_vector(0.0, 0.6, 0.8), "meas": unit_vector(1.0, 0.0, 0.0)}
+              if fixed else {})
+        batch = run_trials(7, 0, 64, workers=workers, **kw)
+        assert batch.n == 0
+        for field, shape, dtype in [("states", (0, 3), np.float64), ("meas", (0, 3), np.float64),
+                                    ("accepted_index", (0,), np.int64),
+                                    ("code_bits", (0,), np.int64), ("outcome", (0,), np.int64),
+                                    ("born", (0,), np.float64), ("points", (0, 3), np.float64)]:
+            value = getattr(batch, field)
+            assert (value.shape, value.dtype) == (shape, dtype), field
 
 
 class TestBlockScan:
