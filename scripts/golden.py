@@ -47,6 +47,10 @@ CASES = {
     **{f"{cmd}_pinned_workers4": [cmd, "--trials", "20000", "--seed", "7", "--bins", "64",
                                   *_PINNED, "--workers", "4"]
        for cmd in ("simulate", "cost")},
+    # a threaded split off the 8192-trial grid: three spans of 6667 trials
+    **{f"{cmd}_bins4096_workers3": [cmd, "--trials", "20001", "--seed", "7", "--bins", "4096",
+                                    "--workers", "3"]
+       for cmd in ("simulate", "cost")},
 }
 
 

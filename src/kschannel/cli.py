@@ -152,8 +152,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker threads for the trial chunks of simulate and cost; "
-                            "never changes results (verify and mi run single-threaded)")
+                       help="worker threads for simulate and cost, at most one per 8192 "
+                            "trials; never changes results (verify and mi run single-threaded)")
     return parser
 
 

@@ -22,7 +22,7 @@ after it; from the first round whose remainder 1 - S is at most
 The schedule is built lazily, only as deep as its readers' draws ask, and
 may be shared between threads: extension holds a lock, and readers only
 look at rounds that are already built.  :func:`greedy_sample_batch`, the
-protocol's sender and its chunk scan read their acceptance probabilities
+protocol's sender and its batched scan read their acceptance probabilities
 from a schedule; :func:`greedy_one_shot` keeps the per-round loop as the
 independent scalar reference.
 """

@@ -12,12 +12,12 @@ the 1-D binning of the height z = v.x, of order 1/bins.
 
 The bin laws do not depend on the state, so one :class:`GreedySchedule`
 per bin count (:func:`_ks_schedule`) is built once per process and serves
-every trial, chunk and worker thread; it is extended, under its lock, only
-as deep as the deepest first acceptance asks.  :func:`run_trials` scans
-each chunk in blocks of rounds: a block draws the codebook points, bins
-and coins of rounds done+1 .. done+R for every still-active trial as
-(active, R) arrays, looks their acceptance probabilities up in the
-schedule, and ends each trial at its first accepting round.  R is a fixed
+every trial and worker thread; it is extended, under its lock, only as
+deep as the deepest first acceptance asks.  :func:`run_trials` scans each
+worker's span of trials in blocks of rounds: a block draws the codebook
+points, bins and coins of rounds done+1 .. done+R for every still-active
+trial as (active, R) arrays, looks their acceptance probabilities up in
+the schedule, and ends each trial at its first accepting round.  R is a fixed
 element budget over the active count, capped at the rounds already done.
 :func:`alice_send` scans one trial the same way, in blocks of 8, 16, 32,
 ... rounds, taking one coin per round up to its acceptance.  Every draw is
@@ -28,13 +28,13 @@ all paths give the same trial bit for bit.
 Wire format: the raw Elias delta bitstring of the accepted index, most
 significant bit first, no padding.  Everything is deterministic given the
 64-bit master seed; trial t uses sub-streams keyed off mix(master, t), so
-results are independent of chunking and worker count.
+results are independent of how trials are split across worker threads.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -53,8 +53,9 @@ _TRIAL_SALT = 0x747269616C
 #: per-trial sub-stream indices
 _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 
-#: trials per vectorized chunk; fixed so that results never depend on worker count
-_CHUNK = 8192
+#: fewest trials per worker thread: a run never starts more threads than its
+#: trial count has 8192-trial blocks
+_TRIALS_PER_THREAD = 8192
 #: rounds in the sender's first block; each later block doubles
 _SEND_BLOCK = 8
 #: codebook entries are indexed in [1, 2**63), so the counters 2i and 2i + 1 fit in 64 bits
@@ -320,32 +321,30 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
 
 def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None,
                workers: int = 1, cap: int = DEFAULT_ROUND_CAP) -> TrialBatch:
-    """Simulate ``n_trials`` independent trials, vectorized in fixed chunks.
+    """Simulate ``n_trials`` independent trials, vectorized.
 
     ``state`` / ``meas`` fix the prepared state or measurement direction for
     every trial; when None they are drawn uniformly per trial from the
-    trial's own counter stream.  The chunk grid is constant, so any worker
-    count yields bit-identical results.
+    trial's own counter stream.  The trials are split into one contiguous
+    span per worker thread (at most one per :data:`_TRIALS_PER_THREAD`
+    trials), each scanned at once; every row depends only on its trial
+    index, so any worker count yields bit-identical results.
     """
     if state is not None:
         state = require_unit(state, "state")
     if meas is not None:
         meas = require_unit(meas, "measurement direction")
     schedule = _ks_schedule(bins)
-    spans = [(s0, min(_CHUNK, n_trials - s0)) for s0 in range(0, n_trials, _CHUNK)] or [(0, 0)]
-    if workers > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda sp: _run_chunk(master_seed, sp[0], sp[1], bins, state,
-                                                        meas, cap, schedule), spans))
-    else:
-        parts = [_run_chunk(master_seed, s0, c, bins, state, meas, cap, schedule)
-                 for s0, c in spans]
-    return TrialBatch(
-        states=np.concatenate([p.states for p in parts]),
-        meas=np.concatenate([p.meas for p in parts]),
-        accepted_index=np.concatenate([p.accepted_index for p in parts]),
-        code_bits=np.concatenate([p.code_bits for p in parts]),
-        outcome=np.concatenate([p.outcome for p in parts]),
-        born=np.concatenate([p.born for p in parts]),
-        points=np.concatenate([p.points for p in parts]),
-    )
+    spans = max(1, min(workers, -(-n_trials // _TRIALS_PER_THREAD)))
+    edges = [n_trials * k // spans for k in range(spans + 1)]
+
+    def scan(k: int) -> TrialBatch:
+        return _run_chunk(master_seed, edges[k], edges[k + 1] - edges[k], bins, state, meas,
+                          cap, schedule)
+
+    if spans == 1:
+        return scan(0)
+    with ThreadPoolExecutor(max_workers=spans) as pool:
+        parts = list(pool.map(scan, range(spans)))
+    return TrialBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
+                         for f in fields(TrialBatch)})

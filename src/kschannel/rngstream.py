@@ -5,7 +5,7 @@ sub-seeds, the sender's private acceptance coins) is a pure function of a
 64-bit key and an integer counter, built from the splitmix64 finalizer.
 That gives O(1) random access to any word in any stream, bit-identical
 results on both ends of the channel, and statistics that never depend on
-evaluation order, chunk size, or worker count.
+evaluation order, batch size, or worker count.
 
 Generic Monte Carlo sampling elsewhere in the package uses numpy's
 ``Generator``; this module is only for streams that must be addressable
@@ -72,9 +72,9 @@ def to_unit(word) -> np.ndarray | float:
     return (np.asarray(word, dtype=np.uint64) >> _U11).astype(np.float64) * _INV53
 
 
-def counter_uniforms(key: int, start: int = 1):
-    """Endless stream of uniforms in [0, 1): ``to_unit(mix(key, i))`` for i >= start."""
-    i = start
+def counter_uniforms(key: int):
+    """Endless stream of uniforms in [0, 1): ``to_unit(mix(key, i))`` for i = 1, 2, ..."""
+    i = 1
     while True:
         yield to_unit(mix(key, i))
         i += 1

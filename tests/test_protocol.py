@@ -1,6 +1,7 @@
 import itertools
 import sys
 import threading
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from scipy.stats import kstest
 from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
-from kschannel.protocol import (_counter_sphere, _ks_schedule, _trial_keys, alice_send,
-                                bin_index, bob_receive, discretize_ks, ks_bin_masses,
-                                run_trial, run_trials, trial_codebook)
+from kschannel import protocol
+from kschannel.protocol import (TrialBatch, _counter_sphere, _ks_schedule, _trial_keys,
+                                alice_send, bin_index, bob_receive, discretize_ks,
+                                ks_bin_masses, run_trial, run_trials, trial_codebook)
 from kschannel.quadrature import min_overlap_integral
 from kschannel.rngstream import counter_uniforms, mix, mix_vec
 
@@ -263,6 +265,41 @@ class TestTrials:
             value = getattr(batch, field)
             assert (value.shape, value.dtype) == (shape, dtype), field
 
+    @pytest.mark.parametrize("n, workers", [(0, 4), (1, 4), (8193, 2), (20_001, 3)])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
+    def test_uneven_spans_match_one_worker(self, n, workers, fixed):
+        kw = ({"state": unit_vector(0.0, 0.6, 0.8), "meas": unit_vector(1.0, 0.0, 0.0)}
+              if fixed else {})
+        serial = run_trials(7, n, 64, workers=1, **kw)
+        split = run_trials(7, n, 64, workers=workers, **kw)
+        for field in fields(TrialBatch):
+            a, b = getattr(serial, field.name), getattr(split, field.name)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
+            assert np.array_equal(a, b), field.name
+
+    def test_threads_are_bounded_by_the_trial_count(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
+        split = run_trials(7, 20_000, 64, workers=10**6)
+        serial = run_trials(7, 20_000, 64, workers=1)
+        assert asked == [3]   # ceil(20 000 / 8192) spans, not one per requested worker
+        for field in fields(TrialBatch):
+            assert np.array_equal(getattr(split, field.name), getattr(serial, field.name))
+
 
 class TestBlockScan:
     # seed 19: trial 704 of the first 2000 accepts at round 1041 at 4096 bins, so
@@ -448,7 +485,7 @@ class TestSharedSchedule:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = run_trials(19, 20_000, 4096, workers=4)   # three chunks
+            threaded = run_trials(19, 20_000, 4096, workers=4)   # three spans, one thread each
         finally:
             sys.setswitchinterval(switch)
         for field in ("states", "meas", "accepted_index", "code_bits", "outcome", "born",
