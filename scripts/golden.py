@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
-"""Golden digests of the commands' results.
+"""Golden digests of the commands' results and of `run_trials` rows.
 
 Runs each pinned `kschannel verify` / `mi` / `simulate` / `cost`
 invocation in-process and hashes its `results` block (the JSON report
-without config, runtime and version, serialized with sorted keys).  The
+without config, runtime and version, serialized with sorted keys), and
+hashes the per-trial rows of each pinned `protocol.run_trials` call (the
+dtype, shape and bytes of every `TrialBatch` field, in field order).  The
 digests are floating-point outputs, so they are recorded together with the
 numpy version and the platform tag (OS, machine and the SIMD targets numpy
 dispatches to) they were produced on; `tests/test_golden.py` compares only
@@ -25,11 +27,12 @@ import os
 import platform
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from kschannel import cli
+from kschannel import cli, protocol
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "model.json"
 
@@ -51,6 +54,15 @@ CASES = {
     **{f"{cmd}_bins4096_workers3": [cmd, "--trials", "20001", "--seed", "7", "--bins", "4096",
                                     "--workers", "3"]
        for cmd in ("simulate", "cost")},
+}
+
+
+#: `run_trials` keyword arguments; the pinned state and measurement are the CLI's `_PINNED`
+ROW_CASES = {
+    f"rows_bins{bins}_workers{workers}_{inputs}": {
+        "master_seed": 7, "n_trials": 20001, "bins": bins, "workers": workers,
+        **({"state": [0.6, 0.0, -0.8], "meas": [-0.36, 0.48, 0.8]} if inputs == "pinned" else {})}
+    for bins in (2, 64, 4096) for workers in (1, 3) for inputs in ("random", "pinned")
 }
 
 
@@ -76,6 +88,17 @@ def results_digest(argv: list[str]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def rows_digest(kwargs: dict) -> str:
+    """sha256 over the name, dtype, shape and bytes of every field of one `run_trials` batch."""
+    batch = protocol.run_trials(**kwargs)
+    digest = hashlib.sha256()
+    for f in fields(protocol.TrialBatch):
+        values = np.ascontiguousarray(getattr(batch, f.name))
+        digest.update(f"{f.name}:{values.dtype.str}:{values.shape}".encode())
+        digest.update(values.tobytes())
+    return digest.hexdigest()
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -86,6 +109,8 @@ def main() -> None:
         "platform": platform_tag(),
         "cases": {name: {"argv": argv, "sha256": results_digest(argv)}
                   for name, argv in CASES.items()},
+        "rows": {name: {"run_trials": kwargs, "sha256": rows_digest(kwargs)}
+                 for name, kwargs in ROW_CASES.items()},
     }
     text = json.dumps(golden, indent=2) + "\n"
     if args.write:

@@ -17,8 +17,20 @@ class DecodeError(ValueError):
     """Raised when a bitstring is not exactly one well-formed codeword."""
 
 
+def whole_number(value, what: str) -> int:
+    """``value`` as an int; booleans and values that are not whole numbers raise ValueError."""
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            if int(value) == value:
+                return int(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
 def elias_delta_encode(i: int) -> str:
-    """Codeword for i >= 1."""
+    """Codeword for i >= 1; numpy integers encode like the equal int."""
+    i = whole_number(i, "an encoded index")
     if i < 1:
         raise ValueError(f"can only encode positive integers, got {i}")
     n = i.bit_length() - 1          # i = 2**n + rest

@@ -21,10 +21,11 @@ after it; from the first round whose remainder 1 - S is at most
 ``_REMAINDER_FLOOR``, every symbol with t(a) > 0 is accepted outright.
 The schedule is built lazily, only as deep as its readers' draws ask, and
 may be shared between threads: extension holds a lock, and readers only
-look at rounds that are already built.  :func:`greedy_sample_batch`, the
-protocol's sender and its batched scan read their acceptance probabilities
-from a schedule; :func:`greedy_one_shot` keeps the per-round loop as the
-independent scalar reference.
+look at rounds that are already built.  :meth:`GreedySchedule.scan` runs
+many loops at once on draws its caller supplies (:func:`greedy_sample_batch`,
+the protocol's batched trials); the protocol's sender reads the schedule
+one trial at a time, and :func:`greedy_one_shot` keeps the per-round loop
+as the independent scalar reference.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
+
+from .geometry import BLOCK
 
 #: rounds allowed before the protocol is declared broken
 DEFAULT_ROUND_CAP = 1 << 32
@@ -58,6 +61,8 @@ class DiscreteDistribution:
         m = np.asarray(self.masses, dtype=float)
         if m.ndim != 1 or m.size == 0:
             raise ValueError("masses must be a non-empty 1-D vector")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("masses must be finite")
         if np.any(m < 0.0):
             raise ValueError("masses must be nonnegative")
         if abs(float(m.sum()) - 1.0) > 1e-12:
@@ -173,39 +178,48 @@ class GreedySchedule:
             prob = np.where(rounds >= self.floor_round, self.target[symbols] > 0.0, prob)
         return prob
 
-    def first_accept(self, symbols: np.ndarray, rounds: np.ndarray,
-                     coins: np.ndarray) -> np.ndarray:
-        """Column of each row's first accepting draw, or -1 where no draw of the row accepts.
+    def scan(self, runs: int, draw, cap: int = DEFAULT_ROUND_CAP) -> tuple[np.ndarray, np.ndarray]:
+        """Accepted round index and symbol of each of ``runs`` independent runs.
 
-        ``symbols`` and ``coins`` are (runs, width) draws and coins at the
-        increasing 1-based ``rounds``.  The columns the schedule already
-        covers are decided at once.  Past them, a waiting row cannot accept
-        before its first draw of a symbol that is not yet saturated (the
-        earlier draws have probability 0, unless the floor round comes
-        first, which ends the build), and if it has no such draw it does
-        not accept before the last column.  So the schedule is extended to
-        the latest of these rounds over the waiting rows, the new columns
-        are decided, and this repeats.  The row that set the extension
-        accepts there or later, so the schedule is never built deeper than
-        the latest first acceptance, or ``rounds[-1]`` if a row has none.
+        ``draw(active, rounds)`` returns the (active, width) symbols and
+        coins of the still-active runs at the next width rounds; the width
+        is a :data:`geometry.BLOCK` element budget over the active runs,
+        capped at the rounds done and at ``cap``, past which a waiting run
+        raises :class:`ProtocolFailure`.  Columns the schedule covers are
+        decided at once.  Past them a waiting run cannot accept before its
+        first draw of a not yet saturated symbol (unless the floor round
+        comes first, which ends the build), nor in the block if it has none;
+        so the schedule is extended to the latest such round, and this
+        repeats.  It is never built deeper than the latest accepted index.
         """
-        first = np.full(len(symbols), -1)
-        rows, lo = np.arange(len(symbols)), 0
-        while rows.size:
+        index = np.zeros(runs, dtype=np.int64)
+        symbol = np.zeros(runs, dtype=np.int64)
+        active = np.arange(runs)
+        done = lo = width = 0   # columns lo .. width - 1 of the last block are undecided
+        while active.size:
+            if lo == width:
+                if done >= cap:
+                    raise ProtocolFailure(f"no acceptance within {cap} rounds")
+                width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
+                rounds = np.arange(done + 1, done + width + 1)
+                symbols, coins = draw(active, rounds)
+                done, lo = done + width, 0
             depth = self.depth
             known = int(np.searchsorted(rounds, depth, side="right"))
-            if known > lo:
-                hit = coins[:, lo:known] < self.accept_prob(symbols[:, lo:known], rounds[lo:known])
-                won = hit.any(axis=1)
-                first[rows[won]] = lo + np.argmax(hit[won], axis=1)
-                lo = known
-                if lo == rounds.size or won.all():
-                    return first
-                rows, symbols, coins = rows[~won], symbols[~won], coins[~won]
-            live = self.saturation[symbols[:, lo:]] > depth
-            reach = np.where(live.any(axis=1), np.argmax(live, axis=1), live.shape[1] - 1)
-            self.extend(int(rounds[lo + reach.max()]))
-        return first
+            if known == lo:
+                live = self.saturation[symbols[:, lo:]] > depth
+                reach = np.where(live.any(axis=1), np.argmax(live, axis=1), width - lo - 1)
+                self.extend(int(rounds[lo + reach.max()]))
+                continue
+            hit = coins[:, lo:known] < self.accept_prob(symbols[:, lo:known], rounds[lo:known])
+            won = hit.any(axis=1)
+            col = lo + np.argmax(hit[won], axis=1)
+            index[active[won]] = rounds[col]
+            symbol[active[won]] = symbols[won, col]
+            active, lo = active[~won], known
+            if lo < width:   # the waiting runs' draws are still needed
+                symbols, coins = symbols[~won], coins[~won]
+        return index, symbol
 
 
 def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution,
@@ -253,27 +267,17 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
 def greedy_sample_batch(target: DiscreteDistribution, proposal: DiscreteDistribution,
                         n_runs: int, rng: np.random.Generator,
                         cap: int = DEFAULT_ROUND_CAP) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``n_runs`` independent acceptance loops in lockstep.
+    """Run ``n_runs`` independent acceptance loops with one :meth:`GreedySchedule.scan`.
 
-    Each round draws one proposal symbol and then one coin per still-active
-    run from ``rng``; the acceptance probabilities come from the shared
-    :class:`GreedySchedule`.  Returns the arrays (accepted round indices,
-    accepted symbols).
+    Each block draws from ``rng`` the proposal symbols and then the coins
+    of every still-active run, as (active, width) arrays.  Returns the
+    arrays (accepted round indices, accepted symbols).
     """
-    schedule = GreedySchedule(target, proposal)
     cdf = np.cumsum(proposal.masses)
-    indices = np.zeros(n_runs, dtype=np.int64)
-    symbols_out = np.zeros(n_runs, dtype=np.int64)
-    active = np.arange(n_runs)
-    i = 0
-    while active.size:
-        i += 1
-        if i > cap:
-            raise ProtocolFailure(f"no acceptance within {cap} rounds")
-        a = np.searchsorted(cdf, rng.random(active.size), side="right")
-        np.clip(a, 0, cdf.size - 1, out=a)
-        hit = rng.random(active.size) < schedule.accept_prob(a, i)
-        indices[active[hit]] = i
-        symbols_out[active[hit]] = a[hit]
-        active = active[~hit]
-    return indices, symbols_out
+
+    def draw(active, rounds):
+        shape = (active.size, rounds.size)
+        symbols = np.searchsorted(cdf, rng.random(shape), side="right")
+        return np.minimum(symbols, cdf.size - 1), rng.random(shape)
+
+    return GreedySchedule(target, proposal).scan(n_runs, draw, cap)

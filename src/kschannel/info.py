@@ -29,6 +29,9 @@ _LN2 = np.log(2.0)
 #: fewest samples :func:`mc_mutual_information` accepts
 MIN_MI_SAMPLES = 1000
 
+#: (state, point) pairs :func:`mc_mutual_information` draws from the generator at a time
+_MI_CHUNK = 1 << 18
+
 
 def exact_ks_mi() -> float:
     """Closed-form I(X:Psi) of the hemisphere model: 2 - 1/(2 ln 2) bits."""
@@ -75,8 +78,7 @@ class MiEstimate:
         return abs(self.value - target) <= n_sigma * self.std_error
 
 
-def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Generator,
-                          chunk: int = 1 << 18) -> MiEstimate:
+def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Generator) -> MiEstimate:
     """Monte Carlo estimate of I(X:Psi) for any model exposing its densities.
 
     Draws states from the model prior, a model point per state, and averages
@@ -85,7 +87,7 @@ def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Genera
     vanishing marginal at a sampled point is a hard error (it cannot occur
     for the hemisphere model, whose marginal is constant).
 
-    Samples are drawn ``chunk`` pairs at a time; the densities of a chunk
+    Samples are drawn :data:`_MI_CHUNK` pairs at a time; the densities of a chunk
     are evaluated on row slices of BLOCK pairs, and its sums are taken over
     the whole chunk, so neither split moves a bit of the estimate.
     """
@@ -95,7 +97,7 @@ def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Genera
     total_sq = 0.0
     done = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(_MI_CHUNK, n - done)
         states = model.sample_state(m, rng)
         x = model.sample_ontic(states, rng)
         w = np.empty(m)

@@ -13,17 +13,18 @@ the 1-D binning of the height z = v.x, of order 1/bins.
 The bin laws do not depend on the state, so one :class:`GreedySchedule`
 per bin count (:func:`_ks_schedule`) is built once per process and serves
 every trial and worker thread; it is extended, under its lock, only as
-deep as the deepest first acceptance asks.  :func:`run_trials` scans each
-worker's span of trials in blocks of rounds: a block draws the codebook
-points, bins and coins of rounds done+1 .. done+R for every still-active
-trial as (active, R) arrays, looks their acceptance probabilities up in
-the schedule, and ends each trial at its first accepting round.  R is a fixed
-element budget over the active count, capped at the rounds already done.
-:func:`alice_send` scans one trial the same way, in blocks of 8, 16, 32,
-... rounds, taking one coin per round up to its acceptance.  Every draw is
-the counter word the one-round-at-a-time reference
-(:func:`greedy.greedy_one_shot`, which :func:`run_trial` uses) reads, so
-all paths give the same trial bit for bit.
+deep as the deepest first acceptance asks.  :func:`run_trials` hands each
+worker's span of trials to :meth:`GreedySchedule.scan`, which asks for
+blocks of rounds: the span draws the bins of the codebook points and the
+coins of rounds done+1 .. done+R for every still-active trial as
+(active, R) arrays, and the scan ends each trial at its first accepting
+round.  The receiver's point is then regenerated once per trial from its
+accepted index, by the formula :func:`bob_receive` uses.
+:func:`alice_send` scans one trial in blocks of 8, 16, 32, ... rounds,
+taking one coin per round up to its acceptance.  Every draw is the counter
+word the one-round-at-a-time reference (:func:`greedy.greedy_one_shot`,
+which :func:`run_trial` uses) reads, so all paths give the same trial bit
+for bit.
 
 Wire format: the raw Elias delta bitstring of the accepted index, most
 significant bit first, no padding.  Everything is deterministic given the
@@ -39,8 +40,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coding import code_lengths, elias_delta_decode, elias_delta_encode
-from .geometry import BLOCK, Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
+from .coding import code_lengths, elias_delta_decode, elias_delta_encode, whole_number
+from .geometry import Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
 from .model import ks_response
@@ -210,15 +211,9 @@ def bob_receive(bits: str, codebook: Codebook, meas: Measurement) -> int:
     return int(ks_response(codebook.entry(index), meas))
 
 
-def _trial_keys(master_seed: int, indices: np.ndarray) -> dict[str, np.ndarray]:
-    root = mix(master_seed, _TRIAL_SALT)
-    trial = mix_vec(root, indices)
-    return {
-        "codebook": mix_vec(trial, _SUB_CODEBOOK),
-        "accept": mix_vec(trial, _SUB_ACCEPT),
-        "state": mix_vec(trial, _SUB_STATE),
-        "meas": mix_vec(trial, _SUB_MEAS),
-    }
+def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
+    """Root word of each trial; its sub-streams are keyed ``mix_vec(trial, _SUB_...)``."""
+    return mix_vec(mix(master_seed, _TRIAL_SALT), indices)
 
 
 def _sphere_point(keys, ctr) -> np.ndarray:
@@ -232,16 +227,13 @@ def _sphere_point(keys, ctr) -> np.ndarray:
     return sphere_from_zphi(z, phi)
 
 
-def _counter_sphere(keys: np.ndarray) -> np.ndarray:
-    return _sphere_point(keys, 1)
-
-
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
     """The per-trial codebook both parties derive from the shared master seed.
 
-    The scalar image of the codebook key :func:`_trial_keys` derives.
+    The scalar image of the codebook key ``mix_vec(trial, _SUB_CODEBOOK)``.
+    Booleans and non-integral trial indices raise ValueError.
     """
-    trial_index = int(trial_index)
+    trial_index = whole_number(trial_index, "trial index")
     if not 0 <= trial_index < 1 << 64:
         raise ValueError(f"trial index must be in [0, 2**64), got {trial_index}")
     return Codebook(seed=mix(mix(mix(master_seed, _TRIAL_SALT), trial_index), _SUB_CODEBOOK))
@@ -256,10 +248,12 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     :func:`alice_send` and :func:`run_trials` read.  Bit-identical to the
     corresponding row of :func:`run_trials`.
     """
-    keys = _trial_keys(master_seed, np.array([trial_index], dtype=np.uint64))
-    v = np.asarray(state, float) if state is not None else _counter_sphere(keys["state"])[0]
-    m = np.asarray(meas, float) if meas is not None else _counter_sphere(keys["meas"])[0]
-    codebook = Codebook(seed=int(keys["codebook"][0]))
+    trial = _trial_keys(master_seed, np.array([trial_index], dtype=np.uint64))
+    v = (np.asarray(state, float) if state is not None
+         else _sphere_point(mix_vec(trial, _SUB_STATE), 1)[0])
+    m = (np.asarray(meas, float) if meas is not None
+         else _sphere_point(mix_vec(trial, _SUB_MEAS), 1)[0])
+    codebook = Codebook(seed=int(mix_vec(trial, _SUB_CODEBOOK)[0]))
     target, proposal, binner = discretize_ks(v, bins)
 
     def binned_stream():
@@ -269,7 +263,7 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
             i += 1
 
     index, _ = greedy_one_shot(target, proposal, binned_stream(),
-                               counter_uniforms(int(keys["accept"][0])), cap=cap)
+                               counter_uniforms(int(mix_vec(trial, _SUB_ACCEPT)[0])), cap=cap)
     bits = elias_delta_encode(index)
     outcome = bob_receive(bits, codebook, Measurement(m))
     return TrialReport(state=v, meas=m, accepted_index=index,
@@ -278,45 +272,31 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
 
 def _run_chunk(master_seed: int, start: int, count: int, bins: int,
                state, meas, cap: int, schedule: GreedySchedule) -> TrialBatch:
-    indices = np.arange(start, start + count, dtype=np.uint64)
-    keys = _trial_keys(master_seed, indices)
+    trial = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
     if state is not None:
         v = np.broadcast_to(np.asarray(state, float), (count, 3)).copy()
     else:
-        v = _counter_sphere(keys["state"])
+        v = _sphere_point(mix_vec(trial, _SUB_STATE), 1)
     if meas is not None:
         m = np.broadcast_to(np.asarray(meas, float), (count, 3)).copy()
     else:
-        m = _counter_sphere(keys["meas"])
+        m = _sphere_point(mix_vec(trial, _SUB_MEAS), 1)
+    cb_keys = mix_vec(trial, _SUB_CODEBOOK)
+    acc_keys = mix_vec(trial, _SUB_ACCEPT)
 
-    accepted = np.zeros(count, dtype=np.int64)
-    x_final = np.zeros((count, 3))
-    active = np.arange(count)
-    cb_keys = keys["codebook"]
-    acc_keys = keys["accept"]
-    done = 0
-    while active.size:
-        if done >= cap:
-            raise ProtocolFailure(f"no acceptance within {cap} rounds")
-        # rounds done + 1 .. done + width for every active trial at once
-        width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
-        rounds = np.arange(done + 1, done + width + 1)
+    def draw(active, rounds):
         ctr = rounds.astype(np.uint64)
         x = _sphere_point(cb_keys[active, None], 2 * ctr)
-        bidx = bin_index(dot3(x, v[active, None]), bins)
-        u = to_unit(mix_vec(acc_keys[active, None], ctr))
-        first = schedule.first_accept(bidx, rounds, u)
-        won = np.flatnonzero(first >= 0)
-        accepted[active[won]] = rounds[first[won]]
-        x_final[active[won]] = x[won, first[won]]
-        active = np.delete(active, won)
-        done += width
+        coins = to_unit(mix_vec(acc_keys[active, None], ctr))
+        return bin_index(dot3(x, v[active, None]), bins), coins
 
-    outcome = np.where(dot3(x_final, m) >= 0.0, 1, -1)
+    accepted, _ = schedule.scan(count, draw, cap)
+    points = _sphere_point(cb_keys, 2 * accepted.astype(np.uint64))
+    outcome = np.where(dot3(points, m) >= 0.0, 1, -1)
     born = np.asarray(born_from_dot(dot3(v, m)))
     return TrialBatch(states=v, meas=m, accepted_index=accepted,
                       code_bits=code_lengths(accepted), outcome=outcome, born=born,
-                      points=x_final)
+                      points=points)
 
 
 def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None,

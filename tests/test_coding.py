@@ -23,6 +23,17 @@ class TestEncode:
             with pytest.raises(ValueError):
                 elias_delta_encode(bad)
 
+    # a batch's accepted_index[t] is an np.int64
+    @pytest.mark.parametrize("i", [np.int64(5), np.uint64(5), np.int32(5), 5.0, np.float64(5.0)])
+    def test_numpy_integers_encode_like_the_int(self, i):
+        assert elias_delta_encode(i) == elias_delta_encode(5) == "01101"
+
+    @pytest.mark.parametrize("bad", [True, False, np.True_, 1.5, float("nan"), float("inf"),
+                                     "5", None])
+    def test_rejects_booleans_and_non_integral_values(self, bad):
+        with pytest.raises(ValueError, match="whole number"):
+            elias_delta_encode(bad)
+
 
 class TestDecode:
     @settings(max_examples=300)

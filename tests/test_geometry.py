@@ -191,7 +191,8 @@ def assert_bit_identical(got, want):
 
 
 def assert_fresh_vectors(out, shape):
-    # callers index and write the result in place, e.g. x[won, first[won]] in the chunk scan
+    # callers keep, index and reshape the result (run_trials' points, ks_sample's row
+    # blocks), so it must be a fresh C-contiguous array, never a broadcast view
     assert out.shape == shape
     assert out.flags.c_contiguous and out.flags.writeable
 

@@ -1,4 +1,5 @@
-"""Pinned outputs: every command's results must hash to tests/golden/model.json.
+"""Pinned outputs: every command's results and every pinned `run_trials` batch
+must hash to tests/golden/model.json.
 
 The digests are of floating-point reports, so they are compared only on the
 numpy version and platform they were recorded on; anywhere else the tests
@@ -24,14 +25,26 @@ RECORDED = json.loads(golden.GOLDEN_PATH.read_text(encoding="utf-8"))
 
 def test_golden_file_covers_every_case():
     assert {name: case["argv"] for name, case in RECORDED["cases"].items()} == golden.CASES
+    assert {name: case["run_trials"] for name, case in RECORDED["rows"].items()} == golden.ROW_CASES
 
 
-@pytest.mark.parametrize("name", sorted(RECORDED["cases"]))
-def test_model_results_match_golden(name):
+def _require_recorded_platform():
     here = (np.__version__, golden.platform_tag())
     there = (RECORDED["numpy"], RECORDED["platform"])
     if here != there:
         pytest.skip(f"golden digests were recorded on numpy {there[0]} / {there[1]}; "
                     f"this is numpy {here[0]} / {here[1]}")
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED["cases"]))
+def test_model_results_match_golden(name):
+    _require_recorded_platform()
     case = RECORDED["cases"][name]
     assert golden.results_digest(case["argv"]) == case["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED["rows"]))
+def test_run_trials_rows_match_golden(name):
+    _require_recorded_platform()
+    case = RECORDED["rows"][name]
+    assert golden.rows_digest(case["run_trials"]) == case["sha256"]

@@ -7,8 +7,10 @@ import pytest
 
 from kschannel import (DiscreteDistribution, ProtocolFailure, greedy_one_shot,
                        greedy_sample_batch)
+from kschannel.geometry import BLOCK
 from kschannel.greedy import GreedySchedule
 from kschannel.protocol import ks_bin_masses
+from kschannel.rngstream import mix_vec, to_unit
 
 
 def dp_output_distribution(target, proposal, tol=1e-9, max_rounds=10**6):
@@ -63,6 +65,12 @@ class TestValidation:
     def test_distribution_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             DiscreteDistribution(np.array([0.5, 0.4]))
+
+    # NaN passes both the sign and the sum check; greedy_one_shot then accepts symbol 0 at round 1
+    @pytest.mark.parametrize("masses", [[np.nan, 1.0], [1.0, np.nan, 0.0], [np.nan], [np.inf, 0.0]])
+    def test_distribution_rejects_non_finite_masses(self, masses):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDistribution(np.array(masses))
 
     def test_support_mismatch_rejected(self):
         target = DiscreteDistribution(np.array([0.5, 0.5]))
@@ -230,8 +238,10 @@ class TestSchedule:
             assert np.array_equal(block[:, i - 1], fresh.accept_prob(symbols[:, 0], i))
 
     def test_batch_sampler_keeps_its_draws_and_outputs(self):
-        # replay the per-round reference with the batch sampler's draw order:
-        # per round, one proposal draw and then one coin per active run
+        # replay the batch sampler's draws through a recording draw: every run is
+        # asked for rounds 1, 2, ... in order with no gap, is dropped after the
+        # block of its acceptance, and ends at the first round whose coin is
+        # below the per-round law
         rng = np.random.default_rng(123)
         for _ in range(10):
             target, proposal = random_rational_pair(rng)
@@ -240,67 +250,103 @@ class TestSchedule:
             idx, sym = greedy_sample_batch(target, proposal, 500, np.random.default_rng(seed))
             draws = np.random.default_rng(seed)
             cdf = np.cumsum(proposal.masses)
-            want_idx = np.zeros(500, dtype=np.int64)
-            want_sym = np.zeros(500, dtype=np.int64)
-            active = np.arange(500)
-            i = 0
-            while active.size:
-                i += 1
-                a = np.clip(np.searchsorted(cdf, draws.random(active.size), side="right"),
-                            0, target.n - 1)
-                hit = draws.random(active.size) < law[min(i, len(law)) - 1][a]
-                want_idx[active[hit]] = i
-                want_sym[active[hit]] = a[hit]
-                active = active[~hit]
-            assert np.array_equal(idx, want_idx)
-            assert np.array_equal(sym, want_sym)
+            seen = [[] for _ in range(500)]   # (round, symbol, coin) per run
+
+            def draw(active, rounds):
+                shape = (active.size, rounds.size)
+                a = np.minimum(np.searchsorted(cdf, draws.random(shape), side="right"),
+                               target.n - 1)
+                u = draws.random(shape)
+                for row, run in enumerate(active.tolist()):
+                    seen[run] += zip(rounds.tolist(), a[row].tolist(), u[row].tolist())
+                return a, u
+
+            got = GreedySchedule(target, proposal).scan(500, draw)
+            assert np.array_equal(got[0], idx) and np.array_equal(got[1], sym)
+            for run in range(500):
+                rounds, a, u = zip(*seen[run])
+                assert rounds == tuple(range(1, len(rounds) + 1))
+                assert len(rounds) <= max(1, 2 * (idx[run] - 1))
+                hits = [i for i in rounds if u[i - 1] < law[min(i, len(law)) - 1][a[i - 1]]]
+                assert (idx[run], sym[run]) == (hits[0], a[hits[0] - 1])
 
     @pytest.mark.parametrize("bins", [2, 64, 4096])
     def test_first_accept_is_the_first_hit_and_builds_only_that_deep(self, bins):
         target = DiscreteDistribution(ks_bin_masses(bins))
         proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
         full = GreedySchedule(target, proposal)
-        rng = np.random.default_rng(bins)
-        for start, built in ((1, 0), (1, 5), (40, 10), (40, 60), (300, 0)):
+        for built in (0, 5, 60):
+            keys = mix_vec(bins * 1000 + built, np.arange(1, 501))
+
+            def draw(active, rounds):
+                # counter-addressed: a run's draws at a round never depend on the block
+                words = mix_vec(keys[active, None], 2 * rounds.astype(np.uint64))
+                coins = to_unit(mix_vec(keys[active, None], 2 * rounds.astype(np.uint64) + 1))
+                return (words % np.uint64(bins)).astype(np.int64), coins
+
             lazy = GreedySchedule(target, proposal)
             lazy.extend(built)
-            rounds = np.arange(start, start + 64)
-            symbols = rng.integers(0, bins, size=(500, rounds.size))
-            coins = rng.random((500, rounds.size))
+            index, symbol = lazy.scan(500, draw)
+            rounds = np.arange(1, index.max() + 1)
+            symbols, coins = draw(np.arange(500), rounds)
             hit = coins < full.accept_prob(symbols, rounds)
-            want = np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1)
-            first = lazy.first_accept(symbols, rounds, coins)
-            assert np.array_equal(first, want)
-            accepted = rounds[first[first >= 0]].max(initial=0)
-            deepest = rounds[-1] if np.any(first < 0) else accepted
-            # built through every first acceptance and no deeper, unless a row
-            # has none in the block; the build stops short at the floor round
-            # (about round 50 at 2 bins)
-            cut = lazy.floor_round - 1
-            assert min(max(built, accepted), cut) <= lazy.rounds <= min(max(built, deepest), cut)
+            assert hit.any(axis=1).all()
+            first = np.argmax(hit, axis=1)
+            assert np.array_equal(index, rounds[first])
+            assert np.array_equal(symbol, symbols[np.arange(500), first])
+            # built through the deepest acceptance and no deeper; the build stops
+            # short at the floor round (about round 50 at 2 bins)
+            assert lazy.rounds == min(max(built, index.max()), lazy.floor_round - 1)
 
     def test_first_accept_reaches_the_floor_round_through_saturated_draws(self):
-        # at 4 bins symbol 2 saturates at round 2 and symbol 3 never does; the
-        # floor round (120) accepts draws of symbol 2 that no unsaturated draw
-        # of the row comes before
+        # at 4 bins symbol 0 is never wanted, symbol 2 saturates at round 2 and
+        # symbol 3 never does; every run draws symbol 0 up to round 99 and
+        # symbol 2 after it, which only the floor round (120) accepts
         target = DiscreteDistribution(ks_bin_masses(4))
         proposal = DiscreteDistribution(np.full(4, 0.25))
         full = GreedySchedule(target, proposal)
         full.extend(1000)
         assert full.floor_round == 120 and full.saturation[2] == 2
-        rounds = np.arange(100, 140)
-        symbols = np.full((6, rounds.size), 2)
-        symbols[2, :] = 0
+        runs = BLOCK // 40   # 40-round blocks once 64 rounds are done: 105..144 holds 120 and 131
+        symbols = np.zeros((runs, 200), dtype=np.int64)
+        symbols[:, 99:] = 2
         coins = np.random.default_rng(4).random(symbols.shape)
         for late_unsaturated in (False, True):
-            symbols[1, 30:] = 3 if late_unsaturated else 2
+            symbols[1, 130:] = 3 if late_unsaturated else 2
+            blocks = []
+
+            def draw(active, rounds):
+                blocks.append((rounds[0], rounds[-1]))
+                return symbols[active][:, rounds - 1], coins[active][:, rounds - 1]
+
             lazy = GreedySchedule(target, proposal)
             lazy.extend(99)
-            first = lazy.first_accept(symbols, rounds, coins)
-            assert list(first) == [20, 20, -1, 20, 20, 20]
-            hit = coins < full.accept_prob(symbols, rounds)
-            assert np.array_equal(first, np.where(hit.any(axis=1), np.argmax(hit, axis=1), -1))
+            index, symbol = lazy.scan(runs, draw)
+            assert (105, 144) in blocks
+            assert np.all(index == 120) and np.all(symbol == 2)
+            # the build stops at the floor round, not at the unsaturated draw of round 131
             assert lazy.rounds == 119 and lazy.floor_round == 120
+
+    def test_scan_raises_at_the_cap_and_draws_no_further(self):
+        # target (1, 0), proposal (1/2, 1/2): symbol 1 is never accepted, symbol 0
+        # always; every run draws symbol 1 until round 70 and symbol 0 there
+        target = DiscreteDistribution(np.array([1.0, 0.0]))
+        proposal = DiscreteDistribution(np.array([0.5, 0.5]))
+        asked = []
+
+        def draw(active, rounds):
+            asked.append(int(rounds[-1]))
+            symbols = np.where(rounds == 70, 0, 1)
+            return np.tile(symbols, (active.size, 1)), np.zeros((active.size, rounds.size))
+
+        for cap in (70, 71, 1000):
+            index, symbol = GreedySchedule(target, proposal).scan(5, draw, cap)
+            assert np.all(index == 70) and np.all(symbol == 0)
+        for cap in (69, 1, 0):
+            asked.clear()
+            with pytest.raises(ProtocolFailure, match=f"within {cap} rounds"):
+                GreedySchedule(target, proposal).scan(5, draw, cap)
+            assert max(asked, default=0) == cap
 
     def test_concurrent_readers_see_the_serial_schedule(self):
         # four threads (more than cores) extend one shared schedule a round

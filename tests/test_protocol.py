@@ -11,9 +11,10 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import protocol
-from kschannel.protocol import (TrialBatch, _counter_sphere, _ks_schedule, _trial_keys,
-                                alice_send, bin_index, bob_receive, discretize_ks,
-                                ks_bin_masses, run_trial, run_trials, trial_codebook)
+from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE, TrialBatch,
+                                _ks_schedule, _sphere_point, _trial_keys, alice_send,
+                                bin_index, bob_receive, discretize_ks, ks_bin_masses,
+                                run_trial, run_trials, trial_codebook)
 from kschannel.quadrature import min_overlap_integral
 from kschannel.rngstream import counter_uniforms, mix, mix_vec
 
@@ -340,9 +341,10 @@ class TestBlockScan:
 
 def trial_inputs(seed, t):
     """The state, codebook and coin key that run_trial derives for trial t."""
-    keys = _trial_keys(seed, np.array([t], dtype=np.uint64))
-    return (_counter_sphere(keys["state"])[0], Codebook(seed=int(keys["codebook"][0])),
-            int(keys["accept"][0]))
+    trial = _trial_keys(seed, np.array([t], dtype=np.uint64))
+    return (_sphere_point(mix_vec(trial, _SUB_STATE), 1)[0],
+            Codebook(seed=int(mix_vec(trial, _SUB_CODEBOOK)[0])),
+            int(mix_vec(trial, _SUB_ACCEPT)[0]))
 
 
 class CountingCoins:
@@ -374,17 +376,24 @@ class TestTrialCodebook:
         trials = [0, 1, 2**63, 2**64 - 1,
                   *rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False).tolist()]
         for seed in seeds:
-            want = _trial_keys(seed, np.array(trials, dtype=np.uint64))["codebook"]
+            want = mix_vec(_trial_keys(seed, np.array(trials, dtype=np.uint64)), _SUB_CODEBOOK)
             for t, key in zip(trials, want.tolist()):
                 assert trial_codebook(seed, t).seed == key
 
     def test_accepts_numpy_integers(self):
         assert trial_codebook(5, np.uint64(2**64 - 1)) == trial_codebook(5, 2**64 - 1)
+        assert trial_codebook(7, 3.0) == trial_codebook(7, 3)   # whole floats, as Codebook.entries
 
     @pytest.mark.parametrize("t", [-1, 2**64])
     def test_rejects_out_of_range_indices(self, t):
         with pytest.raises(ValueError):
             trial_codebook(5, t)
+
+    @pytest.mark.parametrize("t", [1.5, True, np.True_, float("nan"), "1"])
+    def test_rejects_non_integral_indices(self, t):
+        # int() would truncate 1.5 to trial 1 and read True as trial 1
+        with pytest.raises(ValueError, match="whole number"):
+            trial_codebook(7, t)
 
 
 class TestSender:
