@@ -9,7 +9,10 @@ dtype, shape and bytes of every `TrialBatch` field, in field order).  The
 digests are floating-point outputs, so they are recorded together with the
 numpy version and the platform tag (OS, machine and the SIMD targets numpy
 dispatches to) they were produced on; `tests/test_golden.py` compares only
-where both match.
+where both match.  The wire vectors pin the two-party path in the clear:
+for each pinned sender input, the bitstring and index `alice_send`
+transmits, the outcome `bob_receive` answers, and the codebook entry the
+receiver regenerates, as hex floats.
 
     PYTHONPATH=src python scripts/golden.py            # print this tree's digests
     PYTHONPATH=src python scripts/golden.py --write    # rewrite tests/golden/model.json
@@ -32,7 +35,8 @@ from pathlib import Path
 
 import numpy as np
 
-from kschannel import cli, protocol
+from kschannel import Measurement, cli, protocol
+from kschannel.rngstream import counter_uniforms
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "model.json"
 
@@ -63,6 +67,28 @@ ROW_CASES = {
         "master_seed": 7, "n_trials": 20001, "bins": bins, "workers": workers,
         **({"state": [0.6, 0.0, -0.8], "meas": [-0.36, 0.48, 0.8]} if inputs == "pinned" else {})}
     for bins in (2, 64, 4096) for workers in (1, 3) for inputs in ("random", "pinned")
+}
+
+
+_V1, _M1 = [0.6, 0.0, -0.8], [-0.36, 0.48, 0.8]
+_V2, _M2 = [0.0, 0.0, 1.0], [0.6, 0.0, 0.8]
+_V3 = [0.48, -0.6, 0.64]
+
+#: `alice_send` on trial `trial`'s codebook with the counter coins of `coin_key`, then
+#: `bob_receive` of its bitstring; the comments give the accepted index
+WIRE_CASES = {
+    f"wire_bins{bins}_seed{seed}_trial{trial}": {
+        "master_seed": seed, "trial": trial, "bins": bins, "state": state, "meas": meas,
+        "coin_key": key}
+    for seed, trial, bins, state, meas, key in [
+        (7, 0, 4, _V1, _M1, 5),          # 1
+        (7, 32, 4, _V1, _M1, 5),         # 9: past the sender's first block of 8 rounds
+        (11, 31, 64, _V2, _M2, 6),       # 33
+        (11, 382, 64, _V2, _M2, 6),      # 201
+        (7, 0, 4096, _V3, _M1, 2024),    # 5
+        (7, 28, 4096, _V3, _M1, 2024),   # 74
+        (7, 4469, 4096, _V3, _M1, 2024), # 1378
+    ]
 }
 
 
@@ -99,6 +125,16 @@ def rows_digest(kwargs: dict) -> str:
     return digest.hexdigest()
 
 
+def wire_vector(case: dict) -> dict:
+    """What one pinned trial puts on the wire and what the receiver makes of it."""
+    codebook = protocol.trial_codebook(case["master_seed"], case["trial"])
+    bits, report = protocol.alice_send(case["state"], codebook, case["bins"],
+                                       counter_uniforms(case["coin_key"]))
+    outcome = protocol.bob_receive(bits, codebook, Measurement(case["meas"]))
+    return {"bits": bits, "index": report.accepted_index, "outcome": outcome,
+            "entry": [float(c).hex() for c in codebook.entry(report.accepted_index)]}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -111,6 +147,7 @@ def main() -> None:
                   for name, argv in CASES.items()},
         "rows": {name: {"run_trials": kwargs, "sha256": rows_digest(kwargs)}
                  for name, kwargs in ROW_CASES.items()},
+        "wire": {name: {"inputs": case, **wire_vector(case)} for name, case in WIRE_CASES.items()},
     }
     text = json.dumps(golden, indent=2) + "\n"
     if args.write:

@@ -53,7 +53,7 @@ def require_unit(vec, name: str = "vector") -> np.ndarray:
     if vec.shape[-1:] != (3,):
         raise ValueError(f"{name} must have a trailing axis of length 3, got shape {vec.shape}")
     err = np.abs(dot3(vec, vec) - 1.0)
-    if not np.all(err <= UNIT_ATOL):
+    if not (err <= UNIT_ATOL).all():
         raise ValueError(f"{name} is not unit-norm (max |v.v - 1| = {float(np.max(err)):.3e})")
     return vec
 

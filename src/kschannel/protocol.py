@@ -61,6 +61,9 @@ _TRIALS_PER_THREAD = 8192
 _SEND_BLOCK = 8
 #: codebook entries are indexed in [1, 2**63), so the counters 2i and 2i + 1 fit in 64 bits
 _ENTRY_LIMIT = 1 << 63
+_INDEX_RANGE = "codebook entries are indexed in [1, 2**63)"
+_WHOLE_INDEX = "codebook indices must be whole numbers"
+_BOOL_INDEX = "codebook indices must be whole numbers, not booleans"
 
 
 @dataclass(frozen=True)
@@ -80,15 +83,22 @@ class Codebook:
         # numpy turns a list mixing ints and bools into ints, so look at the elements too
         if raw.dtype == bool or (isinstance(indices, (list, tuple))
                                  and any(isinstance(i, (bool, np.bool_)) for i in indices)):
-            raise ValueError("codebook indices must be whole numbers, not booleans")
+            raise ValueError(_BOOL_INDEX)
         if not np.all((raw >= 1) & (raw < _ENTRY_LIMIT)):  # NaN fails too
-            raise ValueError("codebook entries are indexed in [1, 2**63)")
+            raise ValueError(_INDEX_RANGE)
         if raw.dtype.kind not in "iu" and np.any(raw % 1 != 0):  # integer arrays skip this
-            raise ValueError("codebook indices must be whole numbers")
+            raise ValueError(_WHOLE_INDEX)
         return _sphere_point(self.seed, 2 * raw.astype(np.uint64))
 
     def entry(self, i: int) -> np.ndarray:
-        return self.entries([i])[0]
+        """Entry i alone: the checks of :meth:`entries` on one Python scalar."""
+        if isinstance(i, (bool, np.bool_)):
+            raise ValueError(_BOOL_INDEX)
+        if not 1 <= i < _ENTRY_LIMIT:  # NaN fails too
+            raise ValueError(_INDEX_RANGE)
+        if i % 1 != 0:
+            raise ValueError(_WHOLE_INDEX)
+        return _sphere_point(self.seed, 2 * int(i))
 
 
 @dataclass(eq=False)
@@ -135,7 +145,7 @@ def ks_bin_masses(bins: int) -> np.ndarray:
 def bin_index(z, bins: int) -> np.ndarray:
     """Map height values in [-1, 1] to bin indices 0..bins-1."""
     idx = np.floor((np.asarray(z, dtype=float) + 1.0) * (bins / 2.0)).astype(np.int64)
-    return np.clip(idx, 0, bins - 1)
+    return np.minimum(np.maximum(idx, 0), bins - 1)   # np.clip, without its Python wrapper
 
 
 def _ks_laws(bins: int) -> tuple[DiscreteDistribution, DiscreteDistribution]:
@@ -186,7 +196,7 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms,
         if width <= 0:
             raise ProtocolFailure(f"no acceptance within {cap} rounds")
         rounds = np.arange(done + 1, done + width + 1)
-        bidx = bin_index(dot3(codebook.entries(rounds), state), bins)
+        bidx = bin_index(dot3(_sphere_point(codebook.seed, 2 * rounds), state), bins)
         known = int(np.searchsorted(rounds, schedule.depth, side="right"))
         prob = schedule.accept_prob(bidx[:known], rounds[:known]).tolist() if known else []
         for j in range(width):
@@ -220,11 +230,18 @@ def _sphere_point(keys, ctr) -> np.ndarray:
     """Uniform sphere point from the counter words ctr and ctr + 1 of the ``keys`` streams.
 
     z = 2 u - 1 from the first word, azimuth = 2 pi u' from the second;
-    ``keys`` and ``ctr`` broadcast as in :func:`mix_vec`.
+    ``keys`` and ``ctr`` broadcast as in :func:`mix_vec`.  Both words of
+    every point are hashed in one :func:`mix_vec` call, over a leading axis
+    of length 2 whose two halves, the z words and the azimuth words, are
+    each contiguous.
     """
-    z = 2.0 * to_unit(mix_vec(keys, ctr)) - 1.0
-    phi = _TWO_PI * to_unit(mix_vec(keys, ctr + 1))
-    return sphere_from_zphi(z, phi)
+    keys = np.asarray(keys, dtype=np.uint64)
+    ctr = np.asarray(ctr, dtype=np.uint64)
+    words = np.empty((2, *np.broadcast(keys, ctr).shape), dtype=np.uint64)
+    words[0] = ctr
+    np.add(ctr, 1, out=words[1:])
+    u = to_unit(mix_vec(keys, words))
+    return sphere_from_zphi(2.0 * u[0] - 1.0, _TWO_PI * u[1])
 
 
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:

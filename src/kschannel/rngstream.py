@@ -52,9 +52,15 @@ def mix(key: int, n: int) -> int:
 
 
 def mix_vec(key, n) -> np.ndarray:
-    """Vectorized :func:`mix`; ``key`` and ``n`` broadcast as uint64 arrays."""
+    """Vectorized :func:`mix`; ``key`` and ``n`` broadcast as uint64 arrays.
+
+    Two scalars give one ``np.uint64`` word.
+    """
     key = np.asarray(key, dtype=np.uint64)
     n = np.asarray(n, dtype=np.uint64)
+    if key.ndim == n.ndim == 0:
+        # numpy scalar arithmetic warns on overflow; array arithmetic wraps, as the hash needs
+        return mix_vec(key.reshape(1), n)[0]
     z = key + _U_GOLDEN * n
     z = (z ^ (z >> _U30)) * _U_MIX1
     z = (z ^ (z >> _U27)) * _U_MIX2

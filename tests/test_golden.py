@@ -1,5 +1,6 @@
 """Pinned outputs: every command's results and every pinned `run_trials` batch
-must hash to tests/golden/model.json.
+must hash to tests/golden/model.json, and every pinned wire trial must send,
+answer and regenerate what it records.
 
 The digests are of floating-point reports, so they are compared only on the
 numpy version and platform they were recorded on; anywhere else the tests
@@ -26,6 +27,7 @@ RECORDED = json.loads(golden.GOLDEN_PATH.read_text(encoding="utf-8"))
 def test_golden_file_covers_every_case():
     assert {name: case["argv"] for name, case in RECORDED["cases"].items()} == golden.CASES
     assert {name: case["run_trials"] for name, case in RECORDED["rows"].items()} == golden.ROW_CASES
+    assert {name: case["inputs"] for name, case in RECORDED["wire"].items()} == golden.WIRE_CASES
 
 
 def _require_recorded_platform():
@@ -48,3 +50,10 @@ def test_run_trials_rows_match_golden(name):
     _require_recorded_platform()
     case = RECORDED["rows"][name]
     assert golden.rows_digest(case["run_trials"]) == case["sha256"]
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED["wire"]))
+def test_wire_vectors_match_golden(name):
+    _require_recorded_platform()
+    case = dict(RECORDED["wire"][name])
+    assert golden.wire_vector(case.pop("inputs")) == case

@@ -40,6 +40,21 @@ class TestBinning:
         assert bin_index(1.0, 8) == 7
         assert bin_index(0.0, 8) == 4
         assert np.array_equal(bin_index(np.array([-0.999, 0.999]), 8), [0, 7])
+        # heights a rounded dot product can reach just past [-1, 1], and far outside it
+        tiny = np.nextafter(0.0, 1.0)
+        edges = [np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), -1e3, 1e3,
+                 -tiny, 0.0, tiny, -1.0, 1.0]
+        for bins in (2, 8, 4096):
+            def clipped(z):
+                idx = np.floor((np.asarray(z, dtype=float) + 1.0) * (bins / 2.0)).astype(np.int64)
+                return np.clip(idx, 0, bins - 1)
+            for z in edges:
+                assert bin_index(z, bins) == clipped(z)
+                assert type(bin_index(z, bins)) is type(clipped(z))
+            got, want = bin_index(np.array(edges), bins), clipped(np.array(edges))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert bin_index(np.nextafter(1.0, 2.0), bins) == bins - 1
+            assert bin_index(np.nextafter(-1.0, -2.0), bins) == 0
 
     @pytest.mark.parametrize("bins", [16, 256, 4096])
     def test_binned_target_tv_error_bound(self, bins):
@@ -72,6 +87,16 @@ class TestCodebook:
             a = Codebook(seed=int(s)).entry(int(i))
             b = Codebook(seed=int(s)).entry(int(i))
             assert np.array_equal(a, b)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("key, ctr", [(5, 3), (np.uint64(5), np.uint64(3)),
+                                          (2**64 - 1, 2**64 - 1),
+                                          (np.uint64(2**64 - 1), np.uint64(2**64 - 1))])
+    def test_scalar_words_wrap_silently(self, key, ctr):
+        # numpy scalar uint64 arithmetic warns on overflow where array arithmetic wraps
+        word = mix_vec(key, ctr)
+        assert isinstance(word, np.uint64) and word == mix(int(key), int(ctr))
+        assert mix_vec(np.asarray(key), [ctr])[0] == word
 
     def test_scalar_and_vector_words_agree(self):
         rng = np.random.default_rng(56)
