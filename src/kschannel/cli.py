@@ -22,6 +22,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -29,8 +30,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .geometry import (BLOCK, Measurement, born_from_dot, random_unit_vec, rotate_to_frame,
-                       sphere_from_zphi)
+from .geometry import (BLOCK, Measurement, born_from_dot, parallel_map, random_unit_vec,
+                       rotate_to_frame, sphere_from_zphi)
 from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
@@ -85,14 +86,15 @@ def _vector_arg(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"non-numeric component in {text!r}") from None
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm) and np.all(np.isfinite(v)):
-        # the squared length overflowed: scale first (only here, so no other vector moves)
+    if (not np.isfinite(norm) and np.all(np.isfinite(v))) or (norm < 1e-12 and np.any(v)):
+        # the squared length overflowed or is tiny: scale first (only here, so no other
+        # vector moves)
         v = v / np.max(np.abs(v))
         norm = float(np.linalg.norm(v))
     if not np.isfinite(norm):
         raise argparse.ArgumentTypeError(
             f"vector components and length must be finite, got {text!r}")
-    if norm < 1e-12:
+    if norm == 0.0:
         raise argparse.ArgumentTypeError("vector must have nonzero length")
     v = v / norm
     return (float(v[0]), float(v[1]), float(v[2]))
@@ -126,6 +128,14 @@ def _mi_trials(text: str) -> int:
     return value
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS reports one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kschannel",
@@ -151,9 +161,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=_positive_int, default=1,
-                       help="worker threads for simulate and cost, at most one per 8192 "
-                            "trials; never changes results (verify and mi run single-threaded)")
+        p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
+                       help="worker threads, at most one per 8192 trials for simulate and cost "
+                            f"and one per {BLOCK}-sample block for verify and mi; never changes "
+                            "results (default: the CPUs this process may use, %(default)s here)")
     return parser
 
 
@@ -176,7 +187,12 @@ def _binomial_sigma(p: float, n: int) -> float:
 
 
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
-    """Direct-model sweep: sample the conditional density, answer the measurement."""
+    """Direct-model sweep: sample the conditional density, answer the measurement.
+
+    Each cell draws all its samples first, then maps, rotates and answers them
+    BLOCK rows at a time on up to ``cfg.workers`` threads; the per-block counts
+    of "+" answers are exact integers, so the thread count moves no bit.
+    """
     if cfg.state is not None and cfg.meas is not None:
         grid = [None]  # both directions pinned: a single cell at their actual angle
     else:
@@ -200,11 +216,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         # ks_sample's draws, mapped and answered one block at a time: the count of
         # "+" answers is exact, so plus / n is the mean of the whole response array
         z, phi = ks_draws(rng, cfg.trials)
-        plus = 0
-        for lo in range(0, cfg.trials, BLOCK):
+
+        def block_plus(lo: int) -> int:
             rows = slice(lo, lo + BLOCK)
             x = rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), v)
-            plus += int(np.count_nonzero(ks_response(x, meas) == 1))
+            return int(np.count_nonzero(ks_response(x, meas) == 1))
+
+        plus = sum(parallel_map(block_plus, range(0, cfg.trials, BLOCK), cfg.workers))
         empirical = plus / cfg.trials
         born = float(born_from_dot(np.sum(v * m)))
         sigma = _binomial_sigma(born, cfg.trials)
@@ -285,7 +303,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_mi(cfg: RunConfig) -> tuple[dict, bool]:
     """Exact entropies and the Monte Carlo mutual-information estimate."""
     rng = np.random.default_rng(mix(cfg.seed, _MI_SALT))
-    est = mc_mutual_information(KsModel(), cfg.trials, rng)
+    est = mc_mutual_information(KsModel(cfg.workers), cfg.trials, rng, workers=cfg.workers)
     exact = exact_ks_mi()
     bracket = est.brackets(exact)
     results = {

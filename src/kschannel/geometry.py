@@ -8,6 +8,7 @@ broadcasts over leading axes.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,22 @@ _POLE_EPS = 1e-9
 #: rows per block for callers that evaluate the kernels on long samples, so the
 #: temporaries of each step stay in cache
 BLOCK = 1 << 14
+
+
+def parallel_map(work, items, workers: int = 1) -> list:
+    """``[work(i) for i in items]``, in order, on ``min(workers, len(items))`` threads.
+
+    numpy releases the GIL inside its elementwise kernels, so blocks that each
+    write only their own rows (or return a count) run side by side, and the
+    result does not depend on the thread count.  With one thread the items run
+    serially and no pool is started.  An exception in any item is raised here.
+    """
+    items = list(items)
+    threads = min(workers, len(items))
+    if threads <= 1:
+        return [work(i) for i in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(work, items))
 
 
 def dot3(a, b) -> np.ndarray:
@@ -70,20 +87,33 @@ def sphere_from_zphi(z, phi) -> np.ndarray:
     return out
 
 
-def random_unit_vec(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+def random_unit_vec(rng: np.random.Generator, n: int | None = None,
+                    workers: int = 1) -> np.ndarray:
     """Uniform point(s) on the unit sphere: z ~ U[-1, 1], azimuth ~ U[0, 2pi).
 
     Returns shape (3,) when ``n`` is None, else (n, 3).  Deterministic given
     the generator state: two calls on identically seeded generators agree
-    bit for bit.
+    bit for bit.  All heights are drawn before all azimuths; when ``n`` >
+    BLOCK the points are then mapped BLOCK rows at a time into the result,
+    on up to ``workers`` threads (see :func:`parallel_map`), which moves no
+    bit and builds no full-length temporaries.
     """
     size = () if n is None else (n,)
     z = rng.uniform(-1.0, 1.0, size=size)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    return sphere_from_zphi(z, phi)
+    if n is None or n <= BLOCK:
+        return sphere_from_zphi(z, phi)
+    out = np.empty((n, 3))
+
+    def block(lo: int) -> None:
+        rows = slice(lo, lo + BLOCK)
+        out[rows] = sphere_from_zphi(z[rows], phi[rows])
+
+    parallel_map(block, range(0, n, BLOCK), workers)
+    return out
 
 
-def rotate_to_frame(local, pole) -> np.ndarray:
+def rotate_to_frame(local, pole, out: np.ndarray | None = None) -> np.ndarray:
     """Map a vector given in pole-aligned coordinates into the global frame.
 
     ``local`` is expressed in a right-handed orthonormal frame whose third
@@ -93,10 +123,13 @@ def rotate_to_frame(local, pole) -> np.ndarray:
     the z axis take the fixed frames (x, y) / (x, -y), which makes both
     ``rotate_to_frame(v, z_hat) == v`` and ``rotate_to_frame(z_hat, p) == p``
     exact.  The map is an isometry to machine precision in every branch.
+    ``out``, when given, receives the result (it must not overlap ``local``
+    or ``pole``) and is returned.
     """
     local = np.asarray(local, dtype=float)
     pole = np.asarray(pole, dtype=float)
-    out = np.empty(np.broadcast_shapes(local.shape, pole.shape))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(local.shape, pole.shape))
     px, py, pz = pole[..., 0], pole[..., 1], pole[..., 2]
     # frame axes e1, e2 as three components each; the zero components are still
     # multiplied in below, since they set the sign of a zero result

@@ -13,6 +13,10 @@ into a finite-communication protocol at all.  Models in which distinct
 states occupy disjoint supports carry the full state description in each
 sample; their mutual information diverges and no finite entropy exists to
 compute, so no such number is offered here.
+
+The Monte Carlo estimate draws from the generator serially, in a fixed
+order, and evaluates its samples in BLOCK-row slices on as many threads as
+it is given; the estimate is the same bit for bit for every thread count.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BLOCK, require_unit
+from .geometry import BLOCK, parallel_map, require_unit
 from .model import OntologicalModel
 
 _LN2 = np.log(2.0)
@@ -78,7 +82,8 @@ class MiEstimate:
         return abs(self.value - target) <= n_sigma * self.std_error
 
 
-def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Generator) -> MiEstimate:
+def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Generator,
+                          workers: int = 1) -> MiEstimate:
     """Monte Carlo estimate of I(X:Psi) for any model exposing its densities.
 
     Draws states from the model prior, a model point per state, and averages
@@ -87,9 +92,12 @@ def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Genera
     vanishing marginal at a sampled point is a hard error (it cannot occur
     for the hemisphere model, whose marginal is constant).
 
-    Samples are drawn :data:`_MI_CHUNK` pairs at a time; the densities of a chunk
-    are evaluated on row slices of BLOCK pairs, and its sums are taken over
-    the whole chunk, so neither split moves a bit of the estimate.
+    Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
+    order whatever ``workers`` is (the model's own ``workers``, if it has
+    any, sets the threads of its samplers).  The densities and logarithms of
+    a chunk are evaluated on row slices of BLOCK pairs, on up to ``workers``
+    threads (see :func:`parallel_map`), and its sums are taken over the whole
+    chunk, so neither split nor the thread count moves a bit of the estimate.
     """
     if n < MIN_MI_SAMPLES:
         raise ValueError(f"need at least {MIN_MI_SAMPLES} samples for a usable estimate, got {n}")
@@ -101,13 +109,16 @@ def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Genera
         states = model.sample_state(m, rng)
         x = model.sample_ontic(states, rng)
         w = np.empty(m)
-        for lo in range(0, m, BLOCK):
+
+        def block(lo: int) -> None:
             rows = slice(lo, lo + BLOCK)
             cond = np.asarray(model.conditional_density(x[rows], states[rows]), dtype=float)
             marg = np.asarray(model.marginal_density(x[rows]), dtype=float)
             if np.any(marg <= 0.0):
                 raise ValueError("marginal density vanished at a sampled point")
             np.log2(cond / marg, out=w[rows])
+
+        parallel_map(block, range(0, m, BLOCK), workers)
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m

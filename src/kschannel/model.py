@@ -19,8 +19,8 @@ from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 
-from .geometry import (BLOCK, Measurement, dot3, random_unit_vec, require_unit, rotate_to_frame,
-                       sphere_from_zphi)
+from .geometry import (BLOCK, Measurement, dot3, parallel_map, random_unit_vec, require_unit,
+                       rotate_to_frame, sphere_from_zphi)
 
 #: conditional density on its support, divided by the dot product
 DENSITY_SCALE = 1.0 / np.pi
@@ -57,14 +57,17 @@ def ks_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
     return z, phi
 
 
-def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+def ks_sample(v, rng: np.random.Generator, n: int | None = None,
+              workers: int = 1) -> np.ndarray:
     """Draw x ~ rho(.|v) by inverse CDF in the polar coordinate (see :func:`ks_draws`).
 
     ``n`` draws per call when given, a single (3,) sample otherwise; v may
-    itself be a batch of states (one draw each).  The draws are mapped and
-    rotated BLOCK rows at a time into the one result, so no array of local
-    points is built; a batch of states is split with the rows, and a single
-    state, (3,) or (1, 3), serves every block.
+    itself be a batch of states (one draw each).  All draws are taken first;
+    they are then mapped and rotated BLOCK rows at a time into the one
+    result, on up to ``workers`` threads (see :func:`parallel_map`), so no
+    array of local points is built and the thread count moves no bit.  A
+    batch of states is split with the rows, and a single state, (3,) or
+    (1, 3), serves every block.
     """
     v = np.asarray(v, dtype=float)
     z, phi = ks_draws(rng, v.shape[:-1] if n is None else (n,))
@@ -72,10 +75,13 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     per_row = v.shape[:-1] == z.shape
     flat, z, phi = out.reshape(-1, 3), z.reshape(-1), phi.reshape(-1)
     poles = v.reshape(-1, 3)
-    for lo in range(0, len(z), BLOCK):
+
+    def block(lo: int) -> None:
         rows = slice(lo, lo + BLOCK)
-        flat[rows] = rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]),
-                                     poles[rows] if per_row else v)
+        rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), poles[rows] if per_row else v,
+                        out=flat[rows])
+
+    parallel_map(block, range(0, len(z), BLOCK), workers)
     return out
 
 
@@ -117,15 +123,20 @@ class OntologicalModel(Protocol):
 class KsModel:
     """The hemisphere model packaged behind the :class:`OntologicalModel` contract.
 
-    Stateless: both densities are closed-form, the prior is the uniform
-    sphere measure, and all methods are pure given an explicit generator.
+    Both densities are closed-form, the prior is the uniform sphere measure,
+    and all methods are pure given an explicit generator.  ``workers`` only
+    sets how many threads the two samplers map their blocks on; it never
+    changes a sample.
     """
 
+    def __init__(self, workers: int = 1):
+        self.workers = workers
+
     def sample_state(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return random_unit_vec(rng, n)
+        return random_unit_vec(rng, n, self.workers)
 
     def sample_ontic(self, states, rng: np.random.Generator) -> np.ndarray:
-        return ks_sample(states, rng)
+        return ks_sample(states, rng, workers=self.workers)
 
     def conditional_density(self, x, states) -> np.ndarray:
         return np.asarray(ks_density(x, states))

@@ -34,14 +34,14 @@ results are independent of how trials are split across worker threads.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
 
 from .coding import code_lengths, elias_delta_decode, elias_delta_encode, whole_number
-from .geometry import Measurement, born_from_dot, dot3, require_unit, sphere_from_zphi
+from .geometry import (Measurement, born_from_dot, dot3, parallel_map, require_unit,
+                       sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
 from .model import ks_response
@@ -339,9 +339,8 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
         return _run_chunk(master_seed, edges[k], edges[k + 1] - edges[k], bins, state, meas,
                           cap, schedule)
 
+    parts = parallel_map(scan, range(spans), spans)
     if spans == 1:
-        return scan(0)
-    with ThreadPoolExecutor(max_workers=spans) as pool:
-        parts = list(pool.map(scan, range(spans)))
+        return parts[0]
     return TrialBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
                          for f in fields(TrialBatch)})

@@ -1,20 +1,24 @@
-"""Blocked evaluation at block edges: ks_sample, verify and mi evaluate their
-samples BLOCK rows at a time, and none of it may move a bit against the frozen
-whole-array forms; the one-path kernels are checked at the same row counts."""
+"""Blocked evaluation at block edges: random_unit_vec, ks_sample, verify and mi
+evaluate their samples BLOCK rows at a time, on one thread or several, and none
+of it may move a bit against the frozen whole-array forms; the one-path kernels
+are checked at the same row counts."""
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from kschannel import KsModel, cli, ks_sample, mc_mutual_information, random_unit_vec
-from kschannel.geometry import BLOCK, rotate_to_frame, sphere_from_zphi
+from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
 from kschannel.rngstream import mix
 from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
                            _stacked_sphere_from_zphi, _with_zeros, assert_bit_identical,
                            assert_fresh_vectors)
 
 EDGE_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
+#: thread counts the blocked samplers are compared at
+WORKERS = (1, 2, 3)
 
 _CAP = _stacked_sphere_from_zphi(1.0 - 5e-10, 0.7)  # |pz| > 1 - 1e-9
 SPECIAL_POLES = [_CAP, -_CAP, [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, 1.0],
@@ -33,7 +37,55 @@ def _at_block_edges(x, values):
     return x
 
 
+class TestParallelMap:
+    def test_results_keep_the_order_of_the_items(self):
+        assert parallel_map(lambda i: i * i, range(7), 3) == [i * i for i in range(7)]
+        assert parallel_map(lambda i: i, [], 3) == []
+
+    def test_an_item_error_is_raised_to_the_caller(self):
+        def work(i):
+            if i == 5:
+                raise ValueError("item 5")
+            return i
+
+        with pytest.raises(ValueError, match="item 5"):
+            parallel_map(work, range(8), 2)
+
+    def test_more_threads_than_cores_with_fast_switching(self):
+        # nine threads share one result array, switching as often as the interpreter
+        # allows; each writes only its own block's rows, so no bit may move
+        v = random_unit_vec(np.random.default_rng(8), 8 * BLOCK + 5)
+        want = ks_sample(v, np.random.default_rng(9))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ks_sample(v, np.random.default_rng(9), workers=9)
+        finally:
+            sys.setswitchinterval(interval)
+        assert_bit_identical(got, want)
+
+    @pytest.mark.parametrize("items, workers, asked", [(range(1), 4, []), (range(5), 1, []),
+                                                       (range(3), 10**6, [3]),
+                                                       (range(9), 2, [2])])
+    def test_threads_are_bounded_by_the_items(self, serial_pool, items, workers, asked):
+        assert parallel_map(lambda i: -i, items, workers) == [-i for i in items]
+        assert serial_pool == asked
+
+
 class TestKernelsAtBlockEdges:
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_random_unit_vec(self, n):
+        draws = np.random.default_rng(n)
+        want = _stacked_sphere_from_zphi(draws.uniform(-1.0, 1.0, n),
+                                         draws.uniform(0.0, 2 * np.pi, n))
+        next_draw = draws.random()
+        for workers in WORKERS:
+            rng = np.random.default_rng(n)
+            out = random_unit_vec(rng, n, workers)
+            assert_bit_identical(out, want)
+            assert_fresh_vectors(out, (n, 3))
+            assert rng.random() == next_draw  # the generator was consumed the same way
+
     @pytest.mark.parametrize("n", EDGE_ROWS)
     def test_sphere_from_zphi(self, n):
         rng = np.random.default_rng(n)
@@ -122,12 +174,13 @@ def _whole_array_mi(n, rng, chunk):
 class TestKsSampleAtBlockEdges:
     @staticmethod
     def _assert_matches_whole_array(v, n, seed):
-        rng, frozen_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        out = ks_sample(v, rng, n)
-        want = _whole_array_ks_sample(np.asarray(v), frozen_rng, len(v) if n is None else n)
-        assert_bit_identical(out, want)
-        assert_fresh_vectors(out, want.shape)
-        assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
+        for workers in WORKERS:
+            rng, frozen_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            out = ks_sample(v, rng, n, workers)
+            want = _whole_array_ks_sample(np.asarray(v), frozen_rng, len(v) if n is None else n)
+            assert_bit_identical(out, want)
+            assert_fresh_vectors(out, want.shape)
+            assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
 
     @pytest.mark.parametrize("n", EDGE_ROWS)
     @pytest.mark.parametrize("pole", SPECIAL_POLES + [[0.36, -0.48, 0.8]])
@@ -151,22 +204,24 @@ class TestKsSampleAtBlockEdges:
 
     def test_holds_no_array_of_local_points(self):
         # draws (16 bytes/row) + result (24) + 16 bytes/row of slack; a whole (m, 3)
-        # array of local points before the rotation alone would cost 24 more
+        # array of local points before the rotation alone would cost 24 more.  Two
+        # threads hold two blocks' temporaries at once, which must fit the same slack.
         m = 1 << 18
         states = random_unit_vec(np.random.default_rng(6), m)
-        rng = np.random.default_rng(7)
-        tracemalloc.start()
-        try:
-            ks_sample(states, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / m < 56
+        for workers in (1, 2):
+            rng = np.random.default_rng(7)
+            tracemalloc.start()
+            try:
+                ks_sample(states, rng, workers=workers)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak / m < 56, workers
 
 
-def _verify_rates(state, meas, seed, n):
+def _verify_rates(state, meas, seed, n, workers=1):
     cfg = cli.RunConfig(command="verify", trials=n, seed=seed, bins=64, state=state, meas=meas,
-                        out=None, format="json", workers=1)
+                        out=None, format="json", workers=workers)
     results, _ = cli.cmd_verify(cfg)
     return [cell["empirical"] for cell in results["cells"]]
 
@@ -175,19 +230,24 @@ class TestModelCommandsAtBlockEdges:
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, (1 << 18) + BLOCK + 1])
     def test_verify_pinned(self, n):
         state, meas = (0.6, 0.0, -0.8), (-0.36, 0.48, 0.8)
-        assert _verify_rates(state, meas, 11, n) == _whole_array_verify(state, meas, 11, n)
+        want = _whole_array_verify(state, meas, 11, n)
+        for workers in (1, 3):
+            assert _verify_rates(state, meas, 11, n, workers) == want
 
     def test_verify_grid_about_a_fixed_state(self):
         state = (0.0, -0.6, 0.8)
         n = 2 * BLOCK + 3
-        assert _verify_rates(state, None, 7, n) == _whole_array_verify(state, None, 7, n)
+        want = _whole_array_verify(state, None, 7, n)
+        for workers in (1, 3):
+            assert _verify_rates(state, None, 7, n, workers) == want
 
     # chunk: the 2^18 pairs mc_mutual_information draws at a time; the first n ends
     # on an unaligned last chunk
     @pytest.mark.parametrize("n, chunk", [((1 << 18) + BLOCK + 1, 1 << 18),
                                           (BLOCK - 1, 1 << 18)])
     def test_mc_mutual_information(self, n, chunk):
-        rng, frozen_rng = np.random.default_rng(5), np.random.default_rng(5)
-        est = mc_mutual_information(KsModel(), n, rng)
-        assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, chunk)
-        assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
+        for workers in (1, 3):
+            rng, frozen_rng = np.random.default_rng(5), np.random.default_rng(5)
+            est = mc_mutual_information(KsModel(workers), n, rng, workers=workers)
+            assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, chunk)
+            assert rng.random() == frozen_rng.random()  # the generator was consumed the same way

@@ -59,6 +59,23 @@ class TestUsageErrors:
         assert cli._vector_arg(text) == pytest.approx((math.sqrt(0.5), math.sqrt(0.5), 0.0),
                                                       abs=1e-15)
 
+    @pytest.mark.parametrize("text, want", [
+        ("1e-300,0,0", (1.0, 0.0, 0.0)),
+        ("1e-13,0,0", (1.0, 0.0, 0.0)),
+        ("0,-5e-324,0", (0.0, -1.0, 0.0)),
+        ("1e-300,1e-300,0", cli._vector_arg("1,1,0")),
+    ])
+    def test_tiny_vector_parses(self, text, want):
+        # a norm below 1e-12 is scaled by the largest component first, as an overflowing one is
+        assert cli._vector_arg(text) == want
+
+    @pytest.mark.parametrize("text", ["0,0,0", "-0,0,-0"])
+    def test_zero_vector_exits_2(self, capsys, text):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", f"--state={text}"])
+        assert exc.value.code == 2
+        assert "nonzero length" in capsys.readouterr().err
+
     def test_largest_bin_count_is_accepted(self):
         assert cli._bins_arg(str(cli._MAX_BINS)) == cli._MAX_BINS
 
@@ -171,10 +188,64 @@ class TestSimulate:
         assert a == b
 
     def test_workers_do_not_change_output(self, capsys):
-        _, a = run_json(capsys, ["simulate", "--trials", "20000", "--seed", "5", "--workers", "1"])
-        _, b = run_json(capsys, ["simulate", "--trials", "20000", "--seed", "5", "--workers", "4"])
-        assert a["results"] == b["results"]
-        assert a["config"]["seed"] == b["config"]["seed"]
+        pinned = ["--state", "0.6,0,-0.8", "--meas", "-0.36,0.48,0.8"]
+        # verify: 40000 samples are three blocks a cell; mi: 300000 are two chunks,
+        # the second of 37856 rows
+        for argv in (["simulate", "--trials", "20000", "--seed", "5"],
+                     ["verify", "--trials", "40000", "--seed", "5"],
+                     ["verify", "--trials", "40000", "--seed", "5", *pinned],
+                     ["mi", "--trials", "300000", "--seed", "5"]):
+            _, a = run_json(capsys, [*argv, "--workers", "1"])
+            _, b = run_json(capsys, [*argv, "--workers", "4"])
+            assert a["results"] == b["results"], argv[0]
+            assert (a["config"]["workers"], b["config"]["workers"]) == (1, 4)
+            assert a["config"]["seed"] == b["config"]["seed"]
+
+
+class TestWorkers:
+    """--workers on every command: its default, and how many threads each run asks for.
+
+    The serial pool records each thread pool a run asks for and starts no thread."""
+
+    _PINNED = ["--state", "0.6,0,-0.8", "--meas", "-0.36,0.48,0.8"]
+
+    def test_default_is_the_usable_cpu_count(self, monkeypatch):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        for command in ("verify", "simulate", "mi", "cost"):
+            assert cli.build_parser().parse_args([command]).workers == cpus
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli.build_parser().parse_args(["mi"]).workers == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli.build_parser().parse_args(["mi"]).workers == 1
+
+    def test_verify_asks_one_thread_per_block(self, capsys, serial_pool):
+        argv = ["verify", "--trials", "250000", "--seed", "3", *self._PINNED]
+        _, split = run_json(capsys, [*argv, "--workers", "1000000"])
+        assert serial_pool == [16]   # ceil(250 000 / 16384) blocks in the one cell
+        _, serial = run_json(capsys, [*argv, "--workers", "1"])
+        assert serial_pool == [16]
+        assert split["results"] == serial["results"]
+
+    def test_mi_chunks_ask_at_most_one_thread_per_block(self, capsys, serial_pool):
+        _, split = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3",
+                                     "--workers", "1000000"])
+        # per chunk: sample_state, sample_ontic, then the densities; the chunks hold
+        # 262144 rows (16 blocks) and 37856 rows (3 blocks, the last one short)
+        assert serial_pool == [16, 16, 16, 3, 3, 3]
+        _, serial = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3", "--workers", "1"])
+        assert split["results"] == serial["results"]
+
+    @pytest.mark.parametrize("argv", [["verify", "--trials", "1000"],
+                                      ["verify", "--trials", "1000", *_PINNED],
+                                      ["mi", "--trials", "1000"],
+                                      ["simulate", "--trials", "1000"],
+                                      ["cost", "--trials", "1000", "--bins", "64"]],
+                             ids=["verify", "verify_pinned", "mi", "simulate", "cost"])
+    def test_one_block_runs_start_no_pool(self, capsys, serial_pool, argv):
+        code, _ = run_json(capsys, [*argv, "--workers", "4"])
+        assert code == 0
+        assert serial_pool == []
 
 
 class TestMi:

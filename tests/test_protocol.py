@@ -10,7 +10,6 @@ from scipy.stats import kstest
 from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
-from kschannel import protocol
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE, TrialBatch,
                                 _ks_schedule, _sphere_point, _trial_keys, alice_send,
                                 bin_index, bob_receive, discretize_ks, ks_bin_masses,
@@ -303,26 +302,10 @@ class TestTrials:
             assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
             assert np.array_equal(a, b), field.name
 
-    def test_threads_are_bounded_by_the_trial_count(self, monkeypatch):
-        asked = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(protocol, "ThreadPoolExecutor", SerialPool)
+    def test_threads_are_bounded_by_the_trial_count(self, serial_pool):
         split = run_trials(7, 20_000, 64, workers=10**6)
         serial = run_trials(7, 20_000, 64, workers=1)
-        assert asked == [3]   # ceil(20 000 / 8192) spans, not one per requested worker
+        assert serial_pool == [3]   # ceil(20 000 / 8192) spans, not one per requested worker
         for field in fields(TrialBatch):
             assert np.array_equal(getattr(split, field.name), getattr(serial, field.name))
 
