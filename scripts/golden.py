@@ -54,9 +54,13 @@ CASES = {
     **{f"{cmd}_pinned_workers4": [cmd, "--trials", "20000", "--seed", "7", "--bins", "64",
                                   *_PINNED, "--workers", "4"]
        for cmd in ("simulate", "cost")},
-    # a threaded split off the 8192-trial grid: three spans of 6667 trials
+    # 20001 trials asking for three workers: one span at the 2**15-trial thread grain
     **{f"{cmd}_bins4096_workers3": [cmd, "--trials", "20001", "--seed", "7", "--bins", "4096",
                                     "--workers", "3"]
+       for cmd in ("simulate", "cost")},
+    # a threaded split at the 2**15-trial thread grain: spans of 32768, 32768 and 32769 trials
+    **{f"{cmd}_bins4096_trials98305_workers3": [cmd, "--trials", "98305", "--seed", "7",
+                                                "--bins", "4096", "--workers", "3"]
        for cmd in ("simulate", "cost")},
     # the model commands' blocks on one and on three threads: verify's 50000 samples are
     # four BLOCK-row blocks per cell; mi's second chunk of 300000 holds 37856 rows

@@ -111,6 +111,17 @@ def _bins_arg(text: str) -> int:
     return bins
 
 
+def _seed_arg(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
+    if not 0 <= seed < 1 << 64:
+        # the counter streams read the seed as a 64-bit word; wider seeds would alias
+        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -149,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--trials", type=_mi_trials if name == "mi" else _positive_int, default=None,
                        help=f"samples per cell / trials (default {_DEFAULT_TRIALS[name]})")
-        p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
-                       help=f"64-bit master seed (default {_DEFAULT_SEED})")
+        p.add_argument("--seed", type=_seed_arg, default=_DEFAULT_SEED,
+                       help=f"64-bit master seed in [0, 2**64) (default {_DEFAULT_SEED})")
         p.add_argument("--bins", type=_bins_arg, default=_DEFAULT_BINS,
                        help=f"height bins for the protocol, even, at most {_MAX_BINS} "
                             f"(default {_DEFAULT_BINS})")
@@ -162,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
-                       help="worker threads, at most one per 8192 trials for simulate and cost "
+                       help="worker threads, at most one per 32768 trials for simulate and cost "
                             f"and one per {BLOCK}-sample block for verify and mi; never changes "
                             "results (default: the CPUs this process may use, %(default)s here)")
     return parser

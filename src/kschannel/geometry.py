@@ -75,11 +75,15 @@ def require_unit(vec, name: str = "vector") -> np.ndarray:
     return vec
 
 
-def sphere_from_zphi(z, phi) -> np.ndarray:
-    """Point(s) on the unit sphere with height z in [-1, 1] and azimuth phi."""
+def sphere_from_zphi(z, phi, out: np.ndarray | None = None) -> np.ndarray:
+    """Point(s) on the unit sphere with height z in [-1, 1] and azimuth phi.
+
+    ``out``, when given, receives the (..., 3) result and is returned.
+    """
     z = np.asarray(z, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    out = np.empty(z.shape + (3,))
+    if out is None:
+        out = np.empty(z.shape + (3,))
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     np.multiply(r, np.cos(phi), out=out[..., 0])
     np.multiply(r, np.sin(phi), out=out[..., 1])
@@ -107,7 +111,7 @@ def random_unit_vec(rng: np.random.Generator, n: int | None = None,
 
     def block(lo: int) -> None:
         rows = slice(lo, lo + BLOCK)
-        out[rows] = sphere_from_zphi(z[rows], phi[rows])
+        sphere_from_zphi(z[rows], phi[rows], out=out[rows])
 
     parallel_map(block, range(0, n, BLOCK), workers)
     return out

@@ -23,9 +23,10 @@ The schedule is built lazily, only as deep as its readers' draws ask, and
 may be shared between threads: extension holds a lock, and readers only
 look at rounds that are already built.  :meth:`GreedySchedule.scan` runs
 many loops at once on draws its caller supplies (:func:`greedy_sample_batch`,
-the protocol's batched trials); the protocol's sender reads the schedule
-one trial at a time, and :func:`greedy_one_shot` keeps the per-round loop
-as the independent scalar reference.
+the protocol's batched trials) as (rounds, runs) arrays, so each step works
+along a whole row of runs; the protocol's sender reads the schedule one
+trial at a time, and :func:`greedy_one_shot` keeps the per-round loop as
+the independent scalar reference.
 """
 
 from __future__ import annotations
@@ -181,44 +182,50 @@ class GreedySchedule:
     def scan(self, runs: int, draw, cap: int = DEFAULT_ROUND_CAP) -> tuple[np.ndarray, np.ndarray]:
         """Accepted round index and symbol of each of ``runs`` independent runs.
 
-        ``draw(active, rounds)`` returns the (active, width) symbols and
-        coins of the still-active runs at the next width rounds; the width
-        is a :data:`geometry.BLOCK` element budget over the active runs,
-        capped at the rounds done and at ``cap``, past which a waiting run
-        raises :class:`ProtocolFailure`.  Columns the schedule covers are
-        decided at once.  Past them a waiting run cannot accept before its
-        first draw of a not yet saturated symbol (unless the floor round
-        comes first, which ends the build), nor in the block if it has none;
-        so the schedule is extended to the latest such round, and this
-        repeats.  It is never built deeper than the latest accepted index.
+        ``draw(active, rounds)`` returns the symbols and coins of the
+        still-active runs at the next width rounds, each a C-contiguous
+        (width, active) array: one row per round, one column per run, so
+        every step below runs along whole rows.  The width is a
+        :data:`geometry.BLOCK` element budget over the active runs, capped
+        at the rounds done and at ``cap``, past which a waiting run raises
+        :class:`ProtocolFailure`.  Rows the schedule covers are decided at
+        once; a run's first accepting row is the least row number among its
+        hits.  Past them a waiting run cannot accept before its first draw
+        of a not yet saturated symbol (unless the floor round comes first,
+        which ends the build), nor in the block if it has none; so the
+        schedule is extended to the latest such round, and this repeats.  It
+        is never built deeper than the latest accepted index.
         """
         index = np.zeros(runs, dtype=np.int64)
         symbol = np.zeros(runs, dtype=np.int64)
         active = np.arange(runs)
-        done = lo = width = 0   # columns lo .. width - 1 of the last block are undecided
+        done, rounds = 0, np.arange(0)   # rounds: the undecided rows of the last block
         while active.size:
-            if lo == width:
+            if not rounds.size:
                 if done >= cap:
                     raise ProtocolFailure(f"no acceptance within {cap} rounds")
                 width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
                 rounds = np.arange(done + 1, done + width + 1)
                 symbols, coins = draw(active, rounds)
-                done, lo = done + width, 0
+                done += width
             depth = self.depth
             known = int(np.searchsorted(rounds, depth, side="right"))
-            if known == lo:
-                live = self.saturation[symbols[:, lo:]] > depth
-                reach = np.where(live.any(axis=1), np.argmax(live, axis=1), width - lo - 1)
-                self.extend(int(rounds[lo + reach.max()]))
+            if not known:
+                live = self.saturation[symbols] > depth
+                last = rounds.size - 1
+                reach = np.where(live, np.arange(rounds.size)[:, None], last).min(axis=0)
+                self.extend(int(rounds[reach.max()]))
                 continue
-            hit = coins[:, lo:known] < self.accept_prob(symbols[:, lo:known], rounds[lo:known])
-            won = hit.any(axis=1)
-            col = lo + np.argmax(hit[won], axis=1)
-            index[active[won]] = rounds[col]
-            symbol[active[won]] = symbols[won, col]
-            active, lo = active[~won], known
-            if lo < width:   # the waiting runs' draws are still needed
-                symbols, coins = symbols[~won], coins[~won]
+            hit = coins[:known] < self.accept_prob(symbols[:known], rounds[:known, None])
+            first = np.where(hit, np.arange(known)[:, None], known).min(axis=0)
+            won = (first < known).nonzero()[0]
+            index[active[won]] = rounds[first[won]]
+            symbol[active[won]] = symbols[first[won], won]
+            wait = (first == known).nonzero()[0]
+            active, rounds = active[wait], rounds[known:]
+            if rounds.size:   # the waiting runs' draws are still needed
+                symbols = symbols[known:].take(wait, axis=1)
+                coins = coins[known:].take(wait, axis=1)
         return index, symbol
 
 
@@ -270,14 +277,15 @@ def greedy_sample_batch(target: DiscreteDistribution, proposal: DiscreteDistribu
     """Run ``n_runs`` independent acceptance loops with one :meth:`GreedySchedule.scan`.
 
     Each block draws from ``rng`` the proposal symbols and then the coins
-    of every still-active run, as (active, width) arrays.  Returns the
-    arrays (accepted round indices, accepted symbols).
+    of every still-active run, as (active, width) arrays run by run, and
+    hands the scan their (width, active) transposes.  Returns the arrays
+    (accepted round indices, accepted symbols).
     """
     cdf = np.cumsum(proposal.masses)
 
     def draw(active, rounds):
         shape = (active.size, rounds.size)
-        symbols = np.searchsorted(cdf, rng.random(shape), side="right")
-        return np.minimum(symbols, cdf.size - 1), rng.random(shape)
+        symbols = np.minimum(np.searchsorted(cdf, rng.random(shape), side="right"), cdf.size - 1)
+        return np.ascontiguousarray(symbols.T), np.ascontiguousarray(rng.random(shape).T)
 
     return GreedySchedule(target, proposal).scan(n_runs, draw, cap)

@@ -17,9 +17,9 @@ deep as the deepest first acceptance asks.  :func:`run_trials` hands each
 worker's span of trials to :meth:`GreedySchedule.scan`, which asks for
 blocks of rounds: the span draws the bins of the codebook points and the
 coins of rounds done+1 .. done+R for every still-active trial as
-(active, R) arrays, and the scan ends each trial at its first accepting
-round.  The receiver's point is then regenerated once per trial from its
-accepted index, by the formula :func:`bob_receive` uses.
+(R, active) arrays, one row per round, and the scan ends each trial at its
+first accepting round.  The receiver's point is then regenerated once per
+trial from its accepted index, by the formula :func:`bob_receive` uses.
 :func:`alice_send` scans one trial in blocks of 8, 16, 32, ... rounds,
 taking one coin per round up to its acceptance.  Every draw is the counter
 word the one-round-at-a-time reference (:func:`greedy.greedy_one_shot`,
@@ -40,7 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import code_lengths, elias_delta_decode, elias_delta_encode, whole_number
-from .geometry import (Measurement, born_from_dot, dot3, parallel_map, require_unit,
+from .geometry import (BLOCK, Measurement, born_from_dot, dot3, parallel_map, require_unit,
                        sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
@@ -54,9 +54,12 @@ _TRIAL_SALT = 0x747269616C
 #: per-trial sub-stream indices
 _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 
-#: fewest trials per worker thread: a run never starts more threads than its
-#: trial count has 8192-trial blocks
-_TRIALS_PER_THREAD = 8192
+#: fewest trials per worker thread: a run starts no more threads than its trial
+#: count has whole 2**15-trial blocks.  A span's scan is some thousand numpy calls,
+#: and threads on shorter spans lose more to handing the GIL between them than
+#: they gain: on two vCPUs two threads ran 0.6-0.9x as fast as one on 8k-trial
+#: spans, about 1.0x on 16k and 1.1-1.3x on 32k
+_TRIALS_PER_THREAD = 1 << 15
 #: rounds in the sender's first block; each later block doubles
 _SEND_BLOCK = 8
 #: codebook entries are indexed in [1, 2**63), so the counters 2i and 2i + 1 fit in 64 bits
@@ -221,6 +224,18 @@ def bob_receive(bits: str, codebook: Codebook, meas: Measurement) -> int:
     return int(ks_response(codebook.entry(index), meas))
 
 
+def _master_seed(seed) -> int:
+    """``seed`` as an int in [0, 2**64); anything else raises ValueError.
+
+    The streams read the seed as one 64-bit word, so -1 and 2**64 - 1 would
+    otherwise run the same trials.
+    """
+    seed = whole_number(seed, "master seed")
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"master seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
     """Root word of each trial; its sub-streams are keyed ``mix_vec(trial, _SUB_...)``."""
     return mix_vec(mix(master_seed, _TRIAL_SALT), indices)
@@ -233,23 +248,48 @@ def _sphere_point(keys, ctr) -> np.ndarray:
     ``keys`` and ``ctr`` broadcast as in :func:`mix_vec`.  Both words of
     every point are hashed in one :func:`mix_vec` call, over a leading axis
     of length 2 whose two halves, the z words and the azimuth words, are
-    each contiguous.
+    each contiguous.  Past :data:`geometry.BLOCK` points, BLOCK-point slices
+    of the flattened broadcast are written into one result, so the
+    temporaries stay a block long; no bit moves.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ctr = np.asarray(ctr, dtype=np.uint64)
-    words = np.empty((2, *np.broadcast(keys, ctr).shape), dtype=np.uint64)
+    points = np.broadcast(keys, ctr)
+    if points.size <= BLOCK:
+        return _sphere_block(keys, ctr)
+    out = np.empty((points.size, 3))
+    keys, ctr = (np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
+    for lo in range(0, points.size, BLOCK):
+        part = slice(lo, lo + BLOCK)
+        _sphere_block(keys[part], ctr[part], out[part])
+    return out.reshape(*points.shape, 3)
+
+
+def _sphere_block(keys: np.ndarray, ctr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """:func:`_sphere_point` of one block of points, into ``out`` when given.
+
+    The counter words keep the counters' own shape, aligned to the keys'
+    trailing axes; the hash broadcasts them against the keys.
+    """
+    words = np.empty((2,) + (1,) * (keys.ndim - ctr.ndim) + ctr.shape, dtype=np.uint64)
     words[0] = ctr
     np.add(ctr, 1, out=words[1:])
     u = to_unit(mix_vec(keys, words))
-    return sphere_from_zphi(2.0 * u[0] - 1.0, _TWO_PI * u[1])
+    z, phi = u[0], u[1]   # views of one fresh array, scaled in place
+    z *= 2.0
+    z -= 1.0
+    phi *= _TWO_PI
+    return sphere_from_zphi(z, phi, out=out)
 
 
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
     """The per-trial codebook both parties derive from the shared master seed.
 
     The scalar image of the codebook key ``mix_vec(trial, _SUB_CODEBOOK)``.
-    Booleans and non-integral trial indices raise ValueError.
+    Seeds outside [0, 2**64), booleans and non-integral trial indices raise
+    ValueError.
     """
+    master_seed = _master_seed(master_seed)
     trial_index = whole_number(trial_index, "trial index")
     if not 0 <= trial_index < 1 << 64:
         raise ValueError(f"trial index must be in [0, 2**64), got {trial_index}")
@@ -263,9 +303,10 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     The sender is the per-round loop :func:`greedy.greedy_one_shot` over
     the binned codebook stream, independent of the shared schedule that
     :func:`alice_send` and :func:`run_trials` read.  Bit-identical to the
-    corresponding row of :func:`run_trials`.
+    corresponding row of :func:`run_trials`.  A seed outside [0, 2**64)
+    raises ValueError.
     """
-    trial = _trial_keys(master_seed, np.array([trial_index], dtype=np.uint64))
+    trial = _trial_keys(_master_seed(master_seed), np.array([trial_index], dtype=np.uint64))
     v = (np.asarray(state, float) if state is not None
          else _sphere_point(mix_vec(trial, _SUB_STATE), 1)[0])
     m = (np.asarray(meas, float) if meas is not None
@@ -302,10 +343,11 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
     acc_keys = mix_vec(trial, _SUB_ACCEPT)
 
     def draw(active, rounds):
-        ctr = rounds.astype(np.uint64)
-        x = _sphere_point(cb_keys[active, None], 2 * ctr)
-        coins = to_unit(mix_vec(acc_keys[active, None], ctr))
-        return bin_index(dot3(x, v[active, None]), bins), coins
+        # (width, active): the per-trial keys and states broadcast along the rows
+        ctr = rounds.astype(np.uint64)[:, None]
+        x = _sphere_point(cb_keys[active], 2 * ctr)
+        coins = to_unit(mix_vec(acc_keys[active], ctr))
+        return bin_index(dot3(x, v[active]), bins), coins
 
     accepted, _ = schedule.scan(count, draw, cap)
     points = _sphere_point(cb_keys, 2 * accepted.astype(np.uint64))
@@ -323,16 +365,22 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     ``state`` / ``meas`` fix the prepared state or measurement direction for
     every trial; when None they are drawn uniformly per trial from the
     trial's own counter stream.  The trials are split into one contiguous
-    span per worker thread (at most one per :data:`_TRIALS_PER_THREAD`
+    span per worker thread (at most one per whole :data:`_TRIALS_PER_THREAD`
     trials), each scanned at once; every row depends only on its trial
-    index, so any worker count yields bit-identical results.
+    index, so any worker count yields bit-identical results.  A seed outside
+    [0, 2**64) and a trial count that is not a whole number >= 0 raise
+    ValueError.
     """
+    master_seed = _master_seed(master_seed)
+    n_trials = whole_number(n_trials, "trial count")
+    if n_trials < 0:
+        raise ValueError(f"trial count must be >= 0, got {n_trials}")
     if state is not None:
         state = require_unit(state, "state")
     if meas is not None:
         meas = require_unit(meas, "measurement direction")
     schedule = _ks_schedule(bins)
-    spans = max(1, min(workers, -(-n_trials // _TRIALS_PER_THREAD)))
+    spans = max(1, min(workers, n_trials // _TRIALS_PER_THREAD))
     edges = [n_trials * k // spans for k in range(spans + 1)]
 
     def scan(k: int) -> TrialBatch:

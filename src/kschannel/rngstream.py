@@ -54,28 +54,39 @@ def mix(key: int, n: int) -> int:
 def mix_vec(key, n) -> np.ndarray:
     """Vectorized :func:`mix`; ``key`` and ``n`` broadcast as uint64 arrays.
 
-    Two scalars give one ``np.uint64`` word.
+    Two scalars give one ``np.uint64`` word.  The first step broadcasts the
+    two into the result; every later step writes into it or into one
+    scratch array.
     """
     key = np.asarray(key, dtype=np.uint64)
     n = np.asarray(n, dtype=np.uint64)
     if key.ndim == n.ndim == 0:
         # numpy scalar arithmetic warns on overflow; array arithmetic wraps, as the hash needs
         return mix_vec(key.reshape(1), n)[0]
-    z = key + _U_GOLDEN * n
-    z = (z ^ (z >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
-    z = z ^ (z >> _U31)
-    z = z ^ key
-    z = (z ^ (z >> _U30)) * _U_MIX1
-    z = (z ^ (z >> _U27)) * _U_MIX2
-    return z ^ (z >> _U31)
+    z = key + n * _U_GOLDEN
+    scratch = np.empty_like(z)
+    _finalize_into(z, scratch)
+    z ^= key
+    _finalize_into(z, scratch)
+    return z
+
+
+def _finalize_into(z: np.ndarray, scratch: np.ndarray) -> None:
+    """:func:`finalize64` of every word of ``z``, in place; ``scratch`` is overwritten."""
+    z ^= np.right_shift(z, _U30, scratch)
+    z *= _U_MIX1
+    z ^= np.right_shift(z, _U27, scratch)
+    z *= _U_MIX2
+    z ^= np.right_shift(z, _U31, scratch)
 
 
 def to_unit(word) -> np.ndarray | float:
     """Map 64-bit words to floats in the half-open interval [0, 1)."""
     if isinstance(word, (int, np.integer)):
         return float(int(word) >> 11) * _INV53
-    return (np.asarray(word, dtype=np.uint64) >> _U11).astype(np.float64) * _INV53
+    unit = (np.asarray(word, dtype=np.uint64) >> _U11).astype(np.float64)
+    unit *= _INV53
+    return unit
 
 
 def counter_uniforms(key: int):

@@ -11,7 +11,8 @@ import pytest
 
 from kschannel import KsModel, cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
-from kschannel.rngstream import mix
+from kschannel.protocol import _sphere_point
+from kschannel.rngstream import mix, mix_vec, to_unit
 from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
                            _stacked_sphere_from_zphi, _with_zeros, assert_bit_identical,
                            assert_fresh_vectors)
@@ -131,6 +132,54 @@ class TestKernelsAtBlockEdges:
 
 
 # Frozen whole-array forms of the two model commands before they were blocked.
+
+def _whole_array_sphere_point(keys, ctr):
+    keys = np.asarray(keys, dtype=np.uint64)
+    ctr = np.asarray(ctr, dtype=np.uint64)
+    u = to_unit(mix_vec(keys, np.stack([ctr, ctr + np.uint64(1)])))
+    return _stacked_sphere_from_zphi(2.0 * u[0] - 1.0, 2.0 * np.pi * u[1])
+
+
+class TestSpherePointAtBlockEdges:
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_one_key_per_point(self, n):
+        keys = np.random.default_rng(n).integers(0, 2**64, n, dtype=np.uint64, endpoint=False)
+        ctr = 2 * np.arange(1, n + 1, dtype=np.uint64)
+        out = _sphere_point(keys, ctr)
+        assert_bit_identical(out, _whole_array_sphere_point(keys, ctr))
+        assert_fresh_vectors(out, (n, 3))
+
+    @pytest.mark.parametrize("n", EDGE_ROWS)
+    def test_one_key_many_counters(self, n):
+        ctr = 2 * np.arange(1, n + 1, dtype=np.uint64)
+        assert_bit_identical(_sphere_point(12345, ctr), _whole_array_sphere_point(12345, ctr))
+
+    @pytest.mark.parametrize("rows, cols", [(1, BLOCK + 1), (1, 3 * BLOCK), (3, BLOCK // 2 + 1),
+                                            (7, 2 * BLOCK // 7 + 1)])
+    def test_scan_blocks_of_rounds_by_trials(self, rows, cols):
+        # the protocol's draws: (cols,) trial keys over (rows, 1) round counters; a
+        # block edge falls inside a row
+        keys = np.random.default_rng(rows).integers(0, 2**64, cols, dtype=np.uint64,
+                                                    endpoint=False)
+        ctr = 2 * np.arange(5, 5 + rows, dtype=np.uint64)[:, None]
+        out = _sphere_point(keys, ctr)
+        assert_bit_identical(out, _whole_array_sphere_point(keys, ctr))
+        assert_fresh_vectors(out, (rows, cols, 3))
+
+    def test_holds_one_block_of_temporaries(self):
+        # result (24 bytes/point) + 8 bytes/point of slack; the whole-array form
+        # holds the words, their hash and the heights and azimuths at once (88)
+        m = 1 << 18
+        keys = np.random.default_rng(3).integers(0, 2**64, m, dtype=np.uint64, endpoint=False)
+        ctr = 2 * np.arange(1, m + 1, dtype=np.uint64)
+        tracemalloc.start()
+        try:
+            _sphere_point(keys, ctr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 32
+
 
 def _whole_array_ks_sample(v, rng, n):
     z = np.sqrt(1.0 - rng.random(n))

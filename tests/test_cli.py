@@ -45,6 +45,8 @@ class TestUsageErrors:
         ["verify", "--state"],
         ["mi", "--trials", "999"],
         ["mi", "--trials", "1"],
+        *([command, "--seed", seed] for command in ("verify", "simulate", "mi", "cost")
+          for seed in ("-1", str(1 << 64), str((1 << 65) - 1), "7.5", "x")),
     ])
     def test_bad_arguments_exit_2(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -75,6 +77,10 @@ class TestUsageErrors:
             cli.main(["verify", f"--state={text}"])
         assert exc.value.code == 2
         assert "nonzero length" in capsys.readouterr().err
+
+    def test_seed_range_ends_are_accepted(self):
+        assert cli._seed_arg("0") == 0
+        assert cli._seed_arg(str((1 << 64) - 1)) == (1 << 64) - 1
 
     def test_largest_bin_count_is_accepted(self):
         assert cli._bins_arg(str(cli._MAX_BINS)) == cli._MAX_BINS
@@ -191,7 +197,8 @@ class TestSimulate:
         pinned = ["--state", "0.6,0,-0.8", "--meas", "-0.36,0.48,0.8"]
         # verify: 40000 samples are three blocks a cell; mi: 300000 are two chunks,
         # the second of 37856 rows
-        for argv in (["simulate", "--trials", "20000", "--seed", "5"],
+        # simulate: 98304 trials are three 2**15-trial spans at four workers
+        for argv in (["simulate", "--trials", str(3 << 15), "--seed", "5"],
                      ["verify", "--trials", "40000", "--seed", "5"],
                      ["verify", "--trials", "40000", "--seed", "5", *pinned],
                      ["mi", "--trials", "300000", "--seed", "5"]):

@@ -259,7 +259,7 @@ class TestSchedule:
                 u = draws.random(shape)
                 for row, run in enumerate(active.tolist()):
                     seen[run] += zip(rounds.tolist(), a[row].tolist(), u[row].tolist())
-                return a, u
+                return np.ascontiguousarray(a.T), np.ascontiguousarray(u.T)   # (width, active)
 
             got = GreedySchedule(target, proposal).scan(500, draw)
             assert np.array_equal(got[0], idx) and np.array_equal(got[1], sym)
@@ -279,9 +279,11 @@ class TestSchedule:
             keys = mix_vec(bins * 1000 + built, np.arange(1, 501))
 
             def draw(active, rounds):
-                # counter-addressed: a run's draws at a round never depend on the block
-                words = mix_vec(keys[active, None], 2 * rounds.astype(np.uint64))
-                coins = to_unit(mix_vec(keys[active, None], 2 * rounds.astype(np.uint64) + 1))
+                # counter-addressed: a run's draws at a round never depend on the block;
+                # one row per round, one column per run
+                ctr = 2 * rounds.astype(np.uint64)[:, None]
+                words = mix_vec(keys[active], ctr)
+                coins = to_unit(mix_vec(keys[active], ctr + 1))
                 return (words % np.uint64(bins)).astype(np.int64), coins
 
             lazy = GreedySchedule(target, proposal)
@@ -289,11 +291,11 @@ class TestSchedule:
             index, symbol = lazy.scan(500, draw)
             rounds = np.arange(1, index.max() + 1)
             symbols, coins = draw(np.arange(500), rounds)
-            hit = coins < full.accept_prob(symbols, rounds)
-            assert hit.any(axis=1).all()
-            first = np.argmax(hit, axis=1)
+            hit = coins < full.accept_prob(symbols, rounds[:, None])
+            assert hit.any(axis=0).all()
+            first = np.argmax(hit, axis=0)
             assert np.array_equal(index, rounds[first])
-            assert np.array_equal(symbol, symbols[np.arange(500), first])
+            assert np.array_equal(symbol, symbols[first, np.arange(500)])
             # built through the deepest acceptance and no deeper; the build stops
             # short at the floor round (about round 50 at 2 bins)
             assert lazy.rounds == min(max(built, index.max()), lazy.floor_round - 1)
@@ -308,16 +310,16 @@ class TestSchedule:
         full.extend(1000)
         assert full.floor_round == 120 and full.saturation[2] == 2
         runs = BLOCK // 40   # 40-round blocks once 64 rounds are done: 105..144 holds 120 and 131
-        symbols = np.zeros((runs, 200), dtype=np.int64)
-        symbols[:, 99:] = 2
-        coins = np.random.default_rng(4).random(symbols.shape)
+        symbols = np.zeros((200, runs), dtype=np.int64)   # one row per round
+        symbols[99:] = 2
+        coins = np.random.default_rng(4).random((runs, 200)).T
         for late_unsaturated in (False, True):
-            symbols[1, 130:] = 3 if late_unsaturated else 2
+            symbols[130:, 1] = 3 if late_unsaturated else 2
             blocks = []
 
             def draw(active, rounds):
                 blocks.append((rounds[0], rounds[-1]))
-                return symbols[active][:, rounds - 1], coins[active][:, rounds - 1]
+                return symbols[rounds - 1][:, active], coins[rounds - 1][:, active]
 
             lazy = GreedySchedule(target, proposal)
             lazy.extend(99)
@@ -337,7 +339,8 @@ class TestSchedule:
         def draw(active, rounds):
             asked.append(int(rounds[-1]))
             symbols = np.where(rounds == 70, 0, 1)
-            return np.tile(symbols, (active.size, 1)), np.zeros((active.size, rounds.size))
+            return (np.tile(symbols[:, None], (1, active.size)),
+                    np.zeros((rounds.size, active.size)))
 
         for cap in (70, 71, 1000):
             index, symbol = GreedySchedule(target, proposal).scan(5, draw, cap)

@@ -10,6 +10,7 @@ from scipy.stats import kstest
 from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
+from kschannel import protocol
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE, TrialBatch,
                                 _ks_schedule, _sphere_point, _trial_keys, alice_send,
                                 bin_index, bob_receive, discretize_ks, ks_bin_masses,
@@ -103,6 +104,20 @@ class TestCodebook:
         ctrs = rng.integers(0, 2**62, size=10_000)
         vec = mix_vec(keys.astype(np.uint64), ctrs.astype(np.uint64))
         for k, c, w in zip(keys, ctrs, vec):
+            assert mix(int(k), int(c)) == int(w)
+
+    @pytest.mark.parametrize("key_shape, ctr_shape", [((), ()), ((), (40,)), ((7,), (2, 5, 7))])
+    def test_in_place_hash_matches_mix_and_leaves_its_inputs(self, key_shape, ctr_shape):
+        # 0-d words; one key over many counters; the (active,) keys over the
+        # (2, width, active) counter words of a codebook block
+        rng = np.random.default_rng(sum(ctr_shape) + 1)
+        keys = rng.integers(0, 2**64, size=key_shape, dtype=np.uint64, endpoint=False)
+        ctrs = rng.integers(0, 2**64, size=ctr_shape, dtype=np.uint64, endpoint=False)
+        keys_before, ctrs_before = keys.copy(), ctrs.copy()
+        words = mix_vec(keys, ctrs)
+        assert np.shape(words) == np.broadcast_shapes(key_shape, ctr_shape)
+        assert np.array_equal(keys, keys_before) and np.array_equal(ctrs, ctrs_before)
+        for (k, c), w in zip(np.broadcast(keys, ctrs), np.ravel(words)):
             assert mix(int(k), int(c)) == int(w)
 
     def test_random_access_matches_batch(self):
@@ -272,6 +287,26 @@ class TestTrials:
             entry = trial_codebook(5050, t).entry(int(batch.accepted_index[t]))
             assert np.array_equal(batch.points[t], entry)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 65) - 1, True, 7.5])
+    def test_seed_outside_64_bits_raises(self, seed):
+        # mix masks its key to 64 bits, so these would alias seeds in range
+        with pytest.raises(ValueError, match="master seed"):
+            run_trials(seed, 10, 64)
+        with pytest.raises(ValueError, match="master seed"):
+            run_trial(seed, 0, 64)
+        with pytest.raises(ValueError, match="master seed"):
+            trial_codebook(seed, 0)
+
+    @pytest.mark.parametrize("n", [-1, 10.5, True, np.True_, "10"])
+    def test_trial_count_must_be_a_whole_number(self, n):
+        with pytest.raises(ValueError, match="trial count"):
+            run_trials(7, n, 64)
+
+    def test_seed_range_ends_and_integral_counts_run(self):
+        for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1)):
+            assert run_trials(seed, 3, 64).n == 3
+        assert run_trials(7, 3.0, 64).n == run_trials(7, np.int64(3), 64).n == 3
+
     def test_round_cap_propagates(self):
         with pytest.raises(ProtocolFailure):
             run_trials(3, 100, 4096, cap=1)
@@ -292,22 +327,42 @@ class TestTrials:
 
     @pytest.mark.parametrize("n, workers", [(0, 4), (1, 4), (8193, 2), (20_001, 3)])
     @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
-    def test_uneven_spans_match_one_worker(self, n, workers, fixed):
+    def test_uneven_spans_match_one_worker(self, monkeypatch, n, workers, fixed):
+        # a 4096-trial grain splits these small runs: 8193 trials into 4096 + 4097
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 4096)
+        spans = {0: 1, 1: 1, 8193: 2, 20_001: 3}[n]
         kw = ({"state": unit_vector(0.0, 0.6, 0.8), "meas": unit_vector(1.0, 0.0, 0.0)}
               if fixed else {})
         serial = run_trials(7, n, 64, workers=1, **kw)
+        split_into = []
+        parallel_map = protocol.parallel_map
+
+        def recording_map(work, items, threads):
+            split_into.append(len(items))
+            return parallel_map(work, items, threads)
+
+        monkeypatch.setattr(protocol, "parallel_map", recording_map)
         split = run_trials(7, n, 64, workers=workers, **kw)
+        assert split_into == [spans]
         for field in fields(TrialBatch):
             a, b = getattr(serial, field.name), getattr(split, field.name)
             assert (a.shape, a.dtype) == (b.shape, b.dtype), field.name
             assert np.array_equal(a, b), field.name
 
     def test_threads_are_bounded_by_the_trial_count(self, serial_pool):
-        split = run_trials(7, 20_000, 64, workers=10**6)
-        serial = run_trials(7, 20_000, 64, workers=1)
-        assert serial_pool == [3]   # ceil(20 000 / 8192) spans, not one per requested worker
+        n = 3 * protocol._TRIALS_PER_THREAD + 5
+        split = run_trials(7, n, 64, workers=10**6)
+        serial = run_trials(7, n, 64, workers=1)
+        assert serial_pool == [3]   # whole 2**15-trial spans, not one per requested worker
         for field in fields(TrialBatch):
             assert np.array_equal(getattr(split, field.name), getattr(serial, field.name))
+
+    def test_every_thread_gets_a_whole_grain_of_trials(self, serial_pool):
+        assert protocol._TRIALS_PER_THREAD == 1 << 15
+        run_trials(7, (1 << 16) - 1, 64, workers=2)
+        assert serial_pool == []    # one span: two would each hold fewer than 2**15 trials
+        run_trials(7, 1 << 16, 64, workers=2)
+        assert serial_pool == [2]
 
 
 class TestBlockScan:
@@ -495,10 +550,11 @@ class TestSharedSchedule:
             sys.setswitchinterval(switch)
         assert [out[t] for t in range(400)] == serial
 
-    def test_worker_threads_match_a_serial_run(self):
+    def test_worker_threads_match_a_serial_run(self, monkeypatch):
         _ks_schedule.cache_clear()
         serial = run_trials(19, 20_000, 4096)
         _ks_schedule.cache_clear()
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 20_000 // 3)
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
