@@ -100,43 +100,36 @@ def _vector_arg(text: str) -> tuple[float, float, float]:
     return (float(v[0]), float(v[1]), float(v[2]))
 
 
-def _bins_arg(text: str) -> int:
+def _bounded_int(text: str, what: str, low: int, high: int | None = None) -> int:
+    """``text`` as an int in [low, high]; anything else raises ArgumentTypeError (exit 2)."""
     try:
-        bins = int(text)
+        value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"bins must be an integer, got {text!r}") from None
-    if bins < 2 or bins % 2 or bins > _MAX_BINS:
-        raise argparse.ArgumentTypeError(
-            f"bins must be even and in [2, {_MAX_BINS}], got {bins}")
+        raise argparse.ArgumentTypeError(f"{what} must be an integer, got {text!r}") from None
+    if value < low or (high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise argparse.ArgumentTypeError(f"{what} must be {span}, got {value}")
+    return value
+
+
+def _bins_arg(text: str) -> int:
+    bins = _bounded_int(text, "bins", 2, _MAX_BINS)
+    if bins % 2:
+        raise argparse.ArgumentTypeError(f"bins must be even, got {bins}")
     return bins
 
 
 def _seed_arg(text: str) -> int:
-    try:
-        seed = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"seed must be an integer, got {text!r}") from None
-    if not 0 <= seed < 1 << 64:
-        # the counter streams read the seed as a 64-bit word; wider seeds would alias
-        raise argparse.ArgumentTypeError(f"seed must be in [0, 2**64), got {seed}")
-    return seed
+    # the counter streams read the seed as a 64-bit word; wider seeds would alias
+    return _bounded_int(text, "seed", 0, (1 << 64) - 1)
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+    return _bounded_int(text, "value", 1)
 
 
 def _mi_trials(text: str) -> int:
-    value = _positive_int(text)
-    if value < MIN_MI_SAMPLES:
-        raise argparse.ArgumentTypeError(f"mi needs at least {MIN_MI_SAMPLES} trials, got {value}")
-    return value
+    return _bounded_int(text, "mi trials", MIN_MI_SAMPLES)
 
 
 def _usable_cpus() -> int:
@@ -314,7 +307,7 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_mi(cfg: RunConfig) -> tuple[dict, bool]:
     """Exact entropies and the Monte Carlo mutual-information estimate."""
     rng = np.random.default_rng(mix(cfg.seed, _MI_SALT))
-    est = mc_mutual_information(KsModel(cfg.workers), cfg.trials, rng, workers=cfg.workers)
+    est = mc_mutual_information(KsModel(cfg.workers), cfg.trials, rng)
     exact = exact_ks_mi()
     bracket = est.brackets(exact)
     results = {

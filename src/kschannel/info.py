@@ -14,9 +14,9 @@ states occupy disjoint supports carry the full state description in each
 sample; their mutual information diverges and no finite entropy exists to
 compute, so no such number is offered here.
 
-The Monte Carlo estimate draws from the generator serially, in a fixed
-order, and evaluates its samples in BLOCK-row slices on as many threads as
-it is given; the estimate is the same bit for bit for every thread count.
+The Monte Carlo estimate draws from the generator in a fixed order and
+evaluates its samples in BLOCK-row slices, so only one block's temporaries
+are live at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BLOCK, parallel_map, require_unit
+from .coding import whole_number
+from .geometry import BLOCK, require_unit
 from .model import OntologicalModel
 
 _LN2 = np.log(2.0)
@@ -82,23 +83,24 @@ class MiEstimate:
         return abs(self.value - target) <= n_sigma * self.std_error
 
 
-def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Generator,
-                          workers: int = 1) -> MiEstimate:
+def mc_mutual_information(model: OntologicalModel, n: int,
+                          rng: np.random.Generator) -> MiEstimate:
     """Monte Carlo estimate of I(X:Psi) for any model exposing its densities.
 
     Draws states from the model prior, a model point per state, and averages
     log2[ conditional / marginal ] over the pairs; the standard error is the
-    sample deviation over sqrt(n).  Requires n >= MIN_MI_SAMPLES.  A
-    vanishing marginal at a sampled point is a hard error (it cannot occur
-    for the hemisphere model, whose marginal is constant).
+    sample deviation over sqrt(n).  Requires a whole number n >= MIN_MI_SAMPLES
+    (booleans and fractions raise ValueError).  A vanishing marginal at a
+    sampled point is a hard error (it cannot occur for the hemisphere model,
+    whose marginal is constant).
 
     Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
-    order whatever ``workers`` is (the model's own ``workers``, if it has
-    any, sets the threads of its samplers).  The densities and logarithms of
-    a chunk are evaluated on row slices of BLOCK pairs, on up to ``workers``
-    threads (see :func:`parallel_map`), and its sums are taken over the whole
-    chunk, so neither split nor the thread count moves a bit of the estimate.
+    order (the model's own ``workers``, if it has any, sets the threads of
+    its samplers).  The densities and logarithms of a chunk are evaluated on
+    row slices of BLOCK pairs and its sums are taken over the whole chunk, so
+    the split moves no bit of the estimate.
     """
+    n = whole_number(n, "sample count")
     if n < MIN_MI_SAMPLES:
         raise ValueError(f"need at least {MIN_MI_SAMPLES} samples for a usable estimate, got {n}")
     total = 0.0
@@ -109,16 +111,14 @@ def mc_mutual_information(model: OntologicalModel, n: int, rng: np.random.Genera
         states = model.sample_state(m, rng)
         x = model.sample_ontic(states, rng)
         w = np.empty(m)
-
-        def block(lo: int) -> None:
+        for lo in range(0, m, BLOCK):
             rows = slice(lo, lo + BLOCK)
             cond = np.asarray(model.conditional_density(x[rows], states[rows]), dtype=float)
             marg = np.asarray(model.marginal_density(x[rows]), dtype=float)
             if np.any(marg <= 0.0):
                 raise ValueError("marginal density vanished at a sampled point")
             np.log2(cond / marg, out=w[rows])
-
-        parallel_map(block, range(0, m, BLOCK), workers)
+        del cond, marg   # free the last block's temporaries before the next chunk is drawn
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m

@@ -224,16 +224,17 @@ def bob_receive(bits: str, codebook: Codebook, meas: Measurement) -> int:
     return int(ks_response(codebook.entry(index), meas))
 
 
-def _master_seed(seed) -> int:
-    """``seed`` as an int in [0, 2**64); anything else raises ValueError.
+def _word(value, what: str) -> int:
+    """``value`` as an int in [0, 2**64); anything else raises ValueError.
 
-    The streams read the seed as one 64-bit word, so -1 and 2**64 - 1 would
-    otherwise run the same trials.
+    The streams read seeds and trial indices as one 64-bit word, so -1 and
+    2**64 - 1 would otherwise run the same trials, and int() would truncate
+    1.5 or read True as 1.
     """
-    seed = whole_number(seed, "master seed")
-    if not 0 <= seed < 1 << 64:
-        raise ValueError(f"master seed must be in [0, 2**64), got {seed}")
-    return seed
+    value = whole_number(value, what)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} must be in [0, 2**64), got {value}")
+    return value
 
 
 def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
@@ -286,14 +287,12 @@ def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
     """The per-trial codebook both parties derive from the shared master seed.
 
     The scalar image of the codebook key ``mix_vec(trial, _SUB_CODEBOOK)``.
-    Seeds outside [0, 2**64), booleans and non-integral trial indices raise
-    ValueError.
+    Seeds and trial indices that are not whole numbers in [0, 2**64), and
+    booleans, raise ValueError.
     """
-    master_seed = _master_seed(master_seed)
-    trial_index = whole_number(trial_index, "trial index")
-    if not 0 <= trial_index < 1 << 64:
-        raise ValueError(f"trial index must be in [0, 2**64), got {trial_index}")
-    return Codebook(seed=mix(mix(mix(master_seed, _TRIAL_SALT), trial_index), _SUB_CODEBOOK))
+    trial = mix(mix(_word(master_seed, "master seed"), _TRIAL_SALT),
+                _word(trial_index, "trial index"))
+    return Codebook(seed=mix(trial, _SUB_CODEBOOK))
 
 
 def run_trial(master_seed: int, trial_index: int, bins: int,
@@ -303,10 +302,11 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     The sender is the per-round loop :func:`greedy.greedy_one_shot` over
     the binned codebook stream, independent of the shared schedule that
     :func:`alice_send` and :func:`run_trials` read.  Bit-identical to the
-    corresponding row of :func:`run_trials`.  A seed outside [0, 2**64)
-    raises ValueError.
+    corresponding row of :func:`run_trials`.  Seeds and trial indices are
+    checked as in :func:`trial_codebook`.
     """
-    trial = _trial_keys(_master_seed(master_seed), np.array([trial_index], dtype=np.uint64))
+    trial = _trial_keys(_word(master_seed, "master seed"),
+                        np.array([_word(trial_index, "trial index")], dtype=np.uint64))
     v = (np.asarray(state, float) if state is not None
          else _sphere_point(mix_vec(trial, _SUB_STATE), 1)[0])
     m = (np.asarray(meas, float) if meas is not None
@@ -371,7 +371,7 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     [0, 2**64) and a trial count that is not a whole number >= 0 raise
     ValueError.
     """
-    master_seed = _master_seed(master_seed)
+    master_seed = _word(master_seed, "master seed")
     n_trials = whole_number(n_trials, "trial count")
     if n_trials < 0:
         raise ValueError(f"trial count must be >= 0, got {n_trials}")

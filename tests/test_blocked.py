@@ -297,6 +297,6 @@ class TestModelCommandsAtBlockEdges:
     def test_mc_mutual_information(self, n, chunk):
         for workers in (1, 3):
             rng, frozen_rng = np.random.default_rng(5), np.random.default_rng(5)
-            est = mc_mutual_information(KsModel(workers), n, rng, workers=workers)
+            est = mc_mutual_information(KsModel(workers), n, rng)
             assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, chunk)
             assert rng.random() == frozen_rng.random()  # the generator was consumed the same way

@@ -237,9 +237,9 @@ class TestWorkers:
     def test_mi_chunks_ask_at_most_one_thread_per_block(self, capsys, serial_pool):
         _, split = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3",
                                      "--workers", "1000000"])
-        # per chunk: sample_state, sample_ontic, then the densities; the chunks hold
-        # 262144 rows (16 blocks) and 37856 rows (3 blocks, the last one short)
-        assert serial_pool == [16, 16, 16, 3, 3, 3]
+        # per chunk: sample_state and sample_ontic; the densities run on one thread. The
+        # chunks hold 262144 rows (16 blocks) and 37856 rows (3 blocks, the last one short)
+        assert serial_pool == [16, 16, 3, 3]
         _, serial = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3", "--workers", "1"])
         assert split["results"] == serial["results"]
 

@@ -140,6 +140,18 @@ class TestMcMutualInformation:
         with pytest.raises(ValueError):
             mc_mutual_information(KsModel(), 999, np.random.default_rng(0))
 
+    def test_whole_sample_counts_run_as_their_int(self):
+        want = mc_mutual_information(KsModel(), 2000, np.random.default_rng(6))
+        for n in (2000.0, np.int64(2000), np.float32(2000)):
+            est = mc_mutual_information(KsModel(), n, np.random.default_rng(6))
+            assert est == want
+            assert type(est.n_samples) is int
+
+    @pytest.mark.parametrize("n", [1000.5, True, np.True_, float("nan"), float("inf"), "2000"])
+    def test_sample_count_must_be_a_whole_number(self, n):
+        with pytest.raises(ValueError, match="sample count"):
+            mc_mutual_information(KsModel(), n, np.random.default_rng(0))
+
     def test_zero_marginal_is_an_error(self):
         with pytest.raises(ValueError, match="marginal"):
             mc_mutual_information(ZeroMarginalToy(), 2_000, np.random.default_rng(0))

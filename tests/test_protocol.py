@@ -458,6 +458,17 @@ class TestTrialCodebook:
         with pytest.raises(ValueError, match="whole number"):
             trial_codebook(7, t)
 
+    @pytest.mark.parametrize("t", [-1, 2**64, 1.5, True, np.True_, float("nan"), "1"])
+    def test_run_trial_checks_its_index_as_the_codebook_does(self, t):
+        # a uint64 array would overflow on -1 and 2**64 and read 1.5 and True as trial 1
+        with pytest.raises(ValueError, match="trial index"):
+            run_trial(7, t, 64)
+
+    def test_run_trial_takes_whole_floats_as_their_int(self):
+        a, b = run_trial(7, 2.0, 64), run_trial(7, 2, 64)
+        for f in fields(a):
+            assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
 
 class TestSender:
     SEED = 23
