@@ -15,15 +15,16 @@ import argparse
 import numpy as np
 
 from kschannel import run_trials
+from kschannel.cli import _bins_arg, _positive_int, _seed_arg
 from kschannel.protocol import ks_bin_masses
 from kschannel.rngstream import mix
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--trials", type=int, default=50_000)
-    parser.add_argument("--bins", type=int, nargs="+", default=[4, 16, 64, 256, 1024, 4096])
+    parser.add_argument("--seed", type=_seed_arg, default=7)
+    parser.add_argument("--trials", type=_positive_int, default=50_000)
+    parser.add_argument("--bins", type=_bins_arg, nargs="+", default=[4, 16, 64, 256, 1024, 4096])
     args = parser.parse_args()
 
     dots = (-1.0, -0.5, 0.0, 0.5, 1.0)

@@ -12,7 +12,9 @@ dispatches to) they were produced on; `tests/test_golden.py` compares only
 where both match.  The wire vectors pin the two-party path in the clear:
 for each pinned sender input, the bitstring and index `alice_send`
 transmits, the outcome `bob_receive` answers, and the codebook entry the
-receiver regenerates, as hex floats.
+receiver regenerates, as hex floats.  The quadrature block pins
+`born_plus_integral` over the acceptance suite's 13x13 angle grid, as hex
+floats.
 
     PYTHONPATH=src python scripts/golden.py            # print this tree's digests
     PYTHONPATH=src python scripts/golden.py --write    # rewrite tests/golden/model.json
@@ -35,7 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from kschannel import Measurement, cli, protocol
+from kschannel import Measurement, cli, protocol, sphere_from_zphi
+from kschannel.quadrature import born_plus_integral
 from kschannel.rngstream import counter_uniforms
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "model.json"
@@ -104,6 +107,10 @@ WIRE_CASES = {
 }
 
 
+#: state and measurement polar angles linspace(0, pi, QUADRATURE_ANGLES) at azimuth 0
+QUADRATURE_ANGLES = 13
+
+
 def platform_tag() -> str:
     """OS and machine, plus the SIMD targets this numpy build dispatches to here."""
     try:
@@ -147,6 +154,13 @@ def wire_vector(case: dict) -> dict:
             "entry": [float(c).hex() for c in codebook.entry(report.accepted_index)]}
 
 
+def quadrature_grid(angles: int) -> list[list[str]]:
+    """`born_plus_integral(v, m)` as hex floats: one row per state angle, one column per
+    measurement angle."""
+    points = [sphere_from_zphi(np.cos(a), 0.0) for a in np.linspace(0.0, np.pi, angles)]
+    return [[float(born_plus_integral(v, m)).hex() for m in points] for v in points]
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -160,6 +174,8 @@ def main() -> None:
         "rows": {name: {"run_trials": kwargs, "sha256": rows_digest(kwargs)}
                  for name, kwargs in ROW_CASES.items()},
         "wire": {name: {"inputs": case, **wire_vector(case)} for name, case in WIRE_CASES.items()},
+        "quadrature": {"angles": QUADRATURE_ANGLES,
+                       "born_plus": quadrature_grid(QUADRATURE_ANGLES)},
     }
     text = json.dumps(golden, indent=2) + "\n"
     if args.write:

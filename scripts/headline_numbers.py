@@ -14,15 +14,15 @@ import numpy as np
 
 from kschannel import (KsModel, conditional_entropy_ks, exact_ks_mi,
                        marginal_entropy_ks, mc_mutual_information, run_trials)
-from kschannel.cli import REFERENCE_COSTS
+from kschannel.cli import REFERENCE_COSTS, _bins_arg, _mi_trials, _seed_arg
 from kschannel.rngstream import mix
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--trials", type=int, default=200_000)
-    parser.add_argument("--bins", type=int, default=4096)
+    parser.add_argument("--seed", type=_seed_arg, default=7)
+    parser.add_argument("--trials", type=_mi_trials, default=200_000)
+    parser.add_argument("--bins", type=_bins_arg, default=4096)
     args = parser.parse_args()
 
     mi = exact_ks_mi()

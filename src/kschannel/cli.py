@@ -36,7 +36,7 @@ from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
 from .model import KsModel, ks_draws, ks_response
-from .protocol import ks_bin_masses, run_trials
+from .protocol import _MAX_BINS, ks_bin_masses, run_trials
 from .rngstream import mix
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2, 3
@@ -44,8 +44,6 @@ EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2, 3
 _DEFAULT_SEED = 7
 _DEFAULT_TRIALS = {"verify": 1_000_000, "simulate": 100_000, "mi": 1_000_000, "cost": 100_000}
 _DEFAULT_BINS = 4096
-#: largest --bins accepted; the protocol keeps several float arrays of this length
-_MAX_BINS = 1 << 20
 _GRID_ANGLES = 13
 
 _VERIFY_SALT = 0x766679

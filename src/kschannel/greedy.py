@@ -19,14 +19,15 @@ acceptance law has a simple shape: symbol a is accepted with probability 1
 before its saturation round k_a, with probability f_a at k_a, and never
 after it; from the first round whose remainder 1 - S is at most
 ``_REMAINDER_FLOOR``, every symbol with t(a) > 0 is accepted outright.
-The schedule is built lazily, only as deep as its readers' draws ask, and
-may be shared between threads: extension holds a lock, and readers only
-look at rounds that are already built.  :meth:`GreedySchedule.scan` runs
-many loops at once on draws its caller supplies (:func:`greedy_sample_batch`,
-the protocol's batched trials) as (rounds, runs) arrays, so each step works
-along a whole row of runs; the protocol's sender reads the schedule one
-trial at a time, and :func:`greedy_one_shot` keeps the per-round loop as
-the independent scalar reference.
+The schedule is built lazily, through the last round of each block its
+readers ask about, and may be shared between threads: extension holds a
+lock, and readers only look at rounds that are already built.
+:meth:`GreedySchedule.scan` runs many loops at once on draws its caller
+supplies (:func:`greedy_sample_batch`, the protocol's batched trials) as
+(rounds, runs) arrays, so each step works along a whole row of runs; the
+protocol's sender reads the schedule one trial at a time, and
+:func:`greedy_one_shot` keeps the per-round loop as the independent scalar
+reference.
 """
 
 from __future__ import annotations
@@ -105,9 +106,10 @@ class GreedySchedule:
 
     One schedule may serve several threads.  :meth:`extend` holds a lock
     and publishes ``rounds`` only after every value of those rounds is
-    written, so a reader that asks only about rounds up to :attr:`depth`
-    needs no lock: a saturation round it sees beyond them only tells it
-    that the symbol is still accepted in full.
+    written, so a reader that asks only about built rounds (every round,
+    once ``floor_round`` is known) needs no lock: a saturation round it
+    sees beyond them only tells it that the symbol is still accepted in
+    full.
     """
 
     def __init__(self, target: DiscreteDistribution, proposal: DiscreteDistribution):
@@ -129,15 +131,9 @@ class GreedySchedule:
         self._live_s = np.zeros(self._live.size)
         self._lock = threading.Lock()
 
-    @property
-    def depth(self) -> int:
-        """Last round whose acceptance law is built; every round once the floor round is known."""
-        rounds = self.rounds
-        return rounds if self.floor_round == _UNSATURATED else _UNSATURATED
-
     def extend(self, rounds: int) -> None:
         """Build the schedule through round ``rounds``; a no-op once the floor round is known."""
-        if rounds <= self.depth:
+        if rounds <= self.rounds or self.floor_round != _UNSATURATED:
             return
         with self._lock:
             self._extend(rounds)
@@ -188,44 +184,28 @@ class GreedySchedule:
         every step below runs along whole rows.  The width is a
         :data:`geometry.BLOCK` element budget over the active runs, capped
         at the rounds done and at ``cap``, past which a waiting run raises
-        :class:`ProtocolFailure`.  Rows the schedule covers are decided at
-        once; a run's first accepting row is the least row number among its
-        hits.  Past them a waiting run cannot accept before its first draw
-        of a not yet saturated symbol (unless the floor round comes first,
-        which ends the build), nor in the block if it has none; so the
-        schedule is extended to the latest such round, and this repeats.  It
-        is never built deeper than the latest accepted index.
+        :class:`ProtocolFailure`.  Each block is decided whole by one
+        :meth:`accept_prob` call, which builds the schedule through its last
+        round; a run's first accepting row is the least row number among its
+        hits, and the runs with none wait for the next block.
         """
         index = np.zeros(runs, dtype=np.int64)
         symbol = np.zeros(runs, dtype=np.int64)
         active = np.arange(runs)
-        done, rounds = 0, np.arange(0)   # rounds: the undecided rows of the last block
+        done = 0
         while active.size:
-            if not rounds.size:
-                if done >= cap:
-                    raise ProtocolFailure(f"no acceptance within {cap} rounds")
-                width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
-                rounds = np.arange(done + 1, done + width + 1)
-                symbols, coins = draw(active, rounds)
-                done += width
-            depth = self.depth
-            known = int(np.searchsorted(rounds, depth, side="right"))
-            if not known:
-                live = self.saturation[symbols] > depth
-                last = rounds.size - 1
-                reach = np.where(live, np.arange(rounds.size)[:, None], last).min(axis=0)
-                self.extend(int(rounds[reach.max()]))
-                continue
-            hit = coins[:known] < self.accept_prob(symbols[:known], rounds[:known, None])
-            first = np.where(hit, np.arange(known)[:, None], known).min(axis=0)
-            won = (first < known).nonzero()[0]
+            if done >= cap:
+                raise ProtocolFailure(f"no acceptance within {cap} rounds")
+            width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
+            rounds = np.arange(done + 1, done + width + 1)
+            symbols, coins = draw(active, rounds)
+            done += width
+            hit = coins < self.accept_prob(symbols, rounds[:, None])
+            first = np.where(hit, np.arange(width)[:, None], width).min(axis=0)
+            won = (first < width).nonzero()[0]
             index[active[won]] = rounds[first[won]]
             symbol[active[won]] = symbols[first[won], won]
-            wait = (first == known).nonzero()[0]
-            active, rounds = active[wait], rounds[known:]
-            if rounds.size:   # the waiting runs' draws are still needed
-                symbols = symbols[known:].take(wait, axis=1)
-                coins = coins[known:].take(wait, axis=1)
+            active = active[first == width]
         return index, symbol
 
 

@@ -12,19 +12,20 @@ the 1-D binning of the height z = v.x, of order 1/bins.
 
 The bin laws do not depend on the state, so one :class:`GreedySchedule`
 per bin count (:func:`_ks_schedule`) is built once per process and serves
-every trial and worker thread; it is extended, under its lock, only as
-deep as the deepest first acceptance asks.  :func:`run_trials` hands each
-worker's span of trials to :meth:`GreedySchedule.scan`, which asks for
-blocks of rounds: the span draws the bins of the codebook points and the
-coins of rounds done+1 .. done+R for every still-active trial as
-(R, active) arrays, one row per round, and the scan ends each trial at its
-first accepting round.  The receiver's point is then regenerated once per
-trial from its accepted index, by the formula :func:`bob_receive` uses.
+every trial and worker thread; it is extended, under its lock, through the
+last round of each block read.  :func:`run_trials` hands each worker's
+span of trials to :meth:`GreedySchedule.scan`, which asks for blocks of
+rounds: the span draws the bins of the codebook points and the coins of
+rounds done+1 .. done+R for every still-active trial as (R, active)
+arrays, one row per round, and the scan ends each trial at its first
+accepting round.  The receiver's point is then regenerated once per trial
+from its accepted index, by the formula :func:`bob_receive` uses.
 :func:`alice_send` scans one trial in blocks of 8, 16, 32, ... rounds,
-taking one coin per round up to its acceptance.  Every draw is the counter
-word the one-round-at-a-time reference (:func:`greedy.greedy_one_shot`,
-which :func:`run_trial` uses) reads, so all paths give the same trial bit
-for bit.
+reading each block's acceptance law at once and taking one coin per round
+up to its acceptance.  Every draw is the counter word the
+one-round-at-a-time reference (:func:`greedy.greedy_one_shot`, which
+:func:`run_trial` uses) reads, so all paths give the same trial bit for
+bit.  Bin counts must be even whole numbers in [2, :data:`_MAX_BINS`].
 
 Wire format: the raw Elias delta bitstring of the accepted index, most
 significant bit first, no padding.  Everything is deterministic given the
@@ -67,6 +68,29 @@ _ENTRY_LIMIT = 1 << 63
 _INDEX_RANGE = "codebook entries are indexed in [1, 2**63)"
 _WHOLE_INDEX = "codebook indices must be whole numbers"
 _BOOL_INDEX = "codebook indices must be whole numbers, not booleans"
+#: largest bin count accepted; the protocol keeps several float arrays of this length
+_MAX_BINS = 1 << 20
+
+
+def _word(value, what: str) -> int:
+    """``value`` as an int in [0, 2**64); anything else raises ValueError.
+
+    The streams read seeds and trial indices as one 64-bit word, so -1 and
+    2**64 - 1 would otherwise run the same trials, and int() would truncate
+    1.5 or read True as 1.
+    """
+    value = whole_number(value, what)
+    if not 0 <= value < 1 << 64:
+        raise ValueError(f"{what} must be in [0, 2**64), got {value}")
+    return value
+
+
+def _bin_count(bins) -> int:
+    """``bins`` as an even int in [2, :data:`_MAX_BINS`]; anything else raises ValueError."""
+    bins = whole_number(bins, "bins")
+    if not 2 <= bins <= _MAX_BINS or bins % 2:
+        raise ValueError(f"bins must be even and in [2, {_MAX_BINS}], got {bins}")
+    return bins
 
 
 @dataclass(frozen=True)
@@ -75,11 +99,14 @@ class Codebook:
 
     Entry i in [1, 2**63) is the :func:`_sphere_point` of the counter
     words (2i, 2i+1) of the seed's stream.  Both parties reconstruct any
-    entry independently, bit for bit.  Indices outside that range,
-    booleans and non-integral floats raise ValueError.
+    entry independently, bit for bit.  Seeds outside [0, 2**64), indices
+    outside [1, 2**63), booleans and non-integral floats raise ValueError.
     """
 
     seed: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "seed", _word(self.seed, "codebook seed"))
 
     def entries(self, indices) -> np.ndarray:
         raw = np.asarray(indices)
@@ -138,8 +165,7 @@ def ks_bin_masses(bins: int) -> np.ndarray:
     Bins partition z in [-1, 1] uniformly; ``bins`` must be even so that an
     edge falls exactly on z = 0 and no bin straddles the support boundary.
     """
-    if bins < 2 or bins % 2:
-        raise ValueError(f"bins must be even and >= 2, got {bins}")
+    bins = _bin_count(bins)
     j = np.arange(bins + 1, dtype=float)
     edges = np.clip((2.0 * j - bins) / bins, 0.0, 1.0)
     return edges[1:] ** 2 - edges[:-1] ** 2
@@ -172,6 +198,7 @@ def discretize_ks(v, bins: int):
     sphere points to their bin.
     """
     v = require_unit(v, "state v")
+    bins = _bin_count(bins)
     target, proposal = _ks_laws(bins)
 
     def binner(x) -> np.ndarray:
@@ -191,6 +218,7 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms,
     rounds or the coins run out first.
     """
     state = require_unit(state, "state")
+    bins = _bin_count(bins)
     schedule = _ks_schedule(bins)
     coins = iter(accept_uniforms)
     done, width = 0, _SEND_BLOCK
@@ -200,11 +228,7 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms,
             raise ProtocolFailure(f"no acceptance within {cap} rounds")
         rounds = np.arange(done + 1, done + width + 1)
         bidx = bin_index(dot3(_sphere_point(codebook.seed, 2 * rounds), state), bins)
-        known = int(np.searchsorted(rounds, schedule.depth, side="right"))
-        prob = schedule.accept_prob(bidx[:known], rounds[:known]).tolist() if known else []
-        for j in range(width):
-            # past the built rounds the schedule is extended one round at a time
-            p = prob[j] if j < known else float(schedule.accept_prob(bidx[j], rounds[j]))
+        for j, p in enumerate(schedule.accept_prob(bidx, rounds).tolist()):
             try:
                 u = float(next(coins))
             except StopIteration:
@@ -222,19 +246,6 @@ def bob_receive(bits: str, codebook: Codebook, meas: Measurement) -> int:
     """Receiver half: decode the index, regenerate the point, answer the measurement."""
     index = elias_delta_decode(bits)
     return int(ks_response(codebook.entry(index), meas))
-
-
-def _word(value, what: str) -> int:
-    """``value`` as an int in [0, 2**64); anything else raises ValueError.
-
-    The streams read seeds and trial indices as one 64-bit word, so -1 and
-    2**64 - 1 would otherwise run the same trials, and int() would truncate
-    1.5 or read True as 1.
-    """
-    value = whole_number(value, what)
-    if not 0 <= value < 1 << 64:
-        raise ValueError(f"{what} must be in [0, 2**64), got {value}")
-    return value
 
 
 def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
@@ -379,6 +390,7 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
         state = require_unit(state, "state")
     if meas is not None:
         meas = require_unit(meas, "measurement direction")
+    bins = _bin_count(bins)
     schedule = _ks_schedule(bins)
     spans = max(1, min(workers, n_trials // _TRIALS_PER_THREAD))
     edges = [n_trials * k // spans for k in range(spans + 1)]

@@ -1,6 +1,7 @@
 """Pinned outputs: every command's results and every pinned `run_trials` batch
-must hash to tests/golden/model.json, and every pinned wire trial must send,
-answer and regenerate what it records.
+must hash to tests/golden/model.json, every pinned wire trial must send,
+answer and regenerate what it records, and the Born quadrature must give the
+recorded hex floats over its angle grid.
 
 The digests are of floating-point reports, so they are compared only on the
 numpy version and platform they were recorded on; anywhere else the tests
@@ -28,6 +29,7 @@ def test_golden_file_covers_every_case():
     assert {name: case["argv"] for name, case in RECORDED["cases"].items()} == golden.CASES
     assert {name: case["run_trials"] for name, case in RECORDED["rows"].items()} == golden.ROW_CASES
     assert {name: case["inputs"] for name, case in RECORDED["wire"].items()} == golden.WIRE_CASES
+    assert RECORDED["quadrature"]["angles"] == golden.QUADRATURE_ANGLES
 
 
 def _require_recorded_platform():
@@ -57,3 +59,9 @@ def test_wire_vectors_match_golden(name):
     _require_recorded_platform()
     case = dict(RECORDED["wire"][name])
     assert golden.wire_vector(case.pop("inputs")) == case
+
+
+def test_born_quadrature_matches_golden():
+    _require_recorded_platform()
+    case = RECORDED["quadrature"]
+    assert golden.quadrature_grid(case["angles"]) == case["born_plus"]

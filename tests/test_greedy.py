@@ -277,10 +277,12 @@ class TestSchedule:
         full = GreedySchedule(target, proposal)
         for built in (0, 5, 60):
             keys = mix_vec(bins * 1000 + built, np.arange(1, 501))
+            ends = []
 
             def draw(active, rounds):
                 # counter-addressed: a run's draws at a round never depend on the block;
                 # one row per round, one column per run
+                ends.append(int(rounds[-1]))
                 ctr = 2 * rounds.astype(np.uint64)[:, None]
                 words = mix_vec(keys[active], ctr)
                 coins = to_unit(mix_vec(keys[active], ctr + 1))
@@ -289,6 +291,7 @@ class TestSchedule:
             lazy = GreedySchedule(target, proposal)
             lazy.extend(built)
             index, symbol = lazy.scan(500, draw)
+            last_end = ends[-1]
             rounds = np.arange(1, index.max() + 1)
             symbols, coins = draw(np.arange(500), rounds)
             hit = coins < full.accept_prob(symbols, rounds[:, None])
@@ -296,9 +299,11 @@ class TestSchedule:
             first = np.argmax(hit, axis=0)
             assert np.array_equal(index, rounds[first])
             assert np.array_equal(symbol, symbols[first, np.arange(500)])
-            # built through the deepest acceptance and no deeper; the build stops
-            # short at the floor round (about round 50 at 2 bins)
-            assert lazy.rounds == min(max(built, index.max()), lazy.floor_round - 1)
+            # built through the last round of the last block drawn, which holds the
+            # deepest acceptance, and no deeper; the build stops short at the floor
+            # round (about round 50 at 2 bins)
+            assert last_end == max(ends) >= index.max()
+            assert lazy.rounds == min(max(built, last_end), lazy.floor_round - 1)
 
     def test_first_accept_reaches_the_floor_round_through_saturated_draws(self):
         # at 4 bins symbol 0 is never wanted, symbol 2 saturates at round 2 and
@@ -326,7 +331,7 @@ class TestSchedule:
             index, symbol = lazy.scan(runs, draw)
             assert (105, 144) in blocks
             assert np.all(index == 120) and np.all(symbol == 2)
-            # the build stops at the floor round, not at the unsaturated draw of round 131
+            # the build stops at the floor round, not at the end (144) of the block holding it
             assert lazy.rounds == 119 and lazy.floor_round == 120
 
     def test_scan_raises_at_the_cap_and_draws_no_further(self):

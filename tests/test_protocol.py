@@ -11,8 +11,8 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import protocol
-from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE, TrialBatch,
-                                _ks_schedule, _sphere_point, _trial_keys, alice_send,
+from kschannel.protocol import (_SEND_BLOCK, _SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
+                                TrialBatch, _ks_schedule, _sphere_point, _trial_keys, alice_send,
                                 bin_index, bob_receive, discretize_ks, ks_bin_masses,
                                 run_trial, run_trials, trial_codebook)
 from kschannel.quadrature import min_overlap_integral
@@ -469,6 +469,46 @@ class TestTrialCodebook:
         for f in fields(a):
             assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5, True, np.True_, float("nan"), "1"])
+    def test_codebook_checks_its_seed(self, seed):
+        # 1.5, True and "1" gave seed 1's entries; -1 and 2**64 raised OverflowError
+        with pytest.raises(ValueError, match="codebook seed"):
+            Codebook(seed=seed)
+
+    def test_codebook_takes_whole_seeds_as_their_int(self):
+        assert Codebook(seed=3.0) == Codebook(seed=np.uint64(3)) == Codebook(seed=3)
+        assert type(Codebook(seed=np.uint64(2**64 - 1)).seed) is int
+
+
+class TestBinCount:
+    def outputs(self, bins):
+        v, codebook, key = trial_inputs(7, 3)
+        batch = run_trials(7, 50, bins)
+        return ([getattr(batch, f.name) for f in fields(batch)],
+                alice_send(v, codebook, bins, counter_uniforms(key))[0],
+                run_trial(7, 3, bins).accepted_index)
+
+    @pytest.mark.parametrize("bins", [4.0, np.int64(4), np.float32(4)])
+    def test_whole_values_run_as_their_int(self, bins):
+        _ks_schedule.cache_clear()
+        rows, bits, index = self.outputs(4)
+        schedule = _ks_schedule(4)
+        got_rows, got_bits, got_index = self.outputs(bins)
+        assert _ks_schedule(4) is schedule   # the same cache entry
+        assert all(np.array_equal(a, b) for a, b in zip(rows, got_rows, strict=True))
+        assert (got_bits, got_index) == (bits, index)
+
+    @pytest.mark.parametrize("bins", [0, 3, -2, 4.5, "4", True, np.True_, float("nan"),
+                                      float("inf"), 2**40, protocol._MAX_BINS + 2])
+    def test_rejects_bad_bin_counts(self, bins):
+        # 4.5 and "4" raised a raw TypeError, and 2**40 a MemoryError
+        v, codebook, key = trial_inputs(7, 3)
+        for run in (lambda: run_trials(7, 10, bins),
+                    lambda: alice_send(v, codebook, bins, counter_uniforms(key)),
+                    lambda: run_trial(7, 3, bins)):
+            with pytest.raises(ValueError, match="bins"):
+                run()
+
 
 class TestSender:
     SEED = 23
@@ -522,18 +562,25 @@ class TestSharedSchedule:
 
     @pytest.mark.parametrize("bins", [64, 4096])
     def test_built_no_deeper_than_the_deepest_acceptance(self, bins):
+        # run_trials builds through the end of its last block, which holds the deepest
+        # acceptance and, by the scan's width rule, ends by round 2 (deepest - 1)
         for seed in (19, 301):
             _ks_schedule.cache_clear()   # build the schedule from round 0
-            batch = run_trials(seed, 10_000, bins)
-            schedule = _ks_schedule(bins)
-            assert schedule.depth == schedule.rounds == batch.accepted_index.max()
+            deepest = int(run_trials(seed, 10_000, bins).accepted_index.max())
+            assert deepest <= _ks_schedule(bins).rounds <= max(1, 2 * (deepest - 1))
+        # alice_send builds through the end of the 8, 16, 32, ... round block that holds
+        # its acceptance: rounds 8, 24, 56, ..., 8 (2**k - 1)
         _ks_schedule.cache_clear()
-        deepest = 0
+        built = 0
         for t in range(300):
             v, codebook, key = trial_inputs(7, t)
             _, report = alice_send(v, codebook, bins, counter_uniforms(key))
-            deepest = max(deepest, report.accepted_index)
-            assert _ks_schedule(bins).rounds == deepest
+            end = _SEND_BLOCK
+            while end < report.accepted_index:
+                end = 2 * end + _SEND_BLOCK
+            schedule = _ks_schedule(bins)
+            built = min(max(built, end), schedule.floor_round - 1)
+            assert schedule.rounds == built
 
     def test_concurrent_senders_match_a_serial_run(self):
         def send(t):

@@ -32,3 +32,22 @@ def test_script_runs(name, args, headers):
         assert any(line.startswith(header) for line in lines), header
     if name == "bin_sweep.py":
         assert [line.split()[0] for line in lines[1:]] == ["4", "16"]
+
+
+@pytest.mark.parametrize("name, args", [
+    ("headline_numbers.py", ["--trials", "10"]),
+    ("headline_numbers.py", ["--bins", "3"]),
+    ("headline_numbers.py", ["--seed", "-1"]),
+    ("headline_numbers.py", ["--seed", "1.5"]),
+    ("bin_sweep.py", ["--bins", "3"]),
+    ("bin_sweep.py", ["--bins", "4", "4.0"]),
+    ("bin_sweep.py", ["--seed", "-1"]),
+    ("bin_sweep.py", ["--seed", str(2**64)]),
+    ("bin_sweep.py", ["--trials", "0"]),
+])
+def test_script_rejects_bad_arguments(name, args):
+    # a usage error, before any work: exit 2 and argparse's message, not a traceback
+    proc = run_script(name, *args)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error:" in proc.stderr
