@@ -12,8 +12,8 @@ import argparse
 
 import numpy as np
 
-from kschannel import (KsModel, conditional_entropy_ks, exact_ks_mi,
-                       marginal_entropy_ks, mc_mutual_information, run_trials)
+from kschannel import (conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
+                       mc_mutual_information, run_trials)
 from kschannel.cli import REFERENCE_COSTS, _bins_arg, _mi_trials, _seed_arg
 from kschannel.rngstream import mix
 
@@ -31,7 +31,7 @@ def main() -> None:
     print(f"  marginal entropy    h(X)       {marginal_entropy_ks():.6f}")
     print(f"  mutual information  I(X:Psi)   {mi:.6f}   = 2 - 1/(2 ln 2)")
 
-    est = mc_mutual_information(KsModel(), args.trials, np.random.default_rng(mix(args.seed, 1)))
+    est = mc_mutual_information(args.trials, np.random.default_rng(mix(args.seed, 1)))
     print(f"\nMonte Carlo I(X:Psi) at n={est.n_samples}: {est.value:.5f} +/- {est.std_error:.5f}")
 
     batch = run_trials(mix(args.seed, 2), args.trials, args.bins)

@@ -16,10 +16,9 @@ from .geometry import (Measurement, born_from_dot, born_probability, random_unit
                        require_unit, rotate_to_frame, sphere_from_zphi, unit_vector)
 from .greedy import (DiscreteDistribution, ProtocolFailure, greedy_one_shot,
                      greedy_sample_batch)
-from .info import (MiEstimate, conditional_entropy_ks, exact_ks_mi, kl_divergence_ks,
-                   marginal_entropy_ks, mc_mutual_information)
-from .model import (KsModel, OntologicalModel, ks_density, ks_marginal, ks_response,
-                    ks_sample)
+from .info import (MiEstimate, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
+                   mc_mutual_information)
+from .model import ks_density, ks_response, ks_sample
 from .protocol import (Codebook, TrialBatch, TrialReport, alice_send, bob_receive,
                        discretize_ks, ks_bin_masses, run_trial, run_trials,
                        trial_codebook)
@@ -28,9 +27,9 @@ __all__ = [
     "__version__",
     "Measurement", "born_from_dot", "born_probability", "random_unit_vec",
     "require_unit", "rotate_to_frame", "sphere_from_zphi", "unit_vector",
-    "KsModel", "OntologicalModel", "ks_density", "ks_marginal", "ks_response", "ks_sample",
-    "MiEstimate", "conditional_entropy_ks", "exact_ks_mi", "kl_divergence_ks",
-    "marginal_entropy_ks", "mc_mutual_information",
+    "ks_density", "ks_response", "ks_sample",
+    "MiEstimate", "conditional_entropy_ks", "exact_ks_mi", "marginal_entropy_ks",
+    "mc_mutual_information",
     "DecodeError", "code_lengths", "elias_delta_decode", "elias_delta_encode",
     "DiscreteDistribution", "ProtocolFailure", "greedy_one_shot", "greedy_sample_batch",
     "Codebook", "TrialBatch", "TrialReport", "alice_send", "bob_receive",

@@ -35,8 +35,8 @@ from .geometry import (BLOCK, Measurement, born_from_dot, parallel_map, random_u
 from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
-from .model import KsModel, ks_draws, ks_response
-from .protocol import _MAX_BINS, ks_bin_masses, run_trials
+from .model import ks_draws, ks_response
+from .protocol import _MAX_BINS, _bin_count, ks_bin_masses, run_trials
 from .rngstream import mix
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2, 3
@@ -111,10 +111,11 @@ def _bounded_int(text: str, what: str, low: int, high: int | None = None) -> int
 
 
 def _bins_arg(text: str) -> int:
-    bins = _bounded_int(text, "bins", 2, _MAX_BINS)
-    if bins % 2:
-        raise argparse.ArgumentTypeError(f"bins must be even, got {bins}")
-    return bins
+    # protocol._bin_count owns the rule (even, in [2, _MAX_BINS]); here it is only an exit 2
+    try:
+        return _bin_count(_bounded_int(text, "bins", 2))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _seed_arg(text: str) -> int:
@@ -305,7 +306,8 @@ def cmd_simulate(cfg: RunConfig) -> tuple[dict, bool]:
 def cmd_mi(cfg: RunConfig) -> tuple[dict, bool]:
     """Exact entropies and the Monte Carlo mutual-information estimate."""
     rng = np.random.default_rng(mix(cfg.seed, _MI_SALT))
-    est = mc_mutual_information(KsModel(cfg.workers), cfg.trials, rng)
+    # n by keyword: perfbench/tracer.py counts mi's samples from kwargs["n"], else args[1]
+    est = mc_mutual_information(n=cfg.trials, rng=rng, workers=cfg.workers)
     exact = exact_ks_mi()
     bracket = est.brackets(exact)
     results = {

@@ -14,9 +14,10 @@ states occupy disjoint supports carry the full state description in each
 sample; their mutual information diverges and no finite entropy exists to
 compute, so no such number is offered here.
 
-The Monte Carlo estimate draws from the generator in a fixed order and
-evaluates its samples in BLOCK-row slices, so only one block's temporaries
-are live at a time.
+The Monte Carlo estimate draws uniform states and the model's points from
+the generator in a fixed order and divides each conditional density by the
+constant marginal 1/(4 pi) in BLOCK-row slices, so only one block's
+temporaries are live at a time.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import whole_number
-from .geometry import BLOCK, require_unit
-from .model import OntologicalModel
+from .geometry import BLOCK, random_unit_vec
+from .model import MARGINAL_DENSITY, ks_density, ks_sample
 
 _LN2 = np.log(2.0)
 
@@ -58,18 +59,6 @@ def marginal_entropy_ks() -> float:
     return float(np.log2(4.0 * np.pi))
 
 
-def kl_divergence_ks(v) -> float:
-    """D( rho(.|v) || rho(.) ) in bits; equal to I(X:Psi) for every unit v.
-
-    The density ratio on the support is 4 (v.x), so the divergence is the
-    1-D integral int_0^1 2z log2(4z) dz = 2 - 1/(2 ln 2), independent of v
-    by rotational symmetry.  The tests check that closed form against the
-    integral by quadrature.
-    """
-    require_unit(v, "state v")
-    return exact_ks_mi()
-
-
 @dataclass(frozen=True)
 class MiEstimate:
     """Monte Carlo mutual-information estimate with its standard error."""
@@ -83,22 +72,20 @@ class MiEstimate:
         return abs(self.value - target) <= n_sigma * self.std_error
 
 
-def mc_mutual_information(model: OntologicalModel, n: int,
-                          rng: np.random.Generator) -> MiEstimate:
-    """Monte Carlo estimate of I(X:Psi) for any model exposing its densities.
+def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) -> MiEstimate:
+    """Monte Carlo estimate of I(X:Psi) for the hemisphere model.
 
-    Draws states from the model prior, a model point per state, and averages
-    log2[ conditional / marginal ] over the pairs; the standard error is the
+    Draws uniform states, one model point per state, and averages
+    log2[ rho(x|v) / rho(x) ] over the pairs, where rho(x) is the constant
+    :data:`~kschannel.model.MARGINAL_DENSITY`; the standard error is the
     sample deviation over sqrt(n).  Requires a whole number n >= MIN_MI_SAMPLES
-    (booleans and fractions raise ValueError).  A vanishing marginal at a
-    sampled point is a hard error (it cannot occur for the hemisphere model,
-    whose marginal is constant).
+    (booleans and fractions raise ValueError).
 
     Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
-    order (the model's own ``workers``, if it has any, sets the threads of
-    its samplers).  The densities and logarithms of a chunk are evaluated on
-    row slices of BLOCK pairs and its sums are taken over the whole chunk, so
-    the split moves no bit of the estimate.
+    order, by samplers mapped on up to ``workers`` threads.  The densities and
+    logarithms of a chunk are evaluated on row slices of BLOCK pairs and its
+    sums are taken over the whole chunk, so neither the split nor ``workers``
+    moves a bit of the estimate.
     """
     n = whole_number(n, "sample count")
     if n < MIN_MI_SAMPLES:
@@ -108,17 +95,12 @@ def mc_mutual_information(model: OntologicalModel, n: int,
     done = 0
     while done < n:
         m = min(_MI_CHUNK, n - done)
-        states = model.sample_state(m, rng)
-        x = model.sample_ontic(states, rng)
+        states = random_unit_vec(rng, m, workers)
+        x = ks_sample(states, rng, workers=workers)
         w = np.empty(m)
         for lo in range(0, m, BLOCK):
             rows = slice(lo, lo + BLOCK)
-            cond = np.asarray(model.conditional_density(x[rows], states[rows]), dtype=float)
-            marg = np.asarray(model.marginal_density(x[rows]), dtype=float)
-            if np.any(marg <= 0.0):
-                raise ValueError("marginal density vanished at a sampled point")
-            np.log2(cond / marg, out=w[rows])
-        del cond, marg   # free the last block's temporaries before the next chunk is drawn
+            np.log2(ks_density(x[rows], states[rows]) / MARGINAL_DENSITY, out=w[rows])
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m

@@ -15,12 +15,10 @@ account of prepare-and-measure statistics; the quadrature checks live in
 
 from __future__ import annotations
 
-from typing import Any, Protocol, runtime_checkable
-
 import numpy as np
 
-from .geometry import (BLOCK, Measurement, dot3, parallel_map, random_unit_vec, require_unit,
-                       rotate_to_frame, sphere_from_zphi)
+from .geometry import (BLOCK, Measurement, dot3, parallel_map, require_unit, rotate_to_frame,
+                       sphere_from_zphi)
 
 #: conditional density on its support, divided by the dot product
 DENSITY_SCALE = 1.0 / np.pi
@@ -90,59 +88,3 @@ def ks_response(x, meas: Measurement) -> np.ndarray | int:
     d = dot3(x, meas.direction)
     out = np.where(d >= 0.0, 1, -1)
     return int(out) if out.ndim == 0 else out
-
-
-def ks_marginal(x) -> np.ndarray | float:
-    """State-averaged density: the constant 1/(4 pi) for every unit x."""
-    x = np.asarray(x, dtype=float)
-    out = np.full(x.shape[:-1], MARGINAL_DENSITY)
-    return float(out) if out.ndim == 0 else out
-
-
-@runtime_checkable
-class OntologicalModel(Protocol):
-    """Contract for a hidden-variable model usable by the MI estimator.
-
-    States and model points are opaque batches (leading axis = sample) that
-    support row slicing; densities are per-sample positive reals.
-    ``sample_state`` draws from the model's own state prior, so discrete toy
-    models fit the same estimator as the sphere model.
-    """
-
-    def sample_state(self, n: int, rng: np.random.Generator) -> Any: ...
-
-    def sample_ontic(self, states: Any, rng: np.random.Generator) -> Any: ...
-
-    def conditional_density(self, x: Any, states: Any) -> np.ndarray: ...
-
-    def marginal_density(self, x: Any) -> np.ndarray: ...
-
-    def response(self, x: Any, meas: Measurement) -> np.ndarray: ...
-
-
-class KsModel:
-    """The hemisphere model packaged behind the :class:`OntologicalModel` contract.
-
-    Both densities are closed-form, the prior is the uniform sphere measure,
-    and all methods are pure given an explicit generator.  ``workers`` only
-    sets how many threads the two samplers map their blocks on; it never
-    changes a sample.
-    """
-
-    def __init__(self, workers: int = 1):
-        self.workers = workers
-
-    def sample_state(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return random_unit_vec(rng, n, self.workers)
-
-    def sample_ontic(self, states, rng: np.random.Generator) -> np.ndarray:
-        return ks_sample(states, rng, workers=self.workers)
-
-    def conditional_density(self, x, states) -> np.ndarray:
-        return np.asarray(ks_density(x, states))
-
-    def marginal_density(self, x) -> np.ndarray:
-        return np.asarray(ks_marginal(x))
-
-    def response(self, x, meas: Measurement) -> np.ndarray:
-        return np.asarray(ks_response(x, meas))

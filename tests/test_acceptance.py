@@ -12,10 +12,9 @@ import time
 
 import numpy as np
 
-from kschannel import (KsModel, Measurement, born_probability, code_lengths,
-                       elias_delta_decode, elias_delta_encode, exact_ks_mi,
-                       greedy_sample_batch, mc_mutual_information, run_trials,
-                       sphere_from_zphi)
+from kschannel import (Measurement, born_probability, code_lengths, elias_delta_decode,
+                       elias_delta_encode, exact_ks_mi, greedy_sample_batch,
+                       mc_mutual_information, run_trials, sphere_from_zphi)
 from kschannel.cli import RunConfig, cmd_cost, cmd_mi, cmd_simulate, cmd_verify
 from kschannel.coding import kraft_sum
 from kschannel.quadrature import born_plus_integral, min_overlap_integral
@@ -34,7 +33,7 @@ def test_criterion_1_mutual_information():
     exact = exact_ks_mi()
     closed_form_ok = abs(exact - (2.0 - 1.0 / (2.0 * np.log(2.0)))) <= 1e-12 \
         and abs(exact - MI_EXACT) <= 1e-12
-    est = mc_mutual_information(KsModel(), 1_000_000, np.random.default_rng(20250808))
+    est = mc_mutual_information(1_000_000, np.random.default_rng(20250808))
     bracket_ok = abs(est.value - exact) <= 3.0 * est.std_error
     elapsed = time.perf_counter() - start
     check("1 mutual information",

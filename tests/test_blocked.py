@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from kschannel import KsModel, cli, ks_sample, mc_mutual_information, random_unit_vec
+from kschannel import cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
 from kschannel.protocol import _sphere_point
 from kschannel.rngstream import mix, mix_vec, to_unit
@@ -297,6 +297,6 @@ class TestModelCommandsAtBlockEdges:
     def test_mc_mutual_information(self, n, chunk):
         for workers in (1, 3):
             rng, frozen_rng = np.random.default_rng(5), np.random.default_rng(5)
-            est = mc_mutual_information(KsModel(workers), n, rng)
+            est = mc_mutual_information(n, rng, workers=workers)
             assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, chunk)
             assert rng.random() == frozen_rng.random()  # the generator was consumed the same way

@@ -237,7 +237,7 @@ class TestWorkers:
     def test_mi_chunks_ask_at_most_one_thread_per_block(self, capsys, serial_pool):
         _, split = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3",
                                      "--workers", "1000000"])
-        # per chunk: sample_state and sample_ontic; the densities run on one thread. The
+        # per chunk: random_unit_vec and ks_sample; the densities run on one thread. The
         # chunks hold 262144 rows (16 blocks) and 37856 rows (3 blocks, the last one short)
         assert serial_pool == [16, 16, 3, 3]
         _, serial = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3", "--workers", "1"])
@@ -349,7 +349,8 @@ def test_mean_index_consistency(capsys):
 
 _NO_SCIPY_RUN = """
 import contextlib, io, sys
-from kschannel import Measurement, cli, kl_divergence_ks, unit_vector
+from kschannel import (Measurement, cli, conditional_entropy_ks, exact_ks_mi,
+                       marginal_entropy_ks, unit_vector)
 from kschannel.protocol import alice_send, bob_receive, trial_codebook
 from kschannel.rngstream import counter_uniforms
 
@@ -361,7 +362,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 cb = trial_codebook(7, 0)
 bits, _ = alice_send(unit_vector(0.3, 0.2, 0.5), cb, 64, counter_uniforms(1))
 bob_receive(bits, cb, Measurement(unit_vector(0, 0, 1)))
-kl_divergence_ks(unit_vector(0, 0, 1))
+exact_ks_mi(), conditional_entropy_ks(), marginal_entropy_ks()
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from kschannel import (KsModel, Measurement, OntologicalModel, born_probability,
-                       ks_density, ks_marginal, ks_response, ks_sample, random_unit_vec,
-                       rotate_to_frame, sphere_from_zphi, unit_vector)
+from kschannel import (Measurement, born_probability, ks_density, ks_response, ks_sample,
+                       random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import quadrature
+from kschannel.model import MARGINAL_DENSITY
 from kschannel.quadrature import (_integrate_z, born_plus_integral, density_normalization,
                                   marginal_from_prior)
 from conftest import unit_vectors
@@ -72,6 +72,11 @@ class TestKsSample:
         v = random_unit_vec(rng)
         x = ks_sample(v, rng, 100_000)
         assert np.min(x @ v) > 0.0
+        # a batch of states: one point each, inside its own state's hemisphere
+        states = random_unit_vec(rng, 10)
+        x = ks_sample(states, rng)
+        assert x.shape == (10, 3)
+        assert np.all(ks_density(x, states) > 0.0)
 
     def test_mean_height_matches_quadrature(self):
         # oracle: E[z] under the density 2z on (0, 1]
@@ -118,6 +123,9 @@ class TestKsResponse:
     def test_tie_goes_to_plus(self):
         x = np.array([1.0, 0.0, 0.0])
         assert ks_response(x, Measurement(ZHAT)) == 1
+        # a batch answers +1/-1 per row
+        batch = np.stack([ZHAT, x, sphere_from_zphi(-0.9, 0.4)])
+        assert ks_response(batch, Measurement(ZHAT)).tolist() == [1, 1, -1]
 
     def test_born_equivalence_by_quadrature_small_grid(self):
         for a in np.linspace(0.0, np.pi, 5):
@@ -196,15 +204,10 @@ class TestIntegrateZ:
 
 class TestKsMarginal:
     def test_constant_value(self):
-        assert ks_marginal(ZHAT) == pytest.approx(1.0 / (4.0 * np.pi), abs=1e-16)
-
-    def test_x_independent(self):
-        rng = np.random.default_rng(9)
-        vals = ks_marginal(random_unit_vec(rng, 100))
-        assert np.all(vals == vals[0])
+        assert MARGINAL_DENSITY == pytest.approx(1.0 / (4.0 * np.pi), abs=1e-16)
 
     def test_integrates_to_one(self):
-        assert 4.0 * np.pi * ks_marginal(ZHAT) == pytest.approx(1.0, abs=1e-12)
+        assert 4.0 * np.pi * MARGINAL_DENSITY == pytest.approx(1.0, abs=1e-12)
 
     def test_monte_carlo_average_of_conditional(self):
         # oracle: marginal(x) = E_v[rho(x|v)] over uniform v
@@ -217,23 +220,8 @@ class TestKsMarginal:
     def test_equals_prior_average_by_quadrature(self):
         rng = np.random.default_rng(12)
         for x in random_unit_vec(rng, 5):
-            assert marginal_from_prior(x) == pytest.approx(ks_marginal(x), abs=1e-6)
+            assert marginal_from_prior(x) == pytest.approx(MARGINAL_DENSITY, abs=1e-6)
 
     @pytest.mark.parametrize("x", POLES)
     def test_prior_average_at_the_poles(self, x):
-        assert marginal_from_prior(x) == pytest.approx(ks_marginal(x), abs=1e-9)
-
-
-def test_ks_model_satisfies_interface():
-    assert isinstance(KsModel(), OntologicalModel)
-
-
-def test_ks_model_methods_delegate():
-    model = KsModel()
-    rng = np.random.default_rng(0)
-    states = model.sample_state(10, rng)
-    x = model.sample_ontic(states, rng)
-    assert x.shape == (10, 3)
-    assert np.all(model.conditional_density(x, states) > 0.0)
-    assert np.all(model.marginal_density(x) == 1.0 / (4.0 * np.pi))
-    assert set(np.unique(model.response(x, Measurement(ZHAT)))) <= {-1, 1}
+        assert marginal_from_prior(x) == pytest.approx(MARGINAL_DENSITY, abs=1e-9)
