@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -30,12 +31,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .geometry import (BLOCK, Measurement, born_from_dot, parallel_map, random_unit_vec,
-                       rotate_to_frame, sphere_from_zphi)
+from .geometry import (BLOCK, Measurement, born_from_dot, random_unit_vec, rotate_to_frame,
+                       sphere_from_zphi)
 from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
-from .model import ks_draws, ks_response
+from .model import ks_draws, ks_plus_count
 from .protocol import _MAX_BINS, _bin_count, ks_bin_masses, run_trials
 from .rngstream import mix
 
@@ -166,8 +167,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
                        help="worker threads, at most one per 32768 trials for simulate and cost "
-                            f"and one per {BLOCK}-sample block for verify and mi; never changes "
-                            "results (default: the CPUs this process may use, %(default)s here)")
+                            f"and one per {BLOCK}-sample block for mi (verify runs on one "
+                            "thread); never changes results (default: the CPUs this process "
+                            "may use, %(default)s here)")
     return parser
 
 
@@ -192,9 +194,11 @@ def _binomial_sigma(p: float, n: int) -> float:
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """Direct-model sweep: sample the conditional density, answer the measurement.
 
-    Each cell draws all its samples first, then maps, rotates and answers them
-    BLOCK rows at a time on up to ``cfg.workers`` threads; the per-block counts
-    of "+" answers are exact integers, so the thread count moves no bit.
+    Each cell draws all its samples first, then counts the "+" answers BLOCK
+    rows at a time with :func:`ks_plus_count`, which decides each sample from a
+    float32 estimate of x.m and builds the exact float64 point only near the
+    tie.  The counts are exact integers.  It runs on one thread whatever
+    ``cfg.workers`` is: a pool was slower than one thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:
         grid = [None]  # both directions pinned: a single cell at their actual angle
@@ -216,16 +220,11 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
                 # fixed measurement: sweep the state around it instead
                 m, v = np.asarray(cfg.meas, float), rotate_to_frame(tilt, np.asarray(cfg.meas, float))
         meas = Measurement(m)
-        # ks_sample's draws, mapped and answered one block at a time: the count of
-        # "+" answers is exact, so plus / n is the mean of the whole response array
+        # ks_sample's draws, answered one block at a time: the count of "+" answers
+        # is exact, so plus / n is the mean of the whole response array
         z, phi = ks_draws(rng, cfg.trials)
-
-        def block_plus(lo: int) -> int:
-            rows = slice(lo, lo + BLOCK)
-            x = rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), v)
-            return int(np.count_nonzero(ks_response(x, meas) == 1))
-
-        plus = sum(parallel_map(block_plus, range(0, cfg.trials, BLOCK), cfg.workers))
+        plus = sum(ks_plus_count(z[lo:lo + BLOCK], phi[lo:lo + BLOCK], v, meas)
+                   for lo in range(0, cfg.trials, BLOCK))
         empirical = plus / cfg.trials
         born = float(born_from_dot(np.sum(v * m)))
         sigma = _binomial_sigma(born, cfg.trials)
@@ -410,9 +409,15 @@ def _join_vector_values(argv: list[str]) -> list[str]:
     return joined
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """:func:`build_parser`'s parser, built on the first :func:`main` call and then reused
+    (building it takes ~0.8 ms, a share of a short command)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_vector_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_join_vector_values(sys.argv[1:] if argv is None else list(argv)))
     cfg = config_from_args(args)
     start = time.perf_counter()
     try:

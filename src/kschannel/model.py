@@ -26,6 +26,9 @@ DENSITY_SCALE = 1.0 / np.pi
 #: the state-averaged (marginal) density: uniform on the sphere
 MARGINAL_DENSITY = 1.0 / (4.0 * np.pi)
 
+#: half-width of the band of float32 estimates of x.m that ks_plus_count answers exactly
+TIE_BAND = 2.0 ** -12
+
 
 def ks_density(x, v) -> np.ndarray | float:
     """Conditional density rho(x|v) = (v.x)/pi on the hemisphere v.x > 0.
@@ -65,7 +68,8 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None,
     result, on up to ``workers`` threads (see :func:`parallel_map`), so no
     array of local points is built and the thread count moves no bit.  A
     batch of states is split with the rows, and a single state, (3,) or
-    (1, 3), serves every block.
+    (1, 3), serves every block.  Each block checks its states as it reaches
+    them: a non-unit state raises ValueError.
     """
     v = np.asarray(v, dtype=float)
     z, phi = ks_draws(rng, v.shape[:-1] if n is None else (n,))
@@ -76,8 +80,8 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None,
 
     def block(lo: int) -> None:
         rows = slice(lo, lo + BLOCK)
-        rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), poles[rows] if per_row else v,
-                        out=flat[rows])
+        pole = require_unit(poles[rows] if per_row else v, "state v")
+        rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), pole, out=flat[rows])
 
     parallel_map(block, range(0, len(z), BLOCK), workers)
     return out
@@ -88,3 +92,54 @@ def ks_response(x, meas: Measurement) -> np.ndarray | int:
     d = dot3(x, meas.direction)
     out = np.where(d >= 0.0, 1, -1)
     return int(out) if out.ndim == 0 else out
+
+
+def ks_plus_count(z, phi, v, meas: Measurement) -> int:
+    """How many draws about the pole v answer "+" to ``meas``.
+
+    ``z`` and ``phi`` are equal-shape arrays of heights in [-1, 1] and
+    azimuths in [0, 2 pi] about v, as :func:`ks_draws` returns them; other
+    input, or a non-unit v, raises ValueError.  The count always equals
+    ``count_nonzero(ks_response(rotate_to_frame(sphere_from_zphi(z, phi), v), meas) == 1)``
+    but builds no float64 point for most draws.
+
+    With (a, b, c) = F m for the frame F = ``rotate_to_frame(eye(3), v)``,
+    x.m = sqrt(1 - z^2) (a cos phi + b sin phi) + c z.  Its estimate s takes
+    cos and sin in float32 of float32(phi) and the rest in float32 products.
+    Rounding phi to float32 moves it by at most 2^-22 < 2.4e-7 on [0, 2 pi],
+    float32 cos and sin err by ~1e-7 more (2.56e-7 in all, measured on a 4M
+    grid and guarded by a test), and each float32 product and sum adds a few
+    1e-8; since a^2 + b^2 + c^2 = 1, |s - x.m| <= ~1e-6, while the float64
+    x.m errs by ~1e-16.  So s >= TIE_BAND = 2^-12 (over 100 times the bound)
+    means x.m > 0, a "+", and s <= -TIE_BAND a "-".  Only the draws with
+    |s| < TIE_BAND, about 1e-4 of them, are answered by the exact formula above,
+    on those rows alone; it is elementwise, so no bit of the answer moves.
+    """
+    v = require_unit(v, "state v")
+    z = np.asarray(z, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    if z.shape != phi.shape:
+        raise ValueError(f"heights {z.shape} and azimuths {phi.shape} differ in shape")
+    if z.size and not (np.abs(z).max() <= 1.0 and phi.min() >= 0.0
+                       and phi.max() <= 2.0 * np.pi):
+        raise ValueError("heights must lie in [-1, 1] and azimuths in [0, 2 pi]")
+    # Python floats, so every product below stays in float32
+    a, b, c = (rotate_to_frame(np.eye(3), v) @ meas.direction).tolist()
+    phi32 = phi.astype(np.float32)
+    s = np.cos(phi32)
+    s *= a
+    sin = np.sin(phi32, out=phi32)
+    sin *= b
+    s += sin
+    # 1 - z^2 in float64: in float32 it would lose r near the pole, where z ~ 1
+    r = (1.0 - z * z).astype(np.float32)
+    s *= np.sqrt(r, out=r)
+    cz = z.astype(np.float32)
+    cz *= c
+    s += cz
+    plus = int(np.count_nonzero(s >= TIE_BAND))
+    near = np.flatnonzero(np.abs(s) < TIE_BAND)
+    if near.size:
+        x = rotate_to_frame(sphere_from_zphi(z.reshape(-1)[near], phi.reshape(-1)[near]), v)
+        plus += int(np.count_nonzero(ks_response(x, meas) == 1))
+    return plus

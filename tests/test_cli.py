@@ -226,12 +226,13 @@ class TestWorkers:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert cli.build_parser().parse_args(["mi"]).workers == 1
 
-    def test_verify_asks_one_thread_per_block(self, capsys, serial_pool):
+    def test_verify_starts_no_pool(self, capsys, serial_pool):
+        # 16 blocks in the one cell, all counted on the calling thread
         argv = ["verify", "--trials", "250000", "--seed", "3", *self._PINNED]
         _, split = run_json(capsys, [*argv, "--workers", "1000000"])
-        assert serial_pool == [16]   # ceil(250 000 / 16384) blocks in the one cell
+        assert serial_pool == []
         _, serial = run_json(capsys, [*argv, "--workers", "1"])
-        assert serial_pool == [16]
+        assert serial_pool == []
         assert split["results"] == serial["results"]
 
     def test_mi_chunks_ask_at_most_one_thread_per_block(self, capsys, serial_pool):

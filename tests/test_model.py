@@ -7,7 +7,7 @@ from scipy.stats import kstest
 from kschannel import (Measurement, born_probability, ks_density, ks_response, ks_sample,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import quadrature
-from kschannel.model import MARGINAL_DENSITY
+from kschannel.model import MARGINAL_DENSITY, TIE_BAND, ks_draws, ks_plus_count
 from kschannel.quadrature import (_integrate_z, born_plus_integral, density_normalization,
                                   marginal_from_prior)
 from conftest import unit_vectors
@@ -110,6 +110,90 @@ class TestKsSample:
         a = ks_sample(v, np.random.default_rng(5), 1000)
         b = ks_sample(v, np.random.default_rng(5), 1000)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("n", [None, 10, 2 * 16384 + 5])
+    def test_rejects_non_unit_states(self, n):
+        rng = np.random.default_rng(6)
+        for v in ([0.0, 0.0, 2.0], [np.nan, 0.0, 0.0], 0.5 * GENERIC):
+            with pytest.raises(ValueError, match="state v"):
+                ks_sample(v, rng, n)
+        # one bad row in a batch of states, in its last block
+        states = random_unit_vec(rng, 2 * 16384 + 5)
+        states[-2] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="state v"):
+            ks_sample(states, rng, workers=2)
+
+
+def _exact_plus(z, phi, v, meas):
+    """The "+" count from the float64 points: ks_plus_count's reference."""
+    x = rotate_to_frame(sphere_from_zphi(z, phi), v)
+    return int(np.count_nonzero(ks_response(x, meas) == 1))
+
+
+def _tie_draws(rng, v, m, n):
+    """n (height, azimuth) pairs about v within ~1e-9 of the circle where x.m = 0."""
+    a, b, c = rotate_to_frame(np.eye(3), v) @ m   # m in v's frame
+    axis = np.eye(3)[np.argmin(np.abs([a, b, c]))]
+    u1 = np.cross([a, b, c], axis)
+    u1 /= np.linalg.norm(u1)
+    u2 = np.cross([a, b, c], u1)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    x = np.outer(np.cos(theta), u1) + np.outer(np.sin(theta), u2)
+    z = np.clip(x[:, 2] + rng.uniform(-1e-9, 1e-9, n), -1.0, 1.0)
+    phi = np.mod(np.arctan2(x[:, 1], x[:, 0]) + rng.uniform(-1e-9, 1e-9, n), 2.0 * np.pi)
+    return z, phi
+
+
+def _plus_count_cells():
+    """(v, m) cells: random pairs, then the frames where the estimate is hardest."""
+    rng = np.random.default_rng(17)
+    cells = list(zip(random_unit_vec(rng, 30), random_unit_vec(rng, 30)))
+    for v in POLES + [unit_vector(1e-5, 0.0, 1.0), unit_vector(0.0, -3e-5, -1.0), GENERIC]:
+        cells += [(v, at_dot(v, 0.0, 0.3)), (v, at_dot(v, 0.0, 4.0)),   # m perpendicular to v
+                  (v, v), (v, -v), (v, random_unit_vec(rng))]
+    return cells
+
+
+class TestKsPlusCount:
+    """ks_plus_count against the "+" count of the float64 points."""
+
+    @pytest.mark.parametrize("v, m", _plus_count_cells())
+    def test_equals_the_exact_count(self, v, m):
+        meas = Measurement(m)
+        rng = np.random.default_rng(23)
+        z, phi = ks_draws(rng, 4096)
+        assert ks_plus_count(z, phi, v, meas) == _exact_plus(z, phi, v, meas)
+        # draws a hair off the tie circle, where the float32 estimate cannot tell the
+        # sign: compared 32 at a time, so no miscounts can cancel over the whole array
+        z, phi = _tie_draws(rng, v, m, 4096)
+        for lo in range(0, z.size, 32):
+            rows = slice(lo, lo + 32)
+            assert ks_plus_count(z[rows], phi[rows], v, meas) == \
+                _exact_plus(z[rows], phi[rows], v, meas), lo
+
+    def test_float32_trig_error_is_far_inside_the_tie_band(self):
+        # the bound behind TIE_BAND: float32 cos and sin of float32(phi) within ~2.6e-7 of
+        # float64's on [0, 2 pi); a platform whose float32 trig is worse fails here
+        worst = 0.0
+        for phi in np.split(np.linspace(0.0, 2.0 * np.pi, 1 << 22, endpoint=False), 16):
+            phi32 = phi.astype(np.float32)
+            worst = max(worst, np.max(np.abs(np.cos(phi32) - np.cos(phi))),
+                        np.max(np.abs(np.sin(phi32) - np.sin(phi))))
+        assert worst <= TIE_BAND / 64
+
+    def test_no_draws_count_zero(self):
+        assert ks_plus_count(np.empty(0), np.empty(0), ZHAT, Measurement(XHAT)) == 0
+
+    def test_rejects_input_outside_its_domain(self):
+        z, phi = np.full(3, 0.5), np.full(3, 1.0)
+        meas = Measurement(XHAT)
+        for bad_z, bad_phi in ((z, [1.0, -0.1, 1.0]), (z, [1.0, 7.0, 1.0]),
+                               (z, [1.0, np.nan, 1.0]), ([0.5, 1.5, 0.5], phi),
+                               ([0.5, np.nan, 0.5], phi), (z[:2], phi)):
+            with pytest.raises(ValueError):
+                ks_plus_count(bad_z, bad_phi, ZHAT, meas)
+        with pytest.raises(ValueError, match="state v"):
+            ks_plus_count(z, phi, 2.0 * ZHAT, meas)
 
 
 class TestKsResponse:
