@@ -83,6 +83,12 @@ ROW_CASES = {
         **({"state": [0.6, 0.0, -0.8], "meas": [-0.36, 0.48, 0.8]} if inputs == "pinned" else {})}
     for bins in (2, 64, 4096) for workers in (1, 3) for inputs in ("random", "pinned")
 }
+# both sides of the scan's bin-width rule: 2**14 bins take the float32 estimate, 2**20 do not
+ROW_CASES.update({
+    f"rows_bins{bins}_workers{workers}_random": {
+        "master_seed": 7, "n_trials": 20001, "bins": bins, "workers": workers}
+    for bins in (1 << 14, 1 << 20) for workers in (1, 3)
+})
 
 
 _V1, _M1 = [0.6, 0.0, -0.8], [-0.36, 0.48, 0.8]
