@@ -249,11 +249,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
 def _code_bit_stats(code_bits: np.ndarray) -> dict:
     n = int(code_bits.size)
     mean = float(np.mean(code_bits))
+    p50, p99 = np.percentile(code_bits, [50, 99]).tolist()
     return {
         "mean": mean,
         "std_error": float(np.std(code_bits, ddof=1) / np.sqrt(n)) if n > 1 else 0.0,
-        "p50": float(np.percentile(code_bits, 50)),
-        "p99": float(np.percentile(code_bits, 99)),
+        "p50": p50,
+        "p99": p99,
         "max": int(np.max(code_bits)),
         "n": n,
     }

@@ -28,7 +28,7 @@ import numpy as np
 
 from .coding import whole_number
 from .geometry import BLOCK, random_unit_vec
-from .model import MARGINAL_DENSITY, ks_density, ks_sample
+from .model import MARGINAL_DENSITY, _ks_density, ks_sample
 
 _LN2 = np.log(2.0)
 
@@ -100,7 +100,8 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
         w = np.empty(m)
         for lo in range(0, m, BLOCK):
             rows = slice(lo, lo + BLOCK)
-            np.log2(ks_density(x[rows], states[rows]) / MARGINAL_DENSITY, out=w[rows])
+            # ks_sample checked these states, and its points are unit by construction
+            np.log2(_ks_density(x[rows], states[rows]) / MARGINAL_DENSITY, out=w[rows])
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m

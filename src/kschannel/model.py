@@ -36,11 +36,14 @@ def ks_density(x, v) -> np.ndarray | float:
     Both arguments must be unit vectors (ValueError otherwise); broadcasts
     over leading axes.
     """
-    x = require_unit(x, "ontic state x")
-    v = require_unit(v, "state v")
-    d = dot3(x, v)
-    out = np.where(d > 0.0, d * DENSITY_SCALE, 0.0)
+    out = _ks_density(require_unit(x, "ontic state x"), require_unit(v, "state v"))
     return float(out) if out.ndim == 0 else out
+
+
+def _ks_density(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`ks_density` of float arrays the caller knows to be unit vectors, unchecked."""
+    d = dot3(x, v)
+    return np.where(d > 0.0, d * DENSITY_SCALE, 0.0)
 
 
 def ks_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:

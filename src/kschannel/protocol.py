@@ -18,8 +18,12 @@ span of trials to :meth:`GreedySchedule.scan`, which asks for blocks of
 rounds: the span draws the bins of the codebook points and the coins of
 rounds done+1 .. done+R for every still-active trial as (R, active)
 arrays, one row per round, and the scan ends each trial at its first
-accepting round.  The receiver's point is then regenerated once per trial
-from its accepted index, by the formula :func:`bob_receive` uses.
+accepting round.  Those bins come from a float32 estimate of the height
+v.x (:func:`_height_bins`); only draws whose estimate lies within 2^-17 of
+a bin edge, and every draw at more than 2^15 bins, are binned from the
+float64 point, so each bin equals the float64 point's.  The receiver's
+point is then regenerated once per trial from its accepted index, by the
+formula :func:`bob_receive` uses.
 :func:`alice_send` scans one trial in blocks of 8, 16, 32, ... rounds,
 reading each block's acceptance law at once and taking one coin per round
 up to its acceptance.  Every draw is the counter word the
@@ -70,6 +74,12 @@ _WHOLE_INDEX = "codebook indices must be whole numbers"
 _BOOL_INDEX = "codebook indices must be whole numbers, not booleans"
 #: largest bin count accepted; the protocol keeps several float arrays of this length
 _MAX_BINS = 1 << 20
+#: half-width, in heights v.x, of the band about each bin edge in which
+#: :func:`_height_bins` does not trust its float32 estimate of v.x
+_EDGE_BAND = 2.0 ** -17
+#: most bins :func:`_height_bins` estimates: there the band covers a quarter of each bin
+#: (_EDGE_BAND * bins <= 1/4), while from 2**16 bins on nearly every draw would fall back
+_ESTIMATE_BINS = 1 << 15
 
 
 def _word(value, what: str) -> int:
@@ -256,32 +266,61 @@ def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
 def _sphere_point(keys, ctr) -> np.ndarray:
     """Uniform sphere point from the counter words ctr and ctr + 1 of the ``keys`` streams.
 
-    z = 2 u - 1 from the first word, azimuth = 2 pi u' from the second;
-    ``keys`` and ``ctr`` broadcast as in :func:`mix_vec`.  Both words of
-    every point are hashed in one :func:`mix_vec` call, over a leading axis
-    of length 2 whose two halves, the z words and the azimuth words, are
-    each contiguous.  Past :data:`geometry.BLOCK` points, BLOCK-point slices
-    of the flattened broadcast are written into one result, so the
+    z = 2 u - 1 from the first word, azimuth = 2 pi u' from the second (see
+    :func:`_sphere_zphi`); ``keys`` and ``ctr`` broadcast as in
+    :func:`mix_vec`.  Past :data:`geometry.BLOCK` points, the points of
+    each :func:`_zphi_blocks` slice are written into one result, so the
     temporaries stay a block long; no bit moves.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ctr = np.asarray(ctr, dtype=np.uint64)
     points = np.broadcast(keys, ctr)
     if points.size <= BLOCK:
-        return _sphere_block(keys, ctr)
+        return sphere_from_zphi(*_sphere_zphi(keys, ctr))
     out = np.empty((points.size, 3))
-    keys, ctr = (np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
-    for lo in range(0, points.size, BLOCK):
-        part = slice(lo, lo + BLOCK)
-        _sphere_block(keys[part], ctr[part], out[part])
+    for part, z, phi in _zphi_blocks(keys, ctr, points):
+        sphere_from_zphi(z, phi, out=out[part])
     return out.reshape(*points.shape, 3)
 
 
-def _sphere_block(keys: np.ndarray, ctr: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """:func:`_sphere_point` of one block of points, into ``out`` when given.
+def _codebook_bins(keys, ctr, v, bins: int) -> np.ndarray:
+    """Height bins against v of the :func:`_sphere_point` points of ``keys`` and ``ctr``.
 
-    The counter words keep the counters' own shape, aligned to the keys'
-    trailing axes; the hash broadcasts them against the keys.
+    Equal to ``bin_index(dot3(_sphere_point(keys, ctr), v), bins)``, through
+    :func:`_height_bins` on the same z and phi.  ``v`` is one (3,) state or
+    one per point, broadcasting against the points as the trailing axis of
+    a (..., 3) array; past BLOCK points it is taken in the same slices as
+    the points, so no temporary outgrows a block.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    ctr = np.asarray(ctr, dtype=np.uint64)
+    points = np.broadcast(keys, ctr)
+    if points.size <= BLOCK:
+        return _height_bins(*_sphere_zphi(keys, ctr), v, bins)
+    out = np.empty(points.size, dtype=np.int64)
+    if v.ndim > 1:
+        v = np.broadcast_to(v, points.shape + (3,)).reshape(points.size, 3)
+    for part, z, phi in _zphi_blocks(keys, ctr, points):
+        out[part] = _height_bins(z, phi, v if v.ndim == 1 else v[part], bins)
+    return out.reshape(points.shape)
+
+
+def _zphi_blocks(keys: np.ndarray, ctr: np.ndarray, points: np.broadcast):
+    """(slice, z, phi) of each BLOCK-point slice of the flattened broadcast of keys and ctr."""
+    keys, ctr = (np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
+    for lo in range(0, points.size, BLOCK):
+        part = slice(lo, lo + BLOCK)
+        yield part, *_sphere_zphi(keys[part], ctr[part])
+
+
+def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Height z = 2 u - 1 and azimuth phi = 2 pi u' of the points at counters ctr, ctr + 1.
+
+    Both words of every point are hashed in one :func:`mix_vec` call, over a
+    leading axis of length 2 whose two halves, the z words and the azimuth
+    words, are each contiguous.  The counter words keep the counters' own
+    shape, aligned to the keys' trailing axes; the hash broadcasts them
+    against the keys.
     """
     words = np.empty((2,) + (1,) * (keys.ndim - ctr.ndim) + ctr.shape, dtype=np.uint64)
     words[0] = ctr
@@ -291,7 +330,74 @@ def _sphere_block(keys: np.ndarray, ctr: np.ndarray, out: np.ndarray | None = No
     z *= 2.0
     z -= 1.0
     phi *= _TWO_PI
-    return sphere_from_zphi(z, phi, out=out)
+    return z, phi
+
+
+def _height_estimate(z: np.ndarray, phi: np.ndarray, v) -> np.ndarray:
+    """Float32 estimate s of v.x for x = ``sphere_from_zphi(z, phi)``.
+
+    ``z`` and ``phi`` are equal-shape heights in [-1, 1] and azimuths in
+    [0, 2 pi]; ``v`` is one (3,) unit vector or one per point, broadcasting
+    as the trailing axis of a (..., 3) array.  v.x = sqrt(1 - z^2) (v0 cos
+    phi + v1 sin phi) + v2 z, and s takes cos and sin in float32 of
+    float32(phi), 1 - z^2 in float64 (in float32 it would lose the radius
+    near the poles), and the rest in float32 products of float32 v
+    components.  Rounding phi to float32 moves it by at most 2^-22 < 2.4e-7
+    on [0, 2 pi], float32 cos and sin err by ~1e-7 more, and the rounding of
+    v and of each float32 product and sum adds a few 1e-8; since |v| = 1,
+    |s - v.x| <= ~1e-6, while the float64 v.x errs by ~1e-16.  The worst
+    seen over 21M uniform random (z, phi, v) was 3.2e-7, and a test holds it
+    within _EDGE_BAND/8 = 9.5e-7 on a 4M-point grid.
+    """
+    # Python floats keep a fixed state's products in float32
+    v0, v1, v2 = ((v[..., k].astype(np.float32) for k in range(3)) if v.ndim > 1
+                  else v.tolist())
+    phi32 = phi.astype(np.float32)
+    s = np.cos(phi32)
+    s *= v0
+    sin = np.sin(phi32, out=phi32)
+    sin *= v1
+    s += sin
+    r = z * z
+    np.subtract(1.0, r, out=r)
+    r = r.astype(np.float32)
+    s *= np.sqrt(r, out=r)
+    cz = z.astype(np.float32)
+    cz *= v2
+    s += cz
+    return s
+
+
+def _height_bins(z: np.ndarray, phi: np.ndarray, v, bins: int) -> np.ndarray:
+    """``bin_index(dot3(sphere_from_zphi(z, phi), v), bins)``, mostly from a float32 estimate.
+
+    Inputs as in :func:`_height_estimate`.  With s its estimate of v.x, t =
+    (s + 1) bins/2 is taken in float32, which adds at most ~2e-7 bins/2 to
+    the error of s.  A draw whose t lies at least :data:`_EDGE_BAND` bins/2
+    from every whole number, i.e. whose estimate lies at least tau = 2^-17
+    (over six times the bound on that error) from every bin edge, is in bin
+    floor(t), clamped to [0, bins - 1].  The others are binned by the exact
+    formula on those rows alone; it is elementwise, so no bin moves.  Past
+    :data:`_ESTIMATE_BINS` bins the band would hold most draws, and every
+    draw takes the exact formula.
+    """
+    if bins > _ESTIMATE_BINS:
+        return bin_index(dot3(sphere_from_zphi(z, phi), v), bins)
+    t = _height_estimate(z, phi, v)
+    t += 1.0
+    t *= bins / 2
+    whole = np.floor(t)
+    t -= whole   # the fraction of t
+    band = np.float32(_EDGE_BAND * bins / 2)
+    near = np.flatnonzero((t < band) | (t > 1 - band))
+    idx = whole.astype(np.int64)
+    np.minimum(np.maximum(idx, 0, out=idx), bins - 1, out=idx)
+    if near.size:
+        cells = np.unravel_index(near, z.shape)
+        if v.ndim > 1:
+            v = np.broadcast_to(v, z.shape + (3,))[cells]
+        idx[cells] = bin_index(dot3(sphere_from_zphi(z[cells], phi[cells]), v), bins)
+    return idx
 
 
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
@@ -354,11 +460,14 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
     acc_keys = mix_vec(trial, _SUB_ACCEPT)
 
     def draw(active, rounds):
-        # (width, active): the per-trial keys and states broadcast along the rows
+        # (width, active): the per-trial keys and states broadcast along the rows.  The bins
+        # come from a float32 estimate of v.x, and from the float64 point only near a bin
+        # edge (see _height_bins); a fixed state is passed whole, as one (3,) vector
         ctr = rounds.astype(np.uint64)[:, None]
-        x = _sphere_point(cb_keys[active], 2 * ctr)
+        bidx = _codebook_bins(cb_keys[active], 2 * ctr, v[active] if state is None else state,
+                              bins)
         coins = to_unit(mix_vec(acc_keys[active], ctr))
-        return bin_index(dot3(x, v[active]), bins), coins
+        return bidx, coins
 
     accepted, _ = schedule.scan(count, draw, cap)
     points = _sphere_point(cb_keys, 2 * accepted.astype(np.uint64))

@@ -11,6 +11,7 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import protocol
+from kschannel.geometry import dot3
 from kschannel.protocol import (_SEND_BLOCK, _SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
                                 TrialBatch, _ks_schedule, _sphere_point, _trial_keys, alice_send,
                                 bin_index, bob_receive, discretize_ks, ks_bin_masses,
@@ -400,6 +401,112 @@ class TestBlockScan:
         assert np.array_equal(capped.accepted_index, batch.accepted_index)
         with pytest.raises(ProtocolFailure):
             run_trials(self.SEED, 2000, 4096, cap=deepest - 1)
+
+
+#: bin counts on both sides of protocol._ESTIMATE_BINS = 2**15
+EDGE_BINS = [2, 4, 64, 4096, 1 << 14, 1 << 15, 1 << 16, 1 << 20]
+#: fixed states for the height-bin tests; None gives every point its own random state
+EDGE_STATES = {
+    "north": [0.0, 0.0, 1.0],
+    "south": [0.0, 0.0, -1.0],
+    "near_north": unit_vector(1e-5, -2e-5, 1.0),   # v_z > 1 - 1e-9
+    "near_south": unit_vector(-3e-5, 1e-5, -1.0),
+    "equator": unit_vector(0.6, -0.8, 0.0),
+    "random": random_unit_vec(np.random.default_rng(5)),
+    "per_point": None,
+}
+
+
+def edge_draws(state, bins, jitter, rng, sample=4096):
+    """(z, phi, v) of points whose height v.x lies ``jitter`` from the bin edges of ``bins``.
+
+    Every edge from v.x = -1 (t = 0) to v.x = 1 (t = bins) when there are at most
+    ``sample`` of them, else both ends and ``sample`` random ones; each at a random
+    azimuth about v.  Heights past +-1 are clipped onto the poles.  ``state`` None
+    gives each point its own random v, returned as an (n, 3) array.
+    """
+    edges = (np.arange(bins + 1) if bins <= sample
+             else np.concatenate([[0, bins], rng.integers(1, bins, sample)]))
+    h = np.clip(2.0 * edges / bins - 1.0 + jitter, -1.0, 1.0)
+    v = random_unit_vec(rng, h.size) if state is None else np.asarray(state)
+    x = rotate_to_frame(sphere_from_zphi(h, rng.uniform(0.0, 2.0 * np.pi, h.size)), v)
+    phi = np.mod(np.arctan2(x[:, 1], x[:, 0]), 2.0 * np.pi)
+    return np.clip(x[:, 2], -1.0, 1.0), phi, v
+
+
+def exact_bins(z, phi, v, bins):
+    return bin_index(dot3(sphere_from_zphi(z, phi), v), bins)
+
+
+class TestHeightBins:
+    """protocol._height_bins must bin every draw as the float64 point does."""
+
+    @pytest.mark.parametrize("bins", EDGE_BINS)
+    @pytest.mark.parametrize("state", sorted(EDGE_STATES))
+    def test_equals_the_exact_bins_around_every_edge(self, bins, state):
+        rng = np.random.default_rng(bins)
+        band = protocol._EDGE_BAND
+        for jitter in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 2 * band, -2 * band):
+            z, phi, v = edge_draws(EDGE_STATES[state], bins, jitter, rng)
+            exact = exact_bins(z, phi, v, bins)
+            assert np.array_equal(protocol._height_bins(z, phi, v, bins), exact)
+            if v.ndim == 1:   # the same state once per point, as random states reach it
+                per_point = np.broadcast_to(v, z.shape + (3,)).copy()
+                assert np.array_equal(protocol._height_bins(z, phi, per_point, bins), exact)
+
+    @pytest.mark.parametrize("bins", EDGE_BINS)
+    def test_codebook_bins_are_the_bins_of_the_points(self, bins):
+        rng = np.random.default_rng(bins)
+        # (rounds, runs) as the scan draws them, one state per run or one for all
+        keys = mix_vec(99, np.arange(300, dtype=np.uint64))
+        ctr = 2 * np.arange(1, 41, dtype=np.uint64)[:, None]
+        for v in (random_unit_vec(rng, 300), unit_vector(0.1, -0.2, 0.3)):
+            got = protocol._codebook_bins(keys, ctr, v, bins)
+            assert got.shape == (40, 300)
+            assert np.array_equal(got, bin_index(dot3(_sphere_point(keys, ctr), v), bins))
+        # one round of more than BLOCK runs is binned in BLOCK-point slices
+        keys = mix_vec(98, np.arange(40_000, dtype=np.uint64))
+        ctr = np.full((1, 1), 2, dtype=np.uint64)
+        for v in (random_unit_vec(rng, 40_000), unit_vector(0.1, -0.2, 0.3)):
+            got = protocol._codebook_bins(keys, ctr, v, bins)
+            assert got.shape == (1, 40_000)
+            assert np.array_equal(got, bin_index(dot3(_sphere_point(keys, ctr), v), bins))
+
+    def test_estimate_error_is_far_inside_the_band(self):
+        # a 2048 x 2048 (z, phi) grid, 4M points, 64k at a time; even blocks give each
+        # point its own random state, odd blocks one random state for the block
+        rng = np.random.default_rng(3)
+        heights = np.linspace(-1.0, 1.0, 2048)
+        azimuths = np.linspace(0.0, 2.0 * np.pi, 2048)
+        worst = 0.0
+        for k in range(0, heights.size, 32):
+            z, phi = np.repeat(heights[k:k + 32], azimuths.size), np.tile(azimuths, 32)
+            v = random_unit_vec(rng, z.size if k % 64 == 0 else None)
+            s = protocol._height_estimate(z, phi, v)
+            worst = max(worst, float(np.abs(s - dot3(sphere_from_zphi(z, phi), v)).max()))
+        assert worst <= protocol._EDGE_BAND / 8
+
+    @pytest.mark.parametrize("bins", [64, 1 << 16])
+    def test_few_draws_reach_the_exact_formula(self, monkeypatch, bins):
+        counts = {"draws": 0, "exact": 0}
+        height_bins, exact = protocol._height_bins, protocol.bin_index
+
+        def counting_bins(z, phi, v, k):
+            counts["draws"] += z.size
+            return height_bins(z, phi, v, k)
+
+        def counting_exact(h, k):
+            counts["exact"] += np.size(h)
+            return exact(h, k)
+
+        monkeypatch.setattr(protocol, "_height_bins", counting_bins)
+        monkeypatch.setattr(protocol, "bin_index", counting_exact)
+        run_trials(7, 16384, bins)
+        assert counts["draws"] > 16384
+        if bins == 64:   # the estimate bins all but ~1 in 2000 draws here
+            assert counts["exact"] < 0.01 * counts["draws"]
+        else:   # bins narrower than the band: every draw is binned exactly
+            assert counts["exact"] == counts["draws"]
 
 
 def trial_inputs(seed, t):
