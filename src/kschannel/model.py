@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (BLOCK, Measurement, dot3, parallel_map, require_unit, rotate_to_frame,
-                       sphere_from_zphi)
+from .geometry import (BLOCK, Measurement, dot3, dot_estimate, parallel_map, require_unit,
+                       rotate_to_frame, sphere_from_zphi)
 
 #: conditional density on its support, divided by the dot product
 DENSITY_SCALE = 1.0 / np.pi
@@ -107,16 +107,13 @@ def ks_plus_count(z, phi, v, meas: Measurement) -> int:
     but builds no float64 point for most draws.
 
     With (a, b, c) = F m for the frame F = ``rotate_to_frame(eye(3), v)``,
-    x.m = sqrt(1 - z^2) (a cos phi + b sin phi) + c z.  Its estimate s takes
-    cos and sin in float32 of float32(phi) and the rest in float32 products.
-    Rounding phi to float32 moves it by at most 2^-22 < 2.4e-7 on [0, 2 pi],
-    float32 cos and sin err by ~1e-7 more (2.56e-7 in all, measured on a 4M
-    grid and guarded by a test), and each float32 product and sum adds a few
-    1e-8; since a^2 + b^2 + c^2 = 1, |s - x.m| <= ~1e-6, while the float64
-    x.m errs by ~1e-16.  So s >= TIE_BAND = 2^-12 (over 100 times the bound)
-    means x.m > 0, a "+", and s <= -TIE_BAND a "-".  Only the draws with
-    |s| < TIE_BAND, about 1e-4 of them, are answered by the exact formula above,
-    on those rows alone; it is elementwise, so no bit of the answer moves.
+    x.m = sqrt(1 - z^2) (a cos phi + b sin phi) + c z.  Its float32 estimate
+    s (:func:`geometry.dot_estimate` of (a, b, c)) is within ~1e-6 of x.m,
+    while the float64 x.m errs by ~1e-16.  So s >= TIE_BAND = 2^-12 (over
+    100 times the bound) means x.m > 0, a "+", and s <= -TIE_BAND a "-".
+    Only the draws with |s| < TIE_BAND, about 1e-4 of them, are answered by
+    the exact formula above, on those rows alone; it is elementwise, so no
+    bit of the answer moves.
     """
     v = require_unit(v, "state v")
     z = np.asarray(z, dtype=float)
@@ -126,20 +123,7 @@ def ks_plus_count(z, phi, v, meas: Measurement) -> int:
     if z.size and not (np.abs(z).max() <= 1.0 and phi.min() >= 0.0
                        and phi.max() <= 2.0 * np.pi):
         raise ValueError("heights must lie in [-1, 1] and azimuths in [0, 2 pi]")
-    # Python floats, so every product below stays in float32
-    a, b, c = (rotate_to_frame(np.eye(3), v) @ meas.direction).tolist()
-    phi32 = phi.astype(np.float32)
-    s = np.cos(phi32)
-    s *= a
-    sin = np.sin(phi32, out=phi32)
-    sin *= b
-    s += sin
-    # 1 - z^2 in float64: in float32 it would lose r near the pole, where z ~ 1
-    r = (1.0 - z * z).astype(np.float32)
-    s *= np.sqrt(r, out=r)
-    cz = z.astype(np.float32)
-    cz *= c
-    s += cz
+    s = dot_estimate(z, phi, rotate_to_frame(np.eye(3), v) @ meas.direction)
     plus = int(np.count_nonzero(s >= TIE_BAND))
     near = np.flatnonzero(np.abs(s) < TIE_BAND)
     if near.size:

@@ -45,8 +45,8 @@ from functools import lru_cache
 import numpy as np
 
 from .coding import code_lengths, elias_delta_decode, elias_delta_encode, whole_number
-from .geometry import (BLOCK, Measurement, born_from_dot, dot3, parallel_map, require_unit,
-                       sphere_from_zphi)
+from .geometry import (BLOCK, Measurement, born_from_dot, dot3, dot_estimate, parallel_map,
+                       require_unit, sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
 from .model import ks_response
@@ -77,8 +77,11 @@ _MAX_BINS = 1 << 20
 #: half-width, in heights v.x, of the band about each bin edge in which
 #: :func:`_height_bins` does not trust its float32 estimate of v.x
 _EDGE_BAND = 2.0 ** -17
-#: most bins :func:`_height_bins` estimates: there the band covers a quarter of each bin
-#: (_EDGE_BAND * bins <= 1/4), while from 2**16 bins on nearly every draw would fall back
+#: most bins :func:`_height_bins` estimates.  The band holds a draw's estimate with
+#: probability about _EDGE_BAND * bins: a quarter of the draws at 2**15 bins, half at
+#: 2**16, all from 2**17.  Timed on run_trials (16384 trials, 2-vCPU Xeon), the estimate
+#: was 6-19% faster than the float64 point at 2**15 bins, 3-11% slower at 2**16 and
+#: 22-35% slower at 2**17 and 2**20
 _ESTIMATE_BINS = 1 << 15
 
 
@@ -333,57 +336,22 @@ def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, phi
 
 
-def _height_estimate(z: np.ndarray, phi: np.ndarray, v) -> np.ndarray:
-    """Float32 estimate s of v.x for x = ``sphere_from_zphi(z, phi)``.
-
-    ``z`` and ``phi`` are equal-shape heights in [-1, 1] and azimuths in
-    [0, 2 pi]; ``v`` is one (3,) unit vector or one per point, broadcasting
-    as the trailing axis of a (..., 3) array.  v.x = sqrt(1 - z^2) (v0 cos
-    phi + v1 sin phi) + v2 z, and s takes cos and sin in float32 of
-    float32(phi), 1 - z^2 in float64 (in float32 it would lose the radius
-    near the poles), and the rest in float32 products of float32 v
-    components.  Rounding phi to float32 moves it by at most 2^-22 < 2.4e-7
-    on [0, 2 pi], float32 cos and sin err by ~1e-7 more, and the rounding of
-    v and of each float32 product and sum adds a few 1e-8; since |v| = 1,
-    |s - v.x| <= ~1e-6, while the float64 v.x errs by ~1e-16.  The worst
-    seen over 21M uniform random (z, phi, v) was 3.2e-7, and a test holds it
-    within _EDGE_BAND/8 = 9.5e-7 on a 4M-point grid.
-    """
-    # Python floats keep a fixed state's products in float32
-    v0, v1, v2 = ((v[..., k].astype(np.float32) for k in range(3)) if v.ndim > 1
-                  else v.tolist())
-    phi32 = phi.astype(np.float32)
-    s = np.cos(phi32)
-    s *= v0
-    sin = np.sin(phi32, out=phi32)
-    sin *= v1
-    s += sin
-    r = z * z
-    np.subtract(1.0, r, out=r)
-    r = r.astype(np.float32)
-    s *= np.sqrt(r, out=r)
-    cz = z.astype(np.float32)
-    cz *= v2
-    s += cz
-    return s
-
-
 def _height_bins(z: np.ndarray, phi: np.ndarray, v, bins: int) -> np.ndarray:
     """``bin_index(dot3(sphere_from_zphi(z, phi), v), bins)``, mostly from a float32 estimate.
 
-    Inputs as in :func:`_height_estimate`.  With s its estimate of v.x, t =
-    (s + 1) bins/2 is taken in float32, which adds at most ~2e-7 bins/2 to
-    the error of s.  A draw whose t lies at least :data:`_EDGE_BAND` bins/2
+    Inputs as in :func:`geometry.dot_estimate`.  With s its estimate of v.x,
+    t = (s + 1) bins/2 is taken in float32, which adds at most ~2e-7 bins/2
+    to the error of s.  A draw whose t lies at least :data:`_EDGE_BAND` bins/2
     from every whole number, i.e. whose estimate lies at least tau = 2^-17
     (over six times the bound on that error) from every bin edge, is in bin
     floor(t), clamped to [0, bins - 1].  The others are binned by the exact
     formula on those rows alone; it is elementwise, so no bin moves.  Past
-    :data:`_ESTIMATE_BINS` bins the band would hold most draws, and every
-    draw takes the exact formula.
+    :data:`_ESTIMATE_BINS` bins the band holds half the draws or more, and
+    every draw takes the exact formula.
     """
     if bins > _ESTIMATE_BINS:
         return bin_index(dot3(sphere_from_zphi(z, phi), v), bins)
-    t = _height_estimate(z, phi, v)
+    t = dot_estimate(z, phi, v)
     t += 1.0
     t *= bins / 2
     whole = np.floor(t)

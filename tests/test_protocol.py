@@ -11,7 +11,7 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import protocol
-from kschannel.geometry import dot3
+from kschannel.geometry import dot3, dot_estimate
 from kschannel.protocol import (_SEND_BLOCK, _SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
                                 TrialBatch, _ks_schedule, _sphere_point, _trial_keys, alice_send,
                                 bin_index, bob_receive, discretize_ks, ks_bin_masses,
@@ -482,7 +482,7 @@ class TestHeightBins:
         for k in range(0, heights.size, 32):
             z, phi = np.repeat(heights[k:k + 32], azimuths.size), np.tile(azimuths, 32)
             v = random_unit_vec(rng, z.size if k % 64 == 0 else None)
-            s = protocol._height_estimate(z, phi, v)
+            s = dot_estimate(z, phi, v)
             worst = max(worst, float(np.abs(s - dot3(sphere_from_zphi(z, phi), v)).max()))
         assert worst <= protocol._EDGE_BAND / 8
 
