@@ -174,17 +174,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        trials=args.trials if args.trials is not None else _DEFAULT_TRIALS[args.command],
-        seed=args.seed,
-        bins=args.bins,
-        state=args.state,
-        meas=args.meas,
-        out=args.out,
-        format=args.format,
-        workers=args.workers,
-    )
+    trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[args.command]
+    return RunConfig(**{**vars(args), "trials": trials})
 
 
 def _binomial_sigma(p: float, n: int) -> float:
@@ -194,11 +185,12 @@ def _binomial_sigma(p: float, n: int) -> float:
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """Direct-model sweep: sample the conditional density, answer the measurement.
 
-    Each cell draws all its samples first, then counts the "+" answers BLOCK
-    rows at a time with :func:`ks_plus_count`, which decides each sample from a
-    float32 estimate of x.m and builds the exact float64 point only near the
-    tie.  The counts are exact integers.  It runs on one thread whatever
-    ``cfg.workers`` is: a pool was slower than one thread on this kernel.
+    Each cell draws all its samples first, then counts the "+" answers with
+    one :func:`ks_plus_count` call, which walks them BLOCK rows at a time,
+    decides each sample from a float32 estimate of x.m and builds the exact
+    float64 point only near the tie.  The counts are exact integers.  It runs
+    on one thread whatever ``cfg.workers`` is: a pool was slower than one
+    thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:
         grid = [None]  # both directions pinned: a single cell at their actual angle
@@ -220,12 +212,10 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
                 # fixed measurement: sweep the state around it instead
                 m, v = np.asarray(cfg.meas, float), rotate_to_frame(tilt, np.asarray(cfg.meas, float))
         meas = Measurement(m)
-        # ks_sample's draws, answered one block at a time: the count of "+" answers
-        # is exact, so plus / n is the mean of the whole response array
+        # ks_sample's draws: the count of "+" answers is exact, so count / n is the
+        # mean of the whole response array
         z, phi = ks_draws(rng, cfg.trials)
-        plus = sum(ks_plus_count(z[lo:lo + BLOCK], phi[lo:lo + BLOCK], v, meas)
-                   for lo in range(0, cfg.trials, BLOCK))
-        empirical = plus / cfg.trials
+        empirical = ks_plus_count(z, phi, v, meas) / cfg.trials
         born = float(born_from_dot(np.sum(v * m)))
         sigma = _binomial_sigma(born, cfg.trials)
         cells.append({

@@ -28,9 +28,10 @@ def parallel_map(work, items, workers: int = 1) -> list:
     """``[work(i) for i in items]``, in order, on ``min(workers, len(items))`` threads.
 
     numpy releases the GIL inside its elementwise kernels, so blocks that each
-    write only their own rows (or return a count) run side by side, and the
-    result does not depend on the thread count.  With one thread the items run
-    serially and no pool is started.  An exception in any item is raised here.
+    write only their own rows (or return their own result) run side by side,
+    and the result does not depend on the thread count.  With one thread the
+    items run serially and no pool is started.  An exception in any item is
+    raised here.
     """
     items = list(items)
     threads = min(workers, len(items))
@@ -126,30 +127,17 @@ def dot_estimate(z: np.ndarray, phi: np.ndarray, u) -> np.ndarray:
     return s
 
 
-def random_unit_vec(rng: np.random.Generator, n: int | None = None,
-                    workers: int = 1) -> np.ndarray:
+def random_unit_vec(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform point(s) on the unit sphere: z ~ U[-1, 1], azimuth ~ U[0, 2pi).
 
     Returns shape (3,) when ``n`` is None, else (n, 3).  Deterministic given
     the generator state: two calls on identically seeded generators agree
-    bit for bit.  All heights are drawn before all azimuths; when ``n`` >
-    BLOCK the points are then mapped BLOCK rows at a time into the result,
-    on up to ``workers`` threads (see :func:`parallel_map`), which moves no
-    bit and builds no full-length temporaries.
+    bit for bit.  All heights are drawn before all azimuths.
     """
     size = () if n is None else (n,)
     z = rng.uniform(-1.0, 1.0, size=size)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    if n is None or n <= BLOCK:
-        return sphere_from_zphi(z, phi)
-    out = np.empty((n, 3))
-
-    def block(lo: int) -> None:
-        rows = slice(lo, lo + BLOCK)
-        sphere_from_zphi(z[rows], phi[rows], out=out[rows])
-
-    parallel_map(block, range(0, n, BLOCK), workers)
-    return out
+    return sphere_from_zphi(z, phi)
 
 
 def rotate_to_frame(local, pole, out: np.ndarray | None = None) -> np.ndarray:

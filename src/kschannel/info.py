@@ -14,10 +14,11 @@ states occupy disjoint supports carry the full state description in each
 sample; their mutual information diverges and no finite entropy exists to
 compute, so no such number is offered here.
 
-The Monte Carlo estimate draws uniform states and the model's points from
-the generator in a fixed order and divides each conditional density by the
-constant marginal 1/(4 pi) in BLOCK-row slices, so only one block's
-temporaries are live at a time.
+The Monte Carlo estimate draws the polar coordinates of uniform states and
+of the model's points from the generator in a fixed order, then builds the
+states, rotates the points about them and divides each conditional density
+by the constant marginal 1/(4 pi) in one pass per BLOCK rows, so only one
+block's points and temporaries are live at a time on each thread.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coding import whole_number
-from .geometry import BLOCK, random_unit_vec
-from .model import MARGINAL_DENSITY, _ks_density, ks_sample
+from .geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
+from .model import MARGINAL_DENSITY, _ks_density, ks_draws
 
 _LN2 = np.log(2.0)
 
@@ -82,10 +83,11 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     (booleans and fractions raise ValueError).
 
     Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
-    order, by samplers mapped on up to ``workers`` threads.  The densities and
-    logarithms of a chunk are evaluated on row slices of BLOCK pairs and its
-    sums are taken over the whole chunk, so neither the split nor ``workers``
-    moves a bit of the estimate.
+    order: the states' heights, their azimuths, then :func:`ks_draws`.  Each
+    BLOCK rows of a chunk are then built, rotated and turned into log-ratios
+    in one pass, on up to ``workers`` threads (see :func:`parallel_map`), and
+    the sums are taken over the whole chunk, so neither the split nor
+    ``workers`` moves a bit of the estimate.
     """
     n = whole_number(n, "sample count")
     if n < MIN_MI_SAMPLES:
@@ -95,13 +97,19 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     done = 0
     while done < n:
         m = min(_MI_CHUNK, n - done)
-        states = random_unit_vec(rng, m, workers)
-        x = ks_sample(states, rng, workers=workers)
+        state_z = rng.uniform(-1.0, 1.0, m)
+        state_phi = rng.uniform(0.0, 2.0 * np.pi, m)
+        z, phi = ks_draws(rng, m)
         w = np.empty(m)
-        for lo in range(0, m, BLOCK):
+
+        def block(lo: int) -> None:
             rows = slice(lo, lo + BLOCK)
-            # ks_sample checked these states, and its points are unit by construction
-            np.log2(_ks_density(x[rows], states[rows]) / MARGINAL_DENSITY, out=w[rows])
+            # states and points built here are unit by construction
+            state = sphere_from_zphi(state_z[rows], state_phi[rows])
+            x = rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), state)
+            np.log2(_ks_density(x, state) / MARGINAL_DENSITY, out=w[rows])
+
+        parallel_map(block, range(0, m, BLOCK), workers)
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (BLOCK, Measurement, dot3, dot_estimate, parallel_map, require_unit,
-                       rotate_to_frame, sphere_from_zphi)
+from .geometry import (BLOCK, Measurement, dot3, dot_estimate, require_unit, rotate_to_frame,
+                       sphere_from_zphi)
 
 #: conditional density on its support, divided by the dot product
 DENSITY_SCALE = 1.0 / np.pi
@@ -61,18 +61,16 @@ def ks_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
     return z, phi
 
 
-def ks_sample(v, rng: np.random.Generator, n: int | None = None,
-              workers: int = 1) -> np.ndarray:
+def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Draw x ~ rho(.|v) by inverse CDF in the polar coordinate (see :func:`ks_draws`).
 
     ``n`` draws per call when given, a single (3,) sample otherwise; v may
     itself be a batch of states (one draw each).  All draws are taken first;
     they are then mapped and rotated BLOCK rows at a time into the one
-    result, on up to ``workers`` threads (see :func:`parallel_map`), so no
-    array of local points is built and the thread count moves no bit.  A
-    batch of states is split with the rows, and a single state, (3,) or
-    (1, 3), serves every block.  Each block checks its states as it reaches
-    them: a non-unit state raises ValueError.
+    result, so no array of local points is built.  A batch of states is
+    split with the rows, and a single state, (3,) or (1, 3), serves every
+    block.  Each block checks its states as it reaches them: a non-unit
+    state raises ValueError.
     """
     v = np.asarray(v, dtype=float)
     z, phi = ks_draws(rng, v.shape[:-1] if n is None else (n,))
@@ -80,13 +78,10 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None,
     per_row = v.shape[:-1] == z.shape
     flat, z, phi = out.reshape(-1, 3), z.reshape(-1), phi.reshape(-1)
     poles = v.reshape(-1, 3)
-
-    def block(lo: int) -> None:
+    for lo in range(0, len(z), BLOCK):
         rows = slice(lo, lo + BLOCK)
         pole = require_unit(poles[rows] if per_row else v, "state v")
         rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), pole, out=flat[rows])
-
-    parallel_map(block, range(0, len(z), BLOCK), workers)
     return out
 
 
@@ -113,20 +108,27 @@ def ks_plus_count(z, phi, v, meas: Measurement) -> int:
     100 times the bound) means x.m > 0, a "+", and s <= -TIE_BAND a "-".
     Only the draws with |s| < TIE_BAND, about 1e-4 of them, are answered by
     the exact formula above, on those rows alone; it is elementwise, so no
-    bit of the answer moves.
+    bit of the answer moves.  The input is checked and (a, b, c) built once
+    a call, and the draws are counted BLOCK at a time, so only one block's
+    temporaries are live.
     """
     v = require_unit(v, "state v")
     z = np.asarray(z, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if z.shape != phi.shape:
         raise ValueError(f"heights {z.shape} and azimuths {phi.shape} differ in shape")
-    if z.size and not (np.abs(z).max() <= 1.0 and phi.min() >= 0.0
+    if z.size and not (z.min() >= -1.0 and z.max() <= 1.0 and phi.min() >= 0.0
                        and phi.max() <= 2.0 * np.pi):
         raise ValueError("heights must lie in [-1, 1] and azimuths in [0, 2 pi]")
-    s = dot_estimate(z, phi, rotate_to_frame(np.eye(3), v) @ meas.direction)
-    plus = int(np.count_nonzero(s >= TIE_BAND))
-    near = np.flatnonzero(np.abs(s) < TIE_BAND)
-    if near.size:
-        x = rotate_to_frame(sphere_from_zphi(z.reshape(-1)[near], phi.reshape(-1)[near]), v)
-        plus += int(np.count_nonzero(ks_response(x, meas) == 1))
+    abc = rotate_to_frame(np.eye(3), v) @ meas.direction
+    z, phi = z.reshape(-1), phi.reshape(-1)
+    plus = 0
+    for lo in range(0, z.size, BLOCK):
+        zb, phib = z[lo:lo + BLOCK], phi[lo:lo + BLOCK]
+        s = dot_estimate(zb, phib, abc)
+        plus += int(np.count_nonzero(s >= TIE_BAND))
+        near = np.flatnonzero(np.abs(s) < TIE_BAND)
+        if near.size:
+            x = rotate_to_frame(sphere_from_zphi(zb[near], phib[near]), v)
+            plus += int(np.count_nonzero(ks_response(x, meas) == 1))
     return plus

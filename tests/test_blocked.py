@@ -1,7 +1,7 @@
-"""Blocked evaluation at block edges: random_unit_vec, ks_sample, verify and mi
-evaluate their samples BLOCK rows at a time, on one thread or several, and none
-of it may move a bit against the frozen whole-array forms; the one-path kernels
-are checked at the same row counts."""
+"""Blocked evaluation at block edges: ks_sample, verify and mi evaluate their
+samples BLOCK rows at a time (mi on one thread or several), and none of it may
+move a bit against the frozen whole-array forms; the one-path kernels are
+checked at the same row counts."""
 
 import sys
 import tracemalloc
@@ -18,8 +18,6 @@ from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_fra
                            assert_fresh_vectors)
 
 EDGE_ROWS = [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7]
-#: thread counts the blocked samplers are compared at
-WORKERS = (1, 2, 3)
 
 _CAP = _stacked_sphere_from_zphi(1.0 - 5e-10, 0.7)  # |pz| > 1 - 1e-9
 SPECIAL_POLES = [_CAP, -_CAP, [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, 1.0],
@@ -53,17 +51,17 @@ class TestParallelMap:
             parallel_map(work, range(8), 2)
 
     def test_more_threads_than_cores_with_fast_switching(self):
-        # nine threads share one result array, switching as often as the interpreter
-        # allows; each writes only its own block's rows, so no bit may move
-        v = random_unit_vec(np.random.default_rng(8), 8 * BLOCK + 5)
-        want = ks_sample(v, np.random.default_rng(9))
+        # nine threads share one chunk's log-ratio array, switching as often as the
+        # interpreter allows; each writes only its own block's rows, so no bit may move
+        n = 8 * BLOCK + 5
+        want = mc_mutual_information(n, np.random.default_rng(9), workers=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = ks_sample(v, np.random.default_rng(9), workers=9)
+            got = mc_mutual_information(n, np.random.default_rng(9), workers=9)
         finally:
             sys.setswitchinterval(interval)
-        assert_bit_identical(got, want)
+        assert got == want
 
     @pytest.mark.parametrize("items, workers, asked", [(range(1), 4, []), (range(5), 1, []),
                                                        (range(3), 10**6, [3]),
@@ -79,13 +77,11 @@ class TestKernelsAtBlockEdges:
         draws = np.random.default_rng(n)
         want = _stacked_sphere_from_zphi(draws.uniform(-1.0, 1.0, n),
                                          draws.uniform(0.0, 2 * np.pi, n))
-        next_draw = draws.random()
-        for workers in WORKERS:
-            rng = np.random.default_rng(n)
-            out = random_unit_vec(rng, n, workers)
-            assert_bit_identical(out, want)
-            assert_fresh_vectors(out, (n, 3))
-            assert rng.random() == next_draw  # the generator was consumed the same way
+        rng = np.random.default_rng(n)
+        out = random_unit_vec(rng, n)
+        assert_bit_identical(out, want)
+        assert_fresh_vectors(out, (n, 3))
+        assert rng.random() == draws.random()  # the generator was consumed the same way
 
     @pytest.mark.parametrize("n", EDGE_ROWS)
     def test_sphere_from_zphi(self, n):
@@ -223,13 +219,12 @@ def _whole_array_mi(n, rng, chunk):
 class TestKsSampleAtBlockEdges:
     @staticmethod
     def _assert_matches_whole_array(v, n, seed):
-        for workers in WORKERS:
-            rng, frozen_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            out = ks_sample(v, rng, n, workers)
-            want = _whole_array_ks_sample(np.asarray(v), frozen_rng, len(v) if n is None else n)
-            assert_bit_identical(out, want)
-            assert_fresh_vectors(out, want.shape)
-            assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
+        rng, frozen_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = ks_sample(v, rng, n)
+        want = _whole_array_ks_sample(np.asarray(v), frozen_rng, len(v) if n is None else n)
+        assert_bit_identical(out, want)
+        assert_fresh_vectors(out, want.shape)
+        assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
 
     @pytest.mark.parametrize("n", EDGE_ROWS)
     @pytest.mark.parametrize("pole", SPECIAL_POLES + [[0.36, -0.48, 0.8]])
@@ -253,19 +248,17 @@ class TestKsSampleAtBlockEdges:
 
     def test_holds_no_array_of_local_points(self):
         # draws (16 bytes/row) + result (24) + 16 bytes/row of slack; a whole (m, 3)
-        # array of local points before the rotation alone would cost 24 more.  Two
-        # threads hold two blocks' temporaries at once, which must fit the same slack.
+        # array of local points before the rotation alone would cost 24 more
         m = 1 << 18
         states = random_unit_vec(np.random.default_rng(6), m)
-        for workers in (1, 2):
-            rng = np.random.default_rng(7)
-            tracemalloc.start()
-            try:
-                ks_sample(states, rng, workers=workers)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak / m < 56, workers
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            ks_sample(states, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 56
 
 
 def _verify_rates(state, meas, seed, n, workers=1):
@@ -300,3 +293,16 @@ class TestModelCommandsAtBlockEdges:
             est = mc_mutual_information(n, rng, workers=workers)
             assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, chunk)
             assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
+
+    def test_mi_holds_no_array_of_points(self):
+        # one chunk: the draws (32 bytes/row) and the log-ratios (8), plus slack
+        # smaller than one 24-byte/row (m, 3) array of states or points
+        m = 1 << 18
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            mc_mutual_information(m, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 64

@@ -238,9 +238,9 @@ class TestWorkers:
     def test_mi_chunks_ask_at_most_one_thread_per_block(self, capsys, serial_pool):
         _, split = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3",
                                      "--workers", "1000000"])
-        # per chunk: random_unit_vec and ks_sample; the densities run on one thread. The
-        # chunks hold 262144 rows (16 blocks) and 37856 rows (3 blocks, the last one short)
-        assert serial_pool == [16, 16, 3, 3]
+        # one pool per chunk: 262144 rows (16 blocks), then 37856 rows (3 blocks, the
+        # last one short)
+        assert serial_pool == [16, 3]
         _, serial = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3", "--workers", "1"])
         assert split["results"] == serial["results"]
 

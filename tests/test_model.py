@@ -121,7 +121,7 @@ class TestKsSample:
         states = random_unit_vec(rng, 2 * 16384 + 5)
         states[-2] *= 1.0 + 1e-9
         with pytest.raises(ValueError, match="state v"):
-            ks_sample(states, rng, workers=2)
+            ks_sample(states, rng)
 
 
 def _exact_plus(z, phi, v, meas):
