@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .geometry import (BLOCK, Measurement, born_from_dot, random_unit_vec, rotate_to_frame,
-                       sphere_from_zphi)
+                       sphere_from_zphi, unit_vector)
 from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
@@ -80,23 +80,9 @@ def _vector_arg(text: str) -> tuple[float, float, float]:
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected 'x,y,z', got {text!r}")
     try:
-        v = np.array([float(p) for p in parts])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"non-numeric component in {text!r}") from None
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if (not np.isfinite(norm) and np.all(np.isfinite(v))) or (norm < 1e-12 and np.any(v)):
-        # the squared length overflowed or is tiny: scale first (only here, so no other
-        # vector moves)
-        v = v / np.max(np.abs(v))
-        norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm):
-        raise argparse.ArgumentTypeError(
-            f"vector components and length must be finite, got {text!r}")
-    if norm == 0.0:
-        raise argparse.ArgumentTypeError("vector must have nonzero length")
-    v = v / norm
-    return (float(v[0]), float(v[1]), float(v[2]))
+        return tuple(unit_vector(*map(float, parts)).tolist())
+    except ValueError as exc:   # a non-numeric or non-finite component, or the zero vector
+        raise argparse.ArgumentTypeError(f"bad vector {text!r}: {exc}") from None
 
 
 def _bounded_int(text: str, what: str, low: int, high: int | None = None) -> int:

@@ -17,22 +17,23 @@ class DecodeError(ValueError):
     """Raised when a bitstring is not exactly one well-formed codeword."""
 
 
-def whole_number(value, what: str) -> int:
-    """``value`` as an int; booleans and values that are not whole numbers raise ValueError."""
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            if int(value) == value:
-                return int(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
-    raise ValueError(f"{what} must be a whole number, got {value!r}")
+def whole_number(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int; booleans, values that are not whole numbers and values
+    below ``least`` (when given) raise ValueError."""
+    try:
+        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {int(value)}")
+    return int(value)
 
 
 def elias_delta_encode(i: int) -> str:
     """Codeword for i >= 1; numpy integers encode like the equal int."""
-    i = whole_number(i, "an encoded index")
-    if i < 1:
-        raise ValueError(f"can only encode positive integers, got {i}")
+    i = whole_number(i, "an encoded index", 1)
     n = i.bit_length() - 1          # i = 2**n + rest
     m = n + 1
     gamma = "0" * (m.bit_length() - 1) + format(m, "b")
@@ -73,9 +74,14 @@ def code_lengths(indices) -> np.ndarray:
     """Vectorized codeword lengths; exact for indices below 2**53.
 
     frexp on the float image of an integer returns its bit length exactly,
-    which avoids the off-by-one hazards of floor(log2).
+    which avoids the off-by-one hazards of floor(log2).  Booleans, fractions,
+    NaN and inf raise ValueError, as in :func:`elias_delta_encode`.
     """
-    idx = np.asarray(indices, dtype=np.int64)
+    idx = np.asarray(indices)
+    if idx.dtype == bool or (idx.dtype.kind not in "iu" and not np.all(
+            (idx >= 1) & (idx < 2.0 ** 63) & (np.floor(idx) == idx))):
+        raise ValueError("indices must be whole numbers in [1, 2**63), not booleans")
+    idx = idx.astype(np.int64, copy=False)
     if np.any(idx < 1):
         raise ValueError("indices must be positive")
     n = np.frexp(idx.astype(np.float64))[1] - 1

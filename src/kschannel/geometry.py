@@ -54,11 +54,20 @@ def dot3(a, b) -> np.ndarray:
 
 
 def unit_vector(x: float, y: float, z: float) -> np.ndarray:
-    """Build a unit vector by normalizing (x, y, z); rejects near-zero input."""
+    """(x, y, z) divided by its length; non-finite or all-zero input raises ValueError.
+
+    When the length overflows or lies below 1e-12, the vector is first divided
+    by its largest |component|, so (1e200, 1e200, 0) gives the bits of (1, 1, 0)
+    and (1e-300, 0, 0) gives (1, 0, 0); no other vector takes that step.
+    """
     v = np.array([x, y, z], dtype=float)
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise ValueError("cannot normalize a zero-length vector")
+    if not (np.all(np.isfinite(v)) and np.any(v)):
+        raise ValueError("vector must have finite components and nonzero length")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not np.isfinite(norm) or norm < 1e-12:
+        v = v / np.max(np.abs(v))
+        norm = np.linalg.norm(v)
     return v / norm
 
 

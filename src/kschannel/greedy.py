@@ -217,7 +217,7 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
     the sender's private coins in [0, 1); one of each is consumed per round.
     Returns (accepted round index, accepted symbol), 1-based index.  Raises
     :class:`ProtocolFailure` if either stream ends or the cap is exceeded,
-    and ValueError if the proposal cannot reach the target's support.
+    and ValueError on a coin outside [0, 1) or a target the proposal misses.
     """
     t = target.masses
     p = proposal.masses
@@ -236,6 +236,8 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
             u = float(next(coin_it))
         except StopIteration:
             raise ProtocolFailure(f"stream exhausted after {i - 1} rounds") from None
+        if not 0.0 <= u < 1.0:
+            raise ValueError(f"coins must lie in [0, 1), got {u!r}")
         remainder = max(0.0, 1.0 - total)
         delta = _advance(s, remainder, t, p)
         denom = remainder * p[a]

@@ -79,8 +79,8 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     Draws uniform states, one model point per state, and averages
     log2[ rho(x|v) / rho(x) ] over the pairs, where rho(x) is the constant
     :data:`~kschannel.model.MARGINAL_DENSITY`; the standard error is the
-    sample deviation over sqrt(n).  Requires a whole number n >= MIN_MI_SAMPLES
-    (booleans and fractions raise ValueError).
+    sample deviation over sqrt(n).  Requires whole numbers n >= MIN_MI_SAMPLES
+    and workers >= 1 (booleans and fractions raise ValueError).
 
     Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
     order: the states' heights, their azimuths, then :func:`ks_draws`.  Each
@@ -89,9 +89,8 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     the sums are taken over the whole chunk, so neither the split nor
     ``workers`` moves a bit of the estimate.
     """
-    n = whole_number(n, "sample count")
-    if n < MIN_MI_SAMPLES:
-        raise ValueError(f"need at least {MIN_MI_SAMPLES} samples for a usable estimate, got {n}")
+    n = whole_number(n, "sample count", MIN_MI_SAMPLES)
+    workers = whole_number(workers, "workers", 1)
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -220,15 +221,16 @@ def discretize_ks(v, bins: int):
     return target, proposal, binner
 
 
-def alice_send(state, codebook: Codebook, bins: int, accept_uniforms,
-               cap: int = DEFAULT_ROUND_CAP) -> tuple[str, TrialReport]:
+def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[str, TrialReport]:
     """Sender half of one trial: steer the codebook onto rho(.|state).
 
     ``accept_uniforms`` supplies the sender's private coins (an iterable of
-    floats in [0, 1)); exactly one is taken per round up to the accepted
-    one.  Returns the transmitted bitstring and the sender-side report.
-    Raises :class:`ProtocolFailure` if nothing is accepted within ``cap``
-    rounds or the coins run out first.
+    floats in [0, 1); any other coin, NaN included, raises ValueError);
+    exactly one is taken per round up to the accepted one.  Returns the
+    transmitted bitstring and the sender-side report.  Raises
+    :class:`ProtocolFailure` if the coins run out first or nothing is
+    accepted within :data:`greedy.DEFAULT_ROUND_CAP` rounds, a guard that
+    the schedule's floor round (562 545 at 2**15 bins) keeps from binding.
     """
     state = require_unit(state, "state")
     bins = _bin_count(bins)
@@ -236,9 +238,9 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms,
     coins = iter(accept_uniforms)
     done, width = 0, _SEND_BLOCK
     while True:
-        width = min(width, cap - done)
+        width = min(width, DEFAULT_ROUND_CAP - done)
         if width <= 0:
-            raise ProtocolFailure(f"no acceptance within {cap} rounds")
+            raise ProtocolFailure(f"no acceptance within {DEFAULT_ROUND_CAP} rounds")
         rounds = np.arange(done + 1, done + width + 1)
         bidx = bin_index(dot3(_sphere_point(codebook.seed, 2 * rounds), state), bins)
         for j, p in enumerate(schedule.accept_prob(bidx, rounds).tolist()):
@@ -246,6 +248,8 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms,
                 u = float(next(coins))
             except StopIteration:
                 raise ProtocolFailure(f"stream exhausted after {done + j} rounds") from None
+            if not 0.0 <= u < 1.0:
+                raise ValueError(f"coins must lie in [0, 1), got {u!r}")
             if u < p:
                 index = done + j + 1
                 bits = elias_delta_encode(index)
@@ -381,14 +385,14 @@ def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
 
 
 def run_trial(master_seed: int, trial_index: int, bins: int,
-              state=None, meas=None, cap: int = DEFAULT_ROUND_CAP) -> TrialReport:
+              state=None, meas=None) -> TrialReport:
     """Reference scalar path for one complete trial (sender then receiver).
 
     The sender is the per-round loop :func:`greedy.greedy_one_shot` over
     the binned codebook stream, independent of the shared schedule that
-    :func:`alice_send` and :func:`run_trials` read.  Bit-identical to the
-    corresponding row of :func:`run_trials`.  Seeds and trial indices are
-    checked as in :func:`trial_codebook`.
+    :func:`alice_send` and :func:`run_trials` read, with its default round
+    cap.  Bit-identical to the corresponding row of :func:`run_trials`.
+    Seeds and trial indices are checked as in :func:`trial_codebook`.
     """
     trial = _trial_keys(_word(master_seed, "master seed"),
                         np.array([_word(trial_index, "trial index")], dtype=np.uint64))
@@ -398,15 +402,9 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
          else _sphere_point(mix_vec(trial, _SUB_MEAS), 1)[0])
     codebook = Codebook(seed=int(mix_vec(trial, _SUB_CODEBOOK)[0]))
     target, proposal, binner = discretize_ks(v, bins)
-
-    def binned_stream():
-        i = 1
-        while True:
-            yield int(binner(codebook.entry(i)))
-            i += 1
-
-    index, _ = greedy_one_shot(target, proposal, binned_stream(),
-                               counter_uniforms(int(mix_vec(trial, _SUB_ACCEPT)[0])), cap=cap)
+    stream = (int(binner(codebook.entry(i))) for i in count(1))
+    index, _ = greedy_one_shot(target, proposal, stream,
+                               counter_uniforms(int(mix_vec(trial, _SUB_ACCEPT)[0])))
     bits = elias_delta_encode(index)
     outcome = bob_receive(bits, codebook, Measurement(m))
     return TrialReport(state=v, meas=m, accepted_index=index,
@@ -414,7 +412,7 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
 
 
 def _run_chunk(master_seed: int, start: int, count: int, bins: int,
-               state, meas, cap: int, schedule: GreedySchedule) -> TrialBatch:
+               state, meas, schedule: GreedySchedule) -> TrialBatch:
     trial = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
     if state is not None:
         v = np.broadcast_to(np.asarray(state, float), (count, 3)).copy()
@@ -437,7 +435,7 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
         coins = to_unit(mix_vec(acc_keys[active], ctr))
         return bidx, coins
 
-    accepted, _ = schedule.scan(count, draw, cap)
+    accepted, _ = schedule.scan(count, draw)
     points = _sphere_point(cb_keys, 2 * accepted.astype(np.uint64))
     outcome = np.where(dot3(points, m) >= 0.0, 1, -1)
     born = np.asarray(born_from_dot(dot3(v, m)))
@@ -447,7 +445,7 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
 
 
 def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None,
-               workers: int = 1, cap: int = DEFAULT_ROUND_CAP) -> TrialBatch:
+               workers: int = 1) -> TrialBatch:
     """Simulate ``n_trials`` independent trials, vectorized.
 
     ``state`` / ``meas`` fix the prepared state or measurement direction for
@@ -456,13 +454,12 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     span per worker thread (at most one per whole :data:`_TRIALS_PER_THREAD`
     trials), each scanned at once; every row depends only on its trial
     index, so any worker count yields bit-identical results.  A seed outside
-    [0, 2**64) and a trial count that is not a whole number >= 0 raise
-    ValueError.
+    [0, 2**64), and trial and worker counts that are not whole numbers >= 0
+    and >= 1, raise ValueError.
     """
     master_seed = _word(master_seed, "master seed")
-    n_trials = whole_number(n_trials, "trial count")
-    if n_trials < 0:
-        raise ValueError(f"trial count must be >= 0, got {n_trials}")
+    n_trials = whole_number(n_trials, "trial count", 0)
+    workers = whole_number(workers, "workers", 1)
     if state is not None:
         state = require_unit(state, "state")
     if meas is not None:
@@ -474,7 +471,7 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
 
     def scan(k: int) -> TrialBatch:
         return _run_chunk(master_seed, edges[k], edges[k + 1] - edges[k], bins, state, meas,
-                          cap, schedule)
+                          schedule)
 
     parts = parallel_map(scan, range(spans), spans)
     if spans == 1:

@@ -11,7 +11,7 @@ import pytest
 
 from kschannel import cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
-from kschannel.protocol import _sphere_point
+from kschannel.protocol import _codebook_bins, _sphere_point
 from kschannel.rngstream import mix, mix_vec, to_unit
 from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
                            _stacked_sphere_from_zphi, _with_zeros, assert_bit_identical,
@@ -175,6 +175,26 @@ class TestSpherePointAtBlockEdges:
         finally:
             tracemalloc.stop()
         assert peak / m < 32
+
+
+class TestCodebookBinsAtBlockEdges:
+    @pytest.mark.parametrize("bins", [4096, 1 << 16])   # the estimate, and the float64 point
+    @pytest.mark.parametrize("per_run", [False, True], ids=["fixed", "random"])
+    def test_holds_one_block_of_temporaries(self, bins, per_run):
+        # one round of 2**18 runs, as the scan's first rounds of a span past BLOCK trials
+        # draw: the int64 bins (8 bytes/point) + 16 of slack; binned whole, the
+        # words, hash, heights, azimuths and estimate need 48-56 bytes/point
+        m = 1 << 18
+        rng = np.random.default_rng(4)
+        keys = rng.integers(0, 2**64, m, dtype=np.uint64, endpoint=False)
+        v = random_unit_vec(rng, m) if per_run else np.array([0.0, 0.6, 0.8])
+        tracemalloc.start()
+        try:
+            _codebook_bins(keys, np.array([[2]], dtype=np.uint64), v, bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 24
 
 
 def _whole_array_ks_sample(v, rng, n):

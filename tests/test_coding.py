@@ -78,3 +78,15 @@ def test_vectorized_lengths_match_codewords():
 def test_lengths_rejects_nonpositive():
     with pytest.raises(ValueError):
         code_lengths([0])
+
+
+@pytest.mark.parametrize("bad", [[1.5], [True], np.array([True, False]), np.True_, [0.5],
+                                 [float("nan")], [float("inf")], [2.0**63], [3, 2**70]])
+def test_lengths_reject_booleans_and_non_integral_values(bad):
+    # [1.5] gave [1] and [True] gave [1], where elias_delta_encode rejects 1.5 and True
+    with pytest.raises(ValueError, match="whole numbers"):
+        code_lengths(bad)
+
+
+def test_lengths_take_whole_floats_as_their_int():
+    assert np.array_equal(code_lengths([1.0, 2.0, 2.0**40 + 17]), code_lengths([1, 2, 2**40 + 17]))

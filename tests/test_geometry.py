@@ -116,6 +116,28 @@ class TestUnitVector:
         with pytest.raises(ValueError):
             unit_vector(0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("xyz", [(-0.0, 0.0, -0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 0.0),
+                                     (1.0, -np.inf, 0.0)])
+    def test_rejects_signed_zero_and_non_finite_input(self, xyz):
+        # (inf, 0, 0) gave NaN components
+        with pytest.raises(ValueError, match="finite components and nonzero length"):
+            unit_vector(*xyz)
+
+    @pytest.mark.parametrize("xyz, like", [((1e200, 1e200, 0.0), (1.0, 1.0, 0.0)),
+                                           ((1e308, 1e308, 0.0), (1.0, 1.0, 0.0)),
+                                           ((1e-300, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                                           ((1e-13, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                                           ((0.0, -5e-324, 0.0), (0.0, -1.0, 0.0)),
+                                           ((1e-300, 1e-300, 0.0), (1.0, 1.0, 0.0))])
+    def test_scales_lengths_that_overflow_or_vanish(self, xyz, like):
+        # (1e200, 1e200, 0) gave the zero vector, and (1e-13, 0, 0) was refused
+        assert_bit_identical(unit_vector(*xyz), unit_vector(*like))
+
+    def test_ordinary_vectors_are_divided_by_their_length(self):
+        for xyz in [(3.0, 0.0, 4.0), (0.3, -0.4, 0.5), (1e-6, 2e-6, 0.0), (1e150, 0.0, 1e150)]:
+            v = np.array(xyz)
+            assert_bit_identical(unit_vector(*xyz), v / np.linalg.norm(v))
+
 
 def test_measurement_flip_negates_direction():
     m = Measurement(unit_vector(1.0, 2.0, 2.0))

@@ -102,6 +102,15 @@ class TestSingleShot:
             greedy_one_shot(target, proposal, itertools.repeat(1),
                             itertools.repeat(0.5), cap=64)
 
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, 1.5, float("nan"), float("inf")])
+    def test_rejects_coins_outside_the_unit_interval(self, bad):
+        # symbol 1 has no target mass: a coin of -0.5 accepted it, a NaN never accepted
+        target = DiscreteDistribution(np.array([1.0, 0.0]))
+        proposal = DiscreteDistribution(np.array([0.5, 0.5]))
+        for symbols in ([1, 0], [0]):
+            with pytest.raises(ValueError, match=r"coins must lie in \[0, 1\)"):
+                greedy_one_shot(target, proposal, iter(symbols), iter([bad, 0.5]))
+
     def test_exhausted_stream_raises(self):
         target = DiscreteDistribution(np.array([1.0, 0.0]))
         proposal = DiscreteDistribution(np.array([0.5, 0.5]))

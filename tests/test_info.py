@@ -79,6 +79,11 @@ class TestMcMutualInformation:
         with pytest.raises(ValueError):
             mc_mutual_information(999, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("workers", [1.5, "2", None, 0, -5, True, np.True_])
+    def test_worker_count_must_be_a_whole_number_from_one(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            mc_mutual_information(2000, np.random.default_rng(0), workers=workers)
+
     def test_whole_sample_counts_run_as_their_int(self):
         want = mc_mutual_information(2000, np.random.default_rng(6))
         for n in (2000.0, np.int64(2000), np.float32(2000)):

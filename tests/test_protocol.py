@@ -308,9 +308,19 @@ class TestTrials:
             assert run_trials(seed, 3, 64).n == 3
         assert run_trials(7, 3.0, 64).n == run_trials(7, np.int64(3), 64).n == 3
 
-    def test_round_cap_propagates(self):
-        with pytest.raises(ProtocolFailure):
-            run_trials(3, 100, 4096, cap=1)
+    @pytest.mark.parametrize("workers", [1.5, "2", None, 0, -5, True, np.True_])
+    def test_worker_count_must_be_a_whole_number_from_one(self, workers):
+        # 1.5, "2" and None raised a raw TypeError at 70 000 trials; 0, -5 and True ran
+        # on one thread
+        for n in (10, 70_000):
+            with pytest.raises(ValueError, match="workers"):
+                run_trials(1, n, 4, workers=workers)
+
+    def test_whole_worker_counts_run_as_their_int(self):
+        want = run_trials(7, 20, 64)
+        for workers in (2.0, np.int64(2), np.float32(1)):
+            got = run_trials(7, 20, 64, workers=workers)
+            assert np.array_equal(got.accepted_index, want.accepted_index)
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
@@ -393,14 +403,6 @@ class TestBlockScan:
             _, codebook, key = trial_inputs(self.SEED, t)
             _, sent = alice_send(rep.state, codebook, bins, counter_uniforms(key))
             assert sent.accepted_index == rep.accepted_index
-
-    def test_round_cap_boundary(self):
-        batch = run_trials(self.SEED, 2000, 4096)
-        deepest = int(batch.accepted_index.max())
-        capped = run_trials(self.SEED, 2000, 4096, cap=deepest)
-        assert np.array_equal(capped.accepted_index, batch.accepted_index)
-        with pytest.raises(ProtocolFailure):
-            run_trials(self.SEED, 2000, 4096, cap=deepest - 1)
 
 
 #: bin counts on both sides of protocol._ESTIMATE_BINS = 2**15
@@ -644,13 +646,29 @@ class TestSender:
             if report.accepted_index >= 20:
                 return v, codebook, key, report.accepted_index
 
-    def test_round_cap(self):
+    def test_round_cap(self, monkeypatch):
+        # the guard is fixed at DEFAULT_ROUND_CAP; lowering the module's constant reaches it
         v, codebook, key, index = self.deep_trial()
-        _, report = alice_send(v, codebook, 4096, counter_uniforms(key), cap=index)
+        monkeypatch.setattr(protocol, "DEFAULT_ROUND_CAP", index)
+        _, report = alice_send(v, codebook, 4096, counter_uniforms(key))
         assert report.accepted_index == index
         for cap in (index - 1, 8, 1, 0):
-            with pytest.raises(ProtocolFailure, match="no acceptance"):
-                alice_send(v, codebook, 4096, counter_uniforms(key), cap=cap)
+            monkeypatch.setattr(protocol, "DEFAULT_ROUND_CAP", cap)
+            with pytest.raises(ProtocolFailure, match=f"no acceptance within {cap} rounds"):
+                alice_send(v, codebook, 4096, counter_uniforms(key))
+
+    @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, 1.5, float("nan"), float("inf"),
+                                     float("-inf")])
+    def test_rejects_coins_outside_the_unit_interval(self, bad):
+        # v = +z at 64 bins: a coin of -0.5 accepted draws in zero-mass bins, below the
+        # state's hemisphere, and a NaN or a coin >= 1 never accepted
+        _, codebook, key = trial_inputs(self.SEED, 0)
+        v = np.array([0.0, 0.0, 1.0])
+        first = alice_send(v, codebook, 64, counter_uniforms(key))[1].accepted_index
+        for at in {0, first - 1}:   # the first coin, and the coin of the accepting round
+            coins = [*itertools.islice(counter_uniforms(key), at), bad, *[0.5] * 64]
+            with pytest.raises(ValueError, match=r"coins must lie in \[0, 1\)"):
+                alice_send(v, codebook, 64, coins)
 
     def test_finite_coins(self):
         v, codebook, key, index = self.deep_trial()

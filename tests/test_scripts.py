@@ -1,4 +1,5 @@
-"""Smoke runs of the scripts under scripts/, so they cannot rot when the package API moves."""
+"""Smoke runs of the scripts under scripts/ and of the benchmark's smoke test under
+perfbench/, so they cannot rot when the package API moves."""
 
 import os
 import subprocess
@@ -51,3 +52,12 @@ def test_script_rejects_bad_arguments(name, args):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error:" in proc.stderr
+
+
+def test_benchmark_smoke_test_passes():
+    # perfbench calls alice_send, Codebook.entries, trial_codebook and the cli's argv as
+    # they stand; a signature change must fail here, not only in a benchmark run
+    proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "smoke.py")], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "smoke test passed" in proc.stdout
