@@ -12,6 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
+#: indices are whole numbers in [1, 2**63), so a codebook entry's counters 2i and 2i + 1
+#: fit in one 64-bit word
+_INDEX_LIMIT = 1 << 63
+_INDEX_RULE = ("indices must be whole numbers in [1, 2**63), not booleans "
+               "(codebook entries are indexed in that range)")
+
 
 class DecodeError(ValueError):
     """Raised when a bitstring is not exactly one well-formed codeword."""
@@ -31,9 +37,40 @@ def whole_number(value, what: str, least: int | None = None) -> int:
     return int(value)
 
 
+def whole_indices(indices):
+    """``indices`` under the one index rule: whole numbers in [1, 2**63), no booleans.
+
+    One index (anything of ndim 0) comes back as an int, more as an int64
+    array of their shape; anything else raises ValueError.  Whole floats
+    count as their int.  Input that is not an array is looked at element by
+    element, since numpy turns ``[1, True]`` into ints.
+    """
+    if isinstance(indices, (int, float, np.generic)) or np.ndim(indices) == 0:
+        try:
+            i = whole_number(indices, "an index")
+        except ValueError:
+            raise ValueError(_INDEX_RULE) from None
+        if not 1 <= i < _INDEX_LIMIT:
+            raise ValueError(_INDEX_RULE)
+        return i
+    raw = np.asarray(indices)
+    kind = raw.dtype.kind
+    if not isinstance(indices, np.ndarray) and kind in "iu" and any(
+            isinstance(i, (bool, np.bool_)) for i in np.asarray(indices, dtype=object).flat):
+        raise ValueError(_INDEX_RULE)
+    if kind == "f":
+        ok = np.all((raw >= 1) & (raw < _INDEX_LIMIT) & (np.floor(raw) == raw))  # NaN fails
+    else:   # only unsigned words can pass the limit; they are compared as integers
+        ok = kind in "iu" and (raw.size == 0 or raw.min() >= 1 and (
+            kind == "i" or raw.max() < _INDEX_LIMIT))
+    if not ok:
+        raise ValueError(_INDEX_RULE)
+    return raw.astype(np.int64, copy=False)
+
+
 def elias_delta_encode(i: int) -> str:
-    """Codeword for i >= 1; numpy integers encode like the equal int."""
-    i = whole_number(i, "an encoded index", 1)
+    """Codeword for one index (:func:`whole_indices`); numpy integers encode like the int."""
+    i = whole_indices(i)
     n = i.bit_length() - 1          # i = 2**n + rest
     m = n + 1
     gamma = "0" * (m.bit_length() - 1) + format(m, "b")
@@ -42,7 +79,8 @@ def elias_delta_encode(i: int) -> str:
 
 
 def elias_delta_decode(bits: str) -> int:
-    """Inverse of :func:`elias_delta_encode`; the input must be exactly one codeword.
+    """Inverse of :func:`elias_delta_encode`; the input must be exactly one codeword,
+    of an index in [1, 2**63).
 
     Any character other than '0' and '1' is a :class:`DecodeError` (``int(.., 2)``
     alone would skip whitespace, underscores and a sign, and read non-ASCII digits).
@@ -59,6 +97,8 @@ def elias_delta_decode(bits: str) -> int:
     if pos + ell + 1 > size:
         raise DecodeError("truncated length field")
     m = int(bits[pos:pos + ell + 1], 2)
+    if m > _INDEX_LIMIT.bit_length() - 1:
+        raise DecodeError("the codeword's index is not below 2**63")
     pos += ell + 1
     n = m - 1
     if pos + n > size:
@@ -71,20 +111,16 @@ def elias_delta_decode(bits: str) -> int:
 
 
 def code_lengths(indices) -> np.ndarray:
-    """Vectorized codeword lengths; exact for indices below 2**53.
+    """Vectorized codeword lengths, equal to ``len(elias_delta_encode(i))`` for every index.
 
-    frexp on the float image of an integer returns its bit length exactly,
-    which avoids the off-by-one hazards of floor(log2).  Booleans, fractions,
-    NaN and inf raise ValueError, as in :func:`elias_delta_encode`.
+    n = floor(log2 i) is the frexp exponent of the float image of i, less
+    one.  Past 2**53 that image can round up to the next power of two, so
+    n is lowered by one where ``i >> n`` is 0.  Indices that break the rule
+    of :func:`whole_indices` raise ValueError.
     """
-    idx = np.asarray(indices)
-    if idx.dtype == bool or (idx.dtype.kind not in "iu" and not np.all(
-            (idx >= 1) & (idx < 2.0 ** 63) & (np.floor(idx) == idx))):
-        raise ValueError("indices must be whole numbers in [1, 2**63), not booleans")
-    idx = idx.astype(np.int64, copy=False)
-    if np.any(idx < 1):
-        raise ValueError("indices must be positive")
+    idx = np.asarray(whole_indices(indices))
     n = np.frexp(idx.astype(np.float64))[1] - 1
+    n -= np.right_shift(idx, n) == 0
     ell = np.frexp((n + 1).astype(np.float64))[1] - 1
     return (n + 2 * ell + 1).astype(np.int64)
 

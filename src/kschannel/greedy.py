@@ -25,9 +25,9 @@ lock, and readers only look at rounds that are already built.
 :meth:`GreedySchedule.scan` runs many loops at once on draws its caller
 supplies (:func:`greedy_sample_batch`, the protocol's batched trials) as
 (rounds, runs) arrays, so each step works along a whole row of runs; the
-protocol's sender reads the schedule one trial at a time, and
-:func:`greedy_one_shot` keeps the per-round loop as the independent scalar
-reference.
+protocol's sender reads it one round at a time
+(:meth:`GreedySchedule.accept_prob_at`), and :func:`greedy_one_shot` keeps
+the per-round loop as the independent scalar reference.
 """
 
 from __future__ import annotations
@@ -174,6 +174,17 @@ class GreedySchedule:
         if self.floor_round <= last:
             prob = np.where(rounds >= self.floor_round, self.target[symbols] > 0.0, prob)
         return prob
+
+    def accept_prob_at(self, symbol: int, i: int) -> float:
+        """:meth:`accept_prob` of one symbol drawn at round i, as a float.
+
+        Unlike :meth:`accept_prob` it builds nothing: round i must be built,
+        by ``extend(i)``, first.
+        """
+        if i >= self.floor_round:
+            return 1.0 if self.target.item(symbol) > 0.0 else 0.0
+        k = self.saturation.item(symbol)
+        return 1.0 if i < k else self.fraction.item(symbol) if i == k else 0.0
 
     def scan(self, runs: int, draw, cap: int = DEFAULT_ROUND_CAP) -> tuple[np.ndarray, np.ndarray]:
         """Accepted round index and symbol of each of ``runs`` independent runs.

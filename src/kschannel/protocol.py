@@ -13,20 +13,23 @@ the 1-D binning of the height z = v.x, of order 1/bins.
 The bin laws do not depend on the state, so one :class:`GreedySchedule`
 per bin count (:func:`_ks_schedule`) is built once per process and serves
 every trial and worker thread; it is extended, under its lock, through the
-last round of each block read.  :func:`run_trials` hands each worker's
-span of trials to :meth:`GreedySchedule.scan`, which asks for blocks of
-rounds: the span draws the bins of the codebook points and the coins of
-rounds done+1 .. done+R for every still-active trial as (R, active)
-arrays, one row per round, and the scan ends each trial at its first
-accepting round.  Those bins come from a float32 estimate of the height
-v.x (:func:`_height_bins`); only draws whose estimate lies within 2^-17 of
-a bin edge, and every draw at more than 2^15 bins, are binned from the
+last round read.  :func:`run_trials` hands each worker's span of trials to
+:meth:`GreedySchedule.scan`, which asks for blocks of rounds: the span
+draws the bins of the codebook points and the coins of rounds
+done+1 .. done+R for every still-active trial as (R, active) arrays, one
+row per round, and the scan ends each trial at its first accepting round.
+Those bins come from a float32 estimate of the height v.x
+(:func:`_height_bins`); only draws whose estimate lies within 2^-17 of a
+bin edge, and every draw at more than 2^15 bins, are binned from the
 float64 point, so each bin equals the float64 point's.  The receiver's
-point is then regenerated once per trial from its accepted index, by the
-formula :func:`bob_receive` uses.
-:func:`alice_send` scans one trial in blocks of 8, 16, 32, ... rounds,
-reading each block's acceptance law at once and taking one coin per round
-up to its acceptance.  Every draw is the counter word the
+point is then regenerated once per trial from its accepted index.
+The two-party path works in Python floats, one round at a time:
+:func:`alice_send` builds the shared schedule through round i, reads
+codebook entry i (:func:`_entry_point`, the scalar image of
+:func:`_sphere_point`), looks up its bin's acceptance probability at
+round i and takes one coin, so a trial costs time linear in its accepted
+index, whose mean is at most 4; :func:`bob_receive` rebuilds the one
+accepted entry the same way.  Every draw is the counter word the
 one-round-at-a-time reference (:func:`greedy.greedy_one_shot`, which
 :func:`run_trial` uses) reads, so all paths give the same trial bit for
 bit.  Bin counts must be even whole numbers in [2, :data:`_MAX_BINS`].
@@ -39,18 +42,19 @@ results are independent of how trials are split across worker threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import count
 
 import numpy as np
 
-from .coding import code_lengths, elias_delta_decode, elias_delta_encode, whole_number
+from .coding import (code_lengths, elias_delta_decode, elias_delta_encode, whole_indices,
+                     whole_number)
 from .geometry import (BLOCK, Measurement, born_from_dot, dot3, dot_estimate, parallel_map,
                        require_unit, sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
-from .model import ks_response
 from .rngstream import counter_uniforms, mix, mix_vec, to_unit
 
 _TWO_PI = 2.0 * np.pi
@@ -66,13 +70,6 @@ _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 #: they gain: on two vCPUs two threads ran 0.6-0.9x as fast as one on 8k-trial
 #: spans, about 1.0x on 16k and 1.1-1.3x on 32k
 _TRIALS_PER_THREAD = 1 << 15
-#: rounds in the sender's first block; each later block doubles
-_SEND_BLOCK = 8
-#: codebook entries are indexed in [1, 2**63), so the counters 2i and 2i + 1 fit in 64 bits
-_ENTRY_LIMIT = 1 << 63
-_INDEX_RANGE = "codebook entries are indexed in [1, 2**63)"
-_WHOLE_INDEX = "codebook indices must be whole numbers"
-_BOOL_INDEX = "codebook indices must be whole numbers, not booleans"
 #: largest bin count accepted; the protocol keeps several float arrays of this length
 _MAX_BINS = 1 << 20
 #: half-width, in heights v.x, of the band about each bin edge in which
@@ -113,8 +110,9 @@ class Codebook:
 
     Entry i in [1, 2**63) is the :func:`_sphere_point` of the counter
     words (2i, 2i+1) of the seed's stream.  Both parties reconstruct any
-    entry independently, bit for bit.  Seeds outside [0, 2**64), indices
-    outside [1, 2**63), booleans and non-integral floats raise ValueError.
+    entry independently, bit for bit.  Seeds outside [0, 2**64), and
+    indices that break the rule of :func:`coding.whole_indices` (whole
+    numbers in [1, 2**63), no booleans), raise ValueError.
     """
 
     seed: int
@@ -123,26 +121,11 @@ class Codebook:
         object.__setattr__(self, "seed", _word(self.seed, "codebook seed"))
 
     def entries(self, indices) -> np.ndarray:
-        raw = np.asarray(indices)
-        # numpy turns a list mixing ints and bools into ints, so look at the elements too
-        if raw.dtype == bool or (isinstance(indices, (list, tuple))
-                                 and any(isinstance(i, (bool, np.bool_)) for i in indices)):
-            raise ValueError(_BOOL_INDEX)
-        if not np.all((raw >= 1) & (raw < _ENTRY_LIMIT)):  # NaN fails too
-            raise ValueError(_INDEX_RANGE)
-        if raw.dtype.kind not in "iu" and np.any(raw % 1 != 0):  # integer arrays skip this
-            raise ValueError(_WHOLE_INDEX)
-        return _sphere_point(self.seed, 2 * raw.astype(np.uint64))
+        return _sphere_point(self.seed, 2 * np.asarray(whole_indices(indices), dtype=np.uint64))
 
-    def entry(self, i: int) -> np.ndarray:
-        """Entry i alone: the checks of :meth:`entries` on one Python scalar."""
-        if isinstance(i, (bool, np.bool_)):
-            raise ValueError(_BOOL_INDEX)
-        if not 1 <= i < _ENTRY_LIMIT:  # NaN fails too
-            raise ValueError(_INDEX_RANGE)
-        if i % 1 != 0:
-            raise ValueError(_WHOLE_INDEX)
-        return _sphere_point(self.seed, 2 * int(i))
+    def entry(self, i) -> np.ndarray:
+        """Entry i alone, built in Python floats (:func:`_entry_point`), bit for bit."""
+        return np.array(_entry_point(self.seed, whole_indices(i)))
 
 
 @dataclass(eq=False)
@@ -224,45 +207,75 @@ def discretize_ks(v, bins: int):
 def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[str, TrialReport]:
     """Sender half of one trial: steer the codebook onto rho(.|state).
 
-    ``accept_uniforms`` supplies the sender's private coins (an iterable of
-    floats in [0, 1); any other coin, NaN included, raises ValueError);
-    exactly one is taken per round up to the accepted one.  Returns the
+    ``state`` is one unit vector, of shape (3,) or (1, 3).  ``accept_uniforms``
+    supplies the sender's private coins (an iterable of floats in [0, 1); any
+    other coin, NaN included, raises ValueError); exactly one is taken per
+    round up to the accepted one.  Round i reads codebook entry i as Python
+    floats (:func:`_entry_point`) and its acceptance probability from the
+    shared schedule, built through round i first, so a trial costs time
+    linear in its accepted index, whose mean is at most 4.  Returns the
     transmitted bitstring and the sender-side report.  Raises
     :class:`ProtocolFailure` if the coins run out first or nothing is
     accepted within :data:`greedy.DEFAULT_ROUND_CAP` rounds, a guard that
     the schedule's floor round (562 545 at 2**15 bins) keeps from binding.
     """
     state = require_unit(state, "state")
+    v0, v1, v2 = _components(state, "state")
     bins = _bin_count(bins)
+    half = bins / 2.0
     schedule = _ks_schedule(bins)
     coins = iter(accept_uniforms)
-    done, width = 0, _SEND_BLOCK
-    while True:
-        width = min(width, DEFAULT_ROUND_CAP - done)
-        if width <= 0:
+    for i in count(1):
+        if i > DEFAULT_ROUND_CAP:
             raise ProtocolFailure(f"no acceptance within {DEFAULT_ROUND_CAP} rounds")
-        rounds = np.arange(done + 1, done + width + 1)
-        bidx = bin_index(dot3(_sphere_point(codebook.seed, 2 * rounds), state), bins)
-        for j, p in enumerate(schedule.accept_prob(bidx, rounds).tolist()):
-            try:
-                u = float(next(coins))
-            except StopIteration:
-                raise ProtocolFailure(f"stream exhausted after {done + j} rounds") from None
-            if not 0.0 <= u < 1.0:
-                raise ValueError(f"coins must lie in [0, 1), got {u!r}")
-            if u < p:
-                index = done + j + 1
-                bits = elias_delta_encode(index)
-                return bits, TrialReport(state=state, meas=None, accepted_index=index,
-                                         code_bits=len(bits), outcome=None)
-        done += width
-        width *= 2
+        schedule.extend(i)
+        x0, x1, x2 = _entry_point(codebook.seed, i)
+        # dot3 and bin_index on Python floats, in their order
+        b = math.floor((0.0 + x0 * v0 + x1 * v1 + x2 * v2 + 1.0) * half)
+        p = schedule.accept_prob_at(min(max(b, 0), bins - 1), i)
+        try:
+            u = float(next(coins))
+        except StopIteration:
+            raise ProtocolFailure(f"stream exhausted after {i - 1} rounds") from None
+        if not 0.0 <= u < 1.0:
+            raise ValueError(f"coins must lie in [0, 1), got {u!r}")
+        if u < p:
+            bits = elias_delta_encode(i)
+            return bits, TrialReport(state=state, meas=None, accepted_index=i,
+                                     code_bits=len(bits), outcome=None)
 
 
 def bob_receive(bits: str, codebook: Codebook, meas: Measurement) -> int:
-    """Receiver half: decode the index, regenerate the point, answer the measurement."""
+    """Receiver half: decode the index, regenerate the point, answer the measurement.
+
+    The point is :func:`_entry_point`'s and the answer :func:`model.ks_response`'s,
+    +1 iff x.m >= 0, on Python floats; the direction has shape (3,) or (1, 3).
+    """
     index = elias_delta_decode(bits)
-    return int(ks_response(codebook.entry(index), meas))
+    m0, m1, m2 = _components(meas.direction, "measurement direction")
+    x0, x1, x2 = _entry_point(codebook.seed, index)   # decoded indices lie in [1, 2**63)
+    return 1 if 0.0 + x0 * m0 + x1 * m1 + x2 * m2 >= 0.0 else -1
+
+
+def _components(vec: np.ndarray, name: str) -> list[float]:
+    """The components of one vector of shape (3,) or (1, 3); other shapes raise ValueError."""
+    if vec.shape not in ((3,), (1, 3)):
+        raise ValueError(f"{name} must be one vector of shape (3,) or (1, 3), got {vec.shape}")
+    return vec.ravel().tolist()
+
+
+def _entry_point(key: int, i: int) -> tuple[float, float, float]:
+    """Codebook entry i of the stream ``key`` as three Python floats.
+
+    The scalar image of ``_sphere_point(key, 2 i)``, bit for bit: the words
+    of both counters are hashed by :func:`rngstream.mix`, z, phi and the
+    radius take the vector path's float64 steps in its order, and cos and
+    sin stay numpy's float64 ufuncs, the functions the vector path calls.
+    """
+    z = to_unit(mix(key, 2 * i)) * 2.0 - 1.0
+    phi = to_unit(mix(key, 2 * i + 1)) * _TWO_PI
+    r = math.sqrt(max(0.0, 1.0 - z * z))
+    return r * float(np.cos(phi)), r * float(np.sin(phi)), z
 
 
 def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from kschannel import DecodeError, code_lengths, elias_delta_decode, elias_delta_encode
-from kschannel.coding import kraft_sum
+from kschannel import (Codebook, DecodeError, code_lengths, elias_delta_decode,
+                       elias_delta_encode)
+from kschannel.coding import kraft_sum, whole_indices
 
 
 class TestEncode:
@@ -53,6 +54,16 @@ class TestDecode:
         with pytest.raises(DecodeError):
             elias_delta_decode(bits)
 
+    def test_indices_past_the_rule_do_not_decode(self):
+        # encode refuses 2**63 and up, so decode does too: every decoded index re-encodes
+        top = 2**63 - 1
+        assert elias_delta_decode(elias_delta_encode(top)) == top
+        for i in (2**63, 2**63 + 5, 2**100):
+            n = i.bit_length() - 1
+            bits = "0" * ((n + 1).bit_length() - 1) + format(n + 1, "b") + format(i, "b")[1:]
+            with pytest.raises(DecodeError, match="below 2"):
+                elias_delta_decode(bits)
+
     @settings(max_examples=1000)
     @given(st.one_of(st.text(), st.text(alphabet="01"), st.text(alphabet="01 _+\t\u0661")))
     def test_any_text_decodes_to_its_codeword_or_raises(self, text):
@@ -90,3 +101,33 @@ def test_lengths_reject_booleans_and_non_integral_values(bad):
 
 def test_lengths_take_whole_floats_as_their_int():
     assert np.array_equal(code_lengths([1.0, 2.0, 2.0**40 + 17]), code_lengths([1, 2, 2**40 + 17]))
+
+
+@pytest.mark.parametrize("bad", [[1, True, 4], (3, np.True_), [[2, 3], [True, 5]]],
+                         ids=["list", "tuple", "nested"])
+def test_lengths_reject_booleans_among_integers(bad):
+    # numpy turns [1, True, 4] into int64, and the lengths came out [1, 1, 5]
+    with pytest.raises(ValueError, match="not booleans"):
+        code_lengths(bad)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2**63, 2**64, True, np.True_, 1.5, float("nan"), "5",
+                                 None])
+def test_one_index_rule_for_codes_and_codebook(bad):
+    # encode, code_lengths and the codebook read the index rule from one helper
+    rule = r"whole numbers in \[1, 2\*\*63\), not booleans"
+    codebook = Codebook(seed=5)
+    for check in (elias_delta_encode, codebook.entry, lambda i: code_lengths([1, i]),
+                  lambda i: codebook.entries([1, i])):
+        with pytest.raises(ValueError, match=rule):
+            check(bad)
+    assert whole_indices(np.float64(7.0)) == 7 and type(whole_indices(np.int64(7))) is int
+
+
+def test_lengths_are_exact_past_2_to_the_53():
+    # the float image of 2**54 - 1 is 2**54, and frexp gave 65 bits for its 64
+    cases = [2**63 - 1] + [2**k + d for k in range(63) for d in (-1, 0, 1) if 2**k + d >= 1]
+    got = code_lengths(np.array(cases, dtype=np.int64))
+    assert got.tolist() == [len(elias_delta_encode(i)) for i in cases]
+    assert np.array_equal(code_lengths(np.array(cases, dtype=np.uint64)), got)
+    assert code_lengths([2**54 - 1, 2**62 - 1, 2**63 - 1]).tolist() == [64, 72, 73]

@@ -236,6 +236,36 @@ class TestSchedule:
             assert schedule.total >= previous
             previous = schedule.total
 
+    @pytest.mark.parametrize("bins", [2, 4])
+    def test_scalar_read_matches_accept_prob_through_the_floor(self, bins):
+        # round by round as the sender reads it: built through round i, then read
+        target = DiscreteDistribution(ks_bin_masses(bins))
+        schedule = GreedySchedule(target, DiscreteDistribution(np.full(bins, 1.0 / bins)))
+        i = 0
+        while i < schedule.floor_round + 2:   # floor_round is huge until it is known
+            i += 1
+            schedule.extend(i)
+            got = [schedule.accept_prob_at(b, i) for b in range(bins)]
+            assert all(type(p) is float for p in got)
+            assert got == schedule.accept_prob(np.arange(bins), i).tolist()
+        assert i == schedule.floor_round + 2 == {2: 53, 4: 122}[bins]
+
+    def test_scalar_read_matches_accept_prob_on_sampled_rounds(self):
+        bins = 64
+        target = DiscreteDistribution(ks_bin_masses(bins))
+        schedule = GreedySchedule(target, DiscreteDistribution(np.full(bins, 1.0 / bins)))
+        schedule.extend(10**6)   # stops at the floor round, 1877
+        floor = schedule.floor_round
+        rng = np.random.default_rng(64)
+        rounds = {1, 2, floor - 1, floor, floor + 1, floor + 2,
+                  *rng.integers(1, floor + 3, size=200).tolist()}
+        for k in schedule.saturation[schedule.saturation < floor].tolist():
+            rounds |= {k - 1, k, k + 1} - {0}
+        symbols = np.arange(bins)
+        for i in sorted(rounds):
+            got = [schedule.accept_prob_at(b, i) for b in range(bins)]
+            assert got == schedule.accept_prob(symbols, i).tolist()
+
     def test_accept_prob_broadcasts_over_rounds(self):
         target = DiscreteDistribution(ks_bin_masses(64))
         proposal = DiscreteDistribution(np.full(64, 1.0 / 64))

@@ -12,7 +12,8 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import protocol
 from kschannel.geometry import dot3, dot_estimate
-from kschannel.protocol import (_SEND_BLOCK, _SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
+from kschannel.model import ks_response
+from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
                                 TrialBatch, _ks_schedule, _sphere_point, _trial_keys, alice_send,
                                 bin_index, bob_receive, discretize_ks, ks_bin_masses,
                                 run_trial, run_trials, trial_codebook)
@@ -179,6 +180,50 @@ class TestCodebook:
         top = 2**63 - 1
         assert np.array_equal(cb.entry(top), cb.entries(np.array([top], dtype=np.uint64))[0])
         assert not np.array_equal(cb.entry(top), cb.entry(1))
+
+
+class TestScalarPaths:
+    """The wire path's Python-float point and answer equal the numpy ones bit for bit."""
+
+    def test_entry_matches_entries(self):
+        rng = np.random.default_rng(81)
+        cb = Codebook(seed=int(rng.integers(2**63)))
+        indices = [*rng.integers(1, 2**63, size=5000).tolist(),
+                   *rng.integers(1, 2**16, size=5000).tolist(), 1, 2, 2**62, 2**63 - 1]
+        batch = cb.entries(indices)
+        for i, want in zip(indices, batch, strict=True):
+            assert cb.entry(i).tobytes() == want.tobytes()
+
+    def test_receiver_matches_ks_response(self):
+        rng = np.random.default_rng(82)
+        cb = trial_codebook(82, 0)
+        indices = rng.integers(1, 2**16, size=2000)
+        points = cb.entries(indices)
+        # measurements at random, and orthogonal to the point, where x.m is a few ulp
+        # either side of 0 and the tie rule (0 answers +1) decides
+        rows = len(points)
+        crossed = np.cross(points, random_unit_vec(rng, rows))
+        level = np.stack([-points[:, 1], points[:, 0], np.zeros(rows)], axis=1)
+        for meas in (random_unit_vec(rng, rows), crossed, level):
+            meas = meas / np.linalg.norm(meas, axis=1, keepdims=True)
+            want = ks_response(points, Measurement(meas))
+            got = [bob_receive(elias_delta_encode(int(i)), cb, Measurement(m))
+                   for i, m in zip(indices, meas)]
+            assert got == want.tolist()
+            assert set(got) == {1, -1}
+
+    def test_one_vector_of_shape_3_or_1_by_3(self):
+        v, codebook, key = trial_inputs(5, 0)
+        m = unit_vector(0.6, 0.0, 0.8)
+        bits, _ = alice_send(v, codebook, 64, counter_uniforms(key))
+        outcome = bob_receive(bits, codebook, Measurement(m))
+        assert alice_send(v[None], codebook, 64, counter_uniforms(key))[0] == bits
+        assert bob_receive(bits, codebook, Measurement(m[None])) == outcome
+        for shape in ((2, 3), (1, 1, 3), (0, 3)):
+            with pytest.raises(ValueError):
+                alice_send(np.broadcast_to(v, shape), codebook, 64, counter_uniforms(key))
+            with pytest.raises(ValueError):
+                bob_receive(bits, codebook, Measurement(np.broadcast_to(m, shape)))
 
 
 class TestSenderReceiver:
@@ -693,18 +738,15 @@ class TestSharedSchedule:
             _ks_schedule.cache_clear()   # build the schedule from round 0
             deepest = int(run_trials(seed, 10_000, bins).accepted_index.max())
             assert deepest <= _ks_schedule(bins).rounds <= max(1, 2 * (deepest - 1))
-        # alice_send builds through the end of the 8, 16, 32, ... round block that holds
-        # its acceptance: rounds 8, 24, 56, ..., 8 (2**k - 1)
+        # alice_send builds one round at a time, exactly through the deepest accepted round;
+        # once the floor round is known the schedule holds the rounds before it
         _ks_schedule.cache_clear()
         built = 0
         for t in range(300):
             v, codebook, key = trial_inputs(7, t)
             _, report = alice_send(v, codebook, bins, counter_uniforms(key))
-            end = _SEND_BLOCK
-            while end < report.accepted_index:
-                end = 2 * end + _SEND_BLOCK
             schedule = _ks_schedule(bins)
-            built = min(max(built, end), schedule.floor_round - 1)
+            built = min(max(built, report.accepted_index), schedule.floor_round - 1)
             assert schedule.rounds == built
 
     def test_concurrent_senders_match_a_serial_run(self):
