@@ -103,7 +103,7 @@ WIRE_CASES = {
         "coin_key": key}
     for seed, trial, bins, state, meas, key in [
         (7, 0, 4, _V1, _M1, 5),          # 1
-        (7, 32, 4, _V1, _M1, 5),         # 9: past the sender's first block of 8 rounds
+        (7, 32, 4, _V1, _M1, 5),         # 9
         (11, 31, 64, _V2, _M2, 6),       # 33
         (11, 382, 64, _V2, _M2, 6),      # 201
         (7, 0, 4096, _V3, _M1, 2024),    # 5

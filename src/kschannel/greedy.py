@@ -22,9 +22,10 @@ after it; from the first round whose remainder 1 - S is at most
 The schedule is built lazily, through the last round of each block its
 readers ask about, and may be shared between threads: extension holds a
 lock, and readers only look at rounds that are already built.
-:meth:`GreedySchedule.scan` runs many loops at once on draws its caller
-supplies (:func:`greedy_sample_batch`, the protocol's batched trials) as
-(rounds, runs) arrays, so each step works along a whole row of runs; the
+:meth:`GreedySchedule.scan` runs many loops at once on symbols its caller
+draws (:func:`greedy_sample_batch`, the protocol's batched trials) as
+(rounds, runs) arrays, so each step works along a whole row of runs, and
+asks for a coin only where 0 < p < 1, the one case a coin decides; the
 protocol's sender reads it one round at a time
 (:meth:`GreedySchedule.accept_prob_at`), and :func:`greedy_one_shot` keeps
 the per-round loop as the independent scalar reference.
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coding import whole_number
 from .geometry import BLOCK
 
 #: rounds allowed before the protocol is declared broken
@@ -186,20 +188,24 @@ class GreedySchedule:
         k = self.saturation.item(symbol)
         return 1.0 if i < k else self.fraction.item(symbol) if i == k else 0.0
 
-    def scan(self, runs: int, draw, cap: int = DEFAULT_ROUND_CAP) -> tuple[np.ndarray, np.ndarray]:
+    def scan(self, runs: int, draw, coins) -> tuple[np.ndarray, np.ndarray]:
         """Accepted round index and symbol of each of ``runs`` independent runs.
 
-        ``draw(active, rounds)`` returns the symbols and coins of the
-        still-active runs at the next width rounds, each a C-contiguous
-        (width, active) array: one row per round, one column per run, so
-        every step below runs along whole rows.  The width is a
-        :data:`geometry.BLOCK` element budget over the active runs, capped
-        at the rounds done and at ``cap``, past which a waiting run raises
-        :class:`ProtocolFailure`.  Each block is decided whole by one
-        :meth:`accept_prob` call, which builds the schedule through its last
-        round; a run's first accepting row is the least row number among its
-        hits, and the runs with none wait for the next block.
+        ``draw(active, rounds)`` returns the symbols of the active runs at the
+        next width rounds as a (width, active) array, one row per round, so
+        every step runs along whole rows.  One :meth:`accept_prob` call, which
+        builds the schedule through the block's last round, decides the
+        block: p = 1 hits, p = 0 misses, and only the draws with 0 < p < 1
+        go to ``coins(runs, rounds)``, as 1-D arrays of run numbers and rounds
+        in the row-major order of ``nonzero`` (round by round, runs
+        ascending), for coins in [0, 1) that hit below p.  A run ends at its
+        first hit.  The width is a :data:`geometry.BLOCK` draw budget, capped
+        at the rounds done; past BLOCK active runs (width 1) ``draw`` gets
+        BLOCK-run slices of ``active``, whose rows are joined.  A run still
+        waiting after :data:`DEFAULT_ROUND_CAP` rounds raises
+        :class:`ProtocolFailure`.
         """
+        cap = DEFAULT_ROUND_CAP
         index = np.zeros(runs, dtype=np.int64)
         symbol = np.zeros(runs, dtype=np.int64)
         active = np.arange(runs)
@@ -209,9 +215,15 @@ class GreedySchedule:
                 raise ProtocolFailure(f"no acceptance within {cap} rounds")
             width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
             rounds = np.arange(done + 1, done + width + 1)
-            symbols, coins = draw(active, rounds)
+            parts = [draw(active[lo:lo + BLOCK], rounds) for lo in range(0, active.size, BLOCK)]
+            symbols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             done += width
-            hit = coins < self.accept_prob(symbols, rounds[:, None])
+            p = self.accept_prob(symbols, rounds[:, None])
+            hit = p == 1.0
+            tossed = np.flatnonzero((p > 0.0) & ~hit)   # 0 < p < 1, row-major as nonzero lists them
+            if tossed.size:
+                row, col = np.divmod(tossed, active.size)
+                hit.flat[tossed] = coins(active[col], rounds[row]) < p.flat[tossed]
             first = np.where(hit, np.arange(width)[:, None], width).min(axis=0)
             won = (first < width).nonzero()[0]
             index[active[won]] = rounds[first[won]]
@@ -221,14 +233,16 @@ class GreedySchedule:
 
 
 def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution,
-                    symbols, uniforms, cap: int = DEFAULT_ROUND_CAP) -> tuple[int, int]:
+                    symbols, uniforms) -> tuple[int, int]:
     """Run the acceptance loop on explicit symbol and coin streams.
 
     ``symbols`` yields proposal draws (symbol indices), ``uniforms`` yields
     the sender's private coins in [0, 1); one of each is consumed per round.
     Returns (accepted round index, accepted symbol), 1-based index.  Raises
-    :class:`ProtocolFailure` if either stream ends or the cap is exceeded,
-    and ValueError on a coin outside [0, 1) or a target the proposal misses.
+    :class:`ProtocolFailure` if either stream ends or nothing is accepted
+    within :data:`DEFAULT_ROUND_CAP` rounds, and ValueError on a coin
+    outside [0, 1), a symbol that is not a whole number in [0, n), or a
+    target the proposal misses.
     """
     t = target.masses
     p = proposal.masses
@@ -240,15 +254,18 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
     i = 0
     while True:
         i += 1
-        if i > cap:
-            raise ProtocolFailure(f"no acceptance within {cap} rounds")
+        if i > DEFAULT_ROUND_CAP:
+            raise ProtocolFailure(f"no acceptance within {DEFAULT_ROUND_CAP} rounds")
         try:
-            a = int(next(sym_it))
+            a = next(sym_it)
             u = float(next(coin_it))
         except StopIteration:
             raise ProtocolFailure(f"stream exhausted after {i - 1} rounds") from None
         if not 0.0 <= u < 1.0:
             raise ValueError(f"coins must lie in [0, 1), got {u!r}")
+        a = whole_number(a, "symbol", 0)
+        if a >= t.size:
+            raise ValueError(f"symbol must be < {t.size}, got {a}")
         remainder = max(0.0, 1.0 - total)
         delta = _advance(s, remainder, t, p)
         denom = remainder * p[a]
@@ -265,20 +282,21 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
 
 
 def greedy_sample_batch(target: DiscreteDistribution, proposal: DiscreteDistribution,
-                        n_runs: int, rng: np.random.Generator,
-                        cap: int = DEFAULT_ROUND_CAP) -> tuple[np.ndarray, np.ndarray]:
+                        n_runs: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Run ``n_runs`` independent acceptance loops with one :meth:`GreedySchedule.scan`.
 
-    Each block draws from ``rng`` the proposal symbols and then the coins
-    of every still-active run, as (active, width) arrays run by run, and
-    hands the scan their (width, active) transposes.  Returns the arrays
-    (accepted round indices, accepted symbols).
+    Each draw call takes from ``rng`` the proposal symbols of its block as
+    a (width, active) array, and each coin call one uniform per coin, in
+    the order the scan asks for them.  Returns the arrays (accepted round
+    indices, accepted symbols).  A run count that is not a whole number
+    >= 0 raises ValueError.
     """
+    n_runs = whole_number(n_runs, "run count", 0)
     cdf = np.cumsum(proposal.masses)
 
     def draw(active, rounds):
-        shape = (active.size, rounds.size)
-        symbols = np.minimum(np.searchsorted(cdf, rng.random(shape), side="right"), cdf.size - 1)
-        return np.ascontiguousarray(symbols.T), np.ascontiguousarray(rng.random(shape).T)
+        u = rng.random((rounds.size, active.size))
+        return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
 
-    return GreedySchedule(target, proposal).scan(n_runs, draw, cap)
+    schedule = GreedySchedule(target, proposal)
+    return schedule.scan(n_runs, draw, lambda runs, _: rng.random(runs.size))

@@ -35,6 +35,8 @@ _LN2 = np.log(2.0)
 
 #: fewest samples :func:`mc_mutual_information` accepts
 MIN_MI_SAMPLES = 1000
+#: standard errors within which :meth:`MiEstimate.brackets` counts a value as matched
+BRACKET_SIGMAS = 3.0
 
 #: (state, point) pairs :func:`mc_mutual_information` draws from the generator at a time
 _MI_CHUNK = 1 << 18
@@ -68,9 +70,9 @@ class MiEstimate:
     std_error: float
     n_samples: int
 
-    def brackets(self, target: float, n_sigma: float = 3.0) -> bool:
-        """True when ``target`` lies within n_sigma standard errors of the estimate."""
-        return abs(self.value - target) <= n_sigma * self.std_error
+    def brackets(self, target: float) -> bool:
+        """True when ``target`` lies within BRACKET_SIGMAS standard errors of the estimate."""
+        return abs(self.value - target) <= BRACKET_SIGMAS * self.std_error
 
 
 def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) -> MiEstimate:

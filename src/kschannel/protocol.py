@@ -15,14 +15,17 @@ per bin count (:func:`_ks_schedule`) is built once per process and serves
 every trial and worker thread; it is extended, under its lock, through the
 last round read.  :func:`run_trials` hands each worker's span of trials to
 :meth:`GreedySchedule.scan`, which asks for blocks of rounds: the span
-draws the bins of the codebook points and the coins of rounds
-done+1 .. done+R for every still-active trial as (R, active) arrays, one
-row per round, and the scan ends each trial at its first accepting round.
-Those bins come from a float32 estimate of the height v.x
-(:func:`_height_bins`); only draws whose estimate lies within 2^-17 of a
-bin edge, and every draw at more than 2^15 bins, are binned from the
-float64 point, so each bin equals the float64 point's.  The receiver's
-point is then regenerated once per trial from its accepted index.
+draws the bins of the codebook points of rounds done+1 .. done+R for at
+most :data:`geometry.BLOCK` still-active trials at a time, as an
+(R, active) array with one row per round, and hashes the coin of trial
+t at round i only for the draws whose acceptance probability lies
+strictly between 0 and 1; the scan ends each trial at its first
+accepting round.  The bins come from a float32 estimate of the height
+v.x (:func:`_height_bins`); only draws whose estimate lies within 2^-17
+of a bin edge, and every draw at more than 2^15 bins, are binned from
+the float64 point, so each bin equals the float64 point's.  The
+receiver's point is then regenerated once per trial from its accepted
+index.
 The two-party path works in Python floats, one round at a time:
 :func:`alice_send` builds the shared schedule through round i, reads
 codebook entry i (:func:`_entry_point`, the scalar image of
@@ -289,8 +292,8 @@ def _sphere_point(keys, ctr) -> np.ndarray:
     z = 2 u - 1 from the first word, azimuth = 2 pi u' from the second (see
     :func:`_sphere_zphi`); ``keys`` and ``ctr`` broadcast as in
     :func:`mix_vec`.  Past :data:`geometry.BLOCK` points, the points of
-    each :func:`_zphi_blocks` slice are written into one result, so the
-    temporaries stay a block long; no bit moves.
+    each BLOCK-point slice of the flattened broadcast are written into one
+    result, so the temporaries stay a block long; no bit moves.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ctr = np.asarray(ctr, dtype=np.uint64)
@@ -298,39 +301,11 @@ def _sphere_point(keys, ctr) -> np.ndarray:
     if points.size <= BLOCK:
         return sphere_from_zphi(*_sphere_zphi(keys, ctr))
     out = np.empty((points.size, 3))
-    for part, z, phi in _zphi_blocks(keys, ctr, points):
-        sphere_from_zphi(z, phi, out=out[part])
-    return out.reshape(*points.shape, 3)
-
-
-def _codebook_bins(keys, ctr, v, bins: int) -> np.ndarray:
-    """Height bins against v of the :func:`_sphere_point` points of ``keys`` and ``ctr``.
-
-    Equal to ``bin_index(dot3(_sphere_point(keys, ctr), v), bins)``, through
-    :func:`_height_bins` on the same z and phi.  ``v`` is one (3,) state or
-    one per point, broadcasting against the points as the trailing axis of
-    a (..., 3) array; past BLOCK points it is taken in the same slices as
-    the points, so no temporary outgrows a block.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    ctr = np.asarray(ctr, dtype=np.uint64)
-    points = np.broadcast(keys, ctr)
-    if points.size <= BLOCK:
-        return _height_bins(*_sphere_zphi(keys, ctr), v, bins)
-    out = np.empty(points.size, dtype=np.int64)
-    if v.ndim > 1:
-        v = np.broadcast_to(v, points.shape + (3,)).reshape(points.size, 3)
-    for part, z, phi in _zphi_blocks(keys, ctr, points):
-        out[part] = _height_bins(z, phi, v if v.ndim == 1 else v[part], bins)
-    return out.reshape(points.shape)
-
-
-def _zphi_blocks(keys: np.ndarray, ctr: np.ndarray, points: np.broadcast):
-    """(slice, z, phi) of each BLOCK-point slice of the flattened broadcast of keys and ctr."""
     keys, ctr = (np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
     for lo in range(0, points.size, BLOCK):
         part = slice(lo, lo + BLOCK)
-        yield part, *_sphere_zphi(keys[part], ctr[part])
+        sphere_from_zphi(*_sphere_zphi(keys[part], ctr[part]), out=out[part])
+    return out.reshape(*points.shape, 3)
 
 
 def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -439,16 +414,17 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
     acc_keys = mix_vec(trial, _SUB_ACCEPT)
 
     def draw(active, rounds):
-        # (width, active): the per-trial keys and states broadcast along the rows.  The bins
-        # come from a float32 estimate of v.x, and from the float64 point only near a bin
-        # edge (see _height_bins); a fixed state is passed whole, as one (3,) vector
-        ctr = rounds.astype(np.uint64)[:, None]
-        bidx = _codebook_bins(cb_keys[active], 2 * ctr, v[active] if state is None else state,
-                              bins)
-        coins = to_unit(mix_vec(acc_keys[active], ctr))
-        return bidx, coins
+        # (width, active) bins: the per-trial keys and states broadcast along the rows.  They
+        # come from a float32 estimate of v.x, and from the float64 point only near a bin edge
+        # (see _height_bins); a fixed state is passed whole, as one (3,) vector
+        ctr = 2 * rounds.astype(np.uint64)[:, None]
+        return _height_bins(*_sphere_zphi(cb_keys[active], ctr),
+                            v[active] if state is None else state, bins)
 
-    accepted, _ = schedule.scan(count, draw)
+    def coins(runs, rounds):
+        return to_unit(mix_vec(acc_keys[runs], rounds))
+
+    accepted, _ = schedule.scan(count, draw, coins)
     points = _sphere_point(cb_keys, 2 * accepted.astype(np.uint64))
     outcome = np.where(dot3(points, m) >= 0.0, 1, -1)
     born = np.asarray(born_from_dot(dot3(v, m)))

@@ -11,7 +11,9 @@ import pytest
 
 from kschannel import cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
-from kschannel.protocol import _codebook_bins, _sphere_point
+from kschannel import protocol
+from kschannel.greedy import GreedySchedule
+from kschannel.protocol import _sphere_point, run_trials
 from kschannel.rngstream import mix, mix_vec, to_unit
 from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
                            _stacked_sphere_from_zphi, _with_zeros, assert_bit_identical,
@@ -177,23 +179,39 @@ class TestSpherePointAtBlockEdges:
         assert peak / m < 32
 
 
+class _FirstRoundDrawn(Exception):
+    """Ends a scan once its first round is drawn, with the traced peak and the round's shape."""
+
+
 class TestCodebookBinsAtBlockEdges:
     @pytest.mark.parametrize("bins", [4096, 1 << 16])   # the estimate, and the float64 point
     @pytest.mark.parametrize("per_run", [False, True], ids=["fixed", "random"])
-    def test_holds_one_block_of_temporaries(self, bins, per_run):
-        # one round of 2**18 runs, as the scan's first rounds of a span past BLOCK trials
-        # draw: the int64 bins (8 bytes/point) + 16 of slack; binned whole, the
-        # words, hash, heights, azimuths and estimate need 48-56 bytes/point
+    def test_holds_one_block_of_temporaries(self, monkeypatch, bins, per_run):
+        # the first round of a 2**18-trial span, traced from its first codebook hash (the
+        # scan's counters are a (rounds, 1) column; the states' are one word) to the scan's
+        # look-up of the schedule: the BLOCK-trial slices' int64 bins and their join (8 + 8
+        # bytes/point) + 8 of slack; binned whole, the words, hash, heights, azimuths and
+        # estimate need 48-80 bytes/point
         m = 1 << 18
-        rng = np.random.default_rng(4)
-        keys = rng.integers(0, 2**64, m, dtype=np.uint64, endpoint=False)
-        v = random_unit_vec(rng, m) if per_run else np.array([0.0, 0.6, 0.8])
-        tracemalloc.start()
+        sphere_zphi = protocol._sphere_zphi
+
+        def traced_zphi(keys, ctr):
+            if ctr.ndim == 2 and not tracemalloc.is_tracing():
+                tracemalloc.start()
+            return sphere_zphi(keys, ctr)
+
+        def first_round_drawn(schedule, symbols, rounds):
+            raise _FirstRoundDrawn(tracemalloc.get_traced_memory()[1], symbols.shape)
+
+        monkeypatch.setattr(protocol, "_sphere_zphi", traced_zphi)
+        monkeypatch.setattr(GreedySchedule, "accept_prob", first_round_drawn)
         try:
-            _codebook_bins(keys, np.array([[2]], dtype=np.uint64), v, bins)
-            peak = tracemalloc.get_traced_memory()[1]
+            with pytest.raises(_FirstRoundDrawn) as drawn:
+                run_trials(4, m, bins, state=None if per_run else [0.0, 0.6, 0.8])
         finally:
             tracemalloc.stop()
+        peak, shape = drawn.value.args
+        assert shape == (1, m)
         assert peak / m < 24
 
 

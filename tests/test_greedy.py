@@ -7,6 +7,7 @@ import pytest
 
 from kschannel import (DiscreteDistribution, ProtocolFailure, greedy_one_shot,
                        greedy_sample_batch)
+from kschannel import greedy
 from kschannel.geometry import BLOCK
 from kschannel.greedy import GreedySchedule
 from kschannel.protocol import ks_bin_masses
@@ -72,6 +73,16 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite"):
             DiscreteDistribution(np.array(masses))
 
+    @pytest.mark.parametrize("bad", [True, 2.5, -1, "3", None])
+    def test_batch_rejects_run_counts_that_are_not_whole(self, bad):
+        # True, 2.5 and 3.0 raised a bare TypeError from np.zeros, -1 numpy's "negative dimensions"
+        d = DiscreteDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="run count"):
+            greedy_sample_batch(d, d, bad, np.random.default_rng(0))
+        for runs in (3.0, np.int64(3), 0):
+            idx, sym = greedy_sample_batch(d, d, runs, np.random.default_rng(0))
+            assert idx.shape == sym.shape == (int(runs),) and np.all(idx == 1)
+
     def test_support_mismatch_rejected(self):
         target = DiscreteDistribution(np.array([0.5, 0.5]))
         proposal = DiscreteDistribution(np.array([1.0, 0.0]))
@@ -95,12 +106,26 @@ class TestSingleShot:
                                    iter([0.0, 0.0, 0.999]))
         assert (idx, sym) == (3, 0)
 
-    def test_round_cap_raises(self):
+    def test_round_cap_raises(self, monkeypatch):
+        # the guard is fixed at DEFAULT_ROUND_CAP; lowering the module's constant reaches it
         target = DiscreteDistribution(np.array([1.0, 0.0]))
         proposal = DiscreteDistribution(np.array([0.5, 0.5]))
-        with pytest.raises(ProtocolFailure):
-            greedy_one_shot(target, proposal, itertools.repeat(1),
-                            itertools.repeat(0.5), cap=64)
+        monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", 64)
+        with pytest.raises(ProtocolFailure, match="within 64 rounds"):
+            greedy_one_shot(target, proposal, itertools.repeat(1, 100), itertools.repeat(0.5))
+        assert greedy_one_shot(target, proposal, [1] * 63 + [0], itertools.repeat(0.5)) == (64, 0)
+
+    @pytest.mark.parametrize("bad", [-1, 2, 3, 1.7, -0.5, True, float("nan"), "1"])
+    def test_rejects_symbols_outside_the_alphabet(self, bad):
+        # a symbol of -1 was read as the last symbol and accepted as (1, -1); 1.7 was read as 1
+        target = DiscreteDistribution(np.array([0.0, 1.0]))
+        proposal = DiscreteDistribution(np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="symbol must"):
+            greedy_one_shot(target, proposal, iter([bad, 1]), iter([0.5, 0.5]))
+        # whole floats and numpy integers count as their int
+        assert greedy_one_shot(target, proposal, iter([1.0]), iter([0.5])) == (1, 1)
+        assert greedy_one_shot(target, proposal, iter([np.int64(0), np.uint8(1)]),
+                               iter([0.5, 0.5])) == (2, 1)
 
     @pytest.mark.parametrize("bad", [-0.5, -1e-300, 1.0, 1.5, float("nan"), float("inf")])
     def test_rejects_coins_outside_the_unit_interval(self, bad):
@@ -277,10 +302,10 @@ class TestSchedule:
             assert np.array_equal(block[:, i - 1], fresh.accept_prob(symbols[:, 0], i))
 
     def test_batch_sampler_keeps_its_draws_and_outputs(self):
-        # replay the batch sampler's draws through a recording draw: every run is
-        # asked for rounds 1, 2, ... in order with no gap, is dropped after the
-        # block of its acceptance, and ends at the first round whose coin is
-        # below the per-round law
+        # replay the batch sampler's draws through a recording draw and coins: every run
+        # is asked for rounds 1, 2, ... in order with no gap, is dropped after the block of
+        # its acceptance, is tossed a coin for just its draws with 0 < p < 1, and ends at
+        # the first round whose draw has p = 1 or a coin below p
         rng = np.random.default_rng(123)
         for _ in range(10):
             target, proposal = random_rational_pair(rng)
@@ -289,24 +314,30 @@ class TestSchedule:
             idx, sym = greedy_sample_batch(target, proposal, 500, np.random.default_rng(seed))
             draws = np.random.default_rng(seed)
             cdf = np.cumsum(proposal.masses)
-            seen = [[] for _ in range(500)]   # (round, symbol, coin) per run
+            seen = [[] for _ in range(500)]   # (round, symbol) per run
+            tossed = {}                       # (run, round) -> coin
 
             def draw(active, rounds):
-                shape = (active.size, rounds.size)
-                a = np.minimum(np.searchsorted(cdf, draws.random(shape), side="right"),
-                               target.n - 1)
-                u = draws.random(shape)
-                for row, run in enumerate(active.tolist()):
-                    seen[run] += zip(rounds.tolist(), a[row].tolist(), u[row].tolist())
-                return np.ascontiguousarray(a.T), np.ascontiguousarray(u.T)   # (width, active)
+                a = np.minimum(np.searchsorted(cdf, draws.random((rounds.size, active.size)),
+                                               side="right"), target.n - 1)
+                for col, run in enumerate(active.tolist()):
+                    seen[run] += zip(rounds.tolist(), a[:, col].tolist())
+                return a   # (width, active)
 
-            got = GreedySchedule(target, proposal).scan(500, draw)
+            def coins(runs, rounds):
+                u = draws.random(runs.size)
+                tossed.update(zip(zip(runs.tolist(), rounds.tolist()), u.tolist()))
+                return u
+
+            got = GreedySchedule(target, proposal).scan(500, draw, coins)
             assert np.array_equal(got[0], idx) and np.array_equal(got[1], sym)
             for run in range(500):
-                rounds, a, u = zip(*seen[run])
+                rounds, a = zip(*seen[run])
                 assert rounds == tuple(range(1, len(rounds) + 1))
                 assert len(rounds) <= max(1, 2 * (idx[run] - 1))
-                hits = [i for i in rounds if u[i - 1] < law[min(i, len(law)) - 1][a[i - 1]]]
+                p = [law[min(i, len(law)) - 1][a[i - 1]] for i in rounds]
+                assert [(run, i) in tossed for i in rounds] == [0.0 < q < 1.0 for q in p]
+                hits = [i for i, q in zip(rounds, p) if q == 1.0 or tossed.get((run, i), 1.0) < q]
                 assert (idx[run], sym[run]) == (hits[0], a[hits[0] - 1])
 
     @pytest.mark.parametrize("bins", [2, 64, 4096])
@@ -322,18 +353,21 @@ class TestSchedule:
                 # counter-addressed: a run's draws at a round never depend on the block;
                 # one row per round, one column per run
                 ends.append(int(rounds[-1]))
-                ctr = 2 * rounds.astype(np.uint64)[:, None]
-                words = mix_vec(keys[active], ctr)
-                coins = to_unit(mix_vec(keys[active], ctr + 1))
-                return (words % np.uint64(bins)).astype(np.int64), coins
+                words = mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
+                return (words % np.uint64(bins)).astype(np.int64)
+
+            def coins(runs, rounds):
+                return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
 
             lazy = GreedySchedule(target, proposal)
             lazy.extend(built)
-            index, symbol = lazy.scan(500, draw)
+            index, symbol = lazy.scan(500, draw, coins)
             last_end = ends[-1]
             rounds = np.arange(1, index.max() + 1)
-            symbols, coins = draw(np.arange(500), rounds)
-            hit = coins < full.accept_prob(symbols, rounds[:, None])
+            symbols = draw(np.arange(500), rounds)
+            # every draw's coin, asked for or not: a coin in [0, 1) decides p = 0 and 1 alike
+            p = full.accept_prob(symbols, rounds[:, None])
+            hit = coins(np.arange(500), rounds[:, None]) < p
             assert hit.any(axis=0).all()
             first = np.argmax(hit, axis=0)
             assert np.array_equal(index, rounds[first])
@@ -343,6 +377,66 @@ class TestSchedule:
             # round (about round 50 at 2 bins)
             assert last_end == max(ends) >= index.max()
             assert lazy.rounds == min(max(built, last_end), lazy.floor_round - 1)
+
+    @pytest.mark.parametrize("bins", [4, 64, 4096])
+    def test_coins_are_asked_for_exactly_the_draws_with_fractional_p(self, bins):
+        # each block's coin call lists its draws with 0 < p < 1 round by round, runs
+        # ascending within a round; at 4 bins every p is 0 or 1 and no coin is asked for
+        target = DiscreteDistribution(ks_bin_masses(bins))
+        proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
+        full = GreedySchedule(target, proposal)
+        keys = mix_vec(bins, np.arange(1, 2001))
+        drawn, fractional, asked = [], [], []
+
+        def draw(active, rounds):
+            symbols = (mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
+                       % np.uint64(bins)).astype(np.int64)
+            drawn.append(symbols.size)
+            p = full.accept_prob(symbols, rounds[:, None])
+            row, col = ((p > 0.0) & (p < 1.0)).nonzero()
+            fractional.append((active[col], rounds[row]))
+            return symbols
+
+        def coins(runs, rounds):
+            asked.append((runs.copy(), rounds.copy()))
+            return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
+
+        GreedySchedule(target, proposal).scan(2000, draw, coins)
+        want = [pair for pair in fractional if pair[0].size]
+        assert len(asked) == len(want)
+        for (runs, rounds), (want_runs, want_rounds) in zip(asked, want):
+            assert np.array_equal(runs, want_runs) and np.array_equal(rounds, want_rounds)
+        tossed = sum(runs.size for runs, _ in asked)
+        if bins == 4:
+            assert tossed == 0
+        else:   # a few percent of the draws
+            assert 0 < tossed < 0.1 * sum(drawn)
+
+    def test_no_draw_call_draws_more_than_a_block(self, monkeypatch):
+        # 2**18 runs: the first rounds (width 1) are drawn in BLOCK-run slices and joined,
+        # and the result is the unsliced scan's; counter-addressed draws make the block
+        # shapes irrelevant to the outcome
+        target = DiscreteDistribution(ks_bin_masses(64))
+        proposal = DiscreteDistribution(np.full(64, 1.0 / 64))
+        runs = 1 << 18
+        keys = mix_vec(3, np.arange(runs))
+        sizes = []
+
+        def draw(active, rounds):
+            sizes.append(rounds.size * active.size)
+            words = mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
+            return (words % np.uint64(64)).astype(np.int64)
+
+        def coins(runs, rounds):
+            return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
+
+        index, symbol = GreedySchedule(target, proposal).scan(runs, draw, coins)
+        assert max(sizes) == BLOCK and sizes[:runs // BLOCK] == [BLOCK] * (runs // BLOCK)
+        monkeypatch.setattr(greedy, "BLOCK", 2 * runs)
+        sizes.clear()
+        whole = GreedySchedule(target, proposal).scan(runs, draw, coins)
+        assert sizes[0] == runs
+        assert np.array_equal(whole[0], index) and np.array_equal(whole[1], symbol)
 
     def test_first_accept_reaches_the_floor_round_through_saturated_draws(self):
         # at 4 bins symbol 0 is never wanted, symbol 2 saturates at round 2 and
@@ -363,36 +457,40 @@ class TestSchedule:
 
             def draw(active, rounds):
                 blocks.append((rounds[0], rounds[-1]))
-                return symbols[rounds - 1][:, active], coins[rounds - 1][:, active]
+                return symbols[rounds - 1][:, active]
 
             lazy = GreedySchedule(target, proposal)
             lazy.extend(99)
-            index, symbol = lazy.scan(runs, draw)
+            index, symbol = lazy.scan(runs, draw, lambda r, i: coins[i - 1, r])
             assert (105, 144) in blocks
             assert np.all(index == 120) and np.all(symbol == 2)
             # the build stops at the floor round, not at the end (144) of the block holding it
             assert lazy.rounds == 119 and lazy.floor_round == 120
 
-    def test_scan_raises_at_the_cap_and_draws_no_further(self):
+    def test_scan_raises_at_the_cap_and_draws_no_further(self, monkeypatch):
         # target (1, 0), proposal (1/2, 1/2): symbol 1 is never accepted, symbol 0
-        # always; every run draws symbol 1 until round 70 and symbol 0 there
+        # always; every run draws symbol 1 until round 70 and symbol 0 there.  The guard
+        # is fixed at DEFAULT_ROUND_CAP; lowering the module's constant reaches it
         target = DiscreteDistribution(np.array([1.0, 0.0]))
         proposal = DiscreteDistribution(np.array([0.5, 0.5]))
         asked = []
 
         def draw(active, rounds):
             asked.append(int(rounds[-1]))
-            symbols = np.where(rounds == 70, 0, 1)
-            return (np.tile(symbols[:, None], (1, active.size)),
-                    np.zeros((rounds.size, active.size)))
+            return np.tile(np.where(rounds == 70, 0, 1)[:, None], (1, active.size))
+
+        def no_coins(runs, rounds):   # every p here is 0 or 1
+            raise AssertionError("a coin was asked for")
 
         for cap in (70, 71, 1000):
-            index, symbol = GreedySchedule(target, proposal).scan(5, draw, cap)
+            monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap)
+            index, symbol = GreedySchedule(target, proposal).scan(5, draw, no_coins)
             assert np.all(index == 70) and np.all(symbol == 0)
         for cap in (69, 1, 0):
+            monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap)
             asked.clear()
             with pytest.raises(ProtocolFailure, match=f"within {cap} rounds"):
-                GreedySchedule(target, proposal).scan(5, draw, cap)
+                GreedySchedule(target, proposal).scan(5, draw, no_coins)
             assert max(asked, default=0) == cap
 
     def test_concurrent_readers_see_the_serial_schedule(self):

@@ -11,7 +11,7 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import protocol
-from kschannel.geometry import dot3, dot_estimate
+from kschannel.geometry import BLOCK, dot3, dot_estimate
 from kschannel.model import ks_response
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
                                 TrialBatch, _ks_schedule, _sphere_point, _trial_keys, alice_send,
@@ -502,22 +502,29 @@ class TestHeightBins:
                 assert np.array_equal(protocol._height_bins(z, phi, per_point, bins), exact)
 
     @pytest.mark.parametrize("bins", EDGE_BINS)
-    def test_codebook_bins_are_the_bins_of_the_points(self, bins):
-        rng = np.random.default_rng(bins)
-        # (rounds, runs) as the scan draws them, one state per run or one for all
-        keys = mix_vec(99, np.arange(300, dtype=np.uint64))
-        ctr = 2 * np.arange(1, 41, dtype=np.uint64)[:, None]
-        for v in (random_unit_vec(rng, 300), unit_vector(0.1, -0.2, 0.3)):
-            got = protocol._codebook_bins(keys, ctr, v, bins)
-            assert got.shape == (40, 300)
-            assert np.array_equal(got, bin_index(dot3(_sphere_point(keys, ctr), v), bins))
-        # one round of more than BLOCK runs is binned in BLOCK-point slices
-        keys = mix_vec(98, np.arange(40_000, dtype=np.uint64))
-        ctr = np.full((1, 1), 2, dtype=np.uint64)
-        for v in (random_unit_vec(rng, 40_000), unit_vector(0.1, -0.2, 0.3)):
-            got = protocol._codebook_bins(keys, ctr, v, bins)
-            assert got.shape == (1, 40_000)
-            assert np.array_equal(got, bin_index(dot3(_sphere_point(keys, ctr), v), bins))
+    def test_codebook_bins_are_the_bins_of_the_points(self, monkeypatch, bins):
+        # past BLOCK trials the scan draws its first rounds in BLOCK-trial slices and joins
+        # them: every draw call bins as the float64 points do, none holds more than BLOCK
+        # draws, and the joined rows line up with their trials (checked against run_trial);
+        # one state per trial, then one for all
+        height_bins, shapes = protocol._height_bins, []
+
+        def checked_bins(z, phi, v, k):
+            got = height_bins(z, phi, v, k)
+            assert np.array_equal(got, exact_bins(z, phi, v, k))
+            shapes.append(z.shape)
+            return got
+
+        n = 2 * BLOCK + 7
+        for state in (None, unit_vector(0.1, -0.2, 0.3)):
+            shapes.clear()
+            monkeypatch.setattr(protocol, "_height_bins", checked_bins)
+            batch = run_trials(5, n, bins, state=state)
+            assert shapes[:3] == [(1, BLOCK), (1, BLOCK), (1, 7)]
+            assert max(rows * cols for rows, cols in shapes) <= BLOCK
+            monkeypatch.setattr(protocol, "_height_bins", height_bins)
+            for t in (0, BLOCK - 1, BLOCK, 2 * BLOCK, n - 1):
+                assert run_trial(5, t, bins, state=state).accepted_index == batch.accepted_index[t]
 
     def test_estimate_error_is_far_inside_the_band(self):
         # a 2048 x 2048 (z, phi) grid, 4M points, 64k at a time; even blocks give each
@@ -579,11 +586,11 @@ class CountingCoins:
         return next(self._it)
 
 
-def reference_send(v, codebook, bins, coins, cap=1 << 32):
+def reference_send(v, codebook, bins, coins):
     """greedy_one_shot on the binned codebook stream, one round at a time."""
     target, proposal, binner = discretize_ks(v, bins)
     stream = (int(binner(codebook.entry(i))) for i in itertools.count(1))
-    return greedy_one_shot(target, proposal, stream, coins, cap=cap)[0]
+    return greedy_one_shot(target, proposal, stream, coins)[0]
 
 
 class TestTrialCodebook:
