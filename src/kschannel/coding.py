@@ -27,7 +27,9 @@ def whole_number(value, what: str, least: int | None = None) -> int:
     """``value`` as an int; booleans, values that are not whole numbers and values
     below ``least`` (when given) raise ValueError."""
     try:
-        whole = not isinstance(value, (bool, np.bool_)) and int(value) == value
+        # a plain int (never a bool: its type is bool) is whole as it stands
+        whole = type(value) is int or (
+            not isinstance(value, (bool, np.bool_)) and int(value) == value)
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole:
@@ -83,8 +85,12 @@ def elias_delta_decode(bits: str) -> int:
     of an index in [1, 2**63).
 
     Any character other than '0' and '1' is a :class:`DecodeError` (``int(.., 2)``
-    alone would skip whitespace, underscores and a sign, and read non-ASCII digits).
+    alone would skip whitespace, underscores and a sign, and read non-ASCII digits),
+    and so is any input that is not a str (a list of characters would pass the
+    character check).
     """
+    if not isinstance(bits, str):
+        raise DecodeError("a codeword is a str of '0'/'1' characters")
     size = len(bits)
     if bits.count("0") + bits.count("1") != size:
         raise DecodeError("a codeword holds only the characters '0' and '1'")

@@ -74,9 +74,17 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
 def require_unit(vec, name: str = "vector") -> np.ndarray:
     """Validate that ``vec`` has unit norm (within UNIT_ATOL on the squared norm).
 
-    NaN or infinite components fail the check too.
+    NaN or infinite components fail the check too.  One vector of shape (3,)
+    is accepted in Python floats, by :func:`dot3`'s sum in its order, so it
+    passes exactly when the array check would pass it; every other shape,
+    and every vector that does not pass, takes the array check, which raises
+    its messages.
     """
     vec = np.asarray(vec, dtype=float)
+    if vec.shape == (3,):
+        x, y, z = vec.tolist()
+        if abs(0.0 + x * x + y * y + z * z - 1.0) <= UNIT_ATOL:
+            return vec
     if vec.shape[-1:] != (3,):
         raise ValueError(f"{name} must have a trailing axis of length 3, got shape {vec.shape}")
     err = np.abs(dot3(vec, vec) - 1.0)

@@ -58,7 +58,7 @@ from .geometry import (BLOCK, Measurement, born_from_dot, dot3, dot_estimate, pa
                        require_unit, sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
-from .rngstream import counter_uniforms, mix, mix_vec, to_unit
+from .rngstream import _INV53, counter_uniforms, mix, mix_vec, to_unit
 
 _TWO_PI = 2.0 * np.pi
 
@@ -271,19 +271,27 @@ def _entry_point(key: int, i: int) -> tuple[float, float, float]:
     """Codebook entry i of the stream ``key`` as three Python floats.
 
     The scalar image of ``_sphere_point(key, 2 i)``, bit for bit: the words
-    of both counters are hashed by :func:`rngstream.mix`, z, phi and the
-    radius take the vector path's float64 steps in its order, and cos and
-    sin stay numpy's float64 ufuncs, the functions the vector path calls.
+    of both counters are hashed by :func:`rngstream.mix` and mapped to [0, 1)
+    by :func:`rngstream.to_unit`'s formula, ``float(w >> 11) * 2**-53``,
+    written out on the int; z, phi and the radius take the vector path's
+    float64 steps in its order, and cos and sin stay numpy's float64 ufuncs,
+    the functions the vector path calls.
     """
-    z = to_unit(mix(key, 2 * i)) * 2.0 - 1.0
-    phi = to_unit(mix(key, 2 * i + 1)) * _TWO_PI
+    z = float(mix(key, 2 * i) >> 11) * _INV53 * 2.0 - 1.0
+    phi = float(mix(key, 2 * i + 1) >> 11) * _INV53 * _TWO_PI
     r = math.sqrt(max(0.0, 1.0 - z * z))
     return r * float(np.cos(phi)), r * float(np.sin(phi)), z
 
 
+@lru_cache(maxsize=1)   # a run, or a stream of wire trials, reads one master seed
+def _trial_root(master_seed: int) -> int:
+    """The key of the seed's trial-key stream, ``mix(master_seed, _TRIAL_SALT)``."""
+    return mix(master_seed, _TRIAL_SALT)
+
+
 def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
     """Root word of each trial; its sub-streams are keyed ``mix_vec(trial, _SUB_...)``."""
-    return mix_vec(mix(master_seed, _TRIAL_SALT), indices)
+    return mix_vec(_trial_root(master_seed), indices)
 
 
 def _sphere_point(keys, ctr) -> np.ndarray:
@@ -363,12 +371,12 @@ def _height_bins(z: np.ndarray, phi: np.ndarray, v, bins: int) -> np.ndarray:
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
     """The per-trial codebook both parties derive from the shared master seed.
 
-    The scalar image of the codebook key ``mix_vec(trial, _SUB_CODEBOOK)``.
-    Seeds and trial indices that are not whole numbers in [0, 2**64), and
-    booleans, raise ValueError.
+    The scalar image of the codebook key ``mix_vec(trial, _SUB_CODEBOOK)``;
+    the seed's root word is hashed once and kept (:func:`_trial_root`) while
+    calls go on reading the same seed.  Seeds and trial indices that are not
+    whole numbers in [0, 2**64), and booleans, raise ValueError.
     """
-    trial = mix(mix(_word(master_seed, "master seed"), _TRIAL_SALT),
-                _word(trial_index, "trial index"))
+    trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
     return Codebook(seed=mix(trial, _SUB_CODEBOOK))
 
 

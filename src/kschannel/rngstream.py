@@ -44,11 +44,21 @@ def finalize64(z: int) -> int:
 def mix(key: int, n: int) -> int:
     """The n-th 64-bit word of the counter stream identified by ``key``.
 
-    The key is xored back in after the finalizer so that streams with
-    different keys are not shifted copies of one another.
+    ``finalize64(finalize64(key + GOLDEN * n) ^ key)`` with ``key`` and
+    ``n`` taken mod 2**64: the key is xored back in after the finalizer so
+    that streams with different keys are not shifted copies of one another.
+    Both finalizer passes are written out in this one body, on Python ints
+    with :func:`finalize64`'s masks, since the wire path calls it several
+    times a round.
     """
     key &= _MASK
-    return finalize64(finalize64(key + (GOLDEN * n)) ^ key)
+    z = (key + GOLDEN * n) & _MASK
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    z ^= (z >> 31) ^ key
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
 def mix_vec(key, n) -> np.ndarray:

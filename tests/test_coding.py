@@ -54,6 +54,17 @@ class TestDecode:
         with pytest.raises(DecodeError):
             elias_delta_decode(bits)
 
+    # a list of characters passed the character check and died in int(..., 2) with a
+    # TypeError; bytes, None and numbers raised unrelated TypeErrors
+    @pytest.mark.parametrize("bits", [["1"], ["0", "1", "0", "0"], ("1",), b"1",
+                                      bytearray(b"0100"), None, 1, 4.0, np.array(["1"])])
+    def test_input_that_is_not_a_str_raises(self, bits):
+        with pytest.raises(DecodeError, match="a codeword is a str of '0'/'1' characters"):
+            elias_delta_decode(bits)
+
+    def test_str_subclasses_decode(self):
+        assert elias_delta_decode(np.str_("0100")) == 2
+
     def test_indices_past_the_rule_do_not_decode(self):
         # encode refuses 2**63 and up, so decode does too: every decoded index re-encodes
         top = 2**63 - 1

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from kschannel import (Measurement, born_probability, random_unit_vec, require_unit,
+from kschannel import (Measurement, born_probability, geometry, random_unit_vec, require_unit,
                        rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel.geometry import dot3
 from conftest import unit_vectors
@@ -37,6 +37,94 @@ class TestBornProbability:
     def test_require_unit_rejects_non_finite(self, bad):
         with pytest.raises(ValueError, match="not unit-norm"):
             require_unit(np.array(bad))
+
+
+def verdict(vec):
+    """What require_unit makes of ``vec``: the bytes it returns, or the message it raises."""
+    try:
+        return require_unit(vec).tobytes()
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def boundary_vectors(rng, count):
+    """Vectors whose |v.v - 1|, summed as dot3 sums it, lies just inside or just outside
+    UNIT_ATOL, by a random search over ulp-perturbed vectors.
+
+    Near 1, v.v takes the values 1 + k 2^-52 and 1 - k 2^-53, so the four targets are
+    the largest such |v.v - 1| <= UNIT_ATOL and the least one above it, on each side.
+    Two components are drawn at random; the third is set to hit a target and then
+    moved a few ulps either way, and the candidates that land on a target are kept,
+    with their components in a random order and random signs.
+    """
+    atol = geometry.UNIT_ATOL
+    targets = [1.0 + k * 2.0**-52 for k in (atol // 2.0**-52, atol // 2.0**-52 + 1)]
+    targets += [1.0 - k * 2.0**-53 for k in (atol // 2.0**-53, atol // 2.0**-53 + 1)]
+    found = {t: [] for t in targets}
+    while min(len(v) for v in found.values()) < count:
+        ab = rng.uniform(-0.7, 0.7, size=(4096, 2))
+        q = ab[:, 0] * ab[:, 0] + ab[:, 1] * ab[:, 1]
+        for t in targets:
+            c = np.sqrt(t - q)
+            for step in range(-6, 7):
+                cand = np.column_stack([ab, c + step * np.spacing(c)])
+                cand = rng.permuted(cand, axis=1) * rng.choice([-1.0, 1.0], size=cand.shape)
+                found[t].extend(cand[dot3(cand, cand) == t])
+    return {t: np.array(v[:count]) for t, v in found.items()}
+
+
+class TestRequireUnitBranches:
+    """The one-vector branch of require_unit and its array check must agree on every input.
+
+    A (1, 3) array takes the array check, so each (3,) input is compared with its own
+    (1, 3) copy: both accept with the same bits, or both raise the same message.
+    """
+
+    def test_agree_just_inside_and_just_outside_the_tolerance(self):
+        rng = np.random.default_rng(2024)
+        for target, vecs in boundary_vectors(rng, 200).items():
+            inside = abs(target - 1.0) <= geometry.UNIT_ATOL
+            for v in vecs:
+                assert verdict(v) == verdict(v[None]), (v.tolist(), target)
+                assert (verdict(v) == v.tobytes()) == inside, (v.tolist(), target)
+
+    @pytest.mark.parametrize("vec", [
+        [np.nan, 0.0, 1.0], [0.0, 0.0, np.nan], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
+        [np.inf, -np.inf, 0.0], [np.nan, np.inf, 0.0], [-0.0, 0.0, 1.0], [-0.0, -0.0, -1.0],
+        [0.6, -0.0, 0.8], [0.0, 0.0, 2.0], [0.0, 0.0, 0.0], [1e-200, 0.0, 0.0],
+        [1e200, 0.0, 0.0], [0.6, 0.0, 0.8 + 1e-9]])
+    def test_agree_on_non_finite_signed_zero_and_extreme_components(self, vec):
+        v = np.array(vec)
+        with np.errstate(over="ignore", under="ignore"):
+            assert verdict(v) == verdict(v[None])
+            assert verdict(vec) == verdict(v)   # a list, as an array
+            assert verdict(tuple(vec)) == verdict(v)
+
+    def test_keeps_the_sign_of_a_zero(self):
+        assert np.signbit(require_unit(np.array([-0.0, 0.6, -0.8]))[0])
+        assert np.signbit(require_unit([-0.0, 0.0, 1.0])[0])
+
+    @pytest.mark.parametrize("vec", [[0, 0, 1], [0, -1, 0], [0, 0, 2], [1, 1, 0]])
+    def test_integer_input_is_checked_as_floats(self, vec):
+        v = np.array(vec)
+        assert verdict(v) == verdict(v[None]) == verdict(np.array(vec, dtype=float))
+        assert verdict(vec) == verdict(v)
+        if sum(c * c for c in vec) == 1:
+            assert require_unit(v).dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 3), (3, 1), (1, 1, 3), (0, 3), (4,), ()])
+    def test_other_shapes_take_the_array_check(self, shape):
+        good = np.resize([0.6, 0.0, 0.8], shape)
+        bad = np.resize([0.6, 0.0, 0.9], shape)
+        for vec in (good, bad) if good.size else (good,):
+            got = verdict(vec)
+            if shape[-1:] != (3,):
+                assert got == (f"ValueError: vector must have a trailing axis of length 3, "
+                               f"got shape {vec.shape}")
+            elif vec is good:
+                assert got == vec.tobytes()
+            else:
+                assert got.startswith("ValueError: vector is not unit-norm")
 
 
 class TestRandomUnitVec:

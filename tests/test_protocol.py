@@ -18,7 +18,7 @@ from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
                                 bin_index, bob_receive, discretize_ks, ks_bin_masses,
                                 run_trial, run_trials, trial_codebook)
 from kschannel.quadrature import min_overlap_integral
-from kschannel.rngstream import counter_uniforms, mix, mix_vec
+from kschannel.rngstream import GOLDEN, counter_uniforms, finalize64, mix, mix_vec
 
 
 class TestBinning:
@@ -99,6 +99,20 @@ class TestCodebook:
         word = mix_vec(key, ctr)
         assert isinstance(word, np.uint64) and word == mix(int(key), int(ctr))
         assert mix_vec(np.asarray(key), [ctr])[0] == word
+
+    def test_mix_is_the_finalizer_applied_twice(self):
+        # mix writes both finalize64 passes out in one body; keys and counters count mod
+        # 2**64, so words past it and negative ones hash as their residues
+        rng = np.random.default_rng(57)
+        keys = [0, 1, 2**63, 2**64 - 1, 2**64, 2**64 + 5, 2**70 + 3, -1, -2**63, -2**64 - 7,
+                *rng.integers(0, 2**64, size=150, dtype=np.uint64, endpoint=False).tolist()]
+        ctrs = [0, 1, 2**63, 2**64 - 1, 2**64, -1,
+                *rng.integers(0, 2**64, size=150, dtype=np.uint64, endpoint=False).tolist()]
+        for key in keys:
+            for n in ctrs:
+                word = mix(key, n)
+                assert type(word) is int and 0 <= word < 2**64
+                assert word == finalize64(finalize64(key + GOLDEN * n) ^ key), (key, n)
 
     def test_scalar_and_vector_words_agree(self):
         rng = np.random.default_rng(56)
@@ -540,6 +554,19 @@ class TestHeightBins:
             worst = max(worst, float(np.abs(s - dot3(sphere_from_zphi(z, phi), v)).max()))
         assert worst <= protocol._EDGE_BAND / 8
 
+    def test_float32_trig_error_on_every_1024th_float32_azimuth(self):
+        # the trig term of dot_estimate's error over the float32 azimuths themselves: every
+        # 1024th bit pattern from 0 to float32(2 pi), which phi = 2 pi u rounds up to, and
+        # that last value, ~1.06M of the 1 086 918 620; cos and sin of each in float32 are
+        # compared with float64's at the same azimuth
+        top = int(np.float32(2.0 * np.pi).view(np.uint32))
+        phi32 = np.append(np.arange(0, top + 1, 1024), top).astype(np.uint32).view(np.float32)
+        assert phi32.size == top // 1024 + 2 and phi32[-1] == np.float32(2.0 * np.pi)
+        phi = phi32.astype(np.float64)
+        worst = max(np.max(np.abs(np.cos(phi32) - np.cos(phi))),
+                    np.max(np.abs(np.sin(phi32) - np.sin(phi))))
+        assert worst <= protocol._EDGE_BAND / 8
+
     @pytest.mark.parametrize("bins", [64, 1 << 16])
     def test_few_draws_reach_the_exact_formula(self, monkeypatch, bins):
         counts = {"draws": 0, "exact": 0}
@@ -603,6 +630,27 @@ class TestTrialCodebook:
             want = mix_vec(_trial_keys(seed, np.array(trials, dtype=np.uint64)), _SUB_CODEBOOK)
             for t, key in zip(trials, want.tolist()):
                 assert trial_codebook(seed, t).seed == key
+
+    def test_hashes_the_trial_root_once_per_seed(self, monkeypatch):
+        # mix(seed, _TRIAL_SALT) is cached for the last seed, and _trial_keys reads the
+        # same cache; a new seed replaces it
+        rooted = []
+
+        def counting_mix(key, n):
+            if n == protocol._TRIAL_SALT:
+                rooted.append(key)
+            return mix(key, n)
+
+        protocol._trial_root.cache_clear()
+        monkeypatch.setattr(protocol, "mix", counting_mix)
+        keys = [trial_codebook(5, t).seed for t in range(4)]
+        words = mix_vec(_trial_keys(5, np.arange(4, dtype=np.uint64)), _SUB_CODEBOOK)
+        assert keys == words.tolist() and rooted == [5]
+        for seed in (6, 6, 5):
+            trial_codebook(seed, 1)
+        assert rooted == [5, 6, 5]
+        assert trial_codebook(6, 2).seed == int(
+            mix_vec(mix_vec(mix(6, protocol._TRIAL_SALT), 2), _SUB_CODEBOOK))
 
     def test_accepts_numpy_integers(self):
         assert trial_codebook(5, np.uint64(2**64 - 1)) == trial_codebook(5, 2**64 - 1)
