@@ -15,8 +15,7 @@ import argparse
 import numpy as np
 
 from kschannel import run_trials
-from kschannel.cli import _bins_arg, _positive_int, _seed_arg
-from kschannel.protocol import ks_bin_masses
+from kschannel.cli import _bins_arg, _positive_int, _seed_arg, round1_acceptance_binned
 from kschannel.rngstream import mix
 
 
@@ -41,9 +40,8 @@ def main() -> None:
             worst = max(worst, abs(float(np.mean(batch.outcome == 1)) - float(batch.born[0])))
             bits.append(batch.code_bits)
             first.append(np.mean(batch.accepted_index == 1))
-        binned = float(np.minimum(1.0 / bins, ks_bin_masses(bins)).sum())
         print(f"{bins:>6}  {worst:>14.5f}  {float(np.mean(np.concatenate(bits))):>9.4f}  "
-              f"{float(np.mean(first)):>8.4f}  {binned:>11.6f}")
+              f"{float(np.mean(first)):>8.4f}  {round1_acceptance_binned(bins):>11.6f}")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import numpy as np
 
 from kschannel import (conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                        mc_mutual_information, run_trials)
-from kschannel.cli import REFERENCE_COSTS, _bins_arg, _mi_trials, _seed_arg
+from kschannel.cli import COST_BRACKET, REFERENCE_COSTS, _bins_arg, _mi_trials, _seed_arg
 from kschannel.rngstream import mix
 
 
@@ -36,11 +36,10 @@ def main() -> None:
 
     batch = run_trials(mix(args.seed, 2), args.trials, args.bins)
     mean_bits = float(np.mean(batch.code_bits))
-    upper = mi + 2 * np.log2(mi + 1) + 2 * np.log2(np.e)
     print(f"\none-shot protocol over {batch.n} trials, {args.bins} bins")
     print(f"  mean code length      {mean_bits:.4f} bits")
     print(f"  round-1 acceptance    {float(np.mean(batch.accepted_index == 1)):.4f}   (7/16 = {7 / 16:.4f})")
-    print(f"  guaranteed bracket    [{mi:.4f}, {upper:.4f}] bits")
+    print(f"  guaranteed bracket    [{COST_BRACKET[0]:.4f}, {COST_BRACKET[1]:.4f}] bits")
 
     print("\nreference single-qubit simulation costs (bits)")
     for row in REFERENCE_COSTS:

@@ -20,8 +20,7 @@ from .info import (MiEstimate, conditional_entropy_ks, exact_ks_mi, marginal_ent
                    mc_mutual_information)
 from .model import ks_density, ks_response, ks_sample
 from .protocol import (Codebook, TrialBatch, TrialReport, alice_send, bob_receive,
-                       discretize_ks, ks_bin_masses, run_trial, run_trials,
-                       trial_codebook)
+                       ks_bin_masses, run_trial, run_trials, trial_codebook)
 
 __all__ = [
     "__version__",
@@ -33,5 +32,5 @@ __all__ = [
     "DecodeError", "code_lengths", "elias_delta_decode", "elias_delta_encode",
     "DiscreteDistribution", "ProtocolFailure", "greedy_one_shot", "greedy_sample_batch",
     "Codebook", "TrialBatch", "TrialReport", "alice_send", "bob_receive",
-    "discretize_ks", "ks_bin_masses", "run_trial", "run_trials", "trial_codebook",
+    "ks_bin_masses", "run_trial", "run_trials", "trial_codebook",
 ]

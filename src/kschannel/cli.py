@@ -59,6 +59,15 @@ REFERENCE_COSTS = (
     {"protocol": "cerf_gisin_massar_average", "bits": 2.19, "note": "average over realizations"},
 )
 
+#: guaranteed one-shot cost bracket in bits, [I, I + 2 log2(I + 1) + 2 log2 e] for I = I(X:Psi)
+COST_BRACKET = (exact_ks_mi(),
+                float(exact_ks_mi() + 2.0 * np.log2(exact_ks_mi() + 1.0) + 2.0 * np.log2(np.e)))
+
+
+def round1_acceptance_binned(bins: int) -> float:
+    """Exact round-1 acceptance rate of the binned protocol: the sum over bins of min(1/K, t_b)."""
+    return float(np.sum(np.minimum(1.0 / bins, ks_bin_masses(bins))))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -237,11 +246,10 @@ def _code_bit_stats(code_bits: np.ndarray) -> dict:
 
 
 def _cost_sandwich(stats: dict) -> dict:
-    mi = exact_ks_mi()
-    upper = mi + 2.0 * np.log2(mi + 1.0) + 2.0 * np.log2(np.e)
+    mi, upper = COST_BRACKET
     slack = 3.0 * stats["std_error"]
     passed = (mi - slack) <= stats["mean"] <= (upper + slack)
-    return {"lower_bits": mi, "upper_bits": float(upper), "mean_bits": stats["mean"],
+    return {"lower_bits": mi, "upper_bits": upper, "mean_bits": stats["mean"],
             "slack_3se": slack, "passed": bool(passed)}
 
 
@@ -307,8 +315,7 @@ def cmd_cost(cfg: RunConfig) -> tuple[dict, bool]:
     stats = _code_bit_stats(batch.code_bits)
     bit_counts = np.bincount(batch.code_bits)
 
-    target = ks_bin_masses(cfg.bins)
-    round1_exact_binned = float(np.sum(np.minimum(1.0 / cfg.bins, target)))
+    round1_exact_binned = round1_acceptance_binned(cfg.bins)
     round1_emp = float(counts[1] / batch.n) if counts.size > 1 else 0.0
     sigma1 = _binomial_sigma(round1_exact_binned, batch.n)
     round1_ok = abs(round1_emp - round1_exact_binned) <= 4.0 * sigma1

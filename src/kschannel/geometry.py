@@ -205,12 +205,17 @@ def _select(mask, when_true, when_false) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """Projective qubit measurement; the POVM is the projector pair along +/-direction."""
+    """Projective qubit measurement; the POVM is the projector pair along +/-direction.
+
+    ``direction`` is a read-only float64 copy of the checked input.
+    """
 
     direction: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", require_unit(self.direction, "measurement direction"))
+        direction = require_unit(self.direction, "measurement direction").copy()
+        direction.setflags(write=False)
+        object.__setattr__(self, "direction", direction)
 
     def flipped(self) -> "Measurement":
         """The same measurement with outcome labels exchanged."""

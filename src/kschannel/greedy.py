@@ -19,9 +19,9 @@ acceptance law has a simple shape: symbol a is accepted with probability 1
 before its saturation round k_a, with probability f_a at k_a, and never
 after it; from the first round whose remainder 1 - S is at most
 ``_REMAINDER_FLOOR``, every symbol with t(a) > 0 is accepted outright.
-The schedule is built lazily, through the last round of each block its
-readers ask about, and may be shared between threads: extension holds a
-lock, and readers only look at rounds that are already built.
+The schedule is built lazily, through the last round each reader asks
+about, and may be shared between threads: extension holds a lock, and
+readers only look at rounds that are already built.
 :meth:`GreedySchedule.scan` runs many loops at once on symbols its caller
 draws (:func:`greedy_sample_batch`, the protocol's batched trials) as
 (rounds, runs) arrays, so each step works along a whole row of runs, and
@@ -108,10 +108,10 @@ class GreedySchedule:
 
     One schedule may serve several threads.  :meth:`extend` holds a lock
     and publishes ``rounds`` only after every value of those rounds is
-    written, so a reader that asks only about built rounds (every round,
-    once ``floor_round`` is known) needs no lock: a saturation round it
-    sees beyond them only tells it that the symbol is still accepted in
-    full.
+    written; :meth:`accept_prob` and :meth:`accept_prob_at` extend it
+    through the rounds they read (all are built once ``floor_round`` is
+    known) and then read without the lock: a saturation round seen beyond
+    them only tells that the symbol is still accepted in full.
     """
 
     def __init__(self, target: DiscreteDistribution, proposal: DiscreteDistribution):
@@ -138,32 +138,29 @@ class GreedySchedule:
         if rounds <= self.rounds or self.floor_round != _UNSATURATED:
             return
         with self._lock:
-            self._extend(rounds)
-
-    def _extend(self, rounds: int) -> None:
-        s, live = self._s, self._live
-        t, p, s_live = self._live_t, self._live_p, self._live_s
-        i, total = self.rounds, self.total
-        while i < rounds and self.floor_round == _UNSATURATED:
-            remainder = max(0.0, 1.0 - total)
-            if remainder <= _REMAINDER_FLOOR:
-                self.floor_round = i + 1
-                break
-            i += 1
-            delta = _advance(s_live, remainder, t, p)
-            step = remainder * p
-            s_live += delta
-            s[live] = s_live
-            cut = (delta < step).nonzero()[0]
-            if cut.size:
-                self.saturation[live[cut]] = i
-                self.fraction[live[cut]] = delta[cut] / step[cut]
-                keep = np.ones(live.size, dtype=bool)
-                keep[cut] = False
-                live, t, p, s_live = live[keep], t[keep], p[keep], s_live[keep]
-            total = float(s.sum())
-        self.rounds, self.total = i, total
-        self._live, self._live_t, self._live_p, self._live_s = live, t, p, s_live
+            s, live = self._s, self._live
+            t, p, s_live = self._live_t, self._live_p, self._live_s
+            i, total = self.rounds, self.total
+            while i < rounds and self.floor_round == _UNSATURATED:
+                remainder = max(0.0, 1.0 - total)
+                if remainder <= _REMAINDER_FLOOR:
+                    self.floor_round = i + 1
+                    break
+                i += 1
+                delta = _advance(s_live, remainder, t, p)
+                step = remainder * p
+                s_live += delta
+                s[live] = s_live
+                cut = (delta < step).nonzero()[0]
+                if cut.size:
+                    self.saturation[live[cut]] = i
+                    self.fraction[live[cut]] = delta[cut] / step[cut]
+                    keep = np.ones(live.size, dtype=bool)
+                    keep[cut] = False
+                    live, t, p, s_live = live[keep], t[keep], p[keep], s_live[keep]
+                total = float(s.sum())
+            self.rounds, self.total = i, total
+            self._live, self._live_t, self._live_p, self._live_s = live, t, p, s_live
 
     def accept_prob(self, symbols, rounds) -> np.ndarray:
         """Acceptance probability of ``symbols`` drawn at ``rounds`` (1-based; broadcast)."""
@@ -180,9 +177,11 @@ class GreedySchedule:
     def accept_prob_at(self, symbol: int, i: int) -> float:
         """:meth:`accept_prob` of one symbol drawn at round i, as a float.
 
-        Unlike :meth:`accept_prob` it builds nothing: round i must be built,
-        by ``extend(i)``, first.
+        Like :meth:`accept_prob` it builds the schedule through round i
+        first; that build can be the one that finds the floor round.
         """
+        if i > self.rounds:
+            self.extend(i)
         if i >= self.floor_round:
             return 1.0 if self.target.item(symbol) > 0.0 else 0.0
         k = self.saturation.item(symbol)

@@ -11,31 +11,23 @@ the bin-averaged conditional density, so the simulation error is purely
 the 1-D binning of the height z = v.x, of order 1/bins.
 
 The bin laws do not depend on the state, so one :class:`GreedySchedule`
-per bin count (:func:`_ks_schedule`) is built once per process and serves
-every trial and worker thread; it is extended, under its lock, through the
-last round read.  :func:`run_trials` hands each worker's span of trials to
-:meth:`GreedySchedule.scan`, which asks for blocks of rounds: the span
-draws the bins of the codebook points of rounds done+1 .. done+R for at
-most :data:`geometry.BLOCK` still-active trials at a time, as an
-(R, active) array with one row per round, and hashes the coin of trial
-t at round i only for the draws whose acceptance probability lies
-strictly between 0 and 1; the scan ends each trial at its first
-accepting round.  The bins come from a float32 estimate of the height
-v.x (:func:`_height_bins`); only draws whose estimate lies within 2^-17
-of a bin edge, and every draw at more than 2^15 bins, are binned from
-the float64 point, so each bin equals the float64 point's.  The
-receiver's point is then regenerated once per trial from its accepted
-index.
-The two-party path works in Python floats, one round at a time:
-:func:`alice_send` builds the shared schedule through round i, reads
-codebook entry i (:func:`_entry_point`, the scalar image of
-:func:`_sphere_point`), looks up its bin's acceptance probability at
-round i and takes one coin, so a trial costs time linear in its accepted
-index, whose mean is at most 4; :func:`bob_receive` rebuilds the one
-accepted entry the same way.  Every draw is the counter word the
-one-round-at-a-time reference (:func:`greedy.greedy_one_shot`, which
-:func:`run_trial` uses) reads, so all paths give the same trial bit for
-bit.  Bin counts must be even whole numbers in [2, :data:`_MAX_BINS`].
+per bin count (:func:`_ks_schedule`) serves every trial and worker thread;
+each read extends it, under its lock, through the last round read.
+:func:`run_trials` hands each worker's span of trials to
+:meth:`GreedySchedule.scan`, which asks for the bins of blocks of rounds,
+one row per round, for at most :data:`geometry.BLOCK` still-active trials
+at a time, and for a coin only where the acceptance probability lies
+strictly between 0 and 1.  The bins come from a float32 estimate of v.x
+that falls back to the float64 point near bin edges (:func:`_height_bins`),
+so each equals the float64 point's bin.  The two-party path works in
+Python floats, one round at a time: :func:`alice_send` reads codebook
+entry i (:func:`_entry_point`, the scalar image of :func:`_sphere_point`)
+and its bin's acceptance probability at round i, and takes one coin;
+:func:`bob_receive` rebuilds the one accepted entry the same way.  Every
+draw is the counter word the per-round reference
+(:func:`greedy.greedy_one_shot`, which :func:`run_trial` uses) reads, so
+all paths give the same trial bit for bit.  Bin counts must be even whole
+numbers in [2, :data:`_MAX_BINS`].
 
 Wire format: the raw Elias delta bitstring of the accepted index, most
 significant bit first, no padding.  Everything is deterministic given the
@@ -189,24 +181,6 @@ def _ks_schedule(bins: int) -> GreedySchedule:
     return GreedySchedule(*_ks_laws(bins))
 
 
-def discretize_ks(v, bins: int):
-    """Height-bin reduction of the steering problem for state v.
-
-    Returns (target, proposal, binner): the bin law of z = v.x under the
-    conditional density, the uniform bin law it has under the codebook
-    stream (z is uniform for uniform sphere points), and a function mapping
-    sphere points to their bin.
-    """
-    v = require_unit(v, "state v")
-    bins = _bin_count(bins)
-    target, proposal = _ks_laws(bins)
-
-    def binner(x) -> np.ndarray:
-        return bin_index(dot3(x, v), bins)
-
-    return target, proposal, binner
-
-
 def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[str, TrialReport]:
     """Sender half of one trial: steer the codebook onto rho(.|state).
 
@@ -215,9 +189,10 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[s
     other coin, NaN included, raises ValueError); exactly one is taken per
     round up to the accepted one.  Round i reads codebook entry i as Python
     floats (:func:`_entry_point`) and its acceptance probability from the
-    shared schedule, built through round i first, so a trial costs time
-    linear in its accepted index, whose mean is at most 4.  Returns the
-    transmitted bitstring and the sender-side report.  Raises
+    shared schedule (:meth:`GreedySchedule.accept_prob_at`, which builds
+    through round i), so a trial costs time linear in its accepted index,
+    whose mean is at most 4.  Returns the transmitted bitstring and the
+    sender-side report, which keeps a copy of the state.  Raises
     :class:`ProtocolFailure` if the coins run out first or nothing is
     accepted within :data:`greedy.DEFAULT_ROUND_CAP` rounds, a guard that
     the schedule's floor round (562 545 at 2**15 bins) keeps from binding.
@@ -231,7 +206,6 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[s
     for i in count(1):
         if i > DEFAULT_ROUND_CAP:
             raise ProtocolFailure(f"no acceptance within {DEFAULT_ROUND_CAP} rounds")
-        schedule.extend(i)
         x0, x1, x2 = _entry_point(codebook.seed, i)
         # dot3 and bin_index on Python floats, in their order
         b = math.floor((0.0 + x0 * v0 + x1 * v1 + x2 * v2 + 1.0) * half)
@@ -244,7 +218,7 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[s
             raise ValueError(f"coins must lie in [0, 1), got {u!r}")
         if u < p:
             bits = elias_delta_encode(i)
-            return bits, TrialReport(state=state, meas=None, accepted_index=i,
+            return bits, TrialReport(state=state.copy(), meas=None, accepted_index=i,
                                      code_bits=len(bits), outcome=None)
 
 
@@ -289,30 +263,24 @@ def _trial_root(master_seed: int) -> int:
     return mix(master_seed, _TRIAL_SALT)
 
 
-def _trial_keys(master_seed: int, indices: np.ndarray) -> np.ndarray:
-    """Root word of each trial; its sub-streams are keyed ``mix_vec(trial, _SUB_...)``."""
-    return mix_vec(_trial_root(master_seed), indices)
-
-
 def _sphere_point(keys, ctr) -> np.ndarray:
     """Uniform sphere point from the counter words ctr and ctr + 1 of the ``keys`` streams.
 
     z = 2 u - 1 from the first word, azimuth = 2 pi u' from the second (see
     :func:`_sphere_zphi`); ``keys`` and ``ctr`` broadcast as in
-    :func:`mix_vec`.  Past :data:`geometry.BLOCK` points, the points of
-    each BLOCK-point slice of the flattened broadcast are written into one
-    result, so the temporaries stay a block long; no bit moves.
+    :func:`mix_vec`.  The (..., 3) result is built one :data:`geometry.BLOCK`-point
+    slice of the flattened broadcast at a time, so the temporaries stay a block long.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ctr = np.asarray(ctr, dtype=np.uint64)
     points = np.broadcast(keys, ctr)
-    if points.size <= BLOCK:
-        return sphere_from_zphi(*_sphere_zphi(keys, ctr))
-    out = np.empty((points.size, 3))
     keys, ctr = (np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
+    out = np.empty((0, 3))
     for lo in range(0, points.size, BLOCK):
-        part = slice(lo, lo + BLOCK)
-        sphere_from_zphi(*_sphere_zphi(keys[part], ctr[part]), out=out[part])
+        z, phi = _sphere_zphi(keys[lo:lo + BLOCK], ctr[lo:lo + BLOCK])
+        if not lo:   # after the first hash, so the result reuses its freed pages (fewer faults)
+            out = np.empty((points.size, 3))
+        sphere_from_zphi(z, phi, out=out[lo:lo + BLOCK])
     return out.reshape(*points.shape, 3)
 
 
@@ -384,23 +352,22 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
               state=None, meas=None) -> TrialReport:
     """Reference scalar path for one complete trial (sender then receiver).
 
-    The sender is the per-round loop :func:`greedy.greedy_one_shot` over
-    the binned codebook stream, independent of the shared schedule that
-    :func:`alice_send` and :func:`run_trials` read, with its default round
-    cap.  Bit-identical to the corresponding row of :func:`run_trials`.
-    Seeds and trial indices are checked as in :func:`trial_codebook`.
+    Trial t's streams are keyed ``mix(trial, _SUB_...)`` with ``trial =
+    mix(_trial_root(master_seed), t)``, as on the wire path.  The sender is
+    :func:`greedy.greedy_one_shot` over the codebook stream binned in numpy
+    float64, independent of the shared schedule.  Bit-identical to the
+    corresponding row of :func:`run_trials`.  Seeds and trial indices are
+    checked as in :func:`trial_codebook`; the report keeps copies of the
+    state and measurement.
     """
-    trial = _trial_keys(_word(master_seed, "master seed"),
-                        np.array([_word(trial_index, "trial index")], dtype=np.uint64))
-    v = (np.asarray(state, float) if state is not None
-         else _sphere_point(mix_vec(trial, _SUB_STATE), 1)[0])
-    m = (np.asarray(meas, float) if meas is not None
-         else _sphere_point(mix_vec(trial, _SUB_MEAS), 1)[0])
-    codebook = Codebook(seed=int(mix_vec(trial, _SUB_CODEBOOK)[0]))
-    target, proposal, binner = discretize_ks(v, bins)
-    stream = (int(binner(codebook.entry(i))) for i in count(1))
-    index, _ = greedy_one_shot(target, proposal, stream,
-                               counter_uniforms(int(mix_vec(trial, _SUB_ACCEPT)[0])))
+    trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
+    v = require_unit(np.array(state, float) if state is not None
+                     else _sphere_point(mix(trial, _SUB_STATE), 1), "state v")
+    m = np.array(meas, float) if meas is not None else _sphere_point(mix(trial, _SUB_MEAS), 1)
+    bins = _bin_count(bins)
+    codebook = Codebook(seed=mix(trial, _SUB_CODEBOOK))
+    stream = (int(bin_index(dot3(codebook.entry(i), v), bins)) for i in count(1))
+    index, _ = greedy_one_shot(*_ks_laws(bins), stream, counter_uniforms(mix(trial, _SUB_ACCEPT)))
     bits = elias_delta_encode(index)
     outcome = bob_receive(bits, codebook, Measurement(m))
     return TrialReport(state=v, meas=m, accepted_index=index,
@@ -409,15 +376,11 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
 
 def _run_chunk(master_seed: int, start: int, count: int, bins: int,
                state, meas, schedule: GreedySchedule) -> TrialBatch:
-    trial = _trial_keys(master_seed, np.arange(start, start + count, dtype=np.uint64))
-    if state is not None:
-        v = np.broadcast_to(np.asarray(state, float), (count, 3)).copy()
-    else:
-        v = _sphere_point(mix_vec(trial, _SUB_STATE), 1)
-    if meas is not None:
-        m = np.broadcast_to(np.asarray(meas, float), (count, 3)).copy()
-    else:
-        m = _sphere_point(mix_vec(trial, _SUB_MEAS), 1)
+    trial = mix_vec(_trial_root(master_seed), np.arange(start, start + count, dtype=np.uint64))
+    # a fixed state or direction (checked by run_trials) on every row, else one per trial
+    v, m = (np.broadcast_to(fixed, (count, 3)).copy() if fixed is not None
+            else _sphere_point(mix_vec(trial, sub), 1)
+            for fixed, sub in ((state, _SUB_STATE), (meas, _SUB_MEAS)))
     cb_keys = mix_vec(trial, _SUB_CODEBOOK)
     acc_keys = mix_vec(trial, _SUB_ACCEPT)
 

@@ -164,6 +164,12 @@ class TestSpherePointAtBlockEdges:
         assert_bit_identical(out, _whole_array_sphere_point(keys, ctr))
         assert_fresh_vectors(out, (rows, cols, 3))
 
+    @pytest.mark.parametrize("keys, ctr", [(12345, 1), (np.arange(5), np.ones(1)),
+                                           (12345, np.zeros(0)), (np.arange(3), np.ones((2, 0, 1)))])
+    def test_small_and_empty_broadcasts(self, keys, ctr):
+        # one path for every size: a scalar gives one (3,) point, and no points an empty result
+        assert_bit_identical(_sphere_point(keys, ctr), _whole_array_sphere_point(keys, ctr))
+
     def test_holds_one_block_of_temporaries(self):
         # result (24 bytes/point) + 8 bytes/point of slack; the whole-array form
         # holds the words, their hash and the heights and azimuths at once (88)

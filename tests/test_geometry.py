@@ -227,6 +227,18 @@ class TestUnitVector:
             assert_bit_identical(unit_vector(*xyz), v / np.linalg.norm(v))
 
 
+def test_measurement_keeps_its_own_copy():
+    # a later change to the caller's array must not reach the checked direction
+    m = np.array([0.0, 0.0, 1.0])
+    M = Measurement(m)
+    m[:] = (0.0, 0.0, 3.0)
+    assert M.direction.tolist() == [0.0, 0.0, 1.0]
+    assert born_probability(np.array([0.0, 0.0, -1.0]), M) == 0.0
+    with pytest.raises(ValueError):
+        M.direction[2] = 3.0
+    assert Measurement((0, 0, 1)).direction.dtype == np.float64
+
+
 def test_measurement_flip_negates_direction():
     m = Measurement(unit_vector(1.0, 2.0, 2.0))
     assert np.array_equal(m.flipped().direction, -m.direction)

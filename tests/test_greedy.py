@@ -275,6 +275,24 @@ class TestSchedule:
             assert got == schedule.accept_prob(np.arange(bins), i).tolist()
         assert i == schedule.floor_round + 2 == {2: 53, 4: 122}[bins]
 
+    @pytest.mark.parametrize("bins", [4, 64])
+    def test_scalar_read_builds_what_it_reads(self, bins):
+        # on a fresh schedule, accept_prob_at(b, i) builds through round i itself: the values
+        # and the rounds built are those of extend(i) followed by accept_prob
+        target = DiscreteDistribution(ks_bin_masses(bins))
+        proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
+        probe = GreedySchedule(target, proposal)
+        probe.extend(10**6)
+        floor = probe.floor_round   # 120 at 4 bins, 1877 at 64
+        for i in (1, 2, 7, floor - 1, floor, floor + 1, floor + 40):
+            built = GreedySchedule(target, proposal)
+            built.extend(i)
+            want = built.accept_prob(np.arange(bins), i).tolist()
+            fresh = GreedySchedule(target, proposal)
+            assert fresh.accept_prob_at(0, i) == want[0]
+            assert (fresh.rounds, fresh.floor_round) == (built.rounds, built.floor_round)
+            assert [fresh.accept_prob_at(b, i) for b in range(bins)] == want
+
     def test_scalar_read_matches_accept_prob_on_sampled_rounds(self):
         bins = 64
         target = DiscreteDistribution(ks_bin_masses(bins))

@@ -13,9 +13,9 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
 from kschannel import protocol
 from kschannel.geometry import BLOCK, dot3, dot_estimate
 from kschannel.model import ks_response
-from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_STATE,
-                                TrialBatch, _ks_schedule, _sphere_point, _trial_keys, alice_send,
-                                bin_index, bob_receive, discretize_ks, ks_bin_masses,
+from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_MEAS, _SUB_STATE,
+                                TrialBatch, _ks_laws, _ks_schedule, _sphere_point, _trial_root,
+                                alice_send, bin_index, bob_receive, ks_bin_masses,
                                 run_trial, run_trials, trial_codebook)
 from kschannel.quadrature import min_overlap_integral
 from kschannel.rngstream import GOLDEN, counter_uniforms, finalize64, mix, mix_vec
@@ -27,8 +27,7 @@ class TestBinning:
             assert abs(ks_bin_masses(bins).sum() - 1.0) <= 1e-12
 
     def test_two_bins_reduce_to_half_half_proposal(self):
-        v = unit_vector(0.0, 0.0, 1.0)
-        target, proposal, _ = discretize_ks(v, 2)
+        target, proposal = _ks_laws(2)
         assert np.array_equal(target.masses, [0.0, 1.0])
         assert np.array_equal(proposal.masses, [0.5, 0.5])
 
@@ -592,7 +591,7 @@ class TestHeightBins:
 
 def trial_inputs(seed, t):
     """The state, codebook and coin key that run_trial derives for trial t."""
-    trial = _trial_keys(seed, np.array([t], dtype=np.uint64))
+    trial = mix_vec(_trial_root(seed), np.array([t], dtype=np.uint64))
     return (_sphere_point(mix_vec(trial, _SUB_STATE), 1)[0],
             Codebook(seed=int(mix_vec(trial, _SUB_CODEBOOK)[0])),
             int(mix_vec(trial, _SUB_ACCEPT)[0]))
@@ -615,9 +614,8 @@ class CountingCoins:
 
 def reference_send(v, codebook, bins, coins):
     """greedy_one_shot on the binned codebook stream, one round at a time."""
-    target, proposal, binner = discretize_ks(v, bins)
-    stream = (int(binner(codebook.entry(i))) for i in itertools.count(1))
-    return greedy_one_shot(target, proposal, stream, coins)[0]
+    stream = (int(bin_index(dot3(codebook.entry(i), v), bins)) for i in itertools.count(1))
+    return greedy_one_shot(*_ks_laws(bins), stream, coins)[0]
 
 
 class TestTrialCodebook:
@@ -627,13 +625,14 @@ class TestTrialCodebook:
         trials = [0, 1, 2**63, 2**64 - 1,
                   *rng.integers(0, 2**64, size=200, dtype=np.uint64, endpoint=False).tolist()]
         for seed in seeds:
-            want = mix_vec(_trial_keys(seed, np.array(trials, dtype=np.uint64)), _SUB_CODEBOOK)
+            want = mix_vec(mix_vec(_trial_root(seed), np.array(trials, dtype=np.uint64)),
+                           _SUB_CODEBOOK)
             for t, key in zip(trials, want.tolist()):
                 assert trial_codebook(seed, t).seed == key
 
     def test_hashes_the_trial_root_once_per_seed(self, monkeypatch):
-        # mix(seed, _TRIAL_SALT) is cached for the last seed, and _trial_keys reads the
-        # same cache; a new seed replaces it
+        # mix(seed, _TRIAL_SALT) is cached for the last seed, and the vector paths read
+        # the same cache; a new seed replaces it
         rooted = []
 
         def counting_mix(key, n):
@@ -644,7 +643,7 @@ class TestTrialCodebook:
         protocol._trial_root.cache_clear()
         monkeypatch.setattr(protocol, "mix", counting_mix)
         keys = [trial_codebook(5, t).seed for t in range(4)]
-        words = mix_vec(_trial_keys(5, np.arange(4, dtype=np.uint64)), _SUB_CODEBOOK)
+        words = mix_vec(mix_vec(_trial_root(5), np.arange(4, dtype=np.uint64)), _SUB_CODEBOOK)
         assert keys == words.tolist() and rooted == [5]
         for seed in (6, 6, 5):
             trial_codebook(seed, 1)
@@ -687,6 +686,46 @@ class TestTrialCodebook:
     def test_codebook_takes_whole_seeds_as_their_int(self):
         assert Codebook(seed=3.0) == Codebook(seed=np.uint64(3)) == Codebook(seed=3)
         assert type(Codebook(seed=np.uint64(2**64 - 1)).seed) is int
+
+
+class TestRunTrialDerivation:
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+    def test_matches_the_vector_derivation_at_the_word_edges(self, seed, monkeypatch):
+        # run_trial hashes trial t's keys one word at a time; each must be the word the
+        # vector chain mix_vec(mix_vec(root, [t]), _SUB_...) gives, bit for bit
+        keys = []
+
+        def recording_codebook(seed):
+            keys.append(("codebook", seed))
+            return Codebook(seed=seed)
+
+        def recording_coins(key):
+            keys.append(("coins", key))
+            return counter_uniforms(key)
+
+        monkeypatch.setattr(protocol, "Codebook", recording_codebook)
+        monkeypatch.setattr(protocol, "counter_uniforms", recording_coins)
+        root = mix_vec(np.uint64(seed), protocol._TRIAL_SALT)
+        for t in (0, 1, 2**63, 2**64 - 1):
+            keys.clear()
+            report = run_trial(seed, t, 64)
+            trial = mix_vec(root, np.array([t], dtype=np.uint64))
+            state = _sphere_point(mix_vec(trial, _SUB_STATE), 1)[0]
+            meas = _sphere_point(mix_vec(trial, _SUB_MEAS), 1)[0]
+            assert report.state.shape == report.meas.shape == (3,)
+            assert report.state.tobytes() == state.tobytes()
+            assert report.meas.tobytes() == meas.tobytes()
+            assert keys == [("codebook", int(mix_vec(trial, _SUB_CODEBOOK)[0])),
+                            ("coins", int(mix_vec(trial, _SUB_ACCEPT)[0]))]
+
+    def test_report_keeps_copies_of_the_inputs(self):
+        # the report must not follow a later change to the caller's arrays
+        v, m = np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+        report = run_trial(7, 3, 64, state=v, meas=m)
+        v[:] = 5.0
+        m[:] = 5.0
+        assert report.state.tolist() == [0.0, 0.0, 1.0]
+        assert report.meas.tolist() == [1.0, 0.0, 0.0]
 
 
 class TestBinCount:
@@ -769,6 +808,13 @@ class TestSender:
             coins = [*itertools.islice(counter_uniforms(key), at), bad, *[0.5] * 64]
             with pytest.raises(ValueError, match=r"coins must lie in \[0, 1\)"):
                 alice_send(v, codebook, 64, coins)
+
+    def test_report_keeps_a_copy_of_the_state(self):
+        v, codebook, key = trial_inputs(self.SEED, 0)
+        want = v.copy()
+        _, report = alice_send(v, codebook, 64, counter_uniforms(key))
+        v[:] = 5.0
+        assert np.array_equal(report.state, want)
 
     def test_finite_coins(self):
         v, codebook, key, index = self.deep_trial()
