@@ -96,7 +96,8 @@ class GreedySchedule:
     loop: ``delta = _advance(s, 1 - S, t, p)``, ``s += delta``,
     ``S = sum(s)``.  Per symbol it records the saturation round k (the
     first round whose claim is cut by the target, ``delta < (1 - S) p``)
-    and the acceptance probability f = delta / ((1 - S) p) at that round.
+    and the acceptance probability f = delta / ((1 - S) p) at that round,
+    which is below 1: a float over a larger float is at most 1 - 2**-53.
     A symbol is never accepted after its saturation round, because it then
     holds s == t exactly: at k = 1 the claim is t itself, and at k > 1
     s >= p (its round-1 claim) >= (1 - S) p > delta = t - s, so s > t / 2,
@@ -192,11 +193,16 @@ class GreedySchedule:
 
         ``draw(active, rounds)`` returns the symbols of the active runs at the
         next width rounds as a (width, active) array, one row per round, so
-        every step runs along whole rows.  One :meth:`accept_prob` call, which
-        builds the schedule through the block's last round, decides the
-        block: p = 1 hits, p = 0 misses, and only the draws with 0 < p < 1
-        go to ``coins(runs, rounds)``, as 1-D arrays of run numbers and rounds
-        in the row-major order of ``nonzero`` (round by round, runs
+        every step runs along whole rows.  Each block is decided as
+        :meth:`accept_prob` would decide it, from the saturation rounds k of
+        its symbols alone once the schedule is built through its last round:
+        a draw at round r < k hits (p = 1) and one at r > k misses (p = 0);
+        only at r == k is the fraction f read, a miss at f = 0 and a coin
+        otherwise, since f < 1 (see the class).  From ``floor_round`` on, every
+        symbol with t > 0 hits, as in :meth:`accept_prob`; no draw at or past
+        that round has r == k, because the build stops short of it.  The
+        draws with 0 < p < 1 go to ``coins(runs, rounds)``, as 1-D arrays of
+        run numbers and rounds in row-major order (round by round, runs
         ascending), for coins in [0, 1) that hit below p.  A run ends at its
         first hit.  The width is a :data:`geometry.BLOCK` draw budget, capped
         at the rounds done; past BLOCK active runs (width 1) ``draw`` gets
@@ -217,12 +223,20 @@ class GreedySchedule:
             parts = [draw(active[lo:lo + BLOCK], rounds) for lo in range(0, active.size, BLOCK)]
             symbols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             done += width
-            p = self.accept_prob(symbols, rounds[:, None])
-            hit = p == 1.0
-            tossed = np.flatnonzero((p > 0.0) & ~hit)   # 0 < p < 1, row-major as nonzero lists them
+            self.extend(done)
+            k = self.saturation[symbols]
+            column = rounds[:, None]
+            hit = column < k
+            tossed = np.flatnonzero(column == k)   # row-major, as nonzero lists them
             if tossed.size:
-                row, col = np.divmod(tossed, active.size)
-                hit.flat[tossed] = coins(active[col], rounds[row]) < p.flat[tossed]
+                f = self.fraction[symbols.flat[tossed]]
+                tossed, f = tossed[f > 0.0], f[f > 0.0]
+                if tossed.size:
+                    row, col = np.divmod(tossed, active.size)
+                    hit.flat[tossed] = coins(active[col], rounds[row]) < f
+            if self.floor_round <= done:
+                past = max(0, self.floor_round - rounds[0])
+                hit[past:] = self.target[symbols[past:]] > 0.0
             first = np.where(hit, np.arange(width)[:, None], width).min(axis=0)
             won = (first < width).nonzero()[0]
             index[active[won]] = rounds[first[won]]

@@ -270,14 +270,17 @@ def _sphere_point(keys, ctr) -> np.ndarray:
     :func:`_sphere_zphi`); ``keys`` and ``ctr`` broadcast as in
     :func:`mix_vec`.  The (..., 3) result is built one :data:`geometry.BLOCK`-point
     slice of the flattened broadcast at a time, so the temporaries stay a block long.
+    A single key or counter (one word) is hashed against every slice as it is,
+    without being broadcast to the slice's length first.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     ctr = np.asarray(ctr, dtype=np.uint64)
     points = np.broadcast(keys, ctr)
-    keys, ctr = (np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
+    keys, ctr = (a.reshape(()) if a.size == 1 else
+                 np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
     out = np.empty((0, 3))
     for lo in range(0, points.size, BLOCK):
-        z, phi = _sphere_zphi(keys[lo:lo + BLOCK], ctr[lo:lo + BLOCK])
+        z, phi = _sphere_zphi(*(a[lo:lo + BLOCK] if a.ndim else a for a in (keys, ctr)))
         if not lo:   # after the first hash, so the result reuses its freed pages (fewer faults)
             out = np.empty((points.size, 3))
         sphere_from_zphi(z, phi, out=out[lo:lo + BLOCK])
@@ -291,47 +294,58 @@ def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray) -> tuple[np.ndarray, np.ndar
     leading axis of length 2 whose two halves, the z words and the azimuth
     words, are each contiguous.  The counter words keep the counters' own
     shape, aligned to the keys' trailing axes; the hash broadcasts them
-    against the keys.
+    against the keys.  The words are shifted in place and converted once;
+    :func:`rngstream.to_unit`'s factor 2**-53 is folded into the scales of z
+    and phi without moving a bit: k = w >> 11 < 2**53 is exact in float64,
+    and so are k 2**-53 and fl(2 pi) 2**-53, so (k 2**-53) 2 = k 2**-52, and
+    (k 2**-53) fl(2 pi) and k (fl(2 pi) 2**-53) are one real number, rounded once.
     """
     words = np.empty((2,) + (1,) * (keys.ndim - ctr.ndim) + ctr.shape, dtype=np.uint64)
     words[0] = ctr
     np.add(ctr, 1, out=words[1:])
-    u = to_unit(mix_vec(keys, words))
-    z, phi = u[0], u[1]   # views of one fresh array, scaled in place
-    z *= 2.0
+    hashed = mix_vec(keys, words)
+    hashed >>= np.uint64(11)
+    u = hashed.astype(np.float64)
+    z, phi = u[0, ...], u[1, ...]   # views of one fresh array, scaled in place
+    z *= 2.0 * _INV53
     z -= 1.0
-    phi *= _TWO_PI
+    phi *= _TWO_PI * _INV53
     return z, phi
 
 
 def _height_bins(z: np.ndarray, phi: np.ndarray, v, bins: int) -> np.ndarray:
     """``bin_index(dot3(sphere_from_zphi(z, phi), v), bins)``, mostly from a float32 estimate.
 
-    Inputs as in :func:`geometry.dot_estimate`.  With s its estimate of v.x,
-    t = (s + 1) bins/2 is taken in float32, which adds at most ~2e-7 bins/2
-    to the error of s.  A draw whose t lies at least :data:`_EDGE_BAND` bins/2
-    from every whole number, i.e. whose estimate lies at least tau = 2^-17
-    (over six times the bound on that error) from every bin edge, is in bin
-    floor(t), clamped to [0, bins - 1].  The others are binned by the exact
-    formula on those rows alone; it is elementwise, so no bin moves.  Past
-    :data:`_ESTIMATE_BINS` bins the band holds half the draws or more, and
-    every draw takes the exact formula.
+    Inputs as in :func:`geometry.dot_estimate`, with one (3,) state ``v`` or one
+    per entry of the last axis of ``z``, an (n, 3) array.  With s its estimate
+    of v.x, t = (s + 1) bins/2 is taken in float32, which adds at most ~2e-7
+    bins/2 to the error of s.  A draw whose t lies at least :data:`_EDGE_BAND`
+    bins/2 from every whole number, i.e. whose estimate lies at least tau =
+    2^-17 (over six times the bound on that error) from every bin edge, is in
+    bin floor(t), clamped to [0, bins - 1].  One ``np.modf`` gives floor(t)
+    (for t >= 0) and the fraction, and one test, |frac - 1/2| > 1/2 - band,
+    finds the draws in the band (every t < 0 among them): 1/2 - band is exact
+    in float32 and so is frac - 1/2 for frac >= 1/4; below 1/4 its rounding
+    can trust a fraction at most 2^-26 inside the band, 2^-25/bins in heights,
+    which leaves the band far wider than the error.  The others are binned by
+    the exact formula on those rows alone; it is elementwise, so no bin moves.
+    Past :data:`_ESTIMATE_BINS` bins the band holds half the draws or more,
+    and every draw takes the exact formula.
     """
     if bins > _ESTIMATE_BINS:
         return bin_index(dot3(sphere_from_zphi(z, phi), v), bins)
     t = dot_estimate(z, phi, v)
     t += 1.0
     t *= bins / 2
-    whole = np.floor(t)
-    t -= whole   # the fraction of t
-    band = np.float32(_EDGE_BAND * bins / 2)
-    near = np.flatnonzero((t < band) | (t > 1 - band))
+    frac, whole = np.modf(t, out=(t, None))
     idx = whole.astype(np.int64)
     np.minimum(np.maximum(idx, 0, out=idx), bins - 1, out=idx)
+    frac -= 0.5
+    near = np.flatnonzero(np.abs(frac, out=frac) > np.float32(0.5 - _EDGE_BAND * bins / 2))
     if near.size:
         cells = np.unravel_index(near, z.shape)
         if v.ndim > 1:
-            v = np.broadcast_to(v, z.shape + (3,))[cells]
+            v = np.take(v, cells[-1], axis=0)
         idx[cells] = bin_index(dot3(sphere_from_zphi(z[cells], phi[cells]), v), bins)
     return idx
 
@@ -357,12 +371,14 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     :func:`greedy.greedy_one_shot` over the codebook stream binned in numpy
     float64, independent of the shared schedule.  Bit-identical to the
     corresponding row of :func:`run_trials`.  Seeds and trial indices are
-    checked as in :func:`trial_codebook`; the report keeps copies of the
-    state and measurement.
+    checked as in :func:`trial_codebook`; the state is one unit vector of
+    shape (3,) or (1, 3), kept as its (3,) row, and the report keeps copies
+    of the state and measurement.
     """
     trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
     v = require_unit(np.array(state, float) if state is not None
                      else _sphere_point(mix(trial, _SUB_STATE), 1), "state v")
+    v = np.array(_components(v, "state v"))   # a (1, 3) state as its (3,) row
     m = np.array(meas, float) if meas is not None else _sphere_point(mix(trial, _SUB_MEAS), 1)
     bins = _bin_count(bins)
     codebook = Codebook(seed=mix(trial, _SUB_CODEBOOK))
@@ -390,7 +406,7 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
         # (see _height_bins); a fixed state is passed whole, as one (3,) vector
         ctr = 2 * rounds.astype(np.uint64)[:, None]
         return _height_bins(*_sphere_zphi(cb_keys[active], ctr),
-                            v[active] if state is None else state, bins)
+                            np.take(v, active, axis=0) if state is None else state, bins)
 
     def coins(runs, rounds):
         return to_unit(mix_vec(acc_keys[runs], rounds))

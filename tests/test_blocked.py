@@ -186,7 +186,7 @@ class TestSpherePointAtBlockEdges:
 
 
 class _FirstRoundDrawn(Exception):
-    """Ends a scan once its first round is drawn, with the traced peak and the round's shape."""
+    """Ends a scan once its first round is drawn, with the traced peak and the rounds to build."""
 
 
 class TestCodebookBinsAtBlockEdges:
@@ -195,28 +195,37 @@ class TestCodebookBinsAtBlockEdges:
     def test_holds_one_block_of_temporaries(self, monkeypatch, bins, per_run):
         # the first round of a 2**18-trial span, traced from its first codebook hash (the
         # scan's counters are a (rounds, 1) column; the states' are one word) to the scan's
-        # look-up of the schedule: the BLOCK-trial slices' int64 bins and their join (8 + 8
-        # bytes/point) + 8 of slack; binned whole, the words, hash, heights, azimuths and
-        # estimate need 48-80 bytes/point
+        # first call on the schedule, which builds it through the rounds just drawn: the
+        # BLOCK-trial slices' int64 bins and their join (8 + 8 bytes/point) + 8 of slack;
+        # binned whole, the words, hash, heights, azimuths and estimate need 48-80 bytes/point
         m = 1 << 18
-        sphere_zphi = protocol._sphere_zphi
+        sphere_zphi, height_bins, slices = protocol._sphere_zphi, protocol._height_bins, []
 
         def traced_zphi(keys, ctr):
             if ctr.ndim == 2 and not tracemalloc.is_tracing():
                 tracemalloc.start()
             return sphere_zphi(keys, ctr)
 
-        def first_round_drawn(schedule, symbols, rounds):
-            raise _FirstRoundDrawn(tracemalloc.get_traced_memory()[1], symbols.shape)
+        def recorded_bins(z, phi, v, k):
+            got = height_bins(z, phi, v, k)
+            slices.append(got.shape)
+            return got
+
+        def first_round_drawn(schedule, rounds):
+            raise _FirstRoundDrawn(tracemalloc.get_traced_memory()[1], rounds)
 
         monkeypatch.setattr(protocol, "_sphere_zphi", traced_zphi)
-        monkeypatch.setattr(GreedySchedule, "accept_prob", first_round_drawn)
+        monkeypatch.setattr(protocol, "_height_bins", recorded_bins)
+        monkeypatch.setattr(GreedySchedule, "extend", first_round_drawn)
         try:
             with pytest.raises(_FirstRoundDrawn) as drawn:
                 run_trials(4, m, bins, state=None if per_run else [0.0, 0.6, 0.8])
         finally:
             tracemalloc.stop()
-        peak, shape = drawn.value.args
+        peak, built = drawn.value.args
+        rows, cols = zip(*slices)
+        shape = (max(rows), sum(cols))   # the BLOCK-trial slices of one round, side by side
+        assert built == 1 and set(rows) == {1}
         assert shape == (1, m)
         assert peak / m < 24
 

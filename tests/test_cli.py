@@ -209,6 +209,23 @@ class TestSimulate:
             assert a["config"]["seed"] == b["config"]["seed"]
 
 
+class TestCodeBitStats:
+    def test_percentiles_are_numpy_percentile_bit_for_bit(self):
+        # every size from 1 to 400 (code lengths, small and wide ranges) and the trial
+        # counts of the benchmark and of the default run, against np.percentile
+        rng = np.random.default_rng(50)
+        arrays = [rng.integers(1, high, size=n)
+                  for n in range(1, 401) for high in (3, 30, 2**40)]
+        arrays += [rng.integers(1, 40, size=n) for n in (8192, 16384, 10**5)]
+        arrays += [np.full(7, 5), np.arange(-3, 3), np.array([2**53, -2**53, 17])]
+        for x in arrays:
+            for qs in ([50, 99], [0, 25, 75, 100]):
+                want = np.percentile(x, qs)
+                got = np.array(cli._percentiles(x, qs))
+                assert got.tobytes() == want.tobytes(), (x.size, qs)
+        assert len(arrays) >= 1000
+
+
 class TestWorkers:
     """--workers on every command: its default, and how many threads each run asks for.
 
@@ -377,6 +394,27 @@ def test_commands_and_wire_trial_never_import_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+_NO_MASKED_ARRAYS_RUN = """
+import contextlib, io, sys
+from kschannel import cli
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for command in ("simulate", "cost"):   # one trial may fail a check (exit 1), not run
+        assert cli.main([command, "--trials", "1", "--bins", "64"]) in (0, 1), command
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_protocol_commands_never_import_masked_arrays():
+    # np.percentile's np.unique imported numpy.ma on a process's first call; the code-bit
+    # percentiles come from one np.partition instead
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS_RUN], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_runtime_dependencies_are_numpy_only():

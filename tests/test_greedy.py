@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import sys
 import threading
@@ -547,3 +548,96 @@ class TestSchedule:
         proposal = DiscreteDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
         schedule = GreedySchedule(target, proposal)
         assert np.array_equal(schedule.accept_prob([0, 3], [1, 500]), [0.0, 0.0])
+
+
+def _bin_laws(bins):
+    return (DiscreteDistribution(ks_bin_masses(bins)),
+            DiscreteDistribution(np.full(bins, 1.0 / bins)))
+
+
+#: a small pair whose floor round (57) comes early: symbol 0 is never wanted, symbol 3
+#: saturates at round 1 and symbol 1 at round 4, each with 0 < f < 1, and symbol 2 never does
+EARLY_FLOOR = (DiscreteDistribution(np.array([0, 5, 9, 2]) / 16),
+               DiscreteDistribution(np.array([1, 4, 7, 4]) / 16))
+
+_LAWS = {"bins2": _bin_laws(2), "bins4": _bin_laws(4), "bins64": _bin_laws(64),
+         "bins4096": _bin_laws(4096), "early_floor": EARLY_FLOOR}
+
+
+class TestScanDecision:
+    @pytest.mark.parametrize("name", ["bins2", "bins4", "bins64", "early_floor"])
+    def test_every_draw_is_decided_as_accept_prob(self, name):
+        # every (symbol, round) through floor_round + 2 is drawn by a run that reaches it on
+        # misses alone.  A run draws a never-wanted symbol before its start round, its own
+        # symbol from there through round `last`, and a wanted symbol after it (accepted,
+        # being past the floor).  Chains of runs start at round 1 and just after each p = 1
+        # round of their symbol, so each ends at the next one; their coins, asked at
+        # 0 < p < 1, are p itself, which misses.  One more run per such draw starts there
+        # with the float below p as its coin, which hits
+        target, proposal = _LAWS[name]
+        full = GreedySchedule(target, proposal)
+        full.extend(1 << 20)
+        last = full.floor_round + 2
+        assert last == {"bins2": 53, "bins4": 122, "bins64": 1879, "early_floor": 59}[name]
+        assert np.all(full.fraction[full.saturation <= full.rounds] < 1.0)
+        law = full.accept_prob(np.arange(target.n)[:, None], np.arange(1, last + 1))
+        never = int(np.flatnonzero(target.masses == 0.0)[0])
+        wanted = int(np.flatnonzero(target.masses > 0.0)[0])
+        plan = []   # (symbol, start round, coin below p, accepted round) of each run
+        for a in range(target.n):
+            start = 1
+            while start <= last:
+                ones = np.flatnonzero(law[a, start - 1:] == 1.0)
+                end = start + int(ones[0]) if ones.size else last + 1
+                plan.append((a, start, False, end))
+                start = end + 1
+            tossed = np.flatnonzero((law[a] > 0.0) & (law[a] < 1.0)) + 1
+            plan += [(a, j, True, j) for j in tossed.tolist()]
+        symbol, start, low, end = (np.array(col) for col in zip(*plan))
+
+        def drawn(runs, rounds):
+            return np.where(rounds < start[runs], never,
+                            np.where(rounds <= last, symbol[runs], wanted))
+
+        fractional, asked = [], []
+
+        def draw(active, rounds):
+            symbols = drawn(active, rounds[:, None])
+            p = full.accept_prob(symbols, rounds[:, None])
+            row, col = ((p > 0.0) & (p < 1.0)).nonzero()
+            if row.size:
+                fractional.append((active[col], rounds[row]))
+            return symbols
+
+        def coins(runs, rounds):
+            asked.append((runs.copy(), rounds.copy()))
+            p = full.accept_prob(drawn(runs, rounds), rounds)
+            return np.where(low[runs], np.nextafter(p, 0.0), p)
+
+        index, accepted = GreedySchedule(target, proposal).scan(end.size, draw, coins)
+        assert np.array_equal(index, end)
+        assert np.array_equal(accepted, np.where(end <= last, symbol, wanted))
+        # a coin for exactly the drawn (run, round) pairs with 0 < p < 1, in each block's
+        # row-major order; at 2 and 4 bins every p is 0 or 1
+        assert len(asked) == len(fractional)
+        assert (not asked) == (name in ("bins2", "bins4"))
+        for (runs, rounds), (want_runs, want_rounds) in zip(asked, fractional):
+            assert np.array_equal(runs, want_runs) and np.array_equal(rounds, want_rounds)
+
+    # sha256 of the (index, symbol) arrays of greedy_sample_batch(target, proposal, 20000,
+    # default_rng(seed)) for seeds 0, 1 and 2, pinned while the scan still decided each
+    # block through one accept_prob call: the scan must ask the Generator for the same
+    # draws and coins in the same order
+    @pytest.mark.parametrize("name,digest", [
+        ("bins2", "c4a446716ca12378"), ("bins4", "e1ee9bcce597aa2e"),
+        ("bins64", "d23e513e43a87aa0"), ("bins4096", "07f092977063cc26"),
+        ("early_floor", "3ac54d02b205460e")])
+    def test_batch_sampler_outputs_are_pinned(self, name, digest):
+        target, proposal = _LAWS[name]
+        h = hashlib.sha256()
+        for seed in (0, 1, 2):
+            index, symbol = greedy_sample_batch(target, proposal, 20000,
+                                                np.random.default_rng(seed))
+            h.update(index.astype("<i8").tobytes())
+            h.update(symbol.astype("<i8").tobytes())
+        assert h.hexdigest()[:16] == digest

@@ -238,6 +238,20 @@ class TestScalarPaths:
             with pytest.raises(ValueError):
                 bob_receive(bits, codebook, Measurement(np.broadcast_to(m, shape)))
 
+    @pytest.mark.parametrize("bins", [2, 64, 4096])
+    def test_run_trial_takes_a_1_by_3_state_as_its_row(self, bins):
+        # a (1, 3) state raised TypeError: int() of the one-element array of each bin
+        v = unit_vector(0.36, -0.48, 0.8)
+        want = run_trial(7, 3, bins, state=v)
+        got = run_trial(7, 3, bins, state=v[None])
+        assert got.state.shape == (3,) and got.state.tobytes() == want.state.tobytes()
+        assert got.meas.tobytes() == want.meas.tobytes()
+        assert ((got.accepted_index, got.code_bits, got.outcome)
+                == (want.accepted_index, want.code_bits, want.outcome))
+        for shape in ((2, 3), (1, 1, 3), (0, 3)):
+            with pytest.raises(ValueError):
+                run_trial(7, 3, bins, state=np.broadcast_to(v, shape))
+
 
 class TestSenderReceiver:
     def test_bitstring_reproducible(self):
