@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""A registry of hand-made faults the tests must catch, and a runner that checks they do.
+
+Each entry names a file under `src/`, a piece of its text that occurs there
+exactly once, the text that replaces it, the pytest node ids that must fail
+on the changed copy (run in the order listed, stopping at the first
+failure).  A mutant whose tests run out of time counts as missed.  Each
+mutant runs on its own copy of `src/`, `tests/` and `pyproject.toml` in a
+temporary directory; the tree itself is never changed.  All the registered
+node ids are first run once on an unchanged copy, where they must pass.
+
+    python scripts/mutants.py
+
+Each mutant's tests get TIMEOUT_S seconds.  Exit status: 0 when every mutant
+is caught, 1 when one survives or runs out of time, 2 when an entry's old
+text does not occur exactly once, a node id is not found, or the unchanged
+copy fails.
+
+A fault known to be equivalent is recorded here, not registered: `<` for
+`<=` in `require_unit`'s one-vector branch.  |v.v - 1| is a multiple of
+2**-53 below 1 and of 2**-52 above it, so it never equals UNIT_ATOL = 1e-12,
+and a vector the branch does not pass falls through to the array check,
+which decides as before; the fault changes only speed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+#: seconds a mutant's tests may take; each registered mutant fails in a few seconds
+TIMEOUT_S = 120
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str           # relative to the repository root
+    old: str            # must occur exactly once in ``file``
+    new: str
+    tests: tuple        # pytest node ids, relative to the repository root
+
+
+_GRID = "tests/test_greedy.py::TestSchedule::test_decide_matches_the_law_table"
+_SCAN_STUB = "tests/test_greedy.py::TestScanDecision::test_scan_reads_the_law_only_through_decide"
+_EVERY_DRAW = "tests/test_greedy.py::TestScanDecision::test_every_draw_is_decided_as_accept_prob"
+
+MUTANTS = [
+    Mutant("hit_before_k_minus_1", "src/kschannel/greedy.py",
+           "hit = column < k\n", "hit = column < k - 1\n", (_GRID, _EVERY_DRAW)),
+    Mutant("hit_at_k", "src/kschannel/greedy.py",
+           "hit = column < k\n", "hit = column <= k\n", (_GRID, _EVERY_DRAW)),
+    Mutant("coin_at_p", "src/kschannel/greedy.py",
+           "coins(active[col], rounds[row]) < p", "coins(active[col], rounds[row]) <= p",
+           (_SCAN_STUB, _EVERY_DRAW)),
+    Mutant("floor_override_one_row_late", "src/kschannel/greedy.py",
+           "past = max(0, self.floor_round - int(rounds[0]))",
+           "past = max(0, self.floor_round - int(rounds[0])) + 1", (_GRID, _EVERY_DRAW)),
+    Mutant("zero_fraction_tossed", "src/kschannel/greedy.py",
+           "        if not p.all():", "        if False:", (_GRID, _EVERY_DRAW)),
+    Mutant("floor_override_dropped", "src/kschannel/greedy.py",
+           "        if self.floor_round <= last:", "        if False:", (_GRID, _EVERY_DRAW)),
+    Mutant("draws_not_sliced_to_a_block", "src/kschannel/greedy.py",
+           "parts = [draw(active[lo:lo + BLOCK], rounds) for lo in range(0, active.size, BLOCK)]",
+           "parts = [draw(active, rounds)]",
+           (_SCAN_STUB, "tests/test_greedy.py::TestSchedule::test_no_draw_call_draws_more_than_a_block")),
+    Mutant("require_unit_without_abs", "src/kschannel/geometry.py",
+           "if abs(0.0 + x * x + y * y + z * z - 1.0) <= UNIT_ATOL:",
+           "if 0.0 + x * x + y * y + z * z - 1.0 <= UNIT_ATOL:",
+           ("tests/test_geometry.py::TestRequireUnitBranches",)),
+    Mutant("mix_without_key_xor", "src/kschannel/rngstream.py",
+           "z ^= (z >> 31) ^ key\n", "z ^= z >> 31\n",
+           ("tests/test_protocol.py::TestCodebook::test_mix_is_the_finalizer_applied_twice",
+            "tests/test_receiver.py::test_hash_known_answers")),
+    Mutant("run_trials_keeps_a_fixed_vector_as_given", "src/kschannel/protocol.py",
+           "else np.array(_components(require_unit(vec, name), name))",
+           "else require_unit(vec, name)",
+           ("tests/test_protocol.py::TestTrials::test_fixed_1_by_3_inputs_run_as_their_rows",)),
+    Mutant("run_trial_keeps_a_1_by_3_measurement", "src/kschannel/protocol.py",
+           'np.array(_components(np.array(meas, float), "measurement m"))',
+           "np.array(meas, float)",
+           ("tests/test_protocol.py::TestScalarPaths::test_run_trial_takes_a_1_by_3_state_as_its_row",)),
+]
+
+
+def occurrences(mutant: Mutant) -> int:
+    """How often the mutant's old text occurs in its file; a valid entry has exactly one."""
+    return (ROOT / mutant.file).read_text().count(mutant.old)
+
+
+def run(tests, timeout: float, mutant: Mutant | None = None) -> str:
+    """'killed', 'survived', 'timeout' or 'error (pytest exit N)' for ``tests`` on a copy
+    of the tree with ``mutant`` applied (none: the unchanged copy)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, tmp / part,
+                            ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        shutil.copy(ROOT / "pyproject.toml", tmp)
+        if mutant is not None:
+            path = tmp / mutant.file
+            path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+        try:
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=timeout)
+        except subprocess.TimeoutExpired:
+            return "timeout"
+    return {0: "survived", 1: "killed"}.get(proc.returncode, f"error (pytest exit {proc.returncode})")
+
+
+def main() -> None:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    broken = [m.name for m in MUTANTS if occurrences(m) != 1]
+    if broken:
+        print("old text not found exactly once: " + ", ".join(broken), file=sys.stderr)
+        sys.exit(2)
+    # a mutant counts as caught only if its tests pass without it
+    tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+    baseline = run(tests, TIMEOUT_S * len(MUTANTS))
+    if baseline != "survived":
+        print(f"the unchanged copy does not pass the registered tests: {baseline}",
+              file=sys.stderr)
+        sys.exit(2)
+    failed = errors = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = run(mutant.tests, TIMEOUT_S, mutant)
+        caught = outcome == "killed"
+        failed += not caught
+        errors += outcome.startswith("error")
+        print(f"{'caught' if caught else 'MISSED'}  {mutant.name:42s} {outcome:10s} "
+              f"{time.perf_counter() - start:6.1f} s", flush=True)
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants caught")
+    sys.exit(2 if errors else 1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -14,11 +14,8 @@ sum_i delta_i = t: the receiver, who only learns the accepted round index,
 ends up holding a sample distributed exactly by the target.
 
 The mass schedule s_i depends on the two laws only, never on the draws, so
-it is built once and shared by every run (:class:`GreedySchedule`).  Its
-acceptance law has a simple shape: symbol a is accepted with probability 1
-before its saturation round k_a, with probability f_a at k_a, and never
-after it; from the first round whose remainder 1 - S is at most
-``_REMAINDER_FLOOR``, every symbol with t(a) > 0 is accepted outright.
+it is built once and shared by every run (:class:`GreedySchedule`);
+:meth:`GreedySchedule.decide` states the acceptance law it gives.
 The schedule is built lazily, through the last round each reader asks
 about, and may be shared between threads: extension holds a lock, and
 readers only look at rounds that are already built.
@@ -26,7 +23,7 @@ readers only look at rounds that are already built.
 draws (:func:`greedy_sample_batch`, the protocol's batched trials) as
 (rounds, runs) arrays, so each step works along a whole row of runs, and
 asks for a coin only where 0 < p < 1, the one case a coin decides; the
-protocol's sender reads it one round at a time
+protocol's sender reads the law one round at a time
 (:meth:`GreedySchedule.accept_prob_at`), and :func:`greedy_one_shot` keeps
 the per-round loop as the independent scalar reference.
 """
@@ -98,21 +95,21 @@ class GreedySchedule:
     first round whose claim is cut by the target, ``delta < (1 - S) p``)
     and the acceptance probability f = delta / ((1 - S) p) at that round,
     which is below 1: a float over a larger float is at most 1 - 2**-53.
-    A symbol is never accepted after its saturation round, because it then
+    A symbol claims nothing after its saturation round, because it then
     holds s == t exactly: at k = 1 the claim is t itself, and at k > 1
     s >= p (its round-1 claim) >= (1 - S) p > delta = t - s, so s > t / 2,
     the difference t - s is exact and s + (t - s) is exactly t.  Saturated
-    symbols therefore claim 0 in every later round and are left out of the
-    update without changing any value.  ``floor_round`` is the first round
-    whose remainder is at most ``_REMAINDER_FLOOR``; from it on every
-    symbol with t > 0 is accepted.
+    symbols are therefore left out of the update without changing any
+    value.  ``floor_round`` is the first round whose remainder is at most
+    ``_REMAINDER_FLOOR``.  :meth:`decide` states the acceptance law these
+    fields give.
 
     One schedule may serve several threads.  :meth:`extend` holds a lock
     and publishes ``rounds`` only after every value of those rounds is
-    written; :meth:`accept_prob` and :meth:`accept_prob_at` extend it
-    through the rounds they read (all are built once ``floor_round`` is
-    known) and then read without the lock: a saturation round seen beyond
-    them only tells that the symbol is still accepted in full.
+    written; :meth:`decide` and :meth:`accept_prob_at` extend it through
+    the rounds they read (all are built once ``floor_round`` is known) and
+    then read without the lock: a saturation round seen beyond them only
+    tells that the symbol is still accepted in full.
     """
 
     def __init__(self, target: DiscreteDistribution, proposal: DiscreteDistribution):
@@ -163,23 +160,41 @@ class GreedySchedule:
             self.rounds, self.total = i, total
             self._live, self._live_t, self._live_p, self._live_s = live, t, p, s_live
 
-    def accept_prob(self, symbols, rounds) -> np.ndarray:
-        """Acceptance probability of ``symbols`` drawn at ``rounds`` (1-based; broadcast)."""
-        symbols = np.asarray(symbols)
-        rounds = np.asarray(rounds)
-        last = int(np.max(rounds))
+    def decide(self, symbols: np.ndarray,
+               rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Decide a block of draws: row j of ``symbols`` holds the draws at round ``rounds[j]``.
+
+        ``rounds`` are consecutive and 1-based; the schedule is built through
+        the last of them first.  The acceptance law: symbol a drawn at round r
+        is accepted with probability p = 1 before its saturation round k_a,
+        p = f_a at r = k_a and p = 0 after it; from ``floor_round`` on, p = 1
+        for every symbol with t(a) > 0 and p = 0 for the others.  As f < 1
+        (see the class), only a draw at r = k with f > 0 has 0 < p < 1; no
+        draw at or past the floor round has r = k, because the build stops
+        short of it.  Returns ``hit``, a bool array shaped as ``symbols`` that
+        marks the draws with p = 1, and ``tossed`` and ``p``: the row-major
+        flat indices of the draws with 0 < p < 1 and their p, for coins in
+        [0, 1) that hit below p.
+        """
+        last = int(rounds[-1])
         self.extend(last)
         k = self.saturation[symbols]
-        prob = np.where(rounds < k, 1.0, np.where(rounds == k, self.fraction[symbols], 0.0))
+        column = rounds[:, None]
+        hit = column < k
+        tossed = np.flatnonzero(column == k)   # row-major, as nonzero lists them
+        p = self.fraction[symbols.flat[tossed]]
+        if not p.all():   # f = 0: the claim closed the gap exactly
+            tossed, p = tossed[p > 0.0], p[p > 0.0]
         if self.floor_round <= last:
-            prob = np.where(rounds >= self.floor_round, self.target[symbols] > 0.0, prob)
-        return prob
+            past = max(0, self.floor_round - int(rounds[0]))
+            hit[past:] = self.target[symbols[past:]] > 0.0
+        return hit, tossed, p
 
     def accept_prob_at(self, symbol: int, i: int) -> float:
-        """:meth:`accept_prob` of one symbol drawn at round i, as a float.
+        """The p of :meth:`decide`'s law for one symbol drawn at round i, as a float.
 
-        Like :meth:`accept_prob` it builds the schedule through round i
-        first; that build can be the one that finds the floor round.
+        Like :meth:`decide` it builds the schedule through round i first;
+        that build can be the one that finds the floor round.
         """
         if i > self.rounds:
             self.extend(i)
@@ -193,22 +208,15 @@ class GreedySchedule:
 
         ``draw(active, rounds)`` returns the symbols of the active runs at the
         next width rounds as a (width, active) array, one row per round, so
-        every step runs along whole rows.  Each block is decided as
-        :meth:`accept_prob` would decide it, from the saturation rounds k of
-        its symbols alone once the schedule is built through its last round:
-        a draw at round r < k hits (p = 1) and one at r > k misses (p = 0);
-        only at r == k is the fraction f read, a miss at f = 0 and a coin
-        otherwise, since f < 1 (see the class).  From ``floor_round`` on, every
-        symbol with t > 0 hits, as in :meth:`accept_prob`; no draw at or past
-        that round has r == k, because the build stops short of it.  The
-        draws with 0 < p < 1 go to ``coins(runs, rounds)``, as 1-D arrays of
-        run numbers and rounds in row-major order (round by round, runs
-        ascending), for coins in [0, 1) that hit below p.  A run ends at its
-        first hit.  The width is a :data:`geometry.BLOCK` draw budget, capped
-        at the rounds done; past BLOCK active runs (width 1) ``draw`` gets
-        BLOCK-run slices of ``active``, whose rows are joined.  A run still
-        waiting after :data:`DEFAULT_ROUND_CAP` rounds raises
-        :class:`ProtocolFailure`.
+        every step runs along whole rows.  :meth:`decide` decides each block,
+        and the scan reads the law through it alone; the draws it leaves to a
+        coin go to ``coins(runs, rounds)``, as 1-D arrays of run numbers and
+        rounds in row-major order (round by round, runs ascending), for coins
+        in [0, 1) that hit below p.  A run ends at its first hit.  The width
+        is a :data:`geometry.BLOCK` draw budget, capped at the rounds done;
+        past BLOCK active runs (width 1) ``draw`` gets BLOCK-run slices of
+        ``active``, whose rows are joined.  A run still waiting after
+        :data:`DEFAULT_ROUND_CAP` rounds raises :class:`ProtocolFailure`.
         """
         cap = DEFAULT_ROUND_CAP
         index = np.zeros(runs, dtype=np.int64)
@@ -223,20 +231,10 @@ class GreedySchedule:
             parts = [draw(active[lo:lo + BLOCK], rounds) for lo in range(0, active.size, BLOCK)]
             symbols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             done += width
-            self.extend(done)
-            k = self.saturation[symbols]
-            column = rounds[:, None]
-            hit = column < k
-            tossed = np.flatnonzero(column == k)   # row-major, as nonzero lists them
+            hit, tossed, p = self.decide(symbols, rounds)
             if tossed.size:
-                f = self.fraction[symbols.flat[tossed]]
-                tossed, f = tossed[f > 0.0], f[f > 0.0]
-                if tossed.size:
-                    row, col = np.divmod(tossed, active.size)
-                    hit.flat[tossed] = coins(active[col], rounds[row]) < f
-            if self.floor_round <= done:
-                past = max(0, self.floor_round - rounds[0])
-                hit[past:] = self.target[symbols[past:]] > 0.0
+                row, col = np.divmod(tossed, active.size)
+                hit.flat[tossed] = coins(active[col], rounds[row]) < p
             first = np.where(hit, np.arange(width)[:, None], width).min(axis=0)
             won = (first < width).nonzero()[0]
             index[active[won]] = rounds[first[won]]

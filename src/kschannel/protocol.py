@@ -371,15 +371,16 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     :func:`greedy.greedy_one_shot` over the codebook stream binned in numpy
     float64, independent of the shared schedule.  Bit-identical to the
     corresponding row of :func:`run_trials`.  Seeds and trial indices are
-    checked as in :func:`trial_codebook`; the state is one unit vector of
-    shape (3,) or (1, 3), kept as its (3,) row, and the report keeps copies
-    of the state and measurement.
+    checked as in :func:`trial_codebook`; the state and the measurement are
+    each one vector of shape (3,) or (1, 3), kept as its (3,) row, and the
+    report keeps copies of them.
     """
     trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
     v = require_unit(np.array(state, float) if state is not None
                      else _sphere_point(mix(trial, _SUB_STATE), 1), "state v")
     v = np.array(_components(v, "state v"))   # a (1, 3) state as its (3,) row
-    m = np.array(meas, float) if meas is not None else _sphere_point(mix(trial, _SUB_MEAS), 1)
+    m = (np.array(_components(np.array(meas, float), "measurement m")) if meas is not None
+         else _sphere_point(mix(trial, _SUB_MEAS), 1))
     bins = _bin_count(bins)
     codebook = Codebook(seed=mix(trial, _SUB_CODEBOOK))
     stream = (int(bin_index(dot3(codebook.entry(i), v), bins)) for i in count(1))
@@ -425,21 +426,19 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     """Simulate ``n_trials`` independent trials, vectorized.
 
     ``state`` / ``meas`` fix the prepared state or measurement direction for
-    every trial; when None they are drawn uniformly per trial from the
-    trial's own counter stream.  The trials are split into one contiguous
-    span per worker thread (at most one per whole :data:`_TRIALS_PER_THREAD`
-    trials), each scanned at once; every row depends only on its trial
-    index, so any worker count yields bit-identical results.  A seed outside
-    [0, 2**64), and trial and worker counts that are not whole numbers >= 0
-    and >= 1, raise ValueError.
+    every trial, each one unit vector of shape (3,) or (1, 3); when None they
+    are drawn uniformly per trial from the trial's own counter stream.  The
+    trials are split into one contiguous span per worker thread (at most one
+    per whole :data:`_TRIALS_PER_THREAD` trials), each scanned at once; every
+    row depends only on its trial index, so any worker count yields
+    bit-identical results.  A seed outside [0, 2**64), and trial and worker
+    counts that are not whole numbers >= 0 and >= 1, raise ValueError.
     """
     master_seed = _word(master_seed, "master seed")
     n_trials = whole_number(n_trials, "trial count", 0)
     workers = whole_number(workers, "workers", 1)
-    if state is not None:
-        state = require_unit(state, "state")
-    if meas is not None:
-        meas = require_unit(meas, "measurement direction")
+    state, meas = (None if vec is None else np.array(_components(require_unit(vec, name), name))
+                   for vec, name in ((state, "state"), (meas, "measurement direction")))
     bins = _bin_count(bins)
     schedule = _ks_schedule(bins)
     spans = max(1, min(workers, n_trials // _TRIALS_PER_THREAD))

@@ -194,8 +194,8 @@ class TestCodebookBinsAtBlockEdges:
     @pytest.mark.parametrize("per_run", [False, True], ids=["fixed", "random"])
     def test_holds_one_block_of_temporaries(self, monkeypatch, bins, per_run):
         # the first round of a 2**18-trial span, traced from its first codebook hash (the
-        # scan's counters are a (rounds, 1) column; the states' are one word) to the scan's
-        # first call on the schedule, which builds it through the rounds just drawn: the
+        # scan's counters are a (rounds, 1) column; the states' are one word) to the first
+        # build of the schedule (decide's, through the rounds just drawn): the
         # BLOCK-trial slices' int64 bins and their join (8 + 8 bytes/point) + 8 of slack;
         # binned whole, the words, hash, heights, azimuths and estimate need 48-80 bytes/point
         m = 1 << 18

@@ -209,6 +209,46 @@ def per_round_loop(target, proposal, max_rounds=None):
         yield i, p_accept, total
 
 
+def law_table(target, proposal, last):
+    """The law of rounds 1..last from :func:`per_round_loop`, one row per round.
+
+    Row r - 1 holds the acceptance probability of every symbol drawn at round r;
+    rows past the floor round repeat the floor round's row.
+    """
+    table = np.empty((last, target.n))
+    for i, p_accept, _ in per_round_loop(target, proposal, last):
+        table[i - 1] = p_accept
+    table[i:] = p_accept
+    return table
+
+
+def assert_decided_as(schedule, symbols, rounds, want):
+    """``schedule.decide`` on a block marks the draws whose p in ``want`` is 1 and tosses
+    exactly those with 0 < p < 1, in row-major order, at that p."""
+    hit, tossed, p = schedule.decide(symbols, rounds)
+    assert hit.dtype == bool and np.array_equal(hit, want == 1.0)
+    assert np.array_equal(tossed, np.flatnonzero((want > 0.0) & (want < 1.0)))
+    assert np.array_equal(p, want.flat[tossed])
+
+
+def _bin_laws(bins):
+    return (DiscreteDistribution(ks_bin_masses(bins)),
+            DiscreteDistribution(np.full(bins, 1.0 / bins)))
+
+
+#: a small pair whose floor round (57) comes early: symbol 0 is never wanted, symbol 3
+#: saturates at round 1 and symbol 1 at round 4, each with 0 < f < 1, and symbol 2 never does
+EARLY_FLOOR = (DiscreteDistribution(np.array([0, 5, 9, 2]) / 16),
+               DiscreteDistribution(np.array([1, 4, 7, 4]) / 16))
+
+_LAWS = {"bins2": _bin_laws(2), "bins4": _bin_laws(4), "bins64": _bin_laws(64),
+         "bins4096": _bin_laws(4096), "early_floor": EARLY_FLOOR}
+
+#: the last round of each law's (symbol, round) grid: floor_round + 2, or round 3000 at
+#: 4096 bins, whose floor round is 87 333
+_GRID_LAST = {"bins2": 53, "bins4": 122, "bins64": 1879, "early_floor": 59, "bins4096": 3000}
+
+
 class TestSchedule:
     # rounds=None runs to the floor round (24,656 rounds at 1024 bins)
     @pytest.mark.parametrize("bins,rounds", [(2, None), (4, None), (64, None), (256, None),
@@ -224,7 +264,8 @@ class TestSchedule:
         fractional = np.zeros(bins, dtype=int)
         floor = never
         for i, p_accept, total in per_round_loop(target, proposal, rounds):
-            assert np.array_equal(schedule.accept_prob(symbols, i), p_accept)
+            # one round's block, decided while the schedule is built a round at a time
+            assert_decided_as(schedule, symbols[None], np.array([i]), p_accept[None])
             if total is None:
                 floor = i
                 break
@@ -264,61 +305,78 @@ class TestSchedule:
 
     @pytest.mark.parametrize("bins", [2, 4])
     def test_scalar_read_matches_accept_prob_through_the_floor(self, bins):
+        # the name predates decide and law_table; it is kept so the test id stays stable
         # round by round as the sender reads it: built through round i, then read
-        target = DiscreteDistribution(ks_bin_masses(bins))
-        schedule = GreedySchedule(target, DiscreteDistribution(np.full(bins, 1.0 / bins)))
+        target, proposal = _bin_laws(bins)
+        law = law_table(target, proposal, {2: 53, 4: 122}[bins])
+        schedule = GreedySchedule(target, proposal)
         i = 0
         while i < schedule.floor_round + 2:   # floor_round is huge until it is known
             i += 1
             schedule.extend(i)
             got = [schedule.accept_prob_at(b, i) for b in range(bins)]
             assert all(type(p) is float for p in got)
-            assert got == schedule.accept_prob(np.arange(bins), i).tolist()
+            assert got == law[i - 1].tolist()
         assert i == schedule.floor_round + 2 == {2: 53, 4: 122}[bins]
 
     @pytest.mark.parametrize("bins", [4, 64])
     def test_scalar_read_builds_what_it_reads(self, bins):
-        # on a fresh schedule, accept_prob_at(b, i) builds through round i itself: the values
-        # and the rounds built are those of extend(i) followed by accept_prob
-        target = DiscreteDistribution(ks_bin_masses(bins))
-        proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
+        # on a fresh schedule, accept_prob_at(b, i) builds through round i itself: the rounds
+        # built are those of extend(i), and the values the law's
+        target, proposal = _bin_laws(bins)
         probe = GreedySchedule(target, proposal)
         probe.extend(10**6)
         floor = probe.floor_round   # 120 at 4 bins, 1877 at 64
+        law = law_table(target, proposal, floor + 40)
         for i in (1, 2, 7, floor - 1, floor, floor + 1, floor + 40):
             built = GreedySchedule(target, proposal)
             built.extend(i)
-            want = built.accept_prob(np.arange(bins), i).tolist()
+            want = law[i - 1].tolist()
             fresh = GreedySchedule(target, proposal)
             assert fresh.accept_prob_at(0, i) == want[0]
             assert (fresh.rounds, fresh.floor_round) == (built.rounds, built.floor_round)
             assert [fresh.accept_prob_at(b, i) for b in range(bins)] == want
 
     def test_scalar_read_matches_accept_prob_on_sampled_rounds(self):
+        # the name predates decide and law_table; it is kept so the test id stays stable
         bins = 64
-        target = DiscreteDistribution(ks_bin_masses(bins))
-        schedule = GreedySchedule(target, DiscreteDistribution(np.full(bins, 1.0 / bins)))
+        target, proposal = _bin_laws(bins)
+        schedule = GreedySchedule(target, proposal)
         schedule.extend(10**6)   # stops at the floor round, 1877
         floor = schedule.floor_round
+        law = law_table(target, proposal, floor + 2)
         rng = np.random.default_rng(64)
         rounds = {1, 2, floor - 1, floor, floor + 1, floor + 2,
                   *rng.integers(1, floor + 3, size=200).tolist()}
         for k in schedule.saturation[schedule.saturation < floor].tolist():
             rounds |= {k - 1, k, k + 1} - {0}
-        symbols = np.arange(bins)
         for i in sorted(rounds):
             got = [schedule.accept_prob_at(b, i) for b in range(bins)]
-            assert got == schedule.accept_prob(symbols, i).tolist()
+            assert got == law[i - 1].tolist()
 
-    def test_accept_prob_broadcasts_over_rounds(self):
-        target = DiscreteDistribution(ks_bin_masses(64))
-        proposal = DiscreteDistribution(np.full(64, 1.0 / 64))
+    @pytest.mark.parametrize("name", _GRID_LAST)
+    def test_decide_matches_the_law_table(self, name):
+        # every (symbol, round) of the grid in one block, from a fresh schedule
+        target, proposal = _LAWS[name]
+        last = _GRID_LAST[name]
         schedule = GreedySchedule(target, proposal)
-        symbols = np.arange(64)[:, None]
-        block = schedule.accept_prob(symbols, np.arange(1, 3001))
-        fresh = GreedySchedule(target, proposal)
-        for i in (1, 2, 17, 900, 1877, 1878, 3000):
-            assert np.array_equal(block[:, i - 1], fresh.accept_prob(symbols[:, 0], i))
+        grid = np.broadcast_to(np.arange(target.n), (last, target.n))
+        assert_decided_as(schedule, grid, np.arange(1, last + 1),
+                          law_table(target, proposal, last))
+        if name != "bins4096":
+            assert last == schedule.floor_round + 2
+
+    @pytest.mark.parametrize("name", ["bins64", "early_floor"])
+    def test_scalar_read_matches_the_law_table(self, name):
+        # every (symbol, round) through floor_round + 2, round by round from a fresh schedule
+        # (test_scalar_read_matches_accept_prob_through_the_floor reads 2 and 4 bins so)
+        target, proposal = _LAWS[name]
+        last = _GRID_LAST[name]
+        schedule = GreedySchedule(target, proposal)
+        got = [[schedule.accept_prob_at(a, i) for a in range(target.n)]
+               for i in range(1, last + 1)]
+        assert got == law_table(target, proposal, last).tolist()
+        assert last == schedule.floor_round + 2
 
     def test_batch_sampler_keeps_its_draws_and_outputs(self):
         # replay the batch sampler's draws through a recording draw and coins: every run
@@ -361,9 +419,7 @@ class TestSchedule:
 
     @pytest.mark.parametrize("bins", [2, 64, 4096])
     def test_first_accept_is_the_first_hit_and_builds_only_that_deep(self, bins):
-        target = DiscreteDistribution(ks_bin_masses(bins))
-        proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
-        full = GreedySchedule(target, proposal)
+        target, proposal = _bin_laws(bins)
         for built in (0, 5, 60):
             keys = mix_vec(bins * 1000 + built, np.arange(1, 501))
             ends = []
@@ -385,7 +441,7 @@ class TestSchedule:
             rounds = np.arange(1, index.max() + 1)
             symbols = draw(np.arange(500), rounds)
             # every draw's coin, asked for or not: a coin in [0, 1) decides p = 0 and 1 alike
-            p = full.accept_prob(symbols, rounds[:, None])
+            p = law_table(target, proposal, rounds[-1])[rounds[:, None] - 1, symbols]
             hit = coins(np.arange(500), rounds[:, None]) < p
             assert hit.any(axis=0).all()
             first = np.argmax(hit, axis=0)
@@ -401,19 +457,14 @@ class TestSchedule:
     def test_coins_are_asked_for_exactly_the_draws_with_fractional_p(self, bins):
         # each block's coin call lists its draws with 0 < p < 1 round by round, runs
         # ascending within a round; at 4 bins every p is 0 or 1 and no coin is asked for
-        target = DiscreteDistribution(ks_bin_masses(bins))
-        proposal = DiscreteDistribution(np.full(bins, 1.0 / bins))
-        full = GreedySchedule(target, proposal)
+        target, proposal = _bin_laws(bins)
         keys = mix_vec(bins, np.arange(1, 2001))
-        drawn, fractional, asked = [], [], []
+        blocks, asked = [], []
 
         def draw(active, rounds):
             symbols = (mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
                        % np.uint64(bins)).astype(np.int64)
-            drawn.append(symbols.size)
-            p = full.accept_prob(symbols, rounds[:, None])
-            row, col = ((p > 0.0) & (p < 1.0)).nonzero()
-            fractional.append((active[col], rounds[row]))
+            blocks.append((active, rounds, symbols))
             return symbols
 
         def coins(runs, rounds):
@@ -421,7 +472,13 @@ class TestSchedule:
             return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
 
         GreedySchedule(target, proposal).scan(2000, draw, coins)
-        want = [pair for pair in fractional if pair[0].size]
+        law = law_table(target, proposal, max(int(rounds[-1]) for _, rounds, _ in blocks))
+        want = []
+        for active, rounds, symbols in blocks:
+            p = law[rounds[:, None] - 1, symbols]
+            row, col = ((p > 0.0) & (p < 1.0)).nonzero()
+            if row.size:
+                want.append((active[col], rounds[row]))
         assert len(asked) == len(want)
         for (runs, rounds), (want_runs, want_rounds) in zip(asked, want):
             assert np.array_equal(runs, want_runs) and np.array_equal(rounds, want_rounds)
@@ -429,7 +486,7 @@ class TestSchedule:
         if bins == 4:
             assert tossed == 0
         else:   # a few percent of the draws
-            assert 0 < tossed < 0.1 * sum(drawn)
+            assert 0 < tossed < 0.1 * sum(symbols.size for _, _, symbols in blocks)
 
     def test_no_draw_call_draws_more_than_a_block(self, monkeypatch):
         # 2**18 runs: the first rounds (width 1) are drawn in BLOCK-run slices and joined,
@@ -520,12 +577,13 @@ class TestSchedule:
         serial = GreedySchedule(target, proposal)
         serial.extend(1500)
         shared = GreedySchedule(target, proposal)
-        symbols = np.arange(4096)
+        symbols = np.arange(4096)[None]
         wrong = []
 
         def read(k):
             for i in range(1 + k, 1501, 4):
-                if not np.array_equal(shared.accept_prob(symbols, i), serial.accept_prob(symbols, i)):
+                got, want = (s.decide(symbols, np.array([i])) for s in (shared, serial))
+                if not all(np.array_equal(a, b) for a, b in zip(got, want)):
                     wrong.append(i)
 
         switch = sys.getswitchinterval()
@@ -547,26 +605,91 @@ class TestSchedule:
         target = DiscreteDistribution(np.array([0.0, 0.25, 0.75, 0.0]))
         proposal = DiscreteDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
         schedule = GreedySchedule(target, proposal)
-        assert np.array_equal(schedule.accept_prob([0, 3], [1, 500]), [0.0, 0.0])
-
-
-def _bin_laws(bins):
-    return (DiscreteDistribution(ks_bin_masses(bins)),
-            DiscreteDistribution(np.full(bins, 1.0 / bins)))
-
-
-#: a small pair whose floor round (57) comes early: symbol 0 is never wanted, symbol 3
-#: saturates at round 1 and symbol 1 at round 4, each with 0 < f < 1, and symbol 2 never does
-EARLY_FLOOR = (DiscreteDistribution(np.array([0, 5, 9, 2]) / 16),
-               DiscreteDistribution(np.array([1, 4, 7, 4]) / 16))
-
-_LAWS = {"bins2": _bin_laws(2), "bins4": _bin_laws(4), "bins64": _bin_laws(64),
-         "bins4096": _bin_laws(4096), "early_floor": EARLY_FLOOR}
+        hit, tossed, _ = schedule.decide(np.tile([0, 3], (500, 1)), np.arange(1, 501))
+        assert not hit.any() and tossed.size == 0 and schedule.floor_round < 500
+        assert schedule.accept_prob_at(0, 1) == schedule.accept_prob_at(3, 500) == 0.0
 
 
 class TestScanDecision:
+    def test_scan_reads_the_law_only_through_decide(self, monkeypatch):
+        # a stub law that has nothing but decide, read from a fixed (round, symbol) table of
+        # p: the scan itself slices the draws, tosses the coins, finds each first hit and
+        # keeps the round guard, and any read of a schedule field fails here.  20 runs over a
+        # BLOCK of 8 draws: the first rounds are drawn in 8-run slices and joined.  Coins of
+        # exactly p miss
+        monkeypatch.setattr(greedy, "BLOCK", 8)
+        runs, depth = 20, 40
+        rng = np.random.default_rng(26)
+        table = rng.choice([0.0, 0.25, 0.5, 1.0], p=[0.4, 0.2, 0.2, 0.2], size=(depth, 5))
+        table[-1] = 1.0   # every run is accepted by round `depth`
+        symbols = rng.integers(0, 5, size=(depth, runs))   # one row per round
+        coins = rng.choice([0.0, 0.25, 0.4, 0.5, 0.9], size=(depth, runs))
+        p_drawn = table[np.arange(depth)[:, None], symbols]
+        hits = (p_drawn == 1.0) | (coins < p_drawn)
+        first = np.argmax(hits, axis=0) + 1
+        assert 1 < first.max() < depth
+
+        class Law:
+            def decide(self, drawn, rounds):
+                decided.append((drawn.copy(), rounds.copy()))
+                p = table[rounds[:, None] - 1, drawn]
+                tossed = np.flatnonzero((p > 0.0) & (p < 1.0))
+                return p == 1.0, tossed, p.flat[tossed]
+
+        def draw(active, rounds):
+            slices.append((active.copy(), rounds.copy()))
+            return symbols[rounds - 1][:, active]
+
+        def toss(runs, rounds):
+            asked.append((runs.copy(), rounds.copy()))
+            return coins[rounds - 1, runs]
+
+        decided, slices, asked = [], [], []
+        index, symbol = GreedySchedule.scan(Law(), runs, draw, toss)
+        assert np.array_equal(index, first)
+        assert np.array_equal(symbol, symbols[first - 1, np.arange(runs)])
+        # no slice holds more than BLOCK draws; each block's slices cover its active runs in
+        # order, and decide gets their joined draws and the block's rounds
+        assert max(a.size * r.size for a, r in slices) <= 8
+        assert [a.size for a, _ in slices[:3]] == [8, 8, 4]
+        blocks = []
+        for active, rounds in slices:
+            if blocks and np.array_equal(blocks[-1][1], rounds):
+                blocks[-1][0] = np.concatenate([blocks[-1][0], active])
+            else:
+                blocks.append([active, rounds])
+        assert len(decided) == len(blocks)
+        waiting, done = np.arange(runs), 0
+        for (drawn, rounds), (active, block_rounds) in zip(decided, blocks):
+            assert np.array_equal(rounds, block_rounds)
+            assert np.array_equal(rounds, np.arange(done + 1, done + rounds.size + 1))
+            done = int(rounds[-1])
+            assert np.array_equal(active, waiting)
+            assert np.array_equal(drawn, symbols[rounds - 1][:, active])
+            waiting = active[first[active] > rounds[-1]]
+        # the coins: exactly the draws with 0 < p < 1, row-major (rounds, then runs ascending)
+        want = []
+        for active, rounds in blocks:
+            p = p_drawn[rounds - 1][:, active]
+            row, col = ((p > 0.0) & (p < 1.0)).nonzero()
+            if row.size:
+                want.append((active[col], rounds[row]))
+        assert len(asked) == len(want)
+        for (got_runs, got_rounds), (want_runs, want_rounds) in zip(asked, want):
+            assert np.array_equal(got_runs, want_runs) and np.array_equal(got_rounds, want_rounds)
+        # the guard: a run still waiting at the cap raises, and no round past it is drawn
+        cap = int(first.max()) - 1
+        monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap)
+        slices.clear()
+        with pytest.raises(ProtocolFailure, match=f"within {cap} rounds"):
+            GreedySchedule.scan(Law(), runs, draw, toss)
+        assert max(int(r[-1]) for _, r in slices) == cap
+        monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap + 1)
+        assert np.array_equal(GreedySchedule.scan(Law(), runs, draw, toss)[0], first)
+
     @pytest.mark.parametrize("name", ["bins2", "bins4", "bins64", "early_floor"])
     def test_every_draw_is_decided_as_accept_prob(self, name):
+        # the name predates decide and law_table; it is kept so the test id stays stable
         # every (symbol, round) through floor_round + 2 is drawn by a run that reaches it on
         # misses alone.  A run draws a never-wanted symbol before its start round, its own
         # symbol from there through round `last`, and a wanted symbol after it (accepted,
@@ -578,20 +701,24 @@ class TestScanDecision:
         full = GreedySchedule(target, proposal)
         full.extend(1 << 20)
         last = full.floor_round + 2
-        assert last == {"bins2": 53, "bins4": 122, "bins64": 1879, "early_floor": 59}[name]
+        assert last == _GRID_LAST[name]
         assert np.all(full.fraction[full.saturation <= full.rounds] < 1.0)
-        law = full.accept_prob(np.arange(target.n)[:, None], np.arange(1, last + 1))
+        law = law_table(target, proposal, last)   # past `last` every round has the floor's law
+
+        def p_of(symbols, rounds):
+            return law[np.minimum(rounds, last) - 1, symbols]
+
         never = int(np.flatnonzero(target.masses == 0.0)[0])
         wanted = int(np.flatnonzero(target.masses > 0.0)[0])
         plan = []   # (symbol, start round, coin below p, accepted round) of each run
         for a in range(target.n):
             start = 1
             while start <= last:
-                ones = np.flatnonzero(law[a, start - 1:] == 1.0)
+                ones = np.flatnonzero(law[start - 1:, a] == 1.0)
                 end = start + int(ones[0]) if ones.size else last + 1
                 plan.append((a, start, False, end))
                 start = end + 1
-            tossed = np.flatnonzero((law[a] > 0.0) & (law[a] < 1.0)) + 1
+            tossed = np.flatnonzero((law[:, a] > 0.0) & (law[:, a] < 1.0)) + 1
             plan += [(a, j, True, j) for j in tossed.tolist()]
         symbol, start, low, end = (np.array(col) for col in zip(*plan))
 
@@ -603,7 +730,7 @@ class TestScanDecision:
 
         def draw(active, rounds):
             symbols = drawn(active, rounds[:, None])
-            p = full.accept_prob(symbols, rounds[:, None])
+            p = p_of(symbols, rounds[:, None])
             row, col = ((p > 0.0) & (p < 1.0)).nonzero()
             if row.size:
                 fractional.append((active[col], rounds[row]))
@@ -611,7 +738,7 @@ class TestScanDecision:
 
         def coins(runs, rounds):
             asked.append((runs.copy(), rounds.copy()))
-            p = full.accept_prob(drawn(runs, rounds), rounds)
+            p = p_of(drawn(runs, rounds), rounds)
             return np.where(low[runs], np.nextafter(p, 0.0), p)
 
         index, accepted = GreedySchedule(target, proposal).scan(end.size, draw, coins)

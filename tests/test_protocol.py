@@ -251,6 +251,17 @@ class TestScalarPaths:
         for shape in ((2, 3), (1, 1, 3), (0, 3)):
             with pytest.raises(ValueError):
                 run_trial(7, 3, bins, state=np.broadcast_to(v, shape))
+        # and a (1, 3) measurement, which the report kept as given
+        m = unit_vector(0.6, 0.0, -0.8)
+        want = run_trial(7, 3, bins, state=v, meas=m)
+        got = run_trial(7, 3, bins, state=v[None], meas=m[None])
+        assert got.meas.shape == (3,) and got.meas.tobytes() == want.meas.tobytes()
+        assert got.state.tobytes() == want.state.tobytes()
+        assert ((got.accepted_index, got.code_bits, got.outcome)
+                == (want.accepted_index, want.code_bits, want.outcome))
+        for shape in ((2, 3), (1, 1, 3), (0, 3)):
+            with pytest.raises(ValueError, match="measurement"):
+                run_trial(7, 3, bins, state=v, meas=np.broadcast_to(m, shape))
 
 
 class TestSenderReceiver:
@@ -313,6 +324,24 @@ class TestTrials:
         assert np.all(batch.states == v)
         assert np.all(batch.meas == m)
         assert np.all(batch.born == born_probability(v, Measurement(m)))
+
+    @pytest.mark.parametrize("bins", [64, 4096])
+    def test_fixed_1_by_3_inputs_run_as_their_rows(self, bins):
+        # a (1, 3) state raised IndexError in _height_bins' edge fallback, which took it for
+        # one state per run; a (2, 3) state raised numpy's broadcast error
+        v = unit_vector(0.0, 0.0, 1.0)
+        m = unit_vector(0.6, 0.0, -0.8)
+        want = run_trials(7, 4000, bins, state=v, meas=m)
+        for state, meas in ((v[None], m), (v, m[None]), (v[None], m[None])):
+            got = run_trials(7, 4000, bins, state=state, meas=meas)
+            for f in fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        for shape in ((2, 3), (1, 1, 3)):
+            with pytest.raises(ValueError, match="^state must be one vector"):
+                run_trials(7, 10, bins, state=np.broadcast_to(v, shape))
+            with pytest.raises(ValueError, match="^measurement direction must be one vector"):
+                run_trials(7, 10, bins, meas=np.broadcast_to(m, shape))
 
     @pytest.mark.parametrize("dot", [-0.5, 0.0, 0.5])
     def test_end_to_end_born_conformance_quick(self, dot):

@@ -1,7 +1,10 @@
 """Smoke runs of the scripts under scripts/ and of the benchmark's smoke test under
-perfbench/, so they cannot rot when the package API moves."""
+perfbench/, so they cannot rot when the package API moves, and a check that the mutation
+registry in scripts/mutants.py still applies to src/."""
 
+import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +64,19 @@ def test_benchmark_smoke_test_passes():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "smoke test passed" in proc.stdout
+
+
+def test_every_registered_mutant_edits_its_file_in_one_place():
+    # a refactor that moves the code a mutant edits must move the mutant too; the mutants
+    # themselves run only under `python scripts/mutants.py`, never here
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS)
+    for m in mutants.MUTANTS:
+        assert m.file.startswith("src/") and m.old != m.new, m.name
+        assert (ROOT / m.file).read_text().count(m.old) == 1, m.name
+        for node in m.tests:   # each node id names a test that is there
+            path, *names = node.split("::")
+            text = (ROOT / path).read_text()
+            assert all(re.search(rf"^\s*(def|class) {name}\b", text, re.M) for name in names), node
