@@ -65,11 +65,8 @@ CASES = {
     **{f"{cmd}_bins4096_trials98305_workers3": [cmd, "--trials", "98305", "--seed", "7",
                                                 "--bins", "4096", "--workers", "3"]
        for cmd in ("simulate", "cost")},
-    # the model commands' blocks on one and on three threads: verify's 50000 samples are
-    # four BLOCK-row blocks per cell; mi's second chunk of 300000 holds 37856 rows
-    **{f"verify_{kind}_seed7_workers{workers}": ["verify", "--trials", "50000", "--seed", "7",
-                                                 *pinned, "--workers", str(workers)]
-       for kind, pinned in (("grid", []), ("pinned", _PINNED)) for workers in (1, 3)},
+    # mi's blocks on one and on three threads: the second chunk of 300000 samples holds
+    # 37856 rows (verify takes no --workers; it counts on one thread)
     **{f"mi_seed7_workers{workers}": ["mi", "--trials", "300000", "--seed", "7",
                                       "--workers", str(workers)]
        for workers in (1, 3)},

@@ -52,6 +52,9 @@ class Mutant(NamedTuple):
 _GRID = "tests/test_greedy.py::TestSchedule::test_decide_matches_the_law_table"
 _SCAN_STUB = "tests/test_greedy.py::TestScanDecision::test_scan_reads_the_law_only_through_decide"
 _EVERY_DRAW = "tests/test_greedy.py::TestScanDecision::test_every_draw_is_decided_as_accept_prob"
+_EDGE_BINS = "tests/test_protocol.py::TestHeightBins::test_equals_the_exact_bins_around_every_edge"
+#: run_trial's check of a given state or measurement
+_RUN_TRIAL_VECTORS = "np.array(_components(require_unit(vec, name), name)) if vec is not None"
 
 MUTANTS = [
     Mutant("hit_before_k_minus_1", "src/kschannel/greedy.py",
@@ -84,10 +87,28 @@ MUTANTS = [
            "else np.array(_components(require_unit(vec, name), name))",
            "else require_unit(vec, name)",
            ("tests/test_protocol.py::TestTrials::test_fixed_1_by_3_inputs_run_as_their_rows",)),
-    Mutant("run_trial_keeps_a_1_by_3_measurement", "src/kschannel/protocol.py",
-           'np.array(_components(np.array(meas, float), "measurement m"))',
-           "np.array(meas, float)",
+    Mutant("run_trial_keeps_a_1_by_3_vector", "src/kschannel/protocol.py",
+           _RUN_TRIAL_VECTORS, "require_unit(np.array(vec, float), name) if vec is not None",
            ("tests/test_protocol.py::TestScalarPaths::test_run_trial_takes_a_1_by_3_state_as_its_row",)),
+    Mutant("run_trial_checks_only_the_shape", "src/kschannel/protocol.py",
+           _RUN_TRIAL_VECTORS,
+           "np.array(_components(np.array(vec, float), name)) if vec is not None",
+           ("tests/test_protocol.py::TestScalarPaths::"
+            "test_run_trial_checks_the_measurement_before_the_sender_runs",)),
+    Mutant("tie_band_zero", "src/kschannel/model.py",
+           "TIE_BAND = 2.0 ** -12\n", "TIE_BAND = 0.0\n",
+           ("tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count",)),
+    Mutant("edge_band_zero", "src/kschannel/protocol.py",
+           "_EDGE_BAND = 2.0 ** -17\n", "_EDGE_BAND = 0.0\n", (_EDGE_BINS,)),
+    Mutant("height_bins_without_fallback", "src/kschannel/protocol.py",
+           "    if near.size:\n", "    if False:\n", (_EDGE_BINS,)),
+    Mutant("percentiles_without_upper_branch", "src/kschannel/cli.py",
+           "a + d * t if t < 0.5 else b - d * (1 - t)", "a + d * t",
+           ("tests/test_cli.py::TestCodeBitStats::"
+            "test_percentiles_are_numpy_percentile_bit_for_bit",)),
+    Mutant("plugin_entropy_negative_zero", "src/kschannel/cli.py",
+           "0.0 - float(np.sum(probs * np.log2(probs)))", "float(-np.sum(probs * np.log2(probs)))",
+           ("tests/test_cli.py::TestCost::test_plugin_entropy_is_never_negative_zero",)),
 ]
 
 

@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,17 +72,18 @@ def round1_acceptance_binned(bins: int) -> float:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved invocation: one subcommand plus its sampling budget and streams."""
+    """Resolved invocation: one subcommand plus its sampling budget and streams; a field
+    whose flag the command does not take is None."""
 
     command: str
     trials: int
     seed: int
-    bins: int
+    bins: int | None
     state: tuple[float, float, float] | None
     meas: tuple[float, float, float] | None
     out: str | None
     format: str
-    workers: int
+    workers: int | None
 
 
 def _vector_arg(text: str) -> tuple[float, float, float]:
@@ -141,37 +142,41 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kschannel",
         description="Classical one-shot simulation of a qubit channel from the hemisphere model.")
     sub = parser.add_subparsers(dest="command", required=True)
+    # each command takes only the flags it reads
     for name, help_text in (
             ("verify", "direct-model Born-rule sweep over a polar-angle grid"),
             ("simulate", "full sender/receiver protocol with code-length statistics"),
             ("mi", "exact and Monte Carlo mutual information"),
             ("cost", "communication-cost histograms and reference comparison")):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--trials", type=_mi_trials if name == "mi" else _positive_int, default=None,
-                       help=f"samples per cell / trials (default {_DEFAULT_TRIALS[name]})")
+        p.add_argument("--trials", type=_mi_trials if name == "mi" else _positive_int,
+                       default=_DEFAULT_TRIALS[name],
+                       help="samples per cell / trials (default %(default)s)")
         p.add_argument("--seed", type=_seed_arg, default=_DEFAULT_SEED,
                        help=f"64-bit master seed in [0, 2**64) (default {_DEFAULT_SEED})")
-        p.add_argument("--bins", type=_bins_arg, default=_DEFAULT_BINS,
-                       help=f"height bins for the protocol, even, at most {_MAX_BINS} "
-                            f"(default {_DEFAULT_BINS})")
-        p.add_argument("--state", type=_vector_arg, default=None, metavar="X,Y,Z",
-                       help="fix the prepared Bloch vector (normalized on ingest)")
-        p.add_argument("--meas", type=_vector_arg, default=None, metavar="X,Y,Z",
-                       help="fix the measurement direction (normalized on ingest)")
+        if name in ("simulate", "cost"):
+            p.add_argument("--bins", type=_bins_arg, default=_DEFAULT_BINS,
+                           help=f"height bins for the protocol, even, at most {_MAX_BINS} "
+                                f"(default {_DEFAULT_BINS})")
+        if name != "mi":
+            p.add_argument("--state", type=_vector_arg, default=None, metavar="X,Y,Z",
+                           help="fix the prepared Bloch vector (normalized on ingest)")
+            p.add_argument("--meas", type=_vector_arg, default=None, metavar="X,Y,Z",
+                           help="fix the measurement direction (normalized on ingest)")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write the report here instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
-                       help="worker threads, at most one per 32768 trials for simulate and cost "
-                            f"and one per {BLOCK}-sample block for mi (verify runs on one "
-                            "thread); never changes results (default: the CPUs this process "
-                            "may use, %(default)s here)")
+        if name != "verify":
+            p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
+                           help="worker threads, at most one per 32768 trials for simulate and "
+                                f"cost and one per {BLOCK}-sample block for mi; never changes "
+                                "results (default: the CPUs this process may use, "
+                                "%(default)s here)")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    trials = args.trials if args.trials is not None else _DEFAULT_TRIALS[args.command]
-    return RunConfig(**{**vars(args), "trials": trials})
+    return RunConfig(**({f.name: None for f in fields(RunConfig)} | vars(args)))
 
 
 def _binomial_sigma(p: float, n: int) -> float:
@@ -185,8 +190,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     one :func:`ks_plus_count` call, which walks them BLOCK rows at a time,
     decides each sample from a float32 estimate of x.m and builds the exact
     float64 point only near the tie.  The counts are exact integers.  It runs
-    on one thread whatever ``cfg.workers`` is: a pool was slower than one
-    thread on this kernel.
+    on one thread: a pool was slower than one thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:
         grid = [None]  # both directions pinned: a single cell at their actual angle
@@ -335,12 +339,12 @@ def cmd_cost(cfg: RunConfig) -> tuple[dict, bool]:
                        workers=cfg.workers)
     counts = np.bincount(batch.accepted_index)
     probs = counts[counts > 0].astype(float) / batch.n
-    plugin_entropy = float(-np.sum(probs * np.log2(probs)))
+    plugin_entropy = 0.0 - float(np.sum(probs * np.log2(probs)))   # 0.0, not -0.0, at one index
     stats = _code_bit_stats(batch.code_bits)
     bit_counts = np.bincount(batch.code_bits)
 
     round1_exact_binned = round1_acceptance_binned(cfg.bins)
-    round1_emp = float(counts[1] / batch.n) if counts.size > 1 else 0.0
+    round1_emp = float(counts[1] / batch.n)   # indices start at 1, so counts has a [1]
     sigma1 = _binomial_sigma(round1_exact_binned, batch.n)
     round1_ok = abs(round1_emp - round1_exact_binned) <= 4.0 * sigma1
     entropy_ok = plugin_entropy <= stats["mean"] + 1e-12

@@ -130,8 +130,3 @@ def code_lengths(indices) -> np.ndarray:
     ell = np.frexp((n + 1).astype(np.float64))[1] - 1
     return (n + 2 * ell + 1).astype(np.int64)
 
-
-def kraft_sum(max_index: int) -> float:
-    """Sum of 2**-|code(i)| for i = 1..max_index; <= 1 for any prefix-free code."""
-    lengths = code_lengths(np.arange(1, max_index + 1))
-    return float(np.sum(np.exp2(-lengths.astype(np.float64))))

@@ -144,7 +144,6 @@ class TrialBatch:
     code_bits: np.ndarray       # (n,) int64
     outcome: np.ndarray         # (n,) +1 / -1
     born: np.ndarray            # (n,) quantum "+" probability per trial
-    points: np.ndarray          # (n, 3) the codebook entry the receiver regenerates
 
     @property
     def n(self) -> int:
@@ -372,15 +371,14 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     float64, independent of the shared schedule.  Bit-identical to the
     corresponding row of :func:`run_trials`.  Seeds and trial indices are
     checked as in :func:`trial_codebook`; the state and the measurement are
-    each one vector of shape (3,) or (1, 3), kept as its (3,) row, and the
-    report keeps copies of them.
+    each one unit vector of shape (3,) or (1, 3), checked before the sender
+    runs and kept as its (3,) row, and the report keeps copies of them.
     """
     trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
-    v = require_unit(np.array(state, float) if state is not None
-                     else _sphere_point(mix(trial, _SUB_STATE), 1), "state v")
-    v = np.array(_components(v, "state v"))   # a (1, 3) state as its (3,) row
-    m = (np.array(_components(np.array(meas, float), "measurement m")) if meas is not None
-         else _sphere_point(mix(trial, _SUB_MEAS), 1))
+    v, m = (np.array(_components(require_unit(vec, name), name)) if vec is not None
+            else _sphere_point(mix(trial, sub), 1)
+            for vec, name, sub in ((state, "state v", _SUB_STATE),
+                                   (meas, "measurement m", _SUB_MEAS)))
     bins = _bin_count(bins)
     codebook = Codebook(seed=mix(trial, _SUB_CODEBOOK))
     stream = (int(bin_index(dot3(codebook.entry(i), v), bins)) for i in count(1))
@@ -417,8 +415,7 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
     outcome = np.where(dot3(points, m) >= 0.0, 1, -1)
     born = np.asarray(born_from_dot(dot3(v, m)))
     return TrialBatch(states=v, meas=m, accepted_index=accepted,
-                      code_bits=code_lengths(accepted), outcome=outcome, born=born,
-                      points=points)
+                      code_bits=code_lengths(accepted), outcome=outcome, born=born)
 
 
 def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None,

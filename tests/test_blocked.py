@@ -314,9 +314,9 @@ class TestKsSampleAtBlockEdges:
         assert peak / m < 56
 
 
-def _verify_rates(state, meas, seed, n, workers=1):
-    cfg = cli.RunConfig(command="verify", trials=n, seed=seed, bins=64, state=state, meas=meas,
-                        out=None, format="json", workers=workers)
+def _verify_rates(state, meas, seed, n):
+    cfg = cli.RunConfig(command="verify", trials=n, seed=seed, bins=None, state=state, meas=meas,
+                        out=None, format="json", workers=None)
     results, _ = cli.cmd_verify(cfg)
     return [cell["empirical"] for cell in results["cells"]]
 
@@ -326,15 +326,13 @@ class TestModelCommandsAtBlockEdges:
     def test_verify_pinned(self, n):
         state, meas = (0.6, 0.0, -0.8), (-0.36, 0.48, 0.8)
         want = _whole_array_verify(state, meas, 11, n)
-        for workers in (1, 3):
-            assert _verify_rates(state, meas, 11, n, workers) == want
+        assert _verify_rates(state, meas, 11, n) == want
 
     def test_verify_grid_about_a_fixed_state(self):
         state = (0.0, -0.6, 0.8)
         n = 2 * BLOCK + 3
         want = _whole_array_verify(state, None, 7, n)
-        for workers in (1, 3):
-            assert _verify_rates(state, None, 7, n, workers) == want
+        assert _verify_rates(state, None, 7, n) == want
 
     # chunk: the 2^18 pairs mc_mutual_information draws at a time; the first n ends
     # on an unaligned last chunk

@@ -94,6 +94,54 @@ class TestUsageErrors:
         assert report["results"]["cells"][0]["born"] == pytest.approx(0.8, abs=1e-12)
 
 
+class TestFlags:
+    """Each command takes only the flags it reads."""
+
+    _TAKES = {
+        "verify": {"--trials", "--seed", "--state", "--meas", "--out", "--format"},
+        "simulate": {"--trials", "--seed", "--bins", "--state", "--meas", "--out", "--format",
+                     "--workers"},
+        "mi": {"--trials", "--seed", "--out", "--format", "--workers"},
+        "cost": {"--trials", "--seed", "--bins", "--state", "--meas", "--out", "--format",
+                 "--workers"},
+    }
+
+    def test_each_command_takes_exactly_its_flags(self):
+        commands = next(action.choices for action in cli.build_parser()._actions
+                        if isinstance(action, argparse._SubParsersAction))
+        takes = {name: {flag for action in sub._actions for flag in action.option_strings
+                        if flag not in ("-h", "--help")}
+                 for name, sub in commands.items()}
+        assert takes == self._TAKES
+        assert sum(map(len, takes.values())) == 27
+
+    @pytest.mark.parametrize("argv", [["verify", "--bins", "64"], ["verify", "--workers", "2"],
+                                      ["mi", "--bins", "64"], ["mi", "--state", "0,0,1"],
+                                      ["mi", "--meas", "-0.6,0,0.8"]],
+                             ids=["verify_bins", "verify_workers", "mi_bins", "mi_state",
+                                  "mi_meas"])
+    def test_a_flag_the_command_does_not_read_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments" in err and "Traceback" not in err
+
+    def test_flags_a_command_lacks_are_null_in_its_config(self, capsys):
+        _, verify = run_json(capsys, ["verify", "--trials", "1000"])
+        _, mi = run_json(capsys, ["mi", "--trials", "1000"])
+        assert (verify["config"]["bins"], verify["config"]["workers"]) == (None, None)
+        assert (mi["config"]["bins"], mi["config"]["state"], mi["config"]["meas"]) == (None,) * 3
+
+    def test_cost_results_do_not_read_meas(self, capsys):
+        # cost keeps --meas although its results ignore it: a pinned benchmark run passes it
+        argv = ["cost", "--trials", "3000", "--bins", "64", "--seed", "5", "--state", "0,0,1"]
+        _, without = run_json(capsys, argv)
+        _, pinned = run_json(capsys, [*argv, "--meas", "0.6,0,0.8"])
+        assert pinned["config"]["meas"] == [0.6, 0.0, 0.8]
+        assert without["results"] == pinned["results"]
+
+
 # text the parsers meet: numbers in many spellings, their separators, and anything else
 _NUMBERY = st.text(alphabet="0123456789+-.,eEinfatyINFATY_ \t\u0661\u00b2", max_size=40)
 _ARG_TEXT = st.one_of(st.text(max_size=40), _NUMBERY,
@@ -194,13 +242,9 @@ class TestSimulate:
         assert a == b
 
     def test_workers_do_not_change_output(self, capsys):
-        pinned = ["--state", "0.6,0,-0.8", "--meas", "-0.36,0.48,0.8"]
-        # verify: 40000 samples are three blocks a cell; mi: 300000 are two chunks,
-        # the second of 37856 rows
-        # simulate: 98304 trials are three 2**15-trial spans at four workers
+        # simulate: 98304 trials are three 2**15-trial spans at four workers; mi: 300000
+        # are two chunks, the second of 37856 rows (verify takes no --workers)
         for argv in (["simulate", "--trials", str(3 << 15), "--seed", "5"],
-                     ["verify", "--trials", "40000", "--seed", "5"],
-                     ["verify", "--trials", "40000", "--seed", "5", *pinned],
                      ["mi", "--trials", "300000", "--seed", "5"]):
             _, a = run_json(capsys, [*argv, "--workers", "1"])
             _, b = run_json(capsys, [*argv, "--workers", "4"])
@@ -227,7 +271,8 @@ class TestCodeBitStats:
 
 
 class TestWorkers:
-    """--workers on every command: its default, and how many threads each run asks for.
+    """--workers on every command that takes it: its default, and how many threads each
+    run asks for.
 
     The serial pool records each thread pool a run asks for and starts no thread."""
 
@@ -235,7 +280,7 @@ class TestWorkers:
 
     def test_default_is_the_usable_cpu_count(self, monkeypatch):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        for command in ("verify", "simulate", "mi", "cost"):
+        for command in ("simulate", "mi", "cost"):
             assert cli.build_parser().parse_args([command]).workers == cpus
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
@@ -245,12 +290,9 @@ class TestWorkers:
 
     def test_verify_starts_no_pool(self, capsys, serial_pool):
         # 16 blocks in the one cell, all counted on the calling thread
-        argv = ["verify", "--trials", "250000", "--seed", "3", *self._PINNED]
-        _, split = run_json(capsys, [*argv, "--workers", "1000000"])
+        code, _ = run_json(capsys, ["verify", "--trials", "250000", "--seed", "3", *self._PINNED])
+        assert code == 0
         assert serial_pool == []
-        _, serial = run_json(capsys, [*argv, "--workers", "1"])
-        assert serial_pool == []
-        assert split["results"] == serial["results"]
 
     def test_mi_chunks_ask_at_most_one_thread_per_block(self, capsys, serial_pool):
         _, split = run_json(capsys, ["mi", "--trials", "300000", "--seed", "3",
@@ -263,12 +305,13 @@ class TestWorkers:
 
     @pytest.mark.parametrize("argv", [["verify", "--trials", "1000"],
                                       ["verify", "--trials", "1000", *_PINNED],
-                                      ["mi", "--trials", "1000"],
-                                      ["simulate", "--trials", "1000"],
-                                      ["cost", "--trials", "1000", "--bins", "64"]],
+                                      ["mi", "--trials", "1000", "--workers", "4"],
+                                      ["simulate", "--trials", "1000", "--workers", "4"],
+                                      ["cost", "--trials", "1000", "--bins", "64",
+                                       "--workers", "4"]],
                              ids=["verify", "verify_pinned", "mi", "simulate", "cost"])
     def test_one_block_runs_start_no_pool(self, capsys, serial_pool, argv):
-        code, _ = run_json(capsys, [*argv, "--workers", "4"])
+        code, _ = run_json(capsys, argv)
         assert code == 0
         assert serial_pool == []
 
@@ -299,6 +342,17 @@ class TestCost:
         assert ref_bits["cerf_gisin_massar_average"] == 2.19
         assert ref_bits["hemisphere_model_parallel_limit"] == pytest.approx(1.27865248, abs=1e-8)
         assert res["round1_acceptance"]["exact_continuum"] == 7 / 16
+
+    @pytest.mark.parametrize("trials", [1, 2])
+    def test_plugin_entropy_is_never_negative_zero(self, capsys, trials):
+        # with every trial accepted at one index the sum of p log p is 0.0, which the
+        # entropy printed as -0.0
+        code, out = run_cli(capsys, ["cost", "--trials", str(trials), "--bins", "64",
+                                     "--format", "json"])
+        assert code in (0, 1)
+        report = json.loads(out)
+        assert math.copysign(1.0, report["results"]["plugin_entropy_bits"]) == 1.0
+        assert "-0.0" not in out
 
 
 class TestOutputFormats:

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from kschannel import (conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                        mc_mutual_information, random_unit_vec)
-from kschannel.quadrature import conditional_entropy_2d
+from oracles import conditional_entropy_2d
 from test_model import POLES
 
 # frozen closed forms: 2 - 1/(2 ln 2), log2(pi) + 1/(2 ln 2), log2(4 pi)

@@ -8,9 +8,9 @@ from kschannel import (Measurement, born_probability, ks_density, ks_response, k
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import quadrature
 from kschannel.model import MARGINAL_DENSITY, TIE_BAND, ks_draws, ks_plus_count
-from kschannel.quadrature import (_integrate_z, born_plus_integral, density_normalization,
-                                  marginal_from_prior)
+from kschannel.quadrature import _integrate_z, born_plus_integral
 from conftest import unit_vectors
+from oracles import density_normalization, marginal_from_prior
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 XHAT = np.array([1.0, 0.0, 0.0])

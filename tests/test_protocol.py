@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.stats import kstest
 
 from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
@@ -17,7 +18,6 @@ from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_MEAS, _SUB_STAT
                                 TrialBatch, _ks_laws, _ks_schedule, _sphere_point, _trial_root,
                                 alice_send, bin_index, bob_receive, ks_bin_masses,
                                 run_trial, run_trials, trial_codebook)
-from kschannel.quadrature import min_overlap_integral
 from kschannel.rngstream import GOLDEN, counter_uniforms, finalize64, mix, mix_vec
 
 
@@ -68,7 +68,10 @@ class TestBinning:
         assert tv <= 1.0 / bins
 
     def test_binned_round1_acceptance_approaches_continuum(self):
-        assert min_overlap_integral() == pytest.approx(7.0 / 16.0, abs=1e-9)
+        # round 1 accepts with probability the overlap of rho(x) and rho(x|v) on the sphere,
+        # the integral of min(1/2, 2z) over heights z in [0, 1]
+        overlap = quad(lambda z: min(0.5, 2.0 * z), 0.0, 1.0, points=[0.25])[0]
+        assert overlap == pytest.approx(7.0 / 16.0, abs=1e-9)
         for bins, tol in ((16, 2e-2), (256, 1e-4), (4096, 1e-6)):
             binned = np.minimum(1.0 / bins, ks_bin_masses(bins)).sum()
             assert binned == pytest.approx(7.0 / 16.0, abs=tol)
@@ -263,6 +266,16 @@ class TestScalarPaths:
             with pytest.raises(ValueError, match="measurement"):
                 run_trial(7, 3, bins, state=v, meas=np.broadcast_to(m, shape))
 
+    @pytest.mark.parametrize("meas", [[0, 0, 2], [[0.0, 0.0, 1.0]] * 2], ids=["non_unit", "2_by_3"])
+    def test_run_trial_checks_the_measurement_before_the_sender_runs(self, monkeypatch, meas):
+        # the sender loop can run long, so a bad measurement must fail before it starts
+        def sender(*_):
+            raise AssertionError("the sender ran before the measurement was checked")
+
+        monkeypatch.setattr(protocol, "greedy_one_shot", sender)
+        with pytest.raises(ValueError, match="measurement"):
+            run_trial(7, 0, 64, meas=meas)
+
 
 class TestSenderReceiver:
     def test_bitstring_reproducible(self):
@@ -313,9 +326,8 @@ class TestTrials:
     def test_worker_count_never_changes_results(self):
         a = run_trials(8888, 20_000, 512)
         b = run_trials(8888, 20_000, 512, workers=4)
-        for field in ("states", "meas", "accepted_index", "code_bits", "outcome", "born",
-                      "points"):
-            assert np.array_equal(getattr(a, field), getattr(b, field))
+        for field in fields(TrialBatch):
+            assert np.array_equal(getattr(a, field.name), getattr(b, field.name))
 
     def test_fixed_state_and_meas_are_broadcast(self):
         v = unit_vector(0.0, 0.6, 0.8)
@@ -377,17 +389,24 @@ class TestTrials:
         # uniform unconditionally; binning error lives only in the height
         v = random_unit_vec(np.random.default_rng(61))
         batch = run_trials(5050, 100_000, 64, state=v)
+        points = np.array([trial_codebook(5050, t).entry(i)
+                           for t, i in enumerate(batch.accepted_index.tolist())])
         e1 = rotate_to_frame(np.array([1.0, 0.0, 0.0]), v)
         e2 = rotate_to_frame(np.array([0.0, 1.0, 0.0]), v)
-        phi = np.arctan2(batch.points @ e2, batch.points @ e1)
+        phi = np.arctan2(points @ e2, points @ e1)
         stat = kstest(phi, "uniform", args=(-np.pi, 2 * np.pi)).statistic
         assert stat < 1.628 / np.sqrt(phi.size)
 
     def test_batch_points_are_the_codebook_entries(self):
+        # (name kept so its id stays stable; the batch no longer carries the points)
+        # each outcome is the receiver's answer from the accepted entry, which the
+        # vector and the scalar entry paths build bit for bit
         batch = run_trials(5050, 50, 64)
         for t in range(50):
-            entry = trial_codebook(5050, t).entry(int(batch.accepted_index[t]))
-            assert np.array_equal(batch.points[t], entry)
+            codebook, i = trial_codebook(5050, t), int(batch.accepted_index[t])
+            assert np.array_equal(codebook.entries(i), codebook.entry(i))
+            answer = bob_receive(elias_delta_encode(i), codebook, Measurement(batch.meas[t]))
+            assert batch.outcome[t] == answer
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 65) - 1, True, 7.5])
     def test_seed_outside_64_bits_raises(self, seed):
@@ -430,10 +449,11 @@ class TestTrials:
               if fixed else {})
         batch = run_trials(7, 0, 64, workers=workers, **kw)
         assert batch.n == 0
-        for field, shape, dtype in [("states", (0, 3), np.float64), ("meas", (0, 3), np.float64),
-                                    ("accepted_index", (0,), np.int64),
-                                    ("code_bits", (0,), np.int64), ("outcome", (0,), np.int64),
-                                    ("born", (0,), np.float64), ("points", (0, 3), np.float64)]:
+        want = {"states": ((0, 3), np.float64), "meas": ((0, 3), np.float64),
+                "accepted_index": ((0,), np.int64), "code_bits": ((0,), np.int64),
+                "outcome": ((0,), np.int64), "born": ((0,), np.float64)}
+        assert [f.name for f in fields(TrialBatch)] == list(want)
+        for field, (shape, dtype) in want.items():
             value = getattr(batch, field)
             assert (value.shape, value.dtype) == (shape, dtype), field
 
@@ -498,8 +518,9 @@ class TestBlockScan:
             assert rep.outcome == batch.outcome[t]
             assert np.array_equal(rep.state, batch.states[t])
             assert np.array_equal(rep.meas, batch.meas[t])
-            entry = trial_codebook(self.SEED, t).entry(rep.accepted_index)
-            assert np.array_equal(batch.points[t], entry)
+            codebook = trial_codebook(self.SEED, t)
+            assert np.array_equal(codebook.entries(rep.accepted_index),
+                                  codebook.entry(rep.accepted_index))
             # the wire sender reads the same schedule as the batch rows
             _, codebook, key = trial_inputs(self.SEED, t)
             _, sent = alice_send(rep.state, codebook, bins, counter_uniforms(key))
@@ -930,6 +951,5 @@ class TestSharedSchedule:
             threaded = run_trials(19, 20_000, 4096, workers=4)   # three spans, one thread each
         finally:
             sys.setswitchinterval(switch)
-        for field in ("states", "meas", "accepted_index", "code_bits", "outcome", "born",
-                      "points"):
-            assert np.array_equal(getattr(serial, field), getattr(threaded, field))
+        for field in fields(TrialBatch):
+            assert np.array_equal(getattr(serial, field.name), getattr(threaded, field.name))
