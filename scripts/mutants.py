@@ -21,6 +21,12 @@ A fault known to be equivalent is recorded here, not registered: `<` for
 2**-53 below 1 and of 2**-52 above it, so it never equals UNIT_ATOL = 1e-12,
 and a vector the branch does not pass falls through to the array check,
 which decides as before; the fault changes only speed.
+
+`run_trial` and `run_trials` check a given state or measurement on one
+shared line, so each fault there is one entry, listed with the tests of
+both paths.  `coins_for_every_draw` moves no row of `run_trials`, whose
+coins are addressed by run and round; only a test that records the coins
+the scan asks for can catch it.
 """
 
 from __future__ import annotations
@@ -53,8 +59,6 @@ _GRID = "tests/test_greedy.py::TestSchedule::test_decide_matches_the_law_table"
 _SCAN_STUB = "tests/test_greedy.py::TestScanDecision::test_scan_reads_the_law_only_through_decide"
 _EVERY_DRAW = "tests/test_greedy.py::TestScanDecision::test_every_draw_is_decided_as_accept_prob"
 _EDGE_BINS = "tests/test_protocol.py::TestHeightBins::test_equals_the_exact_bins_around_every_edge"
-#: run_trial's check of a given state or measurement
-_RUN_TRIAL_VECTORS = "np.array(_components(require_unit(vec, name), name)) if vec is not None"
 
 MUTANTS = [
     Mutant("hit_before_k_minus_1", "src/kschannel/greedy.py",
@@ -83,18 +87,34 @@ MUTANTS = [
            "z ^= (z >> 31) ^ key\n", "z ^= z >> 31\n",
            ("tests/test_protocol.py::TestCodebook::test_mix_is_the_finalizer_applied_twice",
             "tests/test_receiver.py::test_hash_known_answers")),
-    Mutant("run_trials_keeps_a_fixed_vector_as_given", "src/kschannel/protocol.py",
+    Mutant("given_vector_kept_as_given", "src/kschannel/protocol.py",
            "else np.array(_components(require_unit(vec, name), name))",
            "else require_unit(vec, name)",
-           ("tests/test_protocol.py::TestTrials::test_fixed_1_by_3_inputs_run_as_their_rows",)),
-    Mutant("run_trial_keeps_a_1_by_3_vector", "src/kschannel/protocol.py",
-           _RUN_TRIAL_VECTORS, "require_unit(np.array(vec, float), name) if vec is not None",
-           ("tests/test_protocol.py::TestScalarPaths::test_run_trial_takes_a_1_by_3_state_as_its_row",)),
-    Mutant("run_trial_checks_only_the_shape", "src/kschannel/protocol.py",
-           _RUN_TRIAL_VECTORS,
-           "np.array(_components(np.array(vec, float), name)) if vec is not None",
+           ("tests/test_protocol.py::TestTrials::test_fixed_1_by_3_inputs_run_as_their_rows",
+            "tests/test_protocol.py::TestScalarPaths::"
+            "test_run_trial_takes_a_1_by_3_state_as_its_row")),
+    Mutant("given_vector_checked_only_for_its_shape", "src/kschannel/protocol.py",
+           "_components(require_unit(vec, name), name)", "_components(np.array(vec, float), name)",
            ("tests/test_protocol.py::TestScalarPaths::"
             "test_run_trial_checks_the_measurement_before_the_sender_runs",)),
+    Mutant("fixed_born_from_the_state_alone", "src/kschannel/protocol.py",
+           "born_from_dot(dot3(v, m))", "born_from_dot(dot3(v, v))",
+           ("tests/test_protocol.py::TestTrials::test_fixed_state_and_meas_are_broadcast",)),
+    Mutant("coin_draws_decided_as_hits", "src/kschannel/greedy.py",
+           "hit.flat[tossed] = coins(active[col], rounds[row]) < p",
+           "hit.flat[tossed] = p > 0.0", (_SCAN_STUB, _EVERY_DRAW)),
+    Mutant("coins_for_every_draw", "src/kschannel/greedy.py",
+           "if tossed.size:\n                row, col = np.divmod(tossed, active.size)\n"
+           "                hit.flat[tossed] = coins(active[col], rounds[row]) < p\n",
+           "if True:\n                row, col = np.divmod(np.arange(hit.size), active.size)\n"
+           "                hit.flat[tossed] = coins(active[col], rounds[row])[tossed] < p\n",
+           (_SCAN_STUB,)),
+    Mutant("elias_length_one_short", "src/kschannel/coding.py",
+           "return (n + 2 * ell + 1).astype(np.int64)", "return (n + 2 * ell).astype(np.int64)",
+           ("tests/test_coding.py::test_vectorized_lengths_match_codewords",)),
+    Mutant("uniform_bin_law_on_the_hemisphere", "src/kschannel/protocol.py",
+           "return edges[1:] ** 2 - edges[:-1] ** 2", "return edges[1:] - edges[:-1]",
+           ("tests/test_protocol.py::TestBinning::test_binned_target_tv_error_bound",)),
     Mutant("tie_band_zero", "src/kschannel/model.py",
            "TIE_BAND = 2.0 ** -12\n", "TIE_BAND = 0.0\n",
            ("tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count",)),

@@ -136,10 +136,8 @@ class TrialReport:
 
 @dataclass(eq=False)
 class TrialBatch:
-    """Per-trial arrays for a batch of simulated trials."""
+    """Per-trial arrays for a batch of simulated trials; the inputs stay with the caller."""
 
-    states: np.ndarray          # (n, 3)
-    meas: np.ndarray            # (n, 3)
     accepted_index: np.ndarray  # (n,) int64
     code_bits: np.ndarray       # (n,) int64
     outcome: np.ndarray         # (n,) +1 / -1
@@ -375,10 +373,7 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     runs and kept as its (3,) row, and the report keeps copies of them.
     """
     trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
-    v, m = (np.array(_components(require_unit(vec, name), name)) if vec is not None
-            else _sphere_point(mix(trial, sub), 1)
-            for vec, name, sub in ((state, "state v", _SUB_STATE),
-                                   (meas, "measurement m", _SUB_MEAS)))
+    v, m = _trial_inputs(trial, *_given_inputs(state, meas))
     bins = _bin_count(bins)
     codebook = Codebook(seed=mix(trial, _SUB_CODEBOOK))
     stream = (int(bin_index(dot3(codebook.entry(i), v), bins)) for i in count(1))
@@ -389,13 +384,23 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
                        code_bits=len(bits), outcome=outcome)
 
 
-def _run_chunk(master_seed: int, start: int, count: int, bins: int,
+def _given_inputs(state, meas) -> tuple:
+    """A given state and measurement direction as their checked (3,) rows; None stays None."""
+    return tuple(None if vec is None else np.array(_components(require_unit(vec, name), name))
+                 for vec, name in ((state, "state"), (meas, "measurement direction")))
+
+
+def _trial_inputs(trial, state, meas) -> tuple:
+    """:func:`_given_inputs`' rows, with each None drawn per key of ``trial`` from its stream."""
+    return tuple(_sphere_point(mix_vec(trial, sub), 1) if vec is None else vec
+                 for vec, sub in ((state, _SUB_STATE), (meas, _SUB_MEAS)))
+
+
+def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
                state, meas, schedule: GreedySchedule) -> TrialBatch:
-    trial = mix_vec(_trial_root(master_seed), np.arange(start, start + count, dtype=np.uint64))
-    # a fixed state or direction (checked by run_trials) on every row, else one per trial
-    v, m = (np.broadcast_to(fixed, (count, 3)).copy() if fixed is not None
-            else _sphere_point(mix_vec(trial, sub), 1)
-            for fixed, sub in ((state, _SUB_STATE), (meas, _SUB_MEAS)))
+    """Trials start .. stop - 1 of :func:`run_trials`; a fixed input stays one (3,) row."""
+    trial = mix_vec(_trial_root(master_seed), np.arange(start, stop, dtype=np.uint64))
+    v, m = _trial_inputs(trial, state, meas)
     cb_keys = mix_vec(trial, _SUB_CODEBOOK)
     acc_keys = mix_vec(trial, _SUB_ACCEPT)
 
@@ -405,47 +410,42 @@ def _run_chunk(master_seed: int, start: int, count: int, bins: int,
         # (see _height_bins); a fixed state is passed whole, as one (3,) vector
         ctr = 2 * rounds.astype(np.uint64)[:, None]
         return _height_bins(*_sphere_zphi(cb_keys[active], ctr),
-                            np.take(v, active, axis=0) if state is None else state, bins)
+                            np.take(v, active, axis=0) if state is None else v, bins)
 
     def coins(runs, rounds):
         return to_unit(mix_vec(acc_keys[runs], rounds))
 
-    accepted, _ = schedule.scan(count, draw, coins)
+    accepted, _ = schedule.scan(trial.size, draw, coins)
     points = _sphere_point(cb_keys, 2 * accepted.astype(np.uint64))
     outcome = np.where(dot3(points, m) >= 0.0, 1, -1)
-    born = np.asarray(born_from_dot(dot3(v, m)))
-    return TrialBatch(states=v, meas=m, accepted_index=accepted,
-                      code_bits=code_lengths(accepted), outcome=outcome, born=born)
+    born = np.full(trial.size, born_from_dot(dot3(v, m)))
+    return TrialBatch(accepted_index=accepted, code_bits=code_lengths(accepted),
+                      outcome=outcome, born=born)
 
 
 def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None,
                workers: int = 1) -> TrialBatch:
-    """Simulate ``n_trials`` independent trials, vectorized.
+    """Simulate ``n_trials`` independent trials, vectorized; the batch holds no inputs.
 
     ``state`` / ``meas`` fix the prepared state or measurement direction for
-    every trial, each one unit vector of shape (3,) or (1, 3); when None they
-    are drawn uniformly per trial from the trial's own counter stream.  The
-    trials are split into one contiguous span per worker thread (at most one
-    per whole :data:`_TRIALS_PER_THREAD` trials), each scanned at once; every
-    row depends only on its trial index, so any worker count yields
+    every trial, each one unit vector of shape (3,) or (1, 3) kept as one (3,)
+    row; when None they are drawn uniformly per trial from its own counter
+    stream.  The trials are split into one contiguous span per worker thread
+    (at most one per whole :data:`_TRIALS_PER_THREAD` trials), each scanned at
+    once; every row depends only on its trial index, so any worker count gives
     bit-identical results.  A seed outside [0, 2**64), and trial and worker
     counts that are not whole numbers >= 0 and >= 1, raise ValueError.
     """
     master_seed = _word(master_seed, "master seed")
     n_trials = whole_number(n_trials, "trial count", 0)
     workers = whole_number(workers, "workers", 1)
-    state, meas = (None if vec is None else np.array(_components(require_unit(vec, name), name))
-                   for vec, name in ((state, "state"), (meas, "measurement direction")))
+    state, meas = _given_inputs(state, meas)
     bins = _bin_count(bins)
     schedule = _ks_schedule(bins)
     spans = max(1, min(workers, n_trials // _TRIALS_PER_THREAD))
     edges = [n_trials * k // spans for k in range(spans + 1)]
-
-    def scan(k: int) -> TrialBatch:
-        return _run_chunk(master_seed, edges[k], edges[k + 1] - edges[k], bins, state, meas,
-                          schedule)
-
-    parts = parallel_map(scan, range(spans), spans)
+    parts = parallel_map(lambda k: _run_chunk(master_seed, edges[k], edges[k + 1], bins, state,
+                                              meas, schedule), range(spans), spans)
     if spans == 1:
         return parts[0]
     return TrialBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])

@@ -15,9 +15,9 @@ The z integral is a vectorized adaptive Gauss-Kronrod rule
 (:func:`_integrate_z`).  It starts from the panels between the heights
 where a ring has a kink, evaluates the 15 Kronrod nodes of every open
 interval in one ring call per level, and takes |K15 - G7| as each
-interval's error.  The error budget (1e-10 absolute unless the caller
-passes another) is global: the integral is done once the errors of all
-intervals sum to within it.  Until then an interval whose error is within
+interval's error.  The error budget (:data:`_TOL`, 1e-10 absolute) is
+global: the integral is done once the errors of all intervals sum to
+within it.  Until then an interval whose error is within
 its share of the budget, in proportion to its width, is settled, and the
 rest are bisected.  More than 50 levels or 256 open intervals raise
 RuntimeError, so an integrand that cannot converge fails instead of looping
@@ -57,11 +57,11 @@ _MAX_LEVELS = 50
 _MAX_OPEN = 256
 
 
-def _integrate_z(ring, kinks, tol: float = _TOL) -> float:
+def _integrate_z(ring, kinks) -> float:
     """Integral of ``ring`` over z in [-1, 1], split at those ``kinks`` inside (-1, 1).
 
     ``ring`` maps an array of heights to an array of values.  Adaptive
-    G7-K15 with a global absolute error budget ``tol``; see the module
+    G7-K15 with a global absolute error budget :data:`_TOL`; see the module
     docstring.
     """
     edges = np.array([-1.0, *sorted({k for k in kinks if -1.0 < k < 1.0}), 1.0])
@@ -72,9 +72,9 @@ def _integrate_z(ring, kinks, tol: float = _TOL) -> float:
         f = ring((mid[:, None] + half[:, None] * _K15).ravel()).reshape(-1, _K15.size)
         kronrod = half * (f @ _WK15)
         err = np.abs(kronrod - half * (f @ _WG7))
-        if settled_err + float(np.sum(err)) <= tol:
+        if settled_err + float(np.sum(err)) <= _TOL:
             return total + float(np.sum(kronrod))
-        done = err <= tol * half  # the share of an interval of width 2*half out of 2
+        done = err <= _TOL * half  # the share of an interval of width 2*half out of 2
         total += float(np.sum(kronrod[done]))
         settled_err += float(np.sum(err[done]))
         lo, mid, hi = lo[~done], mid[~done], hi[~done]

@@ -83,4 +83,4 @@ def conditional_entropy_2d(v) -> float:
         g = np.where(rho > 0.0, -rho * np.log2(np.where(rho > 0.0, rho, 1.0)), 0.0)
         return 2.0 * np.sum(w * g, axis=1)  # arc is symmetric about alpha
 
-    return _integrate_z(ring, (-vs, vs), tol=1e-9)
+    return _integrate_z(ring, (-vs, vs))

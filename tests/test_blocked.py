@@ -230,6 +230,24 @@ class TestCodebookBinsAtBlockEdges:
         assert peak / m < 24
 
 
+class TestFixedInputRun:
+    @pytest.mark.parametrize("bins", [64, 4096])
+    def test_holds_no_per_trial_copy_of_fixed_inputs(self, bins):
+        # a fixed state and measurement stay one (3,) row each from run_trials down to the
+        # kernels: a 16384-trial run peaks at ~105 bytes/trial; (n, 3) float64 copies of
+        # both, returned with the batch, took it to ~153
+        m = 16384
+        v, meas = [0.0, 0.6, 0.8], [0.6, 0.0, 0.8]
+        run_trials(3, 1, bins, state=v, meas=meas)   # the shared schedule, built untraced
+        tracemalloc.start()
+        try:
+            run_trials(3, m, bins, state=v, meas=meas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 128
+
+
 def _whole_array_ks_sample(v, rng, n):
     z = np.sqrt(1.0 - rng.random(n))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)

@@ -12,7 +12,7 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import protocol
-from kschannel.geometry import BLOCK, dot3, dot_estimate
+from kschannel.geometry import BLOCK, born_from_dot, dot3, dot_estimate
 from kschannel.model import ks_response
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_MEAS, _SUB_STATE,
                                 TrialBatch, _ks_laws, _ks_schedule, _sphere_point, _trial_root,
@@ -320,8 +320,9 @@ class TestTrials:
             assert rep.accepted_index == batch.accepted_index[t]
             assert rep.code_bits == batch.code_bits[t]
             assert rep.outcome == batch.outcome[t]
-            assert np.array_equal(rep.state, batch.states[t])
-            assert np.array_equal(rep.meas, batch.meas[t])
+            # the batch keeps no inputs: its Born row holds them to the scalar path's, bit
+            # for bit
+            assert batch.born[t] == born_from_dot(dot3(rep.state, rep.meas))
 
     def test_worker_count_never_changes_results(self):
         a = run_trials(8888, 20_000, 512)
@@ -333,9 +334,14 @@ class TestTrials:
         v = unit_vector(0.0, 0.6, 0.8)
         m = unit_vector(1.0, 0.0, 0.0)
         batch = run_trials(1, 100, 64, state=v, meas=m)
-        assert np.all(batch.states == v)
-        assert np.all(batch.meas == m)
+        # the batch keeps no inputs: each row's Born probability and outcome are those of
+        # the fixed pair, the outcome the receiver's answer from the accepted entry
+        assert batch.born.shape == (100,) and batch.born.dtype == np.float64
         assert np.all(batch.born == born_probability(v, Measurement(m)))
+        for t in range(100):
+            i = int(batch.accepted_index[t])
+            answer = bob_receive(elias_delta_encode(i), trial_codebook(1, t), Measurement(m))
+            assert batch.outcome[t] == answer
 
     @pytest.mark.parametrize("bins", [64, 4096])
     def test_fixed_1_by_3_inputs_run_as_their_rows(self, bins):
@@ -405,7 +411,8 @@ class TestTrials:
         for t in range(50):
             codebook, i = trial_codebook(5050, t), int(batch.accepted_index[t])
             assert np.array_equal(codebook.entries(i), codebook.entry(i))
-            answer = bob_receive(elias_delta_encode(i), codebook, Measurement(batch.meas[t]))
+            m = run_trial(5050, t, 64).meas   # the batch keeps no measurements
+            answer = bob_receive(elias_delta_encode(i), codebook, Measurement(m))
             assert batch.outcome[t] == answer
 
     @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 65) - 1, True, 7.5])
@@ -449,8 +456,7 @@ class TestTrials:
               if fixed else {})
         batch = run_trials(7, 0, 64, workers=workers, **kw)
         assert batch.n == 0
-        want = {"states": ((0, 3), np.float64), "meas": ((0, 3), np.float64),
-                "accepted_index": ((0,), np.int64), "code_bits": ((0,), np.int64),
+        want = {"accepted_index": ((0,), np.int64), "code_bits": ((0,), np.int64),
                 "outcome": ((0,), np.int64), "born": ((0,), np.float64)}
         assert [f.name for f in fields(TrialBatch)] == list(want)
         for field, (shape, dtype) in want.items():
@@ -516,8 +522,8 @@ class TestBlockScan:
             assert rep.accepted_index == batch.accepted_index[t]
             assert rep.code_bits == batch.code_bits[t]
             assert rep.outcome == batch.outcome[t]
-            assert np.array_equal(rep.state, batch.states[t])
-            assert np.array_equal(rep.meas, batch.meas[t])
+            # the batch keeps no inputs: its Born row holds them to the scalar path's
+            assert batch.born[t] == born_from_dot(dot3(rep.state, rep.meas))
             codebook = trial_codebook(self.SEED, t)
             assert np.array_equal(codebook.entries(rep.accepted_index),
                                   codebook.entry(rep.accepted_index))
