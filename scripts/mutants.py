@@ -59,6 +59,7 @@ _GRID = "tests/test_greedy.py::TestSchedule::test_decide_matches_the_law_table"
 _SCAN_STUB = "tests/test_greedy.py::TestScanDecision::test_scan_reads_the_law_only_through_decide"
 _EVERY_DRAW = "tests/test_greedy.py::TestScanDecision::test_every_draw_is_decided_as_accept_prob"
 _EDGE_BINS = "tests/test_protocol.py::TestHeightBins::test_equals_the_exact_bins_around_every_edge"
+_TIE_OUTCOMES = "tests/test_protocol.py::TestAnswersOnRead::test_tie_draws_take_the_exact_answer"
 
 MUTANTS = [
     Mutant("hit_before_k_minus_1", "src/kschannel/greedy.py",
@@ -117,11 +118,23 @@ MUTANTS = [
            ("tests/test_protocol.py::TestBinning::test_binned_target_tv_error_bound",)),
     Mutant("tie_band_zero", "src/kschannel/model.py",
            "TIE_BAND = 2.0 ** -12\n", "TIE_BAND = 0.0\n",
-           ("tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count",)),
+           ("tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count",
+            _TIE_OUTCOMES)),
     Mutant("edge_band_zero", "src/kschannel/protocol.py",
            "_EDGE_BAND = 2.0 ** -17\n", "_EDGE_BAND = 0.0\n", (_EDGE_BINS,)),
     Mutant("height_bins_without_fallback", "src/kschannel/protocol.py",
            "    if near.size:\n", "    if False:\n", (_EDGE_BINS,)),
+    Mutant("outcome_tie_band_zero", "src/kschannel/protocol.py",
+           "np.flatnonzero(np.abs(s) < TIE_BAND)", "np.flatnonzero(np.abs(s) < 0.0)",
+           (_TIE_OUTCOMES,)),
+    Mutant("outcome_without_fallback", "src/kschannel/protocol.py",
+           "        if tie.size:\n", "        if False:\n", (_TIE_OUTCOMES,)),
+    Mutant("outcome_fallback_rows_not_offset", "src/kschannel/protocol.py",
+           "out[lo + tie] =", "out[tie] =", (_TIE_OUTCOMES,)),
+    Mutant("azimuths_not_advanced", "src/kschannel/model.py",
+           "azimuths.advance(n)\n", "azimuths.advance(0)\n",
+           ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",
+            "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_verify_pinned")),
     Mutant("percentiles_without_upper_branch", "src/kschannel/cli.py",
            "a + d * t if t < 0.5 else b - d * (1 - t)", "a + d * t",
            ("tests/test_cli.py::TestCodeBitStats::"

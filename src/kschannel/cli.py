@@ -32,12 +32,12 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .geometry import (BLOCK, Measurement, born_from_dot, random_unit_vec, rotate_to_frame,
-                       sphere_from_zphi, unit_vector)
+from .geometry import (BLOCK, Measurement, born_from_dot, random_unit_vec, require_unit,
+                       rotate_to_frame, sphere_from_zphi, unit_vector)
 from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
-from .model import ks_draws, ks_plus_count
+from .model import _ks_draw_blocks, _plus_count
 from .protocol import _MAX_BINS, _bin_count, ks_bin_masses, run_trials
 from .rngstream import mix
 
@@ -186,11 +186,15 @@ def _binomial_sigma(p: float, n: int) -> float:
 def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """Direct-model sweep: sample the conditional density, answer the measurement.
 
-    Each cell draws all its samples first, then counts the "+" answers with
-    one :func:`ks_plus_count` call, which walks them BLOCK rows at a time,
-    decides each sample from a float32 estimate of x.m and builds the exact
-    float64 point only near the tie.  The counts are exact integers.  It runs
-    on one thread: a pool was slower than one thread on this kernel.
+    Each cell checks its state and builds its measurement's frame vector
+    once, then draws its samples BLOCK at a time (:func:`model._ks_draw_blocks`,
+    :func:`model.ks_draws`' draws bit for bit) and counts each block's "+"
+    answers as it is drawn, with :func:`model.ks_plus_count`'s rule: a sample
+    is decided from a float32 estimate of x.m, and its exact float64 point is
+    built only near the tie.  No array longer than a block is made, so a
+    cell's time does not hang on how the allocator serves multi-megabyte
+    arrays.  The counts are exact integers.  It runs on one thread: a pool
+    was slower than one thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:
         grid = [None]  # both directions pinned: a single cell at their actual angle
@@ -214,8 +218,8 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         meas = Measurement(m)
         # ks_sample's draws: the count of "+" answers is exact, so count / n is the
         # mean of the whole response array
-        z, phi = ks_draws(rng, cfg.trials)
-        empirical = ks_plus_count(z, phi, v, meas) / cfg.trials
+        plus = _plus_count(_ks_draw_blocks(rng, cfg.trials), require_unit(v, "state v"), meas)
+        empirical = plus / cfg.trials
         born = float(born_from_dot(np.sum(v * m)))
         sigma = _binomial_sigma(born, cfg.trials)
         cells.append({

@@ -217,10 +217,6 @@ class Measurement:
         direction.setflags(write=False)
         object.__setattr__(self, "direction", direction)
 
-    def flipped(self) -> "Measurement":
-        """The same measurement with outcome labels exchanged."""
-        return Measurement(-self.direction)
-
 
 def born_from_dot(dot) -> np.ndarray | float:
     """(1 + dot)/2 with the dot clamped to [-1, 1].
@@ -236,8 +232,8 @@ def born_from_dot(dot) -> np.ndarray | float:
 def born_probability(state, meas: Measurement) -> np.ndarray | float:
     """Quantum probability of the "+" outcome: (1 + v.m) / 2.
 
-    Raises ValueError on non-unit input; the flipped measurement's
-    probability complements this one exactly.
+    Raises ValueError on non-unit input; the probability under the opposite
+    direction, ``Measurement(-meas.direction)``, complements this one exactly.
     """
     state = require_unit(state, "state")
     return born_from_dot(dot3(state, meas.direction))

@@ -15,6 +15,9 @@ account of prepare-and-measure statistics; the quadrature checks live in
 
 from __future__ import annotations
 
+import copy
+from collections.abc import Iterator
+
 import numpy as np
 
 from .geometry import (BLOCK, Measurement, dot3, dot_estimate, require_unit, rotate_to_frame,
@@ -59,6 +62,33 @@ def ks_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
     z = np.sqrt(u, out=u)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
     return z, phi
+
+
+def _ks_draw_blocks(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`ks_draws` of ``n`` draws, yielded as :data:`geometry.BLOCK`-draw (z, phi) blocks.
+
+    The blocks, joined, are ``ks_draws(rng, n)`` bit for bit, and once they
+    are all read ``rng`` is left in the state ``ks_draws`` leaves: its bit
+    generator must support ``advance`` (PCG64, which ``default_rng`` makes,
+    does).  Each height and azimuth takes one word of the stream, so the
+    heights are read from ``rng`` block by block, and the azimuths from a
+    copy of its bit generator advanced past the n heights.  No array longer
+    than a block is made.
+    """
+    bits = rng.bit_generator
+    azimuths = copy.deepcopy(bits)
+    azimuths.advance(n)
+    phi_rng = np.random.Generator(azimuths)
+    for lo in range(0, n, BLOCK):
+        size = min(BLOCK, n - lo)
+        u = rng.random(size)
+        np.subtract(1.0, u, out=u)
+        yield np.sqrt(u, out=u), phi_rng.uniform(0.0, 2.0 * np.pi, size=size)
+    # where ks_draws ends: past the azimuths, with the generator's spare 32-bit word kept
+    # (advance drops it, and neither draw reads it)
+    state = bits.state
+    bits.state = azimuths.state | {"has_uint32": state["has_uint32"],
+                                   "uinteger": state["uinteger"]}
 
 
 def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -120,11 +150,20 @@ def ks_plus_count(z, phi, v, meas: Measurement) -> int:
     if z.size and not (z.min() >= -1.0 and z.max() <= 1.0 and phi.min() >= 0.0
                        and phi.max() <= 2.0 * np.pi):
         raise ValueError("heights must lie in [-1, 1] and azimuths in [0, 2 pi]")
-    abc = rotate_to_frame(np.eye(3), v) @ meas.direction
     z, phi = z.reshape(-1), phi.reshape(-1)
+    return _plus_count(((z[lo:lo + BLOCK], phi[lo:lo + BLOCK]) for lo in range(0, z.size, BLOCK)),
+                       v, meas)
+
+
+def _plus_count(blocks, v: np.ndarray, meas: Measurement) -> int:
+    """:func:`ks_plus_count` of the draws in ``blocks``, (z, phi) pairs, unchecked.
+
+    ``v`` is a checked unit vector and the draws lie in the domain; (a, b, c)
+    is built once, and each block is counted as it is read.
+    """
+    abc = rotate_to_frame(np.eye(3), v) @ meas.direction
     plus = 0
-    for lo in range(0, z.size, BLOCK):
-        zb, phib = z[lo:lo + BLOCK], phi[lo:lo + BLOCK]
+    for zb, phib in blocks:
         s = dot_estimate(zb, phib, abc)
         plus += int(np.count_nonzero(s >= TIE_BAND))
         near = np.flatnonzero(np.abs(s) < TIE_BAND)

@@ -19,7 +19,13 @@ one row per round, for at most :data:`geometry.BLOCK` still-active trials
 at a time, and for a coin only where the acceptance probability lies
 strictly between 0 and 1.  The bins come from a float32 estimate of v.x
 that falls back to the float64 point near bin edges (:func:`_height_bins`),
-so each equals the float64 point's bin.  The two-party path works in
+so each equals the float64 point's bin.  A batch holds the sender's
+output (the accepted index and its code length) as the scan leaves it;
+its outcome and Born rows are computed on their first read, so a command
+that reads only the sender's output never runs the receiver.  The outcomes
+come from a float32 estimate of x.m, and from the float64 point only near
+the tie (:func:`_outcomes`, the rule of :func:`model.ks_plus_count`), so
+each equals the float64 point's answer.  The two-party path works in
 Python floats, one round at a time: :func:`alice_send` reads codebook
 entry i (:func:`_entry_point`, the scalar image of :func:`_sphere_point`)
 and its bin's acceptance probability at round i, and takes one coin;
@@ -38,7 +44,8 @@ results are independent of how trials are split across worker threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import threading
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
 
@@ -50,6 +57,7 @@ from .geometry import (BLOCK, Measurement, born_from_dot, dot3, dot_estimate, pa
                        require_unit, sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
+from .model import TIE_BAND
 from .rngstream import _INV53, counter_uniforms, mix, mix_vec, to_unit
 
 _TWO_PI = 2.0 * np.pi
@@ -134,14 +142,37 @@ class TrialReport:
     outcome: int | None
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class TrialBatch:
-    """Per-trial arrays for a batch of simulated trials; the inputs stay with the caller."""
+    """Per-trial arrays for a batch of simulated trials; the inputs stay with the caller.
+
+    The sender's fields, ``accepted_index`` and ``code_bits``, are filled when
+    the batch is made.  The receiver's, ``outcome`` and ``born``, are computed
+    together on the first read of either, by the ``answer`` the batch was made
+    with, and then kept as plain attributes; a caller that reads only the
+    sender's fields never runs the receiver.
+    """
 
     accepted_index: np.ndarray  # (n,) int64
     code_bits: np.ndarray       # (n,) int64
-    outcome: np.ndarray         # (n,) +1 / -1
+    outcome: np.ndarray         # (n,) +1 / -1, int64
     born: np.ndarray            # (n,) quantum "+" probability per trial
+
+    def __init__(self, accepted_index: np.ndarray, code_bits: np.ndarray, answer):
+        self.accepted_index = accepted_index
+        self.code_bits = code_bits
+        self._answer = answer   # () -> (outcome, born)
+        self._lock = threading.Lock()
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not yet set: the receiver's fields before their first read
+        if name not in ("outcome", "born"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        with self._lock:   # one lock per batch, so a batch's parts can answer on other threads
+            if "born" not in self.__dict__:
+                self.outcome, self.born = self._answer()
+                del self._answer   # frees the keys and states the answer read
+        return self.__dict__[name]
 
     @property
     def n(self) -> int:
@@ -373,7 +404,8 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
     runs and kept as its (3,) row, and the report keeps copies of them.
     """
     trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
-    v, m = _trial_inputs(trial, *_given_inputs(state, meas))
+    state, meas = _given_inputs(state, meas)
+    v, m = _trial_input(trial, state, _SUB_STATE), _trial_input(trial, meas, _SUB_MEAS)
     bins = _bin_count(bins)
     codebook = Codebook(seed=mix(trial, _SUB_CODEBOOK))
     stream = (int(bin_index(dot3(codebook.entry(i), v), bins)) for i in count(1))
@@ -390,17 +422,21 @@ def _given_inputs(state, meas) -> tuple:
                  for vec, name in ((state, "state"), (meas, "measurement direction")))
 
 
-def _trial_inputs(trial, state, meas) -> tuple:
-    """:func:`_given_inputs`' rows, with each None drawn per key of ``trial`` from its stream."""
-    return tuple(_sphere_point(mix_vec(trial, sub), 1) if vec is None else vec
-                 for vec, sub in ((state, _SUB_STATE), (meas, _SUB_MEAS)))
+def _trial_input(trial, vec, sub: int) -> np.ndarray:
+    """A :func:`_given_inputs` row as it is; None is drawn per key of ``trial`` from stream sub."""
+    return _sphere_point(mix_vec(trial, sub), 1) if vec is None else vec
 
 
 def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
                state, meas, schedule: GreedySchedule) -> TrialBatch:
-    """Trials start .. stop - 1 of :func:`run_trials`; a fixed input stays one (3,) row."""
+    """The sender's half of trials start .. stop - 1 of :func:`run_trials`.
+
+    The batch keeps the span's trial keys, codebook keys and state rows for
+    :func:`_answers`, which runs on the first read of its outcomes.  A fixed
+    input stays one (3,) row.
+    """
     trial = mix_vec(_trial_root(master_seed), np.arange(start, stop, dtype=np.uint64))
-    v, m = _trial_inputs(trial, state, meas)
+    v = _trial_input(trial, state, _SUB_STATE)
     cb_keys = mix_vec(trial, _SUB_CODEBOOK)
     acc_keys = mix_vec(trial, _SUB_ACCEPT)
 
@@ -416,11 +452,44 @@ def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
         return to_unit(mix_vec(acc_keys[runs], rounds))
 
     accepted, _ = schedule.scan(trial.size, draw, coins)
-    points = _sphere_point(cb_keys, 2 * accepted.astype(np.uint64))
-    outcome = np.where(dot3(points, m) >= 0.0, 1, -1)
-    born = np.full(trial.size, born_from_dot(dot3(v, m)))
-    return TrialBatch(accepted_index=accepted, code_bits=code_lengths(accepted),
-                      outcome=outcome, born=born)
+    return TrialBatch(accepted, code_lengths(accepted),
+                      lambda: _answers(trial, cb_keys, accepted, v, meas))
+
+
+def _answers(trial, cb_keys, accepted, v, meas) -> tuple[np.ndarray, np.ndarray]:
+    """The receiver's half of a span: its outcome and Born rows.
+
+    The measurement is the given (3,) row, or drawn now per trial key.  The
+    outcomes are :func:`_outcomes` of the accepted entries; a fixed pair's
+    Born probability is computed once and filled to the span.
+    """
+    m = _trial_input(trial, meas, _SUB_MEAS)
+    return _outcomes(cb_keys, accepted, m), np.full(trial.size, born_from_dot(dot3(v, m)))
+
+
+def _outcomes(keys: np.ndarray, accepted: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``np.where(dot3(_sphere_point(keys, 2 accepted), m) >= 0, 1, -1)``, mostly from an estimate.
+
+    ``m`` is one (3,) direction or one per trial.  Each :data:`geometry.BLOCK`
+    rows' accepted entries are hashed to their height and azimuth
+    (:func:`_sphere_zphi`), and :func:`geometry.dot_estimate` gives s, within
+    ~1e-6 of x.m: s >= TIE_BAND = 2^-12 is a "+" and s <= -TIE_BAND a "-",
+    the rule of :func:`model.ks_plus_count`.  Only the rows with |s| <
+    TIE_BAND build their float64 point and take the exact formula; it is
+    elementwise, so no outcome moves.
+    """
+    out = np.empty(keys.size, dtype=np.int64)
+    for lo in range(0, keys.size, BLOCK):
+        rows = slice(lo, lo + BLOCK)
+        z, phi = _sphere_zphi(keys[rows], 2 * accepted[rows].astype(np.uint64))
+        mb = m[rows] if m.ndim > 1 else m
+        s = dot_estimate(z, phi, mb)
+        out[rows] = np.where(s >= 0.0, 1, -1)
+        tie = np.flatnonzero(np.abs(s) < TIE_BAND)
+        if tie.size:
+            x = sphere_from_zphi(z[tie], phi[tie])
+            out[lo + tie] = np.where(dot3(x, mb[tie] if mb.ndim > 1 else mb) >= 0.0, 1, -1)
+    return out
 
 
 def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None,
@@ -433,8 +502,10 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     stream.  The trials are split into one contiguous span per worker thread
     (at most one per whole :data:`_TRIALS_PER_THREAD` trials), each scanned at
     once; every row depends only on its trial index, so any worker count gives
-    bit-identical results.  A seed outside [0, 2**64), and trial and worker
-    counts that are not whole numbers >= 0 and >= 1, raise ValueError.
+    bit-identical results.  Only the sender's fields are computed here; the
+    first read of ``outcome`` or ``born`` answers every span on its own
+    thread.  A seed outside [0, 2**64), and trial and worker counts that are
+    not whole numbers >= 0 and >= 1, raise ValueError.
     """
     master_seed = _word(master_seed, "master seed")
     n_trials = whole_number(n_trials, "trial count", 0)
@@ -448,5 +519,10 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
                                               meas, schedule), range(spans), spans)
     if spans == 1:
         return parts[0]
-    return TrialBatch(**{f.name: np.concatenate([getattr(p, f.name) for p in parts])
-                         for f in fields(TrialBatch)})
+
+    def answer():   # each span answers on its own thread, as it scanned
+        rows = parallel_map(lambda p: (p.outcome, p.born), parts, spans)
+        return tuple(np.concatenate(column) for column in zip(*rows))
+
+    return TrialBatch(np.concatenate([p.accepted_index for p in parts]),
+                      np.concatenate([p.code_bits for p in parts]), answer)

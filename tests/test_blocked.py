@@ -13,6 +13,7 @@ from kschannel import cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
 from kschannel import protocol
 from kschannel.greedy import GreedySchedule
+from kschannel.model import _ks_draw_blocks, ks_draws
 from kschannel.protocol import _sphere_point, run_trials
 from kschannel.rngstream import mix, mix_vec, to_unit
 from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
@@ -248,6 +249,23 @@ class TestFixedInputRun:
         assert peak / m < 128
 
 
+class TestSenderRun:
+    @pytest.mark.parametrize("bins", [64, 4096])
+    def test_sender_holds_no_measurements(self, bins):
+        # with random inputs a 16384-trial run peaks at ~144 bytes/trial: the measurements
+        # are drawn only when the outcomes are first read, after the scan; drawn before it,
+        # their (n, 3) float64 rows were held through every round (~168)
+        m = 16384
+        run_trials(3, 1, bins)   # the shared schedule, built untraced
+        tracemalloc.start()
+        try:
+            run_trials(3, m, bins)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m < 150
+
+
 def _whole_array_ks_sample(v, rng, n):
     z = np.sqrt(1.0 - rng.random(n))
     phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -339,12 +357,44 @@ def _verify_rates(state, meas, seed, n):
     return [cell["empirical"] for cell in results["cells"]]
 
 
+class TestKsDrawBlocks:
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 250_000])
+    @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_word"])
+    def test_blocks_are_ks_draws(self, n, spare):
+        # joined, the blocks are ks_draws' heights and azimuths bit for bit, and the
+        # generator ends where ks_draws leaves it, a spare 32-bit word included
+        rng, frozen_rng = np.random.default_rng(n), np.random.default_rng(n)
+        if spare:
+            rng.integers(0, 1 << 32, dtype=np.uint32)
+            frozen_rng.integers(0, 1 << 32, dtype=np.uint32)
+        blocks = list(_ks_draw_blocks(rng, n))
+        z, phi = ks_draws(frozen_rng, n)
+        assert all(zb.size == phib.size <= BLOCK for zb, phib in blocks)
+        assert len(blocks) == -(-n // BLOCK)
+        assert_bit_identical(np.concatenate([np.empty(0)] + [zb for zb, _ in blocks]), z)
+        assert_bit_identical(np.concatenate([np.empty(0)] + [pb for _, pb in blocks]), phi)
+        assert rng.bit_generator.state == frozen_rng.bit_generator.state
+
+
 class TestModelCommandsAtBlockEdges:
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, (1 << 18) + BLOCK + 1])
     def test_verify_pinned(self, n):
         state, meas = (0.6, 0.0, -0.8), (-0.36, 0.48, 0.8)
         want = _whole_array_verify(state, meas, 11, n)
         assert _verify_rates(state, meas, 11, n) == want
+
+    def test_verify_holds_one_block_of_draws(self):
+        # a 250k-sample cell peaks at ~2.6 bytes/sample: one block's draws and estimates;
+        # drawn whole, the cell's heights and azimuths alone took 16
+        n = 250_000
+        _verify_rates((0.6, 0.0, -0.8), (-0.36, 0.48, 0.8), 11, BLOCK)   # imports, untraced
+        tracemalloc.start()
+        try:
+            _verify_rates((0.6, 0.0, -0.8), (-0.36, 0.48, 0.8), 11, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 4
 
     def test_verify_grid_about_a_fixed_state(self):
         state = (0.0, -0.6, 0.8)

@@ -1,4 +1,5 @@
 import itertools
+import json
 import sys
 import threading
 from dataclasses import fields
@@ -11,7 +12,7 @@ from scipy.stats import kstest
 from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
-from kschannel import protocol
+from kschannel import cli, protocol
 from kschannel.geometry import BLOCK, born_from_dot, dot3, dot_estimate
 from kschannel.model import ks_response
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_MEAS, _SUB_STATE,
@@ -959,3 +960,112 @@ class TestSharedSchedule:
             sys.setswitchinterval(switch)
         for field in fields(TrialBatch):
             assert np.array_equal(getattr(serial, field.name), getattr(threaded, field.name))
+
+
+def tie_draws(rng, m, n):
+    """n (height, azimuth) pairs within ~1e-9 of the circle where x.m = 0.
+
+    ``m`` is one (3,) direction or one per pair; each pair lies about its own row.
+    """
+    u1 = np.cross(m, random_unit_vec(rng, n))
+    u1 /= np.linalg.norm(u1, axis=-1, keepdims=True)
+    u2 = np.cross(m, u1)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)[:, None]
+    x = np.cos(theta) * u1 + np.sin(theta) * u2
+    z = np.clip(x[:, 2] + rng.uniform(-1e-9, 1e-9, n), -1.0, 1.0)
+    phi = np.mod(np.arctan2(x[:, 1], x[:, 0]) + rng.uniform(-1e-9, 1e-9, n), 2.0 * np.pi)
+    return z, phi
+
+
+class TestAnswersOnRead:
+    """The receiver's fields: computed on their first read, from the float32 estimate."""
+
+    @pytest.mark.parametrize("per_trial", [False, True], ids=["one", "per_trial"])
+    def test_tie_draws_take_the_exact_answer(self, monkeypatch, per_trial):
+        # the stub codebook's entry for key k is tie draw k, so every accepted point lies
+        # within ~1e-9 of perpendicular to its measurement, where the estimate's sign is
+        # a coin flip; the answers must still be the float64 points', row for row
+        rng = np.random.default_rng(31)
+        n = 2 * BLOCK + 5
+        m = random_unit_vec(rng, n) if per_trial else unit_vector(0.36, -0.48, 0.8)
+        z, phi = tie_draws(rng, m, n)
+        monkeypatch.setattr(protocol, "_sphere_zphi", lambda keys, ctr: (z[keys], phi[keys]))
+        keys, accepted = np.arange(n, dtype=np.uint64), np.ones(n, dtype=np.int64)
+        want = np.where(dot3(sphere_from_zphi(z, phi), m) >= 0.0, 1, -1)
+        guess = np.where(dot_estimate(z, phi, m) >= 0.0, 1, -1)
+        assert np.count_nonzero(guess != want) > 100   # the estimate alone would be wrong
+        got = protocol._outcomes(keys, accepted, m)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        for lo in range(0, 4096, 32):
+            rows = slice(lo, lo + 32)
+            got = protocol._outcomes(keys[rows], accepted[rows], m[rows] if per_trial else m)
+            assert np.array_equal(got, want[rows]), lo
+
+    def test_cost_never_answers(self, monkeypatch, tmp_path):
+        def results(argv):
+            path = tmp_path / "report.json"
+            assert cli.main([*argv, "--out", str(path)]) == cli.EXIT_OK
+            return json.loads(path.read_text())["results"]
+
+        argv = ["cost", "--trials", "70000", "--bins", "64", "--seed", "5", "--workers", "2"]
+        want = results(argv)
+
+        def no_answers(*args):
+            raise AssertionError("cost ran the receiver")
+
+        monkeypatch.setattr(protocol, "_answers", no_answers)
+        assert results(argv) == want
+
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
+    def test_each_span_answers_once_on_the_first_read(self, monkeypatch, fixed):
+        kw = ({"state": unit_vector(0.0, 0.6, 0.8), "meas": unit_vector(1.0, 0.0, 0.0)}
+              if fixed else {})
+        calls, answers = [], protocol._answers
+
+        def counted(trial, *args):
+            calls.append(trial.size)
+            return answers(trial, *args)
+
+        monkeypatch.setattr(protocol, "_answers", counted)
+        batch = run_trials(7, 70_001, 64, workers=3, **kw)
+        assert calls == []
+        outcome = batch.outcome
+        assert sorted(calls) == [35_000, 35_001]
+        assert batch.born.shape == outcome.shape == (70_001,) and batch.outcome is outcome
+        assert len(calls) == 2
+        with pytest.raises(AttributeError, match="no attribute 'points'"):
+            batch.points
+
+    def test_threads_reading_one_batch_answer_it_once(self, monkeypatch):
+        # four threads (more than the cores) read one 3-span batch at once, with fast
+        # switching: each span answers once, and every thread sees the same arrays
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 3000)
+        calls, answers = [], protocol._answers
+
+        def counted(trial, *args):
+            calls.append(trial.size)
+            return answers(trial, *args)
+
+        monkeypatch.setattr(protocol, "_answers", counted)
+        batch = run_trials(11, 9000, 64, workers=3)
+        seen = [None] * 4
+
+        def read(k):
+            seen[k] = (batch.born, batch.outcome) if k % 2 else (batch.outcome, batch.born)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,)) for k in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(th.is_alive() for th in threads)
+        assert calls == [3000] * 3
+        outcome, born = batch.outcome, batch.born
+        for k, pair in enumerate(seen):   # the batch's one pair of arrays, not copies
+            want = (born, outcome) if k % 2 else (outcome, born)
+            assert all(a is b for a, b in zip(pair, want, strict=True))
