@@ -60,25 +60,27 @@ _SCAN_STUB = "tests/test_greedy.py::TestScanDecision::test_scan_reads_the_law_on
 _EVERY_DRAW = "tests/test_greedy.py::TestScanDecision::test_every_draw_is_decided_as_accept_prob"
 _EDGE_BINS = "tests/test_protocol.py::TestHeightBins::test_equals_the_exact_bins_around_every_edge"
 _TIE_OUTCOMES = "tests/test_protocol.py::TestAnswersOnRead::test_tie_draws_take_the_exact_answer"
+_CUT_EDGES = "tests/test_protocol.py::TestCutEdges::test_draws_at_the_cuts_take_the_exact_bin"
 
 MUTANTS = [
     Mutant("hit_before_k_minus_1", "src/kschannel/greedy.py",
-           "hit = column < k\n", "hit = column < k - 1\n", (_GRID, _EVERY_DRAW)),
+           "hit = rounds < k\n", "hit = rounds < k - 1\n", (_GRID, _EVERY_DRAW)),
     Mutant("hit_at_k", "src/kschannel/greedy.py",
-           "hit = column < k\n", "hit = column <= k\n", (_GRID, _EVERY_DRAW)),
+           "hit = rounds < k\n", "hit = rounds <= k\n", (_GRID, _EVERY_DRAW)),
     Mutant("coin_at_p", "src/kschannel/greedy.py",
-           "coins(active[col], rounds[row]) < p", "coins(active[col], rounds[row]) <= p",
+           "coins(active[col[tossed]], rounds[row[tossed]]) < p",
+           "coins(active[col[tossed]], rounds[row[tossed]]) <= p",
            (_SCAN_STUB, _EVERY_DRAW)),
     Mutant("floor_override_one_row_late", "src/kschannel/greedy.py",
-           "past = max(0, self.floor_round - int(rounds[0]))",
-           "past = max(0, self.floor_round - int(rounds[0])) + 1", (_GRID, _EVERY_DRAW)),
+           "past = np.flatnonzero(rounds >= self.floor_round)",
+           "past = np.flatnonzero(rounds > self.floor_round)", (_GRID, _EVERY_DRAW)),
     Mutant("zero_fraction_tossed", "src/kschannel/greedy.py",
            "        if not p.all():", "        if False:", (_GRID, _EVERY_DRAW)),
     Mutant("floor_override_dropped", "src/kschannel/greedy.py",
            "        if self.floor_round <= last:", "        if False:", (_GRID, _EVERY_DRAW)),
     Mutant("draws_not_sliced_to_a_block", "src/kschannel/greedy.py",
-           "parts = [draw(active[lo:lo + BLOCK], rounds) for lo in range(0, active.size, BLOCK)]",
-           "parts = [draw(active, rounds)]",
+           "for start in range(0, active.size, BLOCK):",
+           "for start in range(0, active.size, active.size):",
            (_SCAN_STUB, "tests/test_greedy.py::TestSchedule::test_no_draw_call_draws_more_than_a_block")),
     Mutant("require_unit_without_abs", "src/kschannel/geometry.py",
            "if abs(0.0 + x * x + y * y + z * z - 1.0) <= UNIT_ATOL:",
@@ -102,13 +104,13 @@ MUTANTS = [
            "born_from_dot(dot3(v, m))", "born_from_dot(dot3(v, v))",
            ("tests/test_protocol.py::TestTrials::test_fixed_state_and_meas_are_broadcast",)),
     Mutant("coin_draws_decided_as_hits", "src/kschannel/greedy.py",
-           "hit.flat[tossed] = coins(active[col], rounds[row]) < p",
-           "hit.flat[tossed] = p > 0.0", (_SCAN_STUB, _EVERY_DRAW)),
+           "decided[tossed] = coins(active[col[tossed]], rounds[row[tossed]]) < p",
+           "decided[tossed] = p > 0.0", (_SCAN_STUB, _EVERY_DRAW)),
     Mutant("coins_for_every_draw", "src/kschannel/greedy.py",
-           "if tossed.size:\n                row, col = np.divmod(tossed, active.size)\n"
-           "                hit.flat[tossed] = coins(active[col], rounds[row]) < p\n",
-           "if True:\n                row, col = np.divmod(np.arange(hit.size), active.size)\n"
-           "                hit.flat[tossed] = coins(active[col], rounds[row])[tossed] < p\n",
+           "if tossed.size:\n                    decided[tossed] = "
+           "coins(active[col[tossed]], rounds[row[tossed]]) < p\n",
+           "if True:\n                    decided[tossed] = "
+           "coins(active[col], rounds[row])[tossed] < p\n",
            (_SCAN_STUB,)),
     Mutant("elias_length_one_short", "src/kschannel/coding.py",
            "return (n + 2 * ell + 1).astype(np.int64)", "return (n + 2 * ell).astype(np.int64)",
@@ -121,9 +123,23 @@ MUTANTS = [
            ("tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count",
             _TIE_OUTCOMES)),
     Mutant("edge_band_zero", "src/kschannel/protocol.py",
-           "_EDGE_BAND = 2.0 ** -17\n", "_EDGE_BAND = 0.0\n", (_EDGE_BINS,)),
-    Mutant("height_bins_without_fallback", "src/kschannel/protocol.py",
-           "    if near.size:\n", "    if False:\n", (_EDGE_BINS,)),
+           "_EDGE_BAND = 2.0 ** -17\n", "_EDGE_BAND = 0.0\n", (_EDGE_BINS, _CUT_EDGES)),
+    Mutant("exact_bins_from_the_estimate", "src/kschannel/protocol.py",
+           "bin_index(dot3(sphere_from_zphi(z.ravel()[cells], phi.ravel()[cells]),\n" + " " * 43
+           + "v[cells % z.shape[-1]] if v.ndim > 1 else v), bins)",
+           "np.clip(t.ravel()[cells].astype(np.int64), 0, bins - 1)",
+           (_EDGE_BINS, _CUT_EDGES)),
+    Mutant("cut_hi_one_symbol_low", "src/kschannel/greedy.py",
+           'hi = np.searchsorted(self.saturation, rounds, side="right")\n',
+           'hi = np.searchsorted(self.saturation, rounds, side="right") - 1\n',
+           (_GRID, _CUT_EDGES)),
+    Mutant("scan_band_zero", "src/kschannel/protocol.py",
+           "schedule.scan(trial.size, draw, coins, _EDGE_BAND * bins / 2)",
+           "schedule.scan(trial.size, draw, coins, 0.0)", (_CUT_EDGES,)),
+    Mutant("toss_zone_decided_as_misses", "src/kschannel/greedy.py",
+           "(part >= (lo - band)", "(part >= (hi - band)", (_SCAN_STUB, _EVERY_DRAW, _CUT_EDGES)),
+    Mutant("floor_rows_keep_their_last_cuts", "src/kschannel/greedy.py",
+           "        lo[past] = hi[past] = self._first\n", "", (_GRID, _CUT_EDGES)),
     Mutant("outcome_tie_band_zero", "src/kschannel/protocol.py",
            "np.flatnonzero(np.abs(s) < TIE_BAND)", "np.flatnonzero(np.abs(s) < 0.0)",
            (_TIE_OUTCOMES,)),

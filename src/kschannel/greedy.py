@@ -13,19 +13,12 @@ is exactly 1 - S_{i-1}, so the unconditional law of the accepted symbol is
 sum_i delta_i = t: the receiver, who only learns the accepted round index,
 ends up holding a sample distributed exactly by the target.
 
-The mass schedule s_i depends on the two laws only, never on the draws, so
-it is built once and shared by every run (:class:`GreedySchedule`);
-:meth:`GreedySchedule.decide` states the acceptance law it gives.
-The schedule is built lazily, through the last round each reader asks
-about, and may be shared between threads: extension holds a lock, and
-readers only look at rounds that are already built.
-:meth:`GreedySchedule.scan` runs many loops at once on symbols its caller
-draws (:func:`greedy_sample_batch`, the protocol's batched trials) as
-(rounds, runs) arrays, so each step works along a whole row of runs, and
-asks for a coin only where 0 < p < 1, the one case a coin decides; the
-protocol's sender reads the law one round at a time
-(:meth:`GreedySchedule.accept_prob_at`), and :func:`greedy_one_shot` keeps
-the per-round loop as the independent scalar reference.
+The mass schedule s_i depends on the two laws only, so it is built once,
+lazily, and shared by every run and thread (:class:`GreedySchedule`), which
+states its law draw by draw and as two cut symbols a round.  Its ``scan``
+runs many loops at once on (rounds, runs) arrays of draw positions; the
+protocol's sender reads the law one round at a time, and
+:func:`greedy_one_shot` keeps the per-round loop as the scalar reference.
 """
 
 from __future__ import annotations
@@ -104,12 +97,17 @@ class GreedySchedule:
     ``_REMAINDER_FLOOR``.  :meth:`decide` states the acceptance law these
     fields give.
 
+    The law is *ordered* (:meth:`extend` checks it) when the positive-mass
+    symbols are a suffix and each round saturates the lowest unsaturated
+    ones, so ``saturation`` does not decrease.  The bin laws are: every
+    unsaturated bin has claimed the same mass, so they saturate in t order.
+
     One schedule may serve several threads.  :meth:`extend` holds a lock
     and publishes ``rounds`` only after every value of those rounds is
-    written; :meth:`decide` and :meth:`accept_prob_at` extend it through
-    the rounds they read (all are built once ``floor_round`` is known) and
-    then read without the lock: a saturation round seen beyond them only
-    tells that the symbol is still accepted in full.
+    written; :meth:`cuts`, :meth:`decide` and :meth:`accept_prob_at` extend
+    it through the rounds they read (all are built once ``floor_round`` is
+    known) and then read without the lock: a saturation round seen beyond
+    them only tells that the symbol is still accepted in full.
     """
 
     def __init__(self, target: DiscreteDistribution, proposal: DiscreteDistribution):
@@ -129,6 +127,8 @@ class GreedySchedule:
         self._live_t = t[self._live]
         self._live_p = p[self._live]
         self._live_s = np.zeros(self._live.size)
+        self._first = t.size - self._live.size   # the first positive-mass symbol
+        self._ordered = bool(self._live[0] == self._first)
         self._lock = threading.Lock()
 
     def extend(self, rounds: int) -> None:
@@ -151,6 +151,7 @@ class GreedySchedule:
                 s[live] = s_live
                 cut = (delta < step).nonzero()[0]
                 if cut.size:
+                    self._ordered &= bool(cut[-1] == cut.size - 1)   # the lowest live ones
                     self.saturation[live[cut]] = i
                     self.fraction[live[cut]] = delta[cut] / step[cut]
                     keep = np.ones(live.size, dtype=bool)
@@ -160,34 +161,45 @@ class GreedySchedule:
             self.rounds, self.total = i, total
             self._live, self._live_t, self._live_p, self._live_s = live, t, p, s_live
 
+    def cuts(self, rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per round r = ``rounds[j]``: below lo[j] every symbol has p = 0, from hi[j] on p = 1.
+
+        Builds through the last round first.  On an ordered law hi is the first
+        symbol with k > r and lo the first positive-mass one with k >= r, and
+        from ``floor_round`` on both are the first positive-mass symbol; on any
+        other law lo = 0 and hi = n.
+        """
+        self.extend(int(rounds.max()))
+        if not self._ordered:
+            return np.zeros(rounds.size, dtype=np.int64), np.full(rounds.size, self.target.size)
+        lo = np.maximum(np.searchsorted(self.saturation, rounds, side="left"), self._first)
+        hi = np.searchsorted(self.saturation, rounds, side="right")
+        past = rounds >= self.floor_round
+        lo[past] = hi[past] = self._first
+        return lo, hi
+
     def decide(self, symbols: np.ndarray,
                rounds: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decide a block of draws: row j of ``symbols`` holds the draws at round ``rounds[j]``.
+        """Decide draws one by one: ``symbols[j]`` drawn at round ``rounds[j]`` (1-D ints).
 
-        ``rounds`` are consecutive and 1-based; the schedule is built through
-        the last of them first.  The acceptance law: symbol a drawn at round r
-        is accepted with probability p = 1 before its saturation round k_a,
-        p = f_a at r = k_a and p = 0 after it; from ``floor_round`` on, p = 1
-        for every symbol with t(a) > 0 and p = 0 for the others.  As f < 1
-        (see the class), only a draw at r = k with f > 0 has 0 < p < 1; no
-        draw at or past the floor round has r = k, because the build stops
-        short of it.  Returns ``hit``, a bool array shaped as ``symbols`` that
-        marks the draws with p = 1, and ``tossed`` and ``p``: the row-major
-        flat indices of the draws with 0 < p < 1 and their p, for coins in
-        [0, 1) that hit below p.
+        Builds through the last round first.  The law: symbol a drawn at round
+        r has p = 1 before its saturation round k_a, f_a at r = k_a and 0 after
+        it; from ``floor_round`` on (where no k lies), p = 1 where t(a) > 0 and
+        0 elsewhere.  Returns ``hit``, marking the draws with p = 1, and
+        ``tossed`` and ``p``: the ascending indices of the draws with 0 < p < 1
+        (f > 0 at r = k, as f < 1) and their p, for coins that hit below p.
         """
-        last = int(rounds[-1])
+        last = int(rounds.max(initial=0))
         self.extend(last)
         k = self.saturation[symbols]
-        column = rounds[:, None]
-        hit = column < k
-        tossed = np.flatnonzero(column == k)   # row-major, as nonzero lists them
-        p = self.fraction[symbols.flat[tossed]]
+        hit = rounds < k
+        tossed = np.flatnonzero(rounds == k)
+        p = self.fraction[symbols[tossed]]
         if not p.all():   # f = 0: the claim closed the gap exactly
             tossed, p = tossed[p > 0.0], p[p > 0.0]
         if self.floor_round <= last:
-            past = max(0, self.floor_round - int(rounds[0]))
-            hit[past:] = self.target[symbols[past:]] > 0.0
+            past = np.flatnonzero(rounds >= self.floor_round)
+            hit[past] = self.target[symbols[past]] > 0.0
         return hit, tossed, p
 
     def accept_prob_at(self, symbol: int, i: int) -> float:
@@ -203,24 +215,24 @@ class GreedySchedule:
         k = self.saturation.item(symbol)
         return 1.0 if i < k else self.fraction.item(symbol) if i == k else 0.0
 
-    def scan(self, runs: int, draw, coins) -> tuple[np.ndarray, np.ndarray]:
-        """Accepted round index and symbol of each of ``runs`` independent runs.
+    def scan(self, runs: int, draw, coins, band: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Accepted round index, and position drawn there, of each of ``runs`` independent runs.
 
-        ``draw(active, rounds)`` returns the symbols of the active runs at the
-        next width rounds as a (width, active) array, one row per round, so
-        every step runs along whole rows.  :meth:`decide` decides each block,
-        and the scan reads the law through it alone; the draws it leaves to a
-        coin go to ``coins(runs, rounds)``, as 1-D arrays of run numbers and
-        rounds in row-major order (round by round, runs ascending), for coins
-        in [0, 1) that hit below p.  A run ends at its first hit.  The width
-        is a :data:`geometry.BLOCK` draw budget, capped at the rounds done;
-        past BLOCK active runs (width 1) ``draw`` gets BLOCK-run slices of
-        ``active``, whose rows are joined.  A run still waiting after
-        :data:`DEFAULT_ROUND_CAP` rounds raises :class:`ProtocolFailure`.
+        ``draw(active, rounds)`` returns ``(t, exact)`` for the active runs at
+        the next width rounds: t (width, active), one row per round, holds the
+        draws' positions and ``exact(cells)`` the symbols at row-major flat
+        indices of t; t >= c + ``band`` only where the symbol is >= c, and
+        t < c - band only where it is < c, for every whole c.  Against its
+        round's :meth:`cuts`, t >= hi + band hits and t < lo - band misses; the
+        rest go to ``exact`` and :meth:`decide`, and its coin draws to
+        ``coins(runs, rounds)`` in row-major order, for coins in [0, 1) that
+        hit below p.  A run ends at its first hit, or raises ProtocolFailure
+        past :data:`DEFAULT_ROUND_CAP` rounds.  The width is a BLOCK draw budget
+        capped at the rounds done; past BLOCK runs (width 1) it draws slices.
         """
         cap = DEFAULT_ROUND_CAP
         index = np.zeros(runs, dtype=np.int64)
-        symbol = np.zeros(runs, dtype=np.int64)
+        value = index   # takes the positions' dtype at the first block
         active = np.arange(runs)
         done = 0
         while active.size:
@@ -228,19 +240,36 @@ class GreedySchedule:
                 raise ProtocolFailure(f"no acceptance within {cap} rounds")
             width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
             rounds = np.arange(done + 1, done + width + 1)
-            parts = [draw(active[lo:lo + BLOCK], rounds) for lo in range(0, active.size, BLOCK)]
-            symbols = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             done += width
-            hit, tossed, p = self.decide(symbols, rounds)
-            if tossed.size:
-                row, col = np.divmod(tossed, active.size)
-                hit.flat[tossed] = coins(active[col], rounds[row]) < p
-            first = np.where(hit, np.arange(width)[:, None], width).min(axis=0)
-            won = (first < width).nonzero()[0]
-            index[active[won]] = rounds[first[won]]
-            symbol[active[won]] = symbols[first[won], won]
-            active = active[first == width]
-        return index, symbol
+            lo, hi = self.cuts(rounds)
+            parts = []
+            for start in range(0, active.size, BLOCK):
+                part, exact = draw(active[start:start + BLOCK], rounds)
+                above = part >= (hi + band).astype(part.dtype)[:, None]
+                cells = np.flatnonzero((part >= (lo - band).astype(part.dtype)[:, None]) ^ above)
+                # two or more slices only at width 1, where a slice's flat cell is its column
+                parts.append((part, above, cells + start, exact(cells)))
+                del exact   # frees the draw's own arrays before the next slice's
+            t, hit, near, symbols = (column[0] if len(parts) == 1 else
+                                     np.concatenate(column, axis=-1) for column in zip(*parts))
+            if near.size:
+                row, col = np.divmod(near, active.size)
+                decided, tossed, p = self.decide(symbols, rounds[row])
+                if tossed.size:
+                    decided[tossed] = coins(active[col[tossed]], rounds[row[tossed]]) < p
+                hit.flat[near] = decided
+            if width == 1:   # the first rounds, over the most runs: no reduction to make
+                won, rows_won, lost = hit[0].nonzero()[0], 0, ~hit[0]
+            else:
+                first = np.where(hit, np.arange(width)[:, None], width).min(axis=0)
+                won = (first < width).nonzero()[0]
+                rows_won, lost = first[won], first == width
+            value = np.zeros(runs, dtype=t.dtype) if value is index else value
+            runs_won = active[won]
+            index[runs_won] = rounds[rows_won]
+            value[runs_won] = t[rows_won, won]
+            active = active.compress(lost)   # 3x a boolean index's speed here
+        return index, value
 
 
 def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution,
@@ -307,7 +336,8 @@ def greedy_sample_batch(target: DiscreteDistribution, proposal: DiscreteDistribu
 
     def draw(active, rounds):
         u = rng.random((rounds.size, active.size))
-        return np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        symbols = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        return symbols, symbols.ravel().take   # a symbol is its own exact position
 
     schedule = GreedySchedule(target, proposal)
     return schedule.scan(n_runs, draw, lambda runs, _: rng.random(runs.size))

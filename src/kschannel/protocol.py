@@ -13,16 +13,15 @@ the 1-D binning of the height z = v.x, of order 1/bins.
 The bin laws do not depend on the state, so one :class:`GreedySchedule`
 per bin count (:func:`_ks_schedule`) serves every trial and worker thread;
 each read extends it, under its lock, through the last round read.
-:func:`run_trials` hands each worker's span of trials to
-:meth:`GreedySchedule.scan`, which asks for the bins of blocks of rounds,
-one row per round, for at most :data:`geometry.BLOCK` still-active trials
-at a time, and for a coin only where the acceptance probability lies
-strictly between 0 and 1.  The bins come from a float32 estimate of v.x
-that falls back to the float64 point near bin edges (:func:`_height_bins`),
-so each equals the float64 point's bin.  A batch holds the sender's
-output (the accepted index and its code length) as the scan leaves it;
-its outcome and Born rows are computed on their first read, so a command
-that reads only the sender's output never runs the receiver.  The outcomes
+:func:`run_trials` hands each worker's span to :meth:`GreedySchedule.scan`
+in blocks of rounds, one row per round, of at most :data:`geometry.BLOCK`
+draws.  A draw is its float32 position (v.x + 1) bins/2 (:func:`_positions`);
+the scan settles it against its round's two cut bins where it lies past
+them by more than the estimate's error, and bins only the rest (~4%) from
+the float64 point, so each decision is the float64 bin's.  A batch holds
+the sender's output (the accepted index and its code length) as the scan
+leaves it; its outcome and Born rows are computed on their first read, so a
+command that reads only the sender's output never runs the receiver.  The outcomes
 come from a float32 estimate of x.m, and from the float64 point only near
 the tie (:func:`_outcomes`, the rule of :func:`model.ks_plus_count`), so
 each equals the float64 point's answer.  The two-party path works in
@@ -75,15 +74,8 @@ _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 _TRIALS_PER_THREAD = 1 << 15
 #: largest bin count accepted; the protocol keeps several float arrays of this length
 _MAX_BINS = 1 << 20
-#: half-width, in heights v.x, of the band about each bin edge in which
-#: :func:`_height_bins` does not trust its float32 estimate of v.x
+#: half-width, in heights v.x, of the band about each cut where the estimate is not trusted
 _EDGE_BAND = 2.0 ** -17
-#: most bins :func:`_height_bins` estimates.  The band holds a draw's estimate with
-#: probability about _EDGE_BAND * bins: a quarter of the draws at 2**15 bins, half at
-#: 2**16, all from 2**17.  Timed on run_trials (16384 trials, 2-vCPU Xeon), the estimate
-#: was 6-19% faster than the float64 point at 2**15 bins, 3-11% slower at 2**16 and
-#: 22-35% slower at 2**17 and 2**20
-_ESTIMATE_BINS = 1 << 15
 
 
 def _word(value, what: str) -> int:
@@ -341,41 +333,21 @@ def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray) -> tuple[np.ndarray, np.ndar
     return z, phi
 
 
-def _height_bins(z: np.ndarray, phi: np.ndarray, v, bins: int) -> np.ndarray:
-    """``bin_index(dot3(sphere_from_zphi(z, phi), v), bins)``, mostly from a float32 estimate.
+def _positions(z: np.ndarray, phi: np.ndarray, v, bins: int):
+    """The scan's positions of draws (z, phi) about v, and the callback that bins them exactly.
 
-    Inputs as in :func:`geometry.dot_estimate`, with one (3,) state ``v`` or one
-    per entry of the last axis of ``z``, an (n, 3) array.  With s its estimate
-    of v.x, t = (s + 1) bins/2 is taken in float32, which adds at most ~2e-7
-    bins/2 to the error of s.  A draw whose t lies at least :data:`_EDGE_BAND`
-    bins/2 from every whole number, i.e. whose estimate lies at least tau =
-    2^-17 (over six times the bound on that error) from every bin edge, is in
-    bin floor(t), clamped to [0, bins - 1].  One ``np.modf`` gives floor(t)
-    (for t >= 0) and the fraction, and one test, |frac - 1/2| > 1/2 - band,
-    finds the draws in the band (every t < 0 among them): 1/2 - band is exact
-    in float32 and so is frac - 1/2 for frac >= 1/4; below 1/4 its rounding
-    can trust a fraction at most 2^-26 inside the band, 2^-25/bins in heights,
-    which leaves the band far wider than the error.  The others are binned by
-    the exact formula on those rows alone; it is elementwise, so no bin moves.
-    Past :data:`_ESTIMATE_BINS` bins the band holds half the draws or more,
-    and every draw takes the exact formula.
+    ``v`` is one (3,) state or one per column of the (width, active) ``z``.  t =
+    (s + 1) bins/2 in float32, s the :func:`geometry.dot_estimate` of v.x, lies
+    within ~1.2e-6 bins/2 (s errs by ~1e-6, the float32 steps add 2e-7) of the
+    float64 (v.x + 1) bins/2, whose floor is the bin ``exact(cells)`` gives for
+    row-major flat cells; the scan's band :data:`_EDGE_BAND` bins/2 is over six
+    times that (c +- band moves <= 2^-23 bins/2 in float32).
     """
-    if bins > _ESTIMATE_BINS:
-        return bin_index(dot3(sphere_from_zphi(z, phi), v), bins)
     t = dot_estimate(z, phi, v)
     t += 1.0
     t *= bins / 2
-    frac, whole = np.modf(t, out=(t, None))
-    idx = whole.astype(np.int64)
-    np.minimum(np.maximum(idx, 0, out=idx), bins - 1, out=idx)
-    frac -= 0.5
-    near = np.flatnonzero(np.abs(frac, out=frac) > np.float32(0.5 - _EDGE_BAND * bins / 2))
-    if near.size:
-        cells = np.unravel_index(near, z.shape)
-        if v.ndim > 1:
-            v = np.take(v, cells[-1], axis=0)
-        idx[cells] = bin_index(dot3(sphere_from_zphi(z[cells], phi[cells]), v), bins)
-    return idx
+    return t, lambda cells: bin_index(dot3(sphere_from_zphi(z.ravel()[cells], phi.ravel()[cells]),
+                                           v[cells % z.shape[-1]] if v.ndim > 1 else v), bins)
 
 
 def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
@@ -441,17 +413,15 @@ def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
     acc_keys = mix_vec(trial, _SUB_ACCEPT)
 
     def draw(active, rounds):
-        # (width, active) bins: the per-trial keys and states broadcast along the rows.  They
-        # come from a float32 estimate of v.x, and from the float64 point only near a bin edge
-        # (see _height_bins); a fixed state is passed whole, as one (3,) vector
+        # per-trial keys and states broadcast along the rows; a fixed state is one (3,) vector
         ctr = 2 * rounds.astype(np.uint64)[:, None]
-        return _height_bins(*_sphere_zphi(cb_keys[active], ctr),
-                            np.take(v, active, axis=0) if state is None else v, bins)
+        return _positions(*_sphere_zphi(cb_keys[active], ctr),
+                          np.take(v, active, axis=0) if state is None else v, bins)
 
     def coins(runs, rounds):
         return to_unit(mix_vec(acc_keys[runs], rounds))
 
-    accepted, _ = schedule.scan(trial.size, draw, coins)
+    accepted, _ = schedule.scan(trial.size, draw, coins, _EDGE_BAND * bins / 2)
     return TrialBatch(accepted, code_lengths(accepted),
                       lambda: _answers(trial, cb_keys, accepted, v, meas))
 

@@ -195,29 +195,30 @@ class TestCodebookBinsAtBlockEdges:
     @pytest.mark.parametrize("per_run", [False, True], ids=["fixed", "random"])
     def test_holds_one_block_of_temporaries(self, monkeypatch, bins, per_run):
         # the first round of a 2**18-trial span, traced from its first codebook hash (the
-        # scan's counters are a (rounds, 1) column; the states' are one word) to the first
-        # build of the schedule (decide's, through the rounds just drawn): the
-        # BLOCK-trial slices' int64 bins and their join (8 + 8 bytes/point) + 8 of slack;
-        # binned whole, the words, hash, heights, azimuths and estimate need 48-80 bytes/point
+        # scan's counters are a (rounds, 1) column; the states' are one word) to its first
+        # decide, on the draws of the round that the cuts leave: the BLOCK-trial slices'
+        # float32 positions and bool hits and their joins (5 + 5 bytes/point) and the cells
+        # left to decide (~1/8 of the round at 24 bytes each) peak at ~14 bytes/point;
+        # drawn whole, the words, hash, heights, azimuths and estimate need 48-80
         m = 1 << 18
-        sphere_zphi, height_bins, slices = protocol._sphere_zphi, protocol._height_bins, []
+        sphere_zphi, positions, slices = protocol._sphere_zphi, protocol._positions, []
 
         def traced_zphi(keys, ctr):
             if ctr.ndim == 2 and not tracemalloc.is_tracing():
                 tracemalloc.start()
             return sphere_zphi(keys, ctr)
 
-        def recorded_bins(z, phi, v, k):
-            got = height_bins(z, phi, v, k)
-            slices.append(got.shape)
-            return got
+        def recorded_positions(z, phi, v, k):
+            t, exact = positions(z, phi, v, k)
+            slices.append(t.shape)
+            return t, exact
 
-        def first_round_drawn(schedule, rounds):
-            raise _FirstRoundDrawn(tracemalloc.get_traced_memory()[1], rounds)
+        def first_round_decided(schedule, symbols, rounds):
+            raise _FirstRoundDrawn(tracemalloc.get_traced_memory()[1], int(rounds.max()))
 
         monkeypatch.setattr(protocol, "_sphere_zphi", traced_zphi)
-        monkeypatch.setattr(protocol, "_height_bins", recorded_bins)
-        monkeypatch.setattr(GreedySchedule, "extend", first_round_drawn)
+        monkeypatch.setattr(protocol, "_positions", recorded_positions)
+        monkeypatch.setattr(GreedySchedule, "decide", first_round_decided)
         try:
             with pytest.raises(_FirstRoundDrawn) as drawn:
                 run_trials(4, m, bins, state=None if per_run else [0.0, 0.6, 0.8])

@@ -223,12 +223,23 @@ def law_table(target, proposal, last):
 
 
 def assert_decided_as(schedule, symbols, rounds, want):
-    """``schedule.decide`` on a block marks the draws whose p in ``want`` is 1 and tosses
-    exactly those with 0 < p < 1, in row-major order, at that p."""
-    hit, tossed, p = schedule.decide(symbols, rounds)
-    assert hit.dtype == bool and np.array_equal(hit, want == 1.0)
+    """On a block of draws, one row per round: ``schedule.decide``, draw by draw in
+    row-major order, marks the draws whose p in ``want`` is 1 and tosses exactly those
+    with 0 < p < 1 at that p, and ``schedule.cuts`` puts no draw with p < 1 at or above
+    hi, and none with p > 0 below lo."""
+    hit, tossed, p = schedule.decide(symbols.ravel(), np.repeat(rounds, symbols.shape[1]))
+    assert hit.dtype == bool and np.array_equal(hit, want.ravel() == 1.0)
     assert np.array_equal(tossed, np.flatnonzero((want > 0.0) & (want < 1.0)))
     assert np.array_equal(p, want.flat[tossed])
+    lo, hi = schedule.cuts(rounds)
+    assert lo.shape == hi.shape == rounds.shape and np.all(lo <= hi)
+    assert np.all(want[symbols >= hi[:, None]] == 1.0)
+    assert np.all(want[symbols < lo[:, None]] == 0.0)
+
+
+def positions(symbols):
+    """A draw's return for the scan: the symbols are their own positions and exact values."""
+    return symbols, symbols.ravel().take
 
 
 def _bin_laws(bins):
@@ -241,12 +252,18 @@ def _bin_laws(bins):
 EARLY_FLOOR = (DiscreteDistribution(np.array([0, 5, 9, 2]) / 16),
                DiscreteDistribution(np.array([1, 4, 7, 4]) / 16))
 
+#: a pair whose order breaks at round 2: symbol 1 saturates at round 1 and symbol 3 at
+#: round 2 (f = 0.4 and 0.9), while symbol 2 never does; the floor round is 118
+LATE_BREAK = (DiscreteDistribution(np.array([0.0, 0.1, 0.56, 0.34])),
+              DiscreteDistribution(np.full(4, 0.25)))
+
 _LAWS = {"bins2": _bin_laws(2), "bins4": _bin_laws(4), "bins64": _bin_laws(64),
-         "bins4096": _bin_laws(4096), "early_floor": EARLY_FLOOR}
+         "bins4096": _bin_laws(4096), "early_floor": EARLY_FLOOR, "late_break": LATE_BREAK}
 
 #: the last round of each law's (symbol, round) grid: floor_round + 2, or round 3000 at
 #: 4096 bins, whose floor round is 87 333
-_GRID_LAST = {"bins2": 53, "bins4": 122, "bins64": 1879, "early_floor": 59, "bins4096": 3000}
+_GRID_LAST = {"bins2": 53, "bins4": 122, "bins64": 1879, "early_floor": 59, "bins4096": 3000,
+              "late_break": 120}
 
 
 class TestSchedule:
@@ -399,7 +416,7 @@ class TestSchedule:
                                                side="right"), target.n - 1)
                 for col, run in enumerate(active.tolist()):
                     seen[run] += zip(rounds.tolist(), a[:, col].tolist())
-                return a   # (width, active)
+                return positions(a)   # (width, active)
 
             def coins(runs, rounds):
                 u = draws.random(runs.size)
@@ -429,7 +446,7 @@ class TestSchedule:
                 # one row per round, one column per run
                 ends.append(int(rounds[-1]))
                 words = mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
-                return (words % np.uint64(bins)).astype(np.int64)
+                return positions((words % np.uint64(bins)).astype(np.int64))
 
             def coins(runs, rounds):
                 return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
@@ -439,7 +456,7 @@ class TestSchedule:
             index, symbol = lazy.scan(500, draw, coins)
             last_end = ends[-1]
             rounds = np.arange(1, index.max() + 1)
-            symbols = draw(np.arange(500), rounds)
+            symbols, _ = draw(np.arange(500), rounds)
             # every draw's coin, asked for or not: a coin in [0, 1) decides p = 0 and 1 alike
             p = law_table(target, proposal, rounds[-1])[rounds[:, None] - 1, symbols]
             hit = coins(np.arange(500), rounds[:, None]) < p
@@ -465,7 +482,7 @@ class TestSchedule:
             symbols = (mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
                        % np.uint64(bins)).astype(np.int64)
             blocks.append((active, rounds, symbols))
-            return symbols
+            return positions(symbols)
 
         def coins(runs, rounds):
             asked.append((runs.copy(), rounds.copy()))
@@ -501,7 +518,7 @@ class TestSchedule:
         def draw(active, rounds):
             sizes.append(rounds.size * active.size)
             words = mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
-            return (words % np.uint64(64)).astype(np.int64)
+            return positions((words % np.uint64(64)).astype(np.int64))
 
         def coins(runs, rounds):
             return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
@@ -533,7 +550,7 @@ class TestSchedule:
 
             def draw(active, rounds):
                 blocks.append((rounds[0], rounds[-1]))
-                return symbols[rounds - 1][:, active]
+                return positions(symbols[rounds - 1][:, active])
 
             lazy = GreedySchedule(target, proposal)
             lazy.extend(99)
@@ -553,7 +570,7 @@ class TestSchedule:
 
         def draw(active, rounds):
             asked.append(int(rounds[-1]))
-            return np.tile(np.where(rounds == 70, 0, 1)[:, None], (1, active.size))
+            return positions(np.tile(np.where(rounds == 70, 0, 1)[:, None], (1, active.size)))
 
         def no_coins(runs, rounds):   # every p here is 0 or 1
             raise AssertionError("a coin was asked for")
@@ -577,12 +594,14 @@ class TestSchedule:
         serial = GreedySchedule(target, proposal)
         serial.extend(1500)
         shared = GreedySchedule(target, proposal)
-        symbols = np.arange(4096)[None]
+        symbols = np.arange(4096)
         wrong = []
 
         def read(k):
             for i in range(1 + k, 1501, 4):
-                got, want = (s.decide(symbols, np.array([i])) for s in (shared, serial))
+                rounds = np.full(4096, i)
+                got, want = ((*s.decide(symbols, rounds), *s.cuts(rounds[:1]))
+                             for s in (shared, serial))
                 if not all(np.array_equal(a, b) for a, b in zip(got, want)):
                     wrong.append(i)
 
@@ -605,18 +624,19 @@ class TestSchedule:
         target = DiscreteDistribution(np.array([0.0, 0.25, 0.75, 0.0]))
         proposal = DiscreteDistribution(np.array([0.25, 0.25, 0.25, 0.25]))
         schedule = GreedySchedule(target, proposal)
-        hit, tossed, _ = schedule.decide(np.tile([0, 3], (500, 1)), np.arange(1, 501))
+        hit, tossed, _ = schedule.decide(np.tile([0, 3], 500), np.repeat(np.arange(1, 501), 2))
         assert not hit.any() and tossed.size == 0 and schedule.floor_round < 500
         assert schedule.accept_prob_at(0, 1) == schedule.accept_prob_at(3, 500) == 0.0
 
 
 class TestScanDecision:
     def test_scan_reads_the_law_only_through_decide(self, monkeypatch):
-        # a stub law that has nothing but decide, read from a fixed (round, symbol) table of
-        # p: the scan itself slices the draws, tosses the coins, finds each first hit and
-        # keeps the round guard, and any read of a schedule field fails here.  20 runs over a
-        # BLOCK of 8 draws: the first rounds are drawn in 8-run slices and joined.  Coins of
-        # exactly p miss
+        # a stub law that has nothing but cuts and decide, read from a fixed (round, symbol)
+        # table of p: its cuts cover every symbol, so every draw goes to decide.  The scan
+        # itself slices the draws, tosses the coins, finds each first hit and keeps the
+        # round guard, and any read of a schedule field fails here.  20 runs over a BLOCK of
+        # 8 draws: the first rounds are drawn in 8-run slices and joined.  Coins of exactly
+        # p miss
         monkeypatch.setattr(greedy, "BLOCK", 8)
         runs, depth = 20, 40
         rng = np.random.default_rng(26)
@@ -630,15 +650,18 @@ class TestScanDecision:
         assert 1 < first.max() < depth
 
         class Law:
+            def cuts(self, rounds):
+                return np.zeros(rounds.size, dtype=np.int64), np.full(rounds.size, 5)
+
             def decide(self, drawn, rounds):
                 decided.append((drawn.copy(), rounds.copy()))
-                p = table[rounds[:, None] - 1, drawn]
+                p = table[rounds - 1, drawn]
                 tossed = np.flatnonzero((p > 0.0) & (p < 1.0))
-                return p == 1.0, tossed, p.flat[tossed]
+                return p == 1.0, tossed, p[tossed]
 
         def draw(active, rounds):
             slices.append((active.copy(), rounds.copy()))
-            return symbols[rounds - 1][:, active]
+            return positions(symbols[rounds - 1][:, active])
 
         def toss(runs, rounds):
             asked.append((runs.copy(), rounds.copy()))
@@ -649,7 +672,7 @@ class TestScanDecision:
         assert np.array_equal(index, first)
         assert np.array_equal(symbol, symbols[first - 1, np.arange(runs)])
         # no slice holds more than BLOCK draws; each block's slices cover its active runs in
-        # order, and decide gets their joined draws and the block's rounds
+        # order, and decide gets their joined draws and their rounds, row-major
         assert max(a.size * r.size for a, r in slices) <= 8
         assert [a.size for a, _ in slices[:3]] == [8, 8, 4]
         blocks = []
@@ -661,12 +684,13 @@ class TestScanDecision:
         assert len(decided) == len(blocks)
         waiting, done = np.arange(runs), 0
         for (drawn, rounds), (active, block_rounds) in zip(decided, blocks):
-            assert np.array_equal(rounds, block_rounds)
-            assert np.array_equal(rounds, np.arange(done + 1, done + rounds.size + 1))
-            done = int(rounds[-1])
+            assert np.array_equal(rounds, np.repeat(block_rounds, active.size))
+            assert np.array_equal(block_rounds,
+                                  np.arange(done + 1, done + block_rounds.size + 1))
+            done = int(block_rounds[-1])
             assert np.array_equal(active, waiting)
-            assert np.array_equal(drawn, symbols[rounds - 1][:, active])
-            waiting = active[first[active] > rounds[-1]]
+            assert np.array_equal(drawn, symbols[block_rounds - 1][:, active].ravel())
+            waiting = active[first[active] > block_rounds[-1]]
         # the coins: exactly the draws with 0 < p < 1, row-major (rounds, then runs ascending)
         want = []
         for active, rounds in blocks:
@@ -687,7 +711,7 @@ class TestScanDecision:
         monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap + 1)
         assert np.array_equal(GreedySchedule.scan(Law(), runs, draw, toss)[0], first)
 
-    @pytest.mark.parametrize("name", ["bins2", "bins4", "bins64", "early_floor"])
+    @pytest.mark.parametrize("name", ["bins2", "bins4", "bins64", "early_floor", "late_break"])
     def test_every_draw_is_decided_as_accept_prob(self, name):
         # the name predates decide and law_table; it is kept so the test id stays stable
         # every (symbol, round) through floor_round + 2 is drawn by a run that reaches it on
@@ -734,7 +758,7 @@ class TestScanDecision:
             row, col = ((p > 0.0) & (p < 1.0)).nonzero()
             if row.size:
                 fractional.append((active[col], rounds[row]))
-            return symbols
+            return positions(symbols)
 
         def coins(runs, rounds):
             asked.append((runs.copy(), rounds.copy()))
@@ -758,7 +782,7 @@ class TestScanDecision:
     @pytest.mark.parametrize("name,digest", [
         ("bins2", "c4a446716ca12378"), ("bins4", "e1ee9bcce597aa2e"),
         ("bins64", "d23e513e43a87aa0"), ("bins4096", "07f092977063cc26"),
-        ("early_floor", "3ac54d02b205460e")])
+        ("early_floor", "3ac54d02b205460e"), ("late_break", "ec0084de3e411827")])
     def test_batch_sampler_outputs_are_pinned(self, name, digest):
         target, proposal = _LAWS[name]
         h = hashlib.sha256()
@@ -768,3 +792,86 @@ class TestScanDecision:
             h.update(index.astype("<i8").tobytes())
             h.update(symbol.astype("<i8").tobytes())
         assert h.hexdigest()[:16] == digest
+
+
+def scan_against_the_law(target, proposal, runs, seed):
+    """``GreedySchedule.scan`` on counter-addressed draws and coins, and the first hits that
+    ``law_table`` gives the same draws and coins, as (index, symbol) pairs."""
+    keys = mix_vec(seed, np.arange(1, runs + 1))
+
+    def symbols(active, rounds):
+        words = mix_vec(keys[active], 2 * rounds.astype(np.uint64)[:, None])
+        return (words % np.uint64(target.n)).astype(np.int64)
+
+    def coins(active, rounds):
+        return to_unit(mix_vec(keys[active], 2 * rounds.astype(np.uint64) + 1))
+
+    got = GreedySchedule(target, proposal).scan(runs, lambda a, r: positions(symbols(a, r)),
+                                                 coins)
+    rounds = np.arange(1, got[0].max() + 1)
+    drawn = symbols(np.arange(runs), rounds)
+    p = law_table(target, proposal, rounds[-1])[rounds[:, None] - 1, drawn]
+    hit = coins(np.arange(runs), rounds[:, None]) < p
+    first = np.argmax(hit, axis=0)
+    assert hit.any(axis=0).all()
+    return got, (rounds[first], drawn[first, np.arange(runs)])
+
+
+class TestCuts:
+    @pytest.mark.parametrize("bins", [2, 4, 8, 64, 4096])
+    def test_bin_laws_saturate_in_symbol_order(self, bins):
+        # built to the floor round: the lower half never wanted (k = 1, f = 0), and k does
+        # not decrease over the upper half, so each round's law is its two cuts; from the
+        # floor round on both cuts are the first upper bin
+        schedule = GreedySchedule(*_bin_laws(bins))
+        schedule.extend(1 << 20)
+        floor = schedule.floor_round
+        assert floor < 1 << 20 and schedule._ordered
+        k, f = schedule.saturation, schedule.fraction
+        assert np.all(k[:bins // 2] == 1) and np.all(f[:bins // 2] == 0.0)
+        assert np.all(np.diff(k[bins // 2:]) >= 0)
+        rounds = np.arange(1, floor + 3)
+        lo, hi = schedule.cuts(rounds)
+        assert np.all(lo[floor - 1:] == bins // 2) and np.all(hi[floor - 1:] == bins // 2)
+        assert np.all(np.diff(lo[:floor - 1]) >= 0) and np.all(np.diff(hi[:floor - 1]) >= 0)
+        symbol = np.arange(bins)
+        for r in np.unique(np.concatenate([[1, 2, floor - 1], k[k < floor]])).tolist():
+            want = [schedule.accept_prob_at(b, r) for b in range(bins)]
+            assert np.all(np.array(want)[symbol >= hi[r - 1]] == 1.0)
+            assert np.all(np.array(want)[symbol < lo[r - 1]] == 0.0)
+            assert np.all(k[lo[r - 1]:hi[r - 1]] == r)
+
+    @pytest.mark.parametrize("name", ["early_floor", "late_break", "zero_mass_inside"])
+    def test_unordered_laws_leave_every_symbol_to_decide(self, name):
+        # a law that saturates a symbol above a live one, or wants a symbol above one it
+        # never wants, gets cuts (0, n) on every round from then on, and the scan still
+        # accepts each run where the law table does
+        target, proposal = _LAWS.get(name) or (DiscreteDistribution(np.array([0.5, 0.0, 0.5])),
+                                               DiscreteDistribution(np.full(3, 1.0 / 3)))
+        schedule = GreedySchedule(target, proposal)
+        if name == "late_break":   # ordered through round 1, where symbol 1 alone saturates
+            assert [c.tolist() for c in schedule.cuts(np.array([1]))] == [[1], [2]]
+        rounds = np.arange(1, 200)
+        lo, hi = schedule.cuts(rounds)
+        assert not schedule._ordered
+        assert np.all(lo == 0) and np.all(hi == target.n)
+        got, want = scan_against_the_law(target, proposal, 3000, target.n)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_random_laws_scan_as_their_law_tables(self):
+        # small random pairs, ordered or not: the order flag is the order of saturation
+        # built to the floor round, and the scan's first hits are the law table's
+        rng = np.random.default_rng(31)
+        ordered = 0
+        for j in range(40):
+            target, proposal = random_rational_pair(rng)
+            got, want = scan_against_the_law(target, proposal, 500, j)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            full = GreedySchedule(target, proposal)
+            full.extend(1 << 20)
+            positive = np.flatnonzero(target.masses > 0.0)
+            k = np.where(target.masses > 0.0, full.saturation, 0)
+            assert full._ordered == (positive[0] + positive.size == target.n
+                                     and bool(np.all(np.diff(k) >= 0)))
+            ordered += full._ordered
+        assert 0 < ordered < 40

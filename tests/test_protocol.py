@@ -346,7 +346,7 @@ class TestTrials:
 
     @pytest.mark.parametrize("bins", [64, 4096])
     def test_fixed_1_by_3_inputs_run_as_their_rows(self, bins):
-        # a (1, 3) state raised IndexError in _height_bins' edge fallback, which took it for
+        # a (1, 3) state raised IndexError in the scan's exact fallback, which took it for
         # one state per run; a (2, 3) state raised numpy's broadcast error
         v = unit_vector(0.0, 0.0, 1.0)
         m = unit_vector(0.6, 0.0, -0.8)
@@ -534,7 +534,7 @@ class TestBlockScan:
             assert sent.accepted_index == rep.accepted_index
 
 
-#: bin counts on both sides of protocol._ESTIMATE_BINS = 2**15
+#: bin counts from 2 to protocol._MAX_BINS = 2**20
 EDGE_BINS = [2, 4, 64, 4096, 1 << 14, 1 << 15, 1 << 16, 1 << 20]
 #: fixed states for the height-bin tests; None gives every point its own random state
 EDGE_STATES = {
@@ -569,44 +569,71 @@ def exact_bins(z, phi, v, bins):
     return bin_index(dot3(sphere_from_zphi(z, phi), v), bins)
 
 
+def assert_on_the_bins_side(t, bins_of, bins):
+    """Each position t, against every whole c within two of it, is on c's side as its exact
+    bin is, wherever the scan trusts it: t >= c + band only if the bin is >= c, and t < c -
+    band only if it is < c, with c +- band rounded to t's float32 as the scan rounds it."""
+    band = protocol._EDGE_BAND * bins / 2
+    for d in (-2, -1, 0, 1, 2):
+        c = np.floor(t.astype(np.float64)) + d
+        assert not np.any((t >= (c + band).astype(t.dtype)) & (bins_of < c))
+        assert not np.any((t < (c - band).astype(t.dtype)) & (bins_of >= c))
+
+
 class TestHeightBins:
-    """protocol._height_bins must bin every draw as the float64 point does."""
+    """protocol._positions must place every draw on the side of each cut its float64 bin is."""
 
     @pytest.mark.parametrize("bins", EDGE_BINS)
     @pytest.mark.parametrize("state", sorted(EDGE_STATES))
     def test_equals_the_exact_bins_around_every_edge(self, bins, state):
+        # the draws as one row of a block; exact() of every cell, and of every third cell
+        # (the cells the scan would ask about), is the float64 point's bin
         rng = np.random.default_rng(bins)
         band = protocol._EDGE_BAND
         for jitter in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 2 * band, -2 * band):
             z, phi, v = edge_draws(EDGE_STATES[state], bins, jitter, rng)
             exact = exact_bins(z, phi, v, bins)
-            assert np.array_equal(protocol._height_bins(z, phi, v, bins), exact)
-            if v.ndim == 1:   # the same state once per point, as random states reach it
-                per_point = np.broadcast_to(v, z.shape + (3,)).copy()
-                assert np.array_equal(protocol._height_bins(z, phi, per_point, bins), exact)
+            vs = [v] if v.ndim > 1 else [v, np.broadcast_to(v, z.shape + (3,)).copy()]
+            for vv in vs:   # a fixed state also once per point, as random states reach it
+                t, exact_of = protocol._positions(z[None], phi[None], vv, bins)
+                assert t.dtype == np.float32 and t.shape == (1, z.size)
+                assert_on_the_bins_side(t[0], exact, bins)
+                cells = np.arange(0, z.size, 3)
+                assert np.array_equal(exact_of(np.arange(z.size)), exact)
+                assert np.array_equal(exact_of(cells), exact[cells])
 
     @pytest.mark.parametrize("bins", EDGE_BINS)
     def test_codebook_bins_are_the_bins_of_the_points(self, monkeypatch, bins):
         # past BLOCK trials the scan draws its first rounds in BLOCK-trial slices and joins
-        # them: every draw call bins as the float64 points do, none holds more than BLOCK
-        # draws, and the joined rows line up with their trials (checked against run_trial);
-        # one state per trial, then one for all
-        height_bins, shapes = protocol._height_bins, []
+        # them: every draw call's positions are on the side of each cut their float64 bins
+        # are, the cells it is asked about bin as the float64 points do, none holds more
+        # than BLOCK draws, and the joined rows line up with their trials (checked against
+        # run_trial); one state per trial, then one for all
+        positions, shapes = protocol._positions, []
 
-        def checked_bins(z, phi, v, k):
-            got = height_bins(z, phi, v, k)
-            assert np.array_equal(got, exact_bins(z, phi, v, k))
+        def checked_positions(z, phi, v, k):
+            t, exact_of = positions(z, phi, v, k)
+            vv = np.broadcast_to(v, z.shape + (3,)) if v.ndim > 1 else v
+            assert_on_the_bins_side(t, exact_bins(z, phi, vv, k), k)
             shapes.append(z.shape)
-            return got
+
+            def checked_exact(cells):
+                got = exact_of(cells)
+                rows, cols = np.divmod(cells, z.shape[1])
+                vc = v[cols] if v.ndim > 1 else v
+                assert np.array_equal(got, exact_bins(z[rows, cols], phi[rows, cols], vc, k))
+                return got
+
+            return t, checked_exact
 
         n = 2 * BLOCK + 7
         for state in (None, unit_vector(0.1, -0.2, 0.3)):
             shapes.clear()
-            monkeypatch.setattr(protocol, "_height_bins", checked_bins)
+            monkeypatch.setattr(protocol, "_positions", checked_positions)
             batch = run_trials(5, n, bins, state=state)
             assert shapes[:3] == [(1, BLOCK), (1, BLOCK), (1, 7)]
             assert max(rows * cols for rows, cols in shapes) <= BLOCK
-            monkeypatch.setattr(protocol, "_height_bins", height_bins)
+            monkeypatch.setattr(protocol, "_positions", positions)
             for t in (0, BLOCK - 1, BLOCK, 2 * BLOCK, n - 1):
                 assert run_trial(5, t, bins, state=state).accepted_index == batch.accepted_index[t]
 
@@ -639,25 +666,128 @@ class TestHeightBins:
 
     @pytest.mark.parametrize("bins", [64, 1 << 16])
     def test_few_draws_reach_the_exact_formula(self, monkeypatch, bins):
+        # only the draws near a cut or between the cuts, where a coin may decide, are
+        # binned from their float64 points: ~4% of the draws at every bin count
         counts = {"draws": 0, "exact": 0}
-        height_bins, exact = protocol._height_bins, protocol.bin_index
+        positions, exact = protocol._positions, protocol.bin_index
 
-        def counting_bins(z, phi, v, k):
+        def counting_positions(z, phi, v, k):
             counts["draws"] += z.size
-            return height_bins(z, phi, v, k)
+            return positions(z, phi, v, k)
 
         def counting_exact(h, k):
             counts["exact"] += np.size(h)
             return exact(h, k)
 
-        monkeypatch.setattr(protocol, "_height_bins", counting_bins)
+        monkeypatch.setattr(protocol, "_positions", counting_positions)
         monkeypatch.setattr(protocol, "bin_index", counting_exact)
         run_trials(7, 16384, bins)
         assert counts["draws"] > 16384
-        if bins == 64:   # the estimate bins all but ~1 in 2000 draws here
-            assert counts["exact"] < 0.01 * counts["draws"]
-        else:   # bins narrower than the band: every draw is binned exactly
-            assert counts["exact"] == counts["draws"]
+        assert 0.01 * counts["draws"] < counts["exact"] < 0.06 * counts["draws"]
+
+
+class TestLargeBinCounts:
+    """At 2**17 and 2**20 bins, where the scan's band spans ~1 and ~8 bins about each cut."""
+
+    @pytest.mark.parametrize("bins", [1 << 17, 1 << 20])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "pinned"])
+    def test_rows_match_the_per_round_references(self, bins, fixed):
+        # every row against the wire sender, which reads the schedule one round at a time,
+        # and the first rows, the deepest included, against run_trial's full per-round loop
+        # (a round of it costs ~25 ms at 2**20 bins)
+        kw = {"state": unit_vector(0.1, -0.2, 0.3), "meas": unit_vector(0.6, 0.0, 0.8)} \
+            if fixed else {}
+        n = 320
+        batch = run_trials(3, n, bins, **kw)
+        for t in range(n):
+            v, codebook, key = trial_inputs(3, t)
+            _, sent = alice_send(kw.get("state", v), codebook, bins, counter_uniforms(key))
+            assert sent.accepted_index == batch.accepted_index[t], t
+        deepest = int(np.argmax(batch.accepted_index))
+        for t in sorted({*range(8 if bins == 1 << 20 else 40), deepest}):
+            rep = run_trial(3, t, bins, **kw)
+            assert (rep.accepted_index, rep.outcome) == (batch.accepted_index[t],
+                                                         batch.outcome[t]), t
+
+
+class TestCutEdges:
+    """Draws placed at the cuts of the scan, where its float32 positions cannot tell the side."""
+
+    @pytest.mark.parametrize("bins", [64, 4096])
+    @pytest.mark.parametrize("per_trial", [False, True], ids=["one", "per_trial"])
+    def test_draws_at_the_cuts_take_the_exact_bin(self, monkeypatch, bins, per_trial):
+        # through a stub codebook, trial j draws a sure miss (height -1/2 about its state)
+        # before its round r_j, where it draws within 1e-9 of a cut c_j of that round, and
+        # the real codebook after it: both cuts of rounds 1-3, and the one cut of the floor
+        # round.  run_trials' accepted rows must be the per-round reference's, run_trial
+        # with the same stub entries.  At the 4096-bin floor round, 87 333 rounds deep,
+        # where run_trial's full-width rounds take seconds a trial, the floor law itself is
+        # the reference: the edge draw is accepted iff its float64 bin is wanted
+        seed = 17
+        schedule = _ks_schedule(bins)
+        schedule.extend(1 << 20)   # to the floor round, as the floor trials will
+        floor = schedule.floor_round
+        rounds = np.array([1, 2, 3, floor])
+        # the cuts as the scalar reader states the law: the first bin with p > 0, and the
+        # first of the bins with p = 1 from there to the top
+        law = np.array([[schedule.accept_prob_at(b, r) for b in range(bins)] for r in rounds])
+        lo = np.argmax(law > 0.0, axis=1)
+        hi = bins - np.argmax(law[:, ::-1] < 1.0, axis=1)
+        assert lo[-1] == hi[-1] == bins // 2
+        plan = [(r, c, jitter) for r, *cuts in zip(rounds.tolist(), lo.tolist(), hi.tolist())
+                for c in sorted(set(cuts)) for jitter in (-1e-9, -3e-10, 0.0, 3e-10, 1e-9)
+                for _ in range(2 if r == floor else 6)]
+        start, cut, jitter = (np.array(col) for col in zip(*plan))
+        n = start.size
+        rng = np.random.default_rng(bins)
+        trial = mix_vec(_trial_root(seed), np.arange(n, dtype=np.uint64))
+        fixed = unit_vector(0.36, -0.48, 0.8)
+        v = _sphere_point(mix_vec(trial, _SUB_STATE), 1) if per_trial else np.tile(fixed, (n, 1))
+
+        def about_v(h):
+            x = rotate_to_frame(sphere_from_zphi(h, rng.uniform(0.0, 2.0 * np.pi, n)), v)
+            return np.clip(x[:, 2], -1.0, 1.0), np.mod(np.arctan2(x[:, 1], x[:, 0]), 2 * np.pi)
+
+        edge_z, edge_phi = about_v(2.0 * cut / bins - 1.0 + jitter)
+        miss_z, miss_phi = about_v(np.full(n, -0.5))
+        keys = mix_vec(trial, _SUB_CODEBOOK)
+        order = np.argsort(keys)
+        of_key = dict(zip(keys.tolist(), range(n)))
+        edge_x, miss_x = (sphere_from_zphi(*zphi).tolist()
+                          for zphi in ((edge_z, edge_phi), (miss_z, miss_phi)))
+        real_zphi, real_entry = protocol._sphere_zphi, protocol._entry_point
+
+        def stub_zphi(k, ctr):
+            z, phi = real_zphi(k, ctr)
+            if ctr.ndim == 2:   # the scan's (rounds, 1) counters over its runs' keys
+                j = order[np.searchsorted(keys, k, sorter=order)]
+                r = (ctr // np.uint64(2)).astype(np.int64)
+                for table, out in ((edge_z, z), (edge_phi, phi)):
+                    np.copyto(out, table[j], where=r == start[j])
+                for table, out in ((miss_z, z), (miss_phi, phi)):
+                    np.copyto(out, table[j], where=r < start[j])
+            return z, phi
+
+        def stub_entry(key, i):
+            j = of_key[key]
+            return (real_entry(key, i) if i > start[j] else
+                    tuple(edge_x[j] if i == start[j] else miss_x[j]))
+
+        monkeypatch.setattr(protocol, "_sphere_zphi", stub_zphi)
+        monkeypatch.setattr(protocol, "_entry_point", stub_entry)
+        batch = run_trials(seed, n, bins, state=None if per_trial else fixed)
+        accepted = batch.accepted_index
+        assert np.all(accepted >= start)
+        # the stub is where the law says: a draw past hi by 1e-9 is a hit
+        at_hi = (cut == hi[np.searchsorted(rounds, start)]) & (jitter == 1e-9)
+        assert np.array_equal(accepted[at_hi], start[at_hi])
+        wanted = exact_bins(edge_z, edge_phi, v, bins) >= bins // 2
+        for j in range(n):
+            if start[j] == floor and bins == 4096:
+                assert (accepted[j] == floor) == wanted[j], (j, jitter[j])
+            else:
+                want = run_trial(seed, j, bins, state=None if per_trial else fixed).accepted_index
+                assert accepted[j] == want, (j, start[j], cut[j], jitter[j])
 
 
 def trial_inputs(seed, t):
