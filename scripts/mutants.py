@@ -22,11 +22,14 @@ A fault known to be equivalent is recorded here, not registered: `<` for
 and a vector the branch does not pass falls through to the array check,
 which decides as before; the fault changes only speed.
 
-`run_trial` and `run_trials` check a given state or measurement on one
-shared line, so each fault there is one entry, listed with the tests of
-both paths.  `coins_for_every_draw` moves no row of `run_trials`, whose
-coins are addressed by run and round; only a test that records the coins
-the scan asks for can catch it.
+`run_trial`, `run_trials` and `alice_send` check a given state or
+measurement on one shared line (`protocol._given`), and `verify`'s count
+and the protocol's outcomes answer by one sign kernel (`model._plus`);
+each fault there is one entry, listed with the tests of every path that
+runs it.
+`coins_for_every_draw` moves no row of `run_trials`, whose coins are
+addressed by run and round; only a test that records the coins the scan
+asks for can catch it.
 """
 
 from __future__ import annotations
@@ -60,6 +63,7 @@ _SCAN_STUB = "tests/test_greedy.py::TestScanDecision::test_scan_reads_the_law_on
 _EVERY_DRAW = "tests/test_greedy.py::TestScanDecision::test_every_draw_is_decided_as_accept_prob"
 _EDGE_BINS = "tests/test_protocol.py::TestHeightBins::test_equals_the_exact_bins_around_every_edge"
 _TIE_OUTCOMES = "tests/test_protocol.py::TestAnswersOnRead::test_tie_draws_take_the_exact_answer"
+_EXACT_COUNT = "tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count"
 _CUT_EDGES = "tests/test_protocol.py::TestCutEdges::test_draws_at_the_cuts_take_the_exact_bin"
 
 MUTANTS = [
@@ -91,11 +95,13 @@ MUTANTS = [
            ("tests/test_protocol.py::TestCodebook::test_mix_is_the_finalizer_applied_twice",
             "tests/test_receiver.py::test_hash_known_answers")),
     Mutant("given_vector_kept_as_given", "src/kschannel/protocol.py",
-           "else np.array(_components(require_unit(vec, name), name))",
-           "else require_unit(vec, name)",
+           "return np.array(_components(require_unit(vec, name), name))",
+           "return require_unit(vec, name)",
            ("tests/test_protocol.py::TestTrials::test_fixed_1_by_3_inputs_run_as_their_rows",
             "tests/test_protocol.py::TestScalarPaths::"
-            "test_run_trial_takes_a_1_by_3_state_as_its_row")),
+            "test_run_trial_takes_a_1_by_3_state_as_its_row",
+            "tests/test_protocol.py::TestScalarPaths::"
+            "test_alice_send_keeps_a_1_by_3_state_as_its_row")),
     Mutant("given_vector_checked_only_for_its_shape", "src/kschannel/protocol.py",
            "_components(require_unit(vec, name), name)", "_components(np.array(vec, float), name)",
            ("tests/test_protocol.py::TestScalarPaths::"
@@ -120,8 +126,7 @@ MUTANTS = [
            ("tests/test_protocol.py::TestBinning::test_binned_target_tv_error_bound",)),
     Mutant("tie_band_zero", "src/kschannel/model.py",
            "TIE_BAND = 2.0 ** -12\n", "TIE_BAND = 0.0\n",
-           ("tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count",
-            _TIE_OUTCOMES)),
+           (_EXACT_COUNT, _TIE_OUTCOMES)),
     Mutant("edge_band_zero", "src/kschannel/protocol.py",
            "_EDGE_BAND = 2.0 ** -17\n", "_EDGE_BAND = 0.0\n", (_EDGE_BINS, _CUT_EDGES)),
     Mutant("exact_bins_from_the_estimate", "src/kschannel/protocol.py",
@@ -140,13 +145,17 @@ MUTANTS = [
            "(part >= (lo - band)", "(part >= (hi - band)", (_SCAN_STUB, _EVERY_DRAW, _CUT_EDGES)),
     Mutant("floor_rows_keep_their_last_cuts", "src/kschannel/greedy.py",
            "        lo[past] = hi[past] = self._first\n", "", (_GRID, _CUT_EDGES)),
-    Mutant("outcome_tie_band_zero", "src/kschannel/protocol.py",
-           "np.flatnonzero(np.abs(s) < TIE_BAND)", "np.flatnonzero(np.abs(s) < 0.0)",
-           (_TIE_OUTCOMES,)),
-    Mutant("outcome_without_fallback", "src/kschannel/protocol.py",
-           "        if tie.size:\n", "        if False:\n", (_TIE_OUTCOMES,)),
+    Mutant("sign_without_fallback", "src/kschannel/model.py",
+           "    if tie.size:\n", "    if False:\n", (_EXACT_COUNT, _TIE_OUTCOMES)),
+    Mutant("fallback_rows_misplaced", "src/kschannel/model.py",
+           "plus[tie] = exact(tie)", "plus[:tie.size] = exact(tie)",
+           ("tests/test_model.py::TestPlusKernel::test_asks_exact_for_the_tie_rows_alone",)),
+    Mutant("exact_tie_to_minus", "src/kschannel/model.py",
+           "exact(tie) >= 0.0", "exact(tie) > 0.0",
+           ("tests/test_model.py::TestKsPlusCount::test_exact_zero_is_plus",
+            "tests/test_protocol.py::TestAnswersOnRead::test_exact_zero_is_plus")),
     Mutant("outcome_fallback_rows_not_offset", "src/kschannel/protocol.py",
-           "out[lo + tie] =", "out[tie] =", (_TIE_OUTCOMES,)),
+           "mb[tie] if mb.ndim > 1", "m[tie] if mb.ndim > 1", (_TIE_OUTCOMES,)),
     Mutant("azimuths_not_advanced", "src/kschannel/model.py",
            "azimuths.advance(n)\n", "azimuths.advance(0)\n",
            ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",

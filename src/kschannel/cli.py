@@ -189,12 +189,12 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     Each cell checks its state and builds its measurement's frame vector
     once, then draws its samples BLOCK at a time (:func:`model._ks_draw_blocks`,
     :func:`model.ks_draws`' draws bit for bit) and counts each block's "+"
-    answers as it is drawn, with :func:`model.ks_plus_count`'s rule: a sample
-    is decided from a float32 estimate of x.m, and its exact float64 point is
-    built only near the tie.  No array longer than a block is made, so a
-    cell's time does not hang on how the allocator serves multi-megabyte
-    arrays.  The counts are exact integers.  It runs on one thread: a pool
-    was slower than one thread on this kernel.
+    answers as it is drawn, by :func:`model._plus`, the kernel the protocol's
+    receiver answers with: a sample is decided from a float32 estimate of
+    x.m, and its exact float64 point is built only near the tie.  No array
+    longer than a block is made, so a cell's time does not hang on how the
+    allocator serves multi-megabyte arrays.  The counts are exact integers.
+    It runs on one thread: a pool was slower than one thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:
         grid = [None]  # both directions pinned: a single cell at their actual angle

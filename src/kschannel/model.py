@@ -29,7 +29,7 @@ DENSITY_SCALE = 1.0 / np.pi
 #: the state-averaged (marginal) density: uniform on the sphere
 MARGINAL_DENSITY = 1.0 / (4.0 * np.pi)
 
-#: half-width of the band of float32 estimates of x.m that ks_plus_count answers exactly
+#: half-width of the band of float32 estimates of x.m that _plus answers exactly
 TIE_BAND = 2.0 ** -12
 
 
@@ -122,52 +122,34 @@ def ks_response(x, meas: Measurement) -> np.ndarray | int:
     return int(out) if out.ndim == 0 else out
 
 
-def ks_plus_count(z, phi, v, meas: Measurement) -> int:
-    """How many draws about the pole v answer "+" to ``meas``.
+def _plus(z: np.ndarray, phi: np.ndarray, u, exact) -> np.ndarray:
+    """Whether each draw (z, phi) answers "+" (x.u >= 0): a bool array, mostly from an estimate.
 
-    ``z`` and ``phi`` are equal-shape arrays of heights in [-1, 1] and
-    azimuths in [0, 2 pi] about v, as :func:`ks_draws` returns them; other
-    input, or a non-unit v, raises ValueError.  The count always equals
-    ``count_nonzero(ks_response(rotate_to_frame(sphere_from_zphi(z, phi), v), meas) == 1)``
-    but builds no float64 point for most draws.
-
-    With (a, b, c) = F m for the frame F = ``rotate_to_frame(eye(3), v)``,
-    x.m = sqrt(1 - z^2) (a cos phi + b sin phi) + c z.  Its float32 estimate
-    s (:func:`geometry.dot_estimate` of (a, b, c)) is within ~1e-6 of x.m,
-    while the float64 x.m errs by ~1e-16.  So s >= TIE_BAND = 2^-12 (over
-    100 times the bound) means x.m > 0, a "+", and s <= -TIE_BAND a "-".
-    Only the draws with |s| < TIE_BAND, about 1e-4 of them, are answered by
-    the exact formula above, on those rows alone; it is elementwise, so no
-    bit of the answer moves.  The input is checked and (a, b, c) built once
-    a call, and the draws are counted BLOCK at a time, so only one block's
-    temporaries are live.
+    ``u`` is the measurement in the draws' frame, one (3,) vector or one per
+    draw.  The float32 estimate s of x.u (:func:`geometry.dot_estimate`) errs
+    by ~1e-6 and the float64 x.u by ~1e-16, so s >= TIE_BAND = 2^-12 (over
+    100 times the bound) is a "+" and s <= -TIE_BAND a "-".  The ~1e-4 of rows
+    with |s| < TIE_BAND take ``exact(rows)``, their float64 x.u for ascending
+    indices ``rows`` into ``z``, so every answer is the float64 point's.
     """
-    v = require_unit(v, "state v")
-    z = np.asarray(z, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    if z.shape != phi.shape:
-        raise ValueError(f"heights {z.shape} and azimuths {phi.shape} differ in shape")
-    if z.size and not (z.min() >= -1.0 and z.max() <= 1.0 and phi.min() >= 0.0
-                       and phi.max() <= 2.0 * np.pi):
-        raise ValueError("heights must lie in [-1, 1] and azimuths in [0, 2 pi]")
-    z, phi = z.reshape(-1), phi.reshape(-1)
-    return _plus_count(((z[lo:lo + BLOCK], phi[lo:lo + BLOCK]) for lo in range(0, z.size, BLOCK)),
-                       v, meas)
+    s = dot_estimate(z, phi, u)
+    plus = s >= 0.0
+    tie = np.flatnonzero(np.abs(s) < TIE_BAND)
+    if tie.size:
+        plus[tie] = exact(tie) >= 0.0
+    return plus
 
 
 def _plus_count(blocks, v: np.ndarray, meas: Measurement) -> int:
-    """:func:`ks_plus_count` of the draws in ``blocks``, (z, phi) pairs, unchecked.
+    """How many draws about the unit pole ``v`` answer "+" to ``meas``, by :func:`_plus`.
 
-    ``v`` is a checked unit vector and the draws lie in the domain; (a, b, c)
-    is built once, and each block is counted as it is read.
+    ``blocks`` yields (z, phi) pairs of heights and azimuths about v, as
+    :func:`ks_draws` makes them; the measurement is put in v's frame once, and
+    each block is counted as it is read.
     """
     abc = rotate_to_frame(np.eye(3), v) @ meas.direction
     plus = 0
-    for zb, phib in blocks:
-        s = dot_estimate(zb, phib, abc)
-        plus += int(np.count_nonzero(s >= TIE_BAND))
-        near = np.flatnonzero(np.abs(s) < TIE_BAND)
-        if near.size:
-            x = rotate_to_frame(sphere_from_zphi(zb[near], phib[near]), v)
-            plus += int(np.count_nonzero(ks_response(x, meas) == 1))
+    for z, phi in blocks:
+        plus += int(np.count_nonzero(_plus(z, phi, abc, lambda rows: dot3(
+            rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), v), meas.direction))))
     return plus

@@ -20,16 +20,16 @@ the scan settles it against its round's two cut bins where it lies past
 them by more than the estimate's error, and bins only the rest (~4%) from
 the float64 point, so each decision is the float64 bin's.  A batch holds
 the sender's output (the accepted index and its code length) as the scan
-leaves it; its outcome and Born rows are computed on their first read, so a
-command that reads only the sender's output never runs the receiver.  The outcomes
-come from a float32 estimate of x.m, and from the float64 point only near
-the tie (:func:`_outcomes`, the rule of :func:`model.ks_plus_count`), so
-each equals the float64 point's answer.  The two-party path works in
-Python floats, one round at a time: :func:`alice_send` reads codebook
-entry i (:func:`_entry_point`, the scalar image of :func:`_sphere_point`)
-and its bin's acceptance probability at round i, and takes one coin;
-:func:`bob_receive` rebuilds the one accepted entry the same way.  Every
-draw is the counter word the per-round reference
+leaves it; its outcome and Born rows are computed on their first read, so
+a command that reads only the sender's output never runs the receiver.
+The outcomes are the sign of a float32 estimate of x.m, taken from the
+float64 point only near the tie (:func:`_outcomes`, by :func:`model._plus`,
+the kernel ``verify`` counts with), so each equals the float64 point's.
+The two-party path works in Python floats, one round at a time:
+:func:`alice_send` reads codebook entry i (:func:`_entry_point`, the scalar
+image of :func:`_sphere_point`) and its bin's acceptance probability at
+round i, and takes one coin; :func:`bob_receive` rebuilds the one accepted
+entry the same way.  Every draw is the counter word the per-round reference
 (:func:`greedy.greedy_one_shot`, which :func:`run_trial` uses) reads, so
 all paths give the same trial bit for bit.  Bin counts must be even whole
 numbers in [2, :data:`_MAX_BINS`].
@@ -56,7 +56,7 @@ from .geometry import (BLOCK, Measurement, born_from_dot, dot3, dot_estimate, pa
                        require_unit, sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
                      ProtocolFailure, greedy_one_shot)
-from .model import TIE_BAND
+from .model import _plus
 from .rngstream import _INV53, counter_uniforms, mix, mix_vec, to_unit
 
 _TWO_PI = 2.0 * np.pi
@@ -67,10 +67,10 @@ _TRIAL_SALT = 0x747269616C
 _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 
 #: fewest trials per worker thread: a run starts no more threads than its trial
-#: count has whole 2**15-trial blocks.  A span's scan is some thousand numpy calls,
-#: and threads on shorter spans lose more to handing the GIL between them than
-#: they gain: on two vCPUs two threads ran 0.6-0.9x as fast as one on 8k-trial
-#: spans, about 1.0x on 16k and 1.1-1.3x on 32k
+#: count has whole 2**15-trial blocks, as a span's scan is some thousand numpy calls
+#: and short spans lose to handing the GIL: on two vCPUs, two threads took 1.03-1.05x,
+#: 0.77-0.86x, 0.74x and 0.64x one's time at 2**16, 2**17, 2**18 and 2**20 random
+#: trials at 4096 bins, and 1.28x, 1.01-1.14x, 0.96x and 0.75x at 64 fixed-input bins
 _TRIALS_PER_THREAD = 1 << 15
 #: largest bin count accepted; the protocol keeps several float arrays of this length
 _MAX_BINS = 1 << 20
@@ -204,21 +204,21 @@ def _ks_schedule(bins: int) -> GreedySchedule:
 def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[str, TrialReport]:
     """Sender half of one trial: steer the codebook onto rho(.|state).
 
-    ``state`` is one unit vector, of shape (3,) or (1, 3).  ``accept_uniforms``
-    supplies the sender's private coins (an iterable of floats in [0, 1); any
-    other coin, NaN included, raises ValueError); exactly one is taken per
-    round up to the accepted one.  Round i reads codebook entry i as Python
-    floats (:func:`_entry_point`) and its acceptance probability from the
-    shared schedule (:meth:`GreedySchedule.accept_prob_at`, which builds
-    through round i), so a trial costs time linear in its accepted index,
-    whose mean is at most 4.  Returns the transmitted bitstring and the
-    sender-side report, which keeps a copy of the state.  Raises
+    ``state`` is one unit vector, kept as its (3,) row (:func:`_given`).
+    ``accept_uniforms`` supplies the sender's private coins (an iterable of
+    floats in [0, 1); any other coin, NaN included, raises ValueError);
+    exactly one is taken per round up to the accepted one.  Round i reads
+    codebook entry i as Python floats (:func:`_entry_point`) and its
+    acceptance probability from the shared schedule
+    (:meth:`GreedySchedule.accept_prob_at`, which builds through round i),
+    so a trial costs time linear in its accepted index, whose mean is at
+    most 4.  Returns the transmitted bitstring and the sender-side report.  Raises
     :class:`ProtocolFailure` if the coins run out first or nothing is
     accepted within :data:`greedy.DEFAULT_ROUND_CAP` rounds, a guard that
     the schedule's floor round (562 545 at 2**15 bins) keeps from binding.
     """
-    state = require_unit(state, "state")
-    v0, v1, v2 = _components(state, "state")
+    state = _given(state, "state")
+    v0, v1, v2 = state.tolist()
     bins = _bin_count(bins)
     half = bins / 2.0
     schedule = _ks_schedule(bins)
@@ -238,7 +238,7 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[s
             raise ValueError(f"coins must lie in [0, 1), got {u!r}")
         if u < p:
             bits = elias_delta_encode(i)
-            return bits, TrialReport(state=state.copy(), meas=None, accepted_index=i,
+            return bits, TrialReport(state=state, meas=None, accepted_index=i,
                                      code_bits=len(bits), outcome=None)
 
 
@@ -388,10 +388,15 @@ def run_trial(master_seed: int, trial_index: int, bins: int,
                        code_bits=len(bits), outcome=outcome)
 
 
-def _given_inputs(state, meas) -> tuple:
-    """A given state and measurement direction as their checked (3,) rows; None stays None."""
-    return tuple(None if vec is None else np.array(_components(require_unit(vec, name), name))
-                 for vec, name in ((state, "state"), (meas, "measurement direction")))
+def _given(vec, name: str) -> np.ndarray:
+    """One unit vector of shape (3,) or (1, 3) as its checked (3,) row; other input raises."""
+    return np.array(_components(require_unit(vec, name), name))
+
+
+def _given_inputs(state, meas) -> list:
+    """A given state and measurement direction as their :func:`_given` rows; None stays None."""
+    return [None if vec is None else _given(vec, name)
+            for vec, name in ((state, "state"), (meas, "measurement direction"))]
 
 
 def _trial_input(trial, vec, sub: int) -> np.ndarray:
@@ -438,27 +443,20 @@ def _answers(trial, cb_keys, accepted, v, meas) -> tuple[np.ndarray, np.ndarray]
 
 
 def _outcomes(keys: np.ndarray, accepted: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``np.where(dot3(_sphere_point(keys, 2 accepted), m) >= 0, 1, -1)``, mostly from an estimate.
+    """``np.where(dot3(_sphere_point(keys, 2 accepted), m) >= 0, 1, -1)``, by :func:`model._plus`.
 
     ``m`` is one (3,) direction or one per trial.  Each :data:`geometry.BLOCK`
     rows' accepted entries are hashed to their height and azimuth
-    (:func:`_sphere_zphi`), and :func:`geometry.dot_estimate` gives s, within
-    ~1e-6 of x.m: s >= TIE_BAND = 2^-12 is a "+" and s <= -TIE_BAND a "-",
-    the rule of :func:`model.ks_plus_count`.  Only the rows with |s| <
-    TIE_BAND build their float64 point and take the exact formula; it is
-    elementwise, so no outcome moves.
+    (:func:`_sphere_zphi`) and answered by the kernel.
     """
     out = np.empty(keys.size, dtype=np.int64)
     for lo in range(0, keys.size, BLOCK):
         rows = slice(lo, lo + BLOCK)
         z, phi = _sphere_zphi(keys[rows], 2 * accepted[rows].astype(np.uint64))
         mb = m[rows] if m.ndim > 1 else m
-        s = dot_estimate(z, phi, mb)
-        out[rows] = np.where(s >= 0.0, 1, -1)
-        tie = np.flatnonzero(np.abs(s) < TIE_BAND)
-        if tie.size:
-            x = sphere_from_zphi(z[tie], phi[tie])
-            out[lo + tie] = np.where(dot3(x, mb[tie] if mb.ndim > 1 else mb) >= 0.0, 1, -1)
+        plus = _plus(z, phi, mb, lambda tie: dot3(sphere_from_zphi(z[tie], phi[tie]),
+                                                  mb[tie] if mb.ndim > 1 else mb))
+        out[rows] = np.where(plus, 1, -1)
     return out
 
 

@@ -7,7 +7,8 @@ from scipy.stats import kstest
 from kschannel import (Measurement, born_probability, ks_density, ks_response, ks_sample,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import quadrature
-from kschannel.model import MARGINAL_DENSITY, TIE_BAND, ks_draws, ks_plus_count
+from kschannel.geometry import BLOCK, dot3, dot_estimate
+from kschannel.model import MARGINAL_DENSITY, TIE_BAND, _plus, _plus_count, ks_draws
 from kschannel.quadrature import _integrate_z, born_plus_integral
 from conftest import unit_vectors
 from oracles import density_normalization, marginal_from_prior
@@ -124,8 +125,14 @@ class TestKsSample:
             ks_sample(states, rng)
 
 
+def plus_count(z, phi, v, meas):
+    """``model._plus_count`` of the draws (z, phi), read BLOCK draws at a time, as verify does."""
+    return _plus_count(((z[lo:lo + BLOCK], phi[lo:lo + BLOCK]) for lo in range(0, z.size, BLOCK)),
+                       v, meas)
+
+
 def _exact_plus(z, phi, v, meas):
-    """The "+" count from the float64 points: ks_plus_count's reference."""
+    """The "+" count from the float64 points: plus_count's reference."""
     x = rotate_to_frame(sphere_from_zphi(z, phi), v)
     return int(np.count_nonzero(ks_response(x, meas) == 1))
 
@@ -155,21 +162,26 @@ def _plus_count_cells():
 
 
 class TestKsPlusCount:
-    """ks_plus_count against the "+" count of the float64 points."""
+    """verify's "+" count (model._plus_count over BLOCK slices) against the float64 points'."""
 
     @pytest.mark.parametrize("v, m", _plus_count_cells())
     def test_equals_the_exact_count(self, v, m):
         meas = Measurement(m)
         rng = np.random.default_rng(23)
         z, phi = ks_draws(rng, 4096)
-        assert ks_plus_count(z, phi, v, meas) == _exact_plus(z, phi, v, meas)
+        assert plus_count(z, phi, v, meas) == _exact_plus(z, phi, v, meas)
         # draws a hair off the tie circle, where the float32 estimate cannot tell the
         # sign: compared 32 at a time, so no miscounts can cancel over the whole array
         z, phi = _tie_draws(rng, v, m, 4096)
         for lo in range(0, z.size, 32):
             rows = slice(lo, lo + 32)
-            assert ks_plus_count(z[rows], phi[rows], v, meas) == \
+            assert plus_count(z[rows], phi[rows], v, meas) == \
                 _exact_plus(z[rows], phi[rows], v, meas), lo
+        # ordinary draws with 32 tie draws straddling each block edge
+        zb, phib = ks_draws(rng, 2 * BLOCK + 40)
+        for edge in (BLOCK, 2 * BLOCK):
+            zb[edge - 16:edge + 16], phib[edge - 16:edge + 16] = z[:32], phi[:32]
+        assert plus_count(zb, phib, v, meas) == _exact_plus(zb, phib, v, meas)
 
     def test_float32_trig_error_is_far_inside_the_tie_band(self):
         # the bound behind TIE_BAND: float32 cos and sin of float32(phi) within ~2.6e-7 of
@@ -182,18 +194,39 @@ class TestKsPlusCount:
         assert worst <= TIE_BAND / 64
 
     def test_no_draws_count_zero(self):
-        assert ks_plus_count(np.empty(0), np.empty(0), ZHAT, Measurement(XHAT)) == 0
+        assert plus_count(np.empty(0), np.empty(0), ZHAT, Measurement(XHAT)) == 0
 
-    def test_rejects_input_outside_its_domain(self):
-        z, phi = np.full(3, 0.5), np.full(3, 1.0)
-        meas = Measurement(XHAT)
-        for bad_z, bad_phi in ((z, [1.0, -0.1, 1.0]), (z, [1.0, 7.0, 1.0]),
-                               (z, [1.0, np.nan, 1.0]), ([0.5, 1.5, 0.5], phi),
-                               ([0.5, np.nan, 0.5], phi), (z[:2], phi)):
-            with pytest.raises(ValueError):
-                ks_plus_count(bad_z, bad_phi, ZHAT, meas)
-        with pytest.raises(ValueError, match="state v"):
-            ks_plus_count(z, phi, 2.0 * ZHAT, meas)
+    def test_exact_zero_is_plus(self):
+        # heights 0 about the pole z-hat, measured along it: the estimate is 0 and the
+        # float64 x.m an exact 0, which the tie rule answers "+"
+        phi = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        z = np.zeros_like(phi)
+        assert _exact_plus(z, phi, ZHAT, Measurement(ZHAT)) == z.size
+        assert plus_count(z, phi, ZHAT, Measurement(ZHAT)) == z.size
+
+
+class TestPlusKernel:
+    """model._plus, the sign rule both receivers answer with."""
+
+    def test_asks_exact_for_the_tie_rows_alone(self):
+        rng = np.random.default_rng(29)
+        u = unit_vector(0.36, -0.48, 0.8)
+        z, phi = ks_draws(rng, 3 * 512)
+        tz, tphi = _tie_draws(rng, ZHAT, u, 512)   # about z-hat, whose frame is the identity
+        z[1::3], phi[1::3] = tz, tphi
+        s = dot_estimate(z, phi, u)
+        asked = []
+
+        def exact(rows):
+            asked.append(rows.copy())
+            return dot3(sphere_from_zphi(z[rows], phi[rows]), u)
+
+        got = _plus(z, phi, u, exact)
+        want = np.flatnonzero(np.abs(s) < TIE_BAND)
+        assert len(asked) == 1 and np.array_equal(asked[0], want)
+        assert 400 < want.size < 600 and np.all(np.diff(want) > 0)
+        assert got.dtype == bool
+        assert np.array_equal(got, dot3(sphere_from_zphi(z, phi), u) >= 0.0)
 
 
 class TestKsResponse:

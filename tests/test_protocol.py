@@ -236,11 +236,22 @@ class TestScalarPaths:
         outcome = bob_receive(bits, codebook, Measurement(m))
         assert alice_send(v[None], codebook, 64, counter_uniforms(key))[0] == bits
         assert bob_receive(bits, codebook, Measurement(m[None])) == outcome
+        with pytest.raises(ValueError):   # None is no state, though run_trial draws one for it
+            alice_send(None, codebook, 64, counter_uniforms(key))
         for shape in ((2, 3), (1, 1, 3), (0, 3)):
             with pytest.raises(ValueError):
                 alice_send(np.broadcast_to(v, shape), codebook, 64, counter_uniforms(key))
             with pytest.raises(ValueError):
                 bob_receive(bits, codebook, Measurement(np.broadcast_to(m, shape)))
+
+    def test_alice_send_keeps_a_1_by_3_state_as_its_row(self):
+        # the report kept the (1, 3) state as given, where run_trial keeps its (3,) row
+        v, codebook, key = trial_inputs(5, 0)
+        want = alice_send(v, codebook, 64, counter_uniforms(key))
+        got = alice_send(v[None], codebook, 64, counter_uniforms(key))
+        assert got[0] == want[0] and got[1].accepted_index == want[1].accepted_index
+        assert got[1].state.shape == want[1].state.shape == (3,)
+        assert got[1].state.tobytes() == v.tobytes() and got[1].state is not v
 
     @pytest.mark.parametrize("bins", [2, 64, 4096])
     def test_run_trial_takes_a_1_by_3_state_as_its_row(self, bins):
@@ -1130,6 +1141,20 @@ class TestAnswersOnRead:
             rows = slice(lo, lo + 32)
             got = protocol._outcomes(keys[rows], accepted[rows], m[rows] if per_trial else m)
             assert np.array_equal(got, want[rows]), lo
+
+    @pytest.mark.parametrize("per_trial", [False, True], ids=["one", "per_trial"])
+    def test_exact_zero_is_plus(self, monkeypatch, per_trial):
+        # entries on the equator measured along z-hat: x.m is an exact float64 zero,
+        # which the tie rule answers "+"
+        n = BLOCK + 64
+        phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        monkeypatch.setattr(protocol, "_sphere_zphi",
+                            lambda keys, ctr: (np.zeros(keys.size), phi[keys]))
+        zhat = unit_vector(0.0, 0.0, 1.0)
+        m = np.tile(zhat, (n, 1)) if per_trial else zhat
+        keys, accepted = np.arange(n, dtype=np.uint64), np.ones(n, dtype=np.int64)
+        assert not np.any(dot3(sphere_from_zphi(np.zeros(n), phi), m))
+        assert np.array_equal(protocol._outcomes(keys, accepted, m), np.ones(n))
 
     def test_cost_never_answers(self, monkeypatch, tmp_path):
         def results(argv):
