@@ -160,6 +160,15 @@ MUTANTS = [
            "azimuths.advance(n)\n", "azimuths.advance(0)\n",
            ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",
             "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_verify_pinned")),
+    Mutant("draws_not_run_to_the_end", "src/kschannel/model.py",
+           "in enumerate(ks_draws(rng, math.prod(shape))):",
+           "in zip(range(-(-math.prod(shape) // BLOCK)), ks_draws(rng, math.prod(shape))):",
+           ("tests/test_blocked.py::TestKsSampleAtBlockEdges::test_single_pole",)),
+    Mutant("draws_end_state_dropped", "src/kschannel/model.py",
+           '    bits.state = azimuths.state | {"has_uint32": state["has_uint32"],\n'
+           '                                   "uinteger": state["uinteger"]}\n', "",
+           ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",
+            "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_mc_mutual_information")),
     Mutant("percentiles_without_upper_branch", "src/kschannel/cli.py",
            "a + d * t if t < 0.5 else b - d * (1 - t)", "a + d * t",
            ("tests/test_cli.py::TestCodeBitStats::"

@@ -37,7 +37,7 @@ from .geometry import (BLOCK, Measurement, born_from_dot, random_unit_vec, requi
 from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
-from .model import _ks_draw_blocks, _plus_count
+from .model import _plus_count, ks_draws
 from .protocol import _MAX_BINS, _bin_count, ks_bin_masses, run_trials
 from .rngstream import mix
 
@@ -187,13 +187,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """Direct-model sweep: sample the conditional density, answer the measurement.
 
     Each cell checks its state and builds its measurement's frame vector
-    once, then draws its samples BLOCK at a time (:func:`model._ks_draw_blocks`,
-    :func:`model.ks_draws`' draws bit for bit) and counts each block's "+"
-    answers as it is drawn, by :func:`model._plus`, the kernel the protocol's
-    receiver answers with: a sample is decided from a float32 estimate of
-    x.m, and its exact float64 point is built only near the tie.  No array
-    longer than a block is made, so a cell's time does not hang on how the
-    allocator serves multi-megabyte arrays.  The counts are exact integers.
+    once, then draws its samples BLOCK at a time (:func:`model.ks_draws`)
+    and counts each block's "+" answers as it is drawn, by
+    :func:`model._plus`, the kernel the protocol's receiver answers with: a
+    sample is decided from a float32 estimate of x.m, and its exact float64
+    point is built only near the tie.  No array longer than a block is
+    made, so a cell's time does not hang on how the allocator serves
+    multi-megabyte arrays.  The counts are exact integers.
     It runs on one thread: a pool was slower than one thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:
@@ -218,7 +218,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         meas = Measurement(m)
         # ks_sample's draws: the count of "+" answers is exact, so count / n is the
         # mean of the whole response array
-        plus = _plus_count(_ks_draw_blocks(rng, cfg.trials), require_unit(v, "state v"), meas)
+        plus = _plus_count(ks_draws(rng, cfg.trials), require_unit(v, "state v"), meas)
         empirical = plus / cfg.trials
         born = float(born_from_dot(np.sum(v * m)))
         sigma = _binomial_sigma(born, cfg.trials)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coding import whole_number
+
 #: tolerance on |v.v - 1| for something to count as a unit vector
 UNIT_ATOL = 1e-12
 
@@ -147,11 +149,12 @@ def dot_estimate(z: np.ndarray, phi: np.ndarray, u) -> np.ndarray:
 def random_unit_vec(rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Uniform point(s) on the unit sphere: z ~ U[-1, 1], azimuth ~ U[0, 2pi).
 
-    Returns shape (3,) when ``n`` is None, else (n, 3).  Deterministic given
-    the generator state: two calls on identically seeded generators agree
-    bit for bit.  All heights are drawn before all azimuths.
+    Returns shape (3,) when ``n`` is None, else (n, 3) (n whole and >= 0, else
+    ValueError).  Deterministic given the generator state: two calls on
+    identically seeded generators agree bit for bit.  All heights are drawn
+    before all azimuths.
     """
-    size = () if n is None else (n,)
+    size = () if n is None else (whole_number(n, "sample count", 0),)
     z = rng.uniform(-1.0, 1.0, size=size)
     phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
     return sphere_from_zphi(z, phi)

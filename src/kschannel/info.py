@@ -85,11 +85,11 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     and workers >= 1 (booleans and fractions raise ValueError).
 
     Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
-    order: the states' heights, their azimuths, then :func:`ks_draws`.  Each
-    BLOCK rows of a chunk are then built, rotated and turned into log-ratios
-    in one pass, on up to ``workers`` threads (see :func:`parallel_map`), and
-    the sums are taken over the whole chunk, so neither the split nor
-    ``workers`` moves a bit of the estimate.
+    order: the states' heights, their azimuths, then :func:`ks_draws`' blocks.
+    Each block, with its BLOCK rows of states, is then built, rotated and
+    turned into log-ratios in one pass, on up to ``workers`` threads (see
+    :func:`parallel_map`), and the sums are taken over the whole chunk, so
+    neither the split nor ``workers`` moves a bit of the estimate.
     """
     n = whole_number(n, "sample count", MIN_MI_SAMPLES)
     workers = whole_number(workers, "workers", 1)
@@ -100,17 +100,17 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
         m = min(_MI_CHUNK, n - done)
         state_z = rng.uniform(-1.0, 1.0, m)
         state_phi = rng.uniform(0.0, 2.0 * np.pi, m)
-        z, phi = ks_draws(rng, m)
+        draws = list(ks_draws(rng, m))
         w = np.empty(m)
 
-        def block(lo: int) -> None:
-            rows = slice(lo, lo + BLOCK)
+        def block(k: int) -> None:
+            rows = slice(k * BLOCK, (k + 1) * BLOCK)
             # states and points built here are unit by construction
             state = sphere_from_zphi(state_z[rows], state_phi[rows])
-            x = rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), state)
+            x = rotate_to_frame(sphere_from_zphi(*draws[k]), state)
             np.log2(_ks_density(x, state) / MARGINAL_DENSITY, out=w[rows])
 
-        parallel_map(block, range(0, m, BLOCK), workers)
+        parallel_map(block, range(len(draws)), workers)
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m

@@ -16,10 +16,12 @@ account of prepare-and-measure statistics; the quadrature checks live in
 from __future__ import annotations
 
 import copy
+import math
 from collections.abc import Iterator
 
 import numpy as np
 
+from .coding import whole_number
 from .geometry import (BLOCK, Measurement, dot3, dot_estimate, require_unit, rotate_to_frame,
                        sphere_from_zphi)
 
@@ -49,31 +51,15 @@ def _ks_density(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(d > 0.0, d * DENSITY_SCALE, 0.0)
 
 
-def ks_draws(rng: np.random.Generator, size) -> tuple[np.ndarray, np.ndarray]:
-    """Polar coordinates of draws from rho(.|v) about its pole: heights, then azimuths.
+def ks_draws(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Polar coordinates (z, phi) of ``n`` draws from rho(.|v) about its pole, BLOCK draws a block.
 
     The height z = v.x has marginal density 2z on (0, 1], so z = sqrt(u)
-    with u ~ U(0, 1]; the azimuth about v is uniform.  All heights are drawn
-    before all azimuths, so the generator is consumed the same way however
-    the caller later splits the draws.
-    """
-    u = rng.random(size)
-    np.subtract(1.0, u, out=u)  # (0, 1]: keeps every sample strictly on the open hemisphere
-    z = np.sqrt(u, out=u)
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    return z, phi
-
-
-def _ks_draw_blocks(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`ks_draws` of ``n`` draws, yielded as :data:`geometry.BLOCK`-draw (z, phi) blocks.
-
-    The blocks, joined, are ``ks_draws(rng, n)`` bit for bit, and once they
-    are all read ``rng`` is left in the state ``ks_draws`` leaves: its bit
-    generator must support ``advance`` (PCG64, which ``default_rng`` makes,
-    does).  Each height and azimuth takes one word of the stream, so the
-    heights are read from ``rng`` block by block, and the azimuths from a
-    copy of its bit generator advanced past the n heights.  No array longer
-    than a block is made.
+    with u ~ U(0, 1]; the azimuth about v is uniform.  The stream holds all n
+    heights, one word each, then all n azimuths, which are read from a copy of
+    the bit generator advanced past the heights (PCG64, which ``default_rng``
+    makes, has ``advance``).  ``rng`` is left past the azimuths only once
+    every block is read, so callers run the blocks to the end.
     """
     bits = rng.bit_generator
     azimuths = copy.deepcopy(bits)
@@ -82,10 +68,10 @@ def _ks_draw_blocks(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarr
     for lo in range(0, n, BLOCK):
         size = min(BLOCK, n - lo)
         u = rng.random(size)
-        np.subtract(1.0, u, out=u)
+        np.subtract(1.0, u, out=u)  # (0, 1]: keeps every sample strictly on the open hemisphere
         yield np.sqrt(u, out=u), phi_rng.uniform(0.0, 2.0 * np.pi, size=size)
-    # where ks_draws ends: past the azimuths, with the generator's spare 32-bit word kept
-    # (advance drops it, and neither draw reads it)
+    # past the azimuths, with the generator's spare 32-bit word kept (advance drops it,
+    # and neither draw reads it)
     state = bits.state
     bits.state = azimuths.state | {"has_uint32": state["has_uint32"],
                                    "uinteger": state["uinteger"]}
@@ -94,24 +80,22 @@ def _ks_draw_blocks(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarr
 def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     """Draw x ~ rho(.|v) by inverse CDF in the polar coordinate (see :func:`ks_draws`).
 
-    ``n`` draws per call when given, a single (3,) sample otherwise; v may
-    itself be a batch of states (one draw each).  All draws are taken first;
-    they are then mapped and rotated BLOCK rows at a time into the one
-    result, so no array of local points is built.  A batch of states is
-    split with the rows, and a single state, (3,) or (1, 3), serves every
-    block.  Each block checks its states as it reaches them: a non-unit
-    state raises ValueError.
+    ``n`` draws per call when given (a whole number >= 0, else ValueError), a
+    single (3,) sample otherwise; v may itself be a batch of states (one draw
+    each).  Each block of draws is rotated into its rows of the one result.  A
+    batch of states is split with the rows, and a single state, (3,) or (1, 3),
+    serves every block.  Each block checks its states as it reaches them: a
+    non-unit state raises ValueError.
     """
     v = np.asarray(v, dtype=float)
-    z, phi = ks_draws(rng, v.shape[:-1] if n is None else (n,))
-    out = np.empty(np.broadcast_shapes(z.shape + (3,), v.shape))
-    per_row = v.shape[:-1] == z.shape
-    flat, z, phi = out.reshape(-1, 3), z.reshape(-1), phi.reshape(-1)
-    poles = v.reshape(-1, 3)
-    for lo in range(0, len(z), BLOCK):
-        rows = slice(lo, lo + BLOCK)
+    shape = v.shape[:-1] if n is None else (whole_number(n, "sample count", 0),)
+    out = np.empty(np.broadcast_shapes(shape + (3,), v.shape))
+    per_row = v.shape[:-1] == shape
+    flat, poles = out.reshape(-1, 3), v.reshape(-1, 3)
+    for k, (z, phi) in enumerate(ks_draws(rng, math.prod(shape))):
+        rows = slice(k * BLOCK, (k + 1) * BLOCK)
         pole = require_unit(poles[rows] if per_row else v, "state v")
-        rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), pole, out=flat[rows])
+        rotate_to_frame(sphere_from_zphi(z, phi), pole, out=flat[rows])
     return out
 
 

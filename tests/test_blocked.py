@@ -13,7 +13,7 @@ from kschannel import cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
 from kschannel import protocol
 from kschannel.greedy import GreedySchedule
-from kschannel.model import _ks_draw_blocks, ks_draws
+from kschannel.model import ks_draws
 from kschannel.protocol import _sphere_point, run_trials
 from kschannel.rngstream import mix, mix_vec, to_unit
 from test_geometry import (_awkward_poles, _stacked_dot3, _stacked_rotate_to_frame,
@@ -337,8 +337,8 @@ class TestKsSampleAtBlockEdges:
         self._assert_matches_whole_array(poles, None, n + 4)
 
     def test_holds_no_array_of_local_points(self):
-        # draws (16 bytes/row) + result (24) + 16 bytes/row of slack; a whole (m, 3)
-        # array of local points before the rotation alone would cost 24 more
+        # result (24 bytes/row) + one block's temporaries and slack; the draws held
+        # whole would cost 16 more, a whole (m, 3) array of local points 24 more
         m = 1 << 18
         states = random_unit_vec(np.random.default_rng(6), m)
         rng = np.random.default_rng(7)
@@ -348,7 +348,7 @@ class TestKsSampleAtBlockEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / m < 56
+        assert peak / m < 36
 
 
 def _verify_rates(state, meas, seed, n):
@@ -362,14 +362,15 @@ class TestKsDrawBlocks:
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 250_000])
     @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_word"])
     def test_blocks_are_ks_draws(self, n, spare):
-        # joined, the blocks are ks_draws' heights and azimuths bit for bit, and the
-        # generator ends where ks_draws leaves it, a spare 32-bit word included
+        # joined, the blocks are the generator's whole-array heights and azimuths bit for
+        # bit, and the generator ends where those draws leave it, a spare 32-bit word included
         rng, frozen_rng = np.random.default_rng(n), np.random.default_rng(n)
         if spare:
             rng.integers(0, 1 << 32, dtype=np.uint32)
             frozen_rng.integers(0, 1 << 32, dtype=np.uint32)
-        blocks = list(_ks_draw_blocks(rng, n))
-        z, phi = ks_draws(frozen_rng, n)
+        blocks = list(ks_draws(rng, n))
+        z = np.sqrt(1.0 - frozen_rng.random(n))
+        phi = frozen_rng.uniform(0.0, 2.0 * np.pi, size=n)
         assert all(zb.size == phib.size <= BLOCK for zb, phib in blocks)
         assert len(blocks) == -(-n // BLOCK)
         assert_bit_identical(np.concatenate([np.empty(0)] + [zb for zb, _ in blocks]), z)

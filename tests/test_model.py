@@ -125,6 +125,23 @@ class TestKsSample:
             ks_sample(states, rng)
 
 
+@pytest.mark.parametrize("sample", [lambda rng, n: ks_sample(GENERIC, rng, n), random_unit_vec],
+                         ids=["ks_sample", "random_unit_vec"])
+def test_sample_count_is_a_whole_number(sample):
+    rng = np.random.default_rng(8)
+    for n in (1.5, True, -1, "3"):
+        with pytest.raises(ValueError, match="sample count"):
+            sample(rng, n)
+    assert sample(rng, np.int64(3)).shape == (3, 3)
+    assert sample(rng, 0).shape == (0, 3)
+
+
+def joined_draws(rng, n):
+    """``ks_draws(rng, n)``'s blocks joined: all n heights, then all n azimuths."""
+    z, phi = zip(*ks_draws(rng, n))
+    return np.concatenate(z), np.concatenate(phi)
+
+
 def plus_count(z, phi, v, meas):
     """``model._plus_count`` of the draws (z, phi), read BLOCK draws at a time, as verify does."""
     return _plus_count(((z[lo:lo + BLOCK], phi[lo:lo + BLOCK]) for lo in range(0, z.size, BLOCK)),
@@ -168,7 +185,7 @@ class TestKsPlusCount:
     def test_equals_the_exact_count(self, v, m):
         meas = Measurement(m)
         rng = np.random.default_rng(23)
-        z, phi = ks_draws(rng, 4096)
+        z, phi = joined_draws(rng, 4096)
         assert plus_count(z, phi, v, meas) == _exact_plus(z, phi, v, meas)
         # draws a hair off the tie circle, where the float32 estimate cannot tell the
         # sign: compared 32 at a time, so no miscounts can cancel over the whole array
@@ -178,7 +195,7 @@ class TestKsPlusCount:
             assert plus_count(z[rows], phi[rows], v, meas) == \
                 _exact_plus(z[rows], phi[rows], v, meas), lo
         # ordinary draws with 32 tie draws straddling each block edge
-        zb, phib = ks_draws(rng, 2 * BLOCK + 40)
+        zb, phib = joined_draws(rng, 2 * BLOCK + 40)
         for edge in (BLOCK, 2 * BLOCK):
             zb[edge - 16:edge + 16], phib[edge - 16:edge + 16] = z[:32], phi[:32]
         assert plus_count(zb, phib, v, meas) == _exact_plus(zb, phib, v, meas)
@@ -211,7 +228,7 @@ class TestPlusKernel:
     def test_asks_exact_for_the_tie_rows_alone(self):
         rng = np.random.default_rng(29)
         u = unit_vector(0.36, -0.48, 0.8)
-        z, phi = ks_draws(rng, 3 * 512)
+        z, phi = joined_draws(rng, 3 * 512)
         tz, tphi = _tie_draws(rng, ZHAT, u, 512)   # about z-hat, whose frame is the identity
         z[1::3], phi[1::3] = tz, tphi
         s = dot_estimate(z, phi, u)
