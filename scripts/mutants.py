@@ -23,10 +23,12 @@ and a vector the branch does not pass falls through to the array check,
 which decides as before; the fault changes only speed.
 
 `run_trial`, `run_trials` and `alice_send` check a given state or
-measurement on one shared line (`protocol._given`), and `verify`'s count
-and the protocol's outcomes answer by one sign kernel (`model._plus`);
-each fault there is one entry, listed with the tests of every path that
-runs it.
+measurement on one shared line (`protocol._given`), `alice_send` and
+`greedy_one_shot` check coins by one function (`greedy._coin`), `verify`'s
+count and the protocol's outcomes answer by one sign kernel (`model._plus`),
+and that kernel and the scan trust the float32 estimate outside one band
+(`geometry.ESTIMATE_BAND`); each fault there is one entry, listed with the
+tests of every path that runs it.
 `coins_for_every_draw` moves no row of `run_trials`, whose coins are
 addressed by run and round; only a test that records the coins the scan
 asks for can catch it.
@@ -124,11 +126,13 @@ MUTANTS = [
     Mutant("uniform_bin_law_on_the_hemisphere", "src/kschannel/protocol.py",
            "return edges[1:] ** 2 - edges[:-1] ** 2", "return edges[1:] - edges[:-1]",
            ("tests/test_protocol.py::TestBinning::test_binned_target_tv_error_bound",)),
-    Mutant("tie_band_zero", "src/kschannel/model.py",
-           "TIE_BAND = 2.0 ** -12\n", "TIE_BAND = 0.0\n",
-           (_EXACT_COUNT, _TIE_OUTCOMES)),
-    Mutant("edge_band_zero", "src/kschannel/protocol.py",
-           "_EDGE_BAND = 2.0 ** -17\n", "_EDGE_BAND = 0.0\n", (_EDGE_BINS, _CUT_EDGES)),
+    Mutant("estimate_band_zero", "src/kschannel/geometry.py",
+           "ESTIMATE_BAND = 2.0 ** -17\n", "ESTIMATE_BAND = 0.0\n",
+           (_EXACT_COUNT, _TIE_OUTCOMES, _EDGE_BINS, _CUT_EDGES)),
+    Mutant("estimate_band_below_the_error", "src/kschannel/geometry.py",
+           "ESTIMATE_BAND = 2.0 ** -17\n", "ESTIMATE_BAND = 2.0 ** -24\n",
+           ("tests/test_protocol.py::TestHeightBins::"
+            "test_estimate_error_is_far_inside_the_band",)),
     Mutant("exact_bins_from_the_estimate", "src/kschannel/protocol.py",
            "bin_index(dot3(sphere_from_zphi(z.ravel()[cells], phi.ravel()[cells]),\n" + " " * 43
            + "v[cells % z.shape[-1]] if v.ndim > 1 else v), bins)",
@@ -139,7 +143,7 @@ MUTANTS = [
            'hi = np.searchsorted(self.saturation, rounds, side="right") - 1\n',
            (_GRID, _CUT_EDGES)),
     Mutant("scan_band_zero", "src/kschannel/protocol.py",
-           "schedule.scan(trial.size, draw, coins, _EDGE_BAND * bins / 2)",
+           "schedule.scan(trial.size, draw, coins, ESTIMATE_BAND * bins / 2)",
            "schedule.scan(trial.size, draw, coins, 0.0)", (_CUT_EDGES,)),
     Mutant("toss_zone_decided_as_misses", "src/kschannel/greedy.py",
            "(part >= (lo - band)", "(part >= (hi - band)", (_SCAN_STUB, _EVERY_DRAW, _CUT_EDGES)),
@@ -169,6 +173,9 @@ MUTANTS = [
            '                                   "uinteger": state["uinteger"]}\n', "",
            ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",
             "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_mc_mutual_information")),
+    Mutant("coin_type_unchecked", "src/kschannel/greedy.py",
+           "isinstance(u, bool) or not isinstance(u, numbers.Real) or not", "not",
+           ("tests/test_protocol.py::TestSender::test_coins_must_be_numbers",)),
     Mutant("percentiles_without_upper_branch", "src/kschannel/cli.py",
            "a + d * t if t < 0.5 else b - d * (1 - t)", "a + d * t",
            ("tests/test_cli.py::TestCodeBitStats::"

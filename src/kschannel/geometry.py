@@ -21,6 +21,9 @@ UNIT_ATOL = 1e-12
 #: |pole_z| above this uses the fixed polar frame instead of the cross-product triad
 _POLE_EPS = 1e-9
 
+#: half-width in x.u of the band about a threshold where dot_estimate is not trusted
+ESTIMATE_BAND = 2.0 ** -17
+
 #: rows per block for callers that evaluate the kernels on long samples, so the
 #: temporaries of each step stay in cache
 BLOCK = 1 << 14
@@ -123,9 +126,9 @@ def dot_estimate(z: np.ndarray, phi: np.ndarray, u) -> np.ndarray:
     of u.  Rounding phi to float32 moves it by at most 2^-22 < 2.4e-7 on
     [0, 2 pi], float32 cos and sin err by ~1e-7 more (2.56e-7 in all on a 4M
     grid), and the rounding of u and of each float32 product and sum adds a
-    few 1e-8; since |u| = 1, |s - u.x| <= ~1e-6, while the float64 u.x errs
-    by ~1e-16.  The worst seen over 21M uniform random (z, phi, u) was
-    3.2e-7; tests guard the trig error and the error of s on 4M-point grids.
+    few 1e-8; since |u| = 1, |s - u.x| <= ~1e-6 (3.2e-7 at worst seen; tests
+    guard it), while the float64 u.x errs by ~1e-16.  So the sign of s - c is
+    u.x - c's where |s - c| >= :data:`ESTIMATE_BAND` = 2^-17, over six times that.
     """
     # Python floats keep one vector's products in float32
     u0, u1, u2 = ((u[..., k].astype(np.float32) for k in range(3)) if u.ndim > 1

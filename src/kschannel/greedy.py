@@ -23,6 +23,7 @@ protocol's sender reads the law one round at a time, and
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 
@@ -72,6 +73,14 @@ def _advance(s: np.ndarray, remainder: float, target: np.ndarray,
              proposal: np.ndarray) -> np.ndarray:
     """Mass claimed this round: min((1-S) p(a), t(a) - s(a)) per symbol."""
     return np.minimum(remainder * proposal, target - s)
+
+
+def _coin(u) -> float:
+    """``u`` as a float in [0, 1); anything else, booleans and strings too, raises ValueError."""
+    if not (type(u) is float and 0.0 <= u < 1.0) and (   # the counter streams' coins pass here
+            isinstance(u, bool) or not isinstance(u, numbers.Real) or not 0.0 <= float(u) < 1.0):
+        raise ValueError(f"coins must lie in [0, 1) as numbers, got {u!r}")
+    return float(u)
 
 
 def _check_support(target: np.ndarray, proposal: np.ndarray) -> None:
@@ -280,9 +289,9 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
     the sender's private coins in [0, 1); one of each is consumed per round.
     Returns (accepted round index, accepted symbol), 1-based index.  Raises
     :class:`ProtocolFailure` if either stream ends or nothing is accepted
-    within :data:`DEFAULT_ROUND_CAP` rounds, and ValueError on a coin
-    outside [0, 1), a symbol that is not a whole number in [0, n), or a
-    target the proposal misses.
+    within :data:`DEFAULT_ROUND_CAP` rounds, and ValueError on a coin that
+    is not a number in [0, 1) (:func:`_coin`), a symbol that is not a whole
+    number in [0, n), or a target the proposal misses.
     """
     t = target.masses
     p = proposal.masses
@@ -298,11 +307,9 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
             raise ProtocolFailure(f"no acceptance within {DEFAULT_ROUND_CAP} rounds")
         try:
             a = next(sym_it)
-            u = float(next(coin_it))
+            u = _coin(next(coin_it))
         except StopIteration:
             raise ProtocolFailure(f"stream exhausted after {i - 1} rounds") from None
-        if not 0.0 <= u < 1.0:
-            raise ValueError(f"coins must lie in [0, 1), got {u!r}")
         a = whole_number(a, "symbol", 0)
         if a >= t.size:
             raise ValueError(f"symbol must be < {t.size}, got {a}")

@@ -22,17 +22,14 @@ from collections.abc import Iterator
 import numpy as np
 
 from .coding import whole_number
-from .geometry import (BLOCK, Measurement, dot3, dot_estimate, require_unit, rotate_to_frame,
-                       sphere_from_zphi)
+from .geometry import (BLOCK, ESTIMATE_BAND, Measurement, dot3, dot_estimate, require_unit,
+                       rotate_to_frame, sphere_from_zphi)
 
 #: conditional density on its support, divided by the dot product
 DENSITY_SCALE = 1.0 / np.pi
 
 #: the state-averaged (marginal) density: uniform on the sphere
 MARGINAL_DENSITY = 1.0 / (4.0 * np.pi)
-
-#: half-width of the band of float32 estimates of x.m that _plus answers exactly
-TIE_BAND = 2.0 ** -12
 
 
 def ks_density(x, v) -> np.ndarray | float:
@@ -107,18 +104,16 @@ def ks_response(x, meas: Measurement) -> np.ndarray | int:
 
 
 def _plus(z: np.ndarray, phi: np.ndarray, u, exact) -> np.ndarray:
-    """Whether each draw (z, phi) answers "+" (x.u >= 0): a bool array, mostly from an estimate.
+    """Whether each draw (z, phi) answers "+" (x.u >= 0) as its float64 point does: a bool array.
 
     ``u`` is the measurement in the draws' frame, one (3,) vector or one per
-    draw.  The float32 estimate s of x.u (:func:`geometry.dot_estimate`) errs
-    by ~1e-6 and the float64 x.u by ~1e-16, so s >= TIE_BAND = 2^-12 (over
-    100 times the bound) is a "+" and s <= -TIE_BAND a "-".  The ~1e-4 of rows
-    with |s| < TIE_BAND take ``exact(rows)``, their float64 x.u for ascending
-    indices ``rows`` into ``z``, so every answer is the float64 point's.
+    draw.  A draw is answered by the sign of its :func:`geometry.dot_estimate`
+    s of x.u where |s| >= :data:`geometry.ESTIMATE_BAND`, and by ``exact(rows)``,
+    the float64 x.u at ascending indices ``rows`` into ``z``, for the ~8e-6 inside.
     """
     s = dot_estimate(z, phi, u)
     plus = s >= 0.0
-    tie = np.flatnonzero(np.abs(s) < TIE_BAND)
+    tie = np.flatnonzero(np.abs(s) < ESTIMATE_BAND)
     if tie.size:
         plus[tie] = exact(tie) >= 0.0
     return plus

@@ -16,15 +16,15 @@ each read extends it, under its lock, through the last round read.
 :func:`run_trials` hands each worker's span to :meth:`GreedySchedule.scan`
 in blocks of rounds, one row per round, of at most :data:`geometry.BLOCK`
 draws.  A draw is its float32 position (v.x + 1) bins/2 (:func:`_positions`);
-the scan settles it against its round's two cut bins where it lies past
-them by more than the estimate's error, and bins only the rest (~4%) from
-the float64 point, so each decision is the float64 bin's.  A batch holds
-the sender's output (the accepted index and its code length) as the scan
-leaves it; its outcome and Born rows are computed on their first read, so
-a command that reads only the sender's output never runs the receiver.
-The outcomes are the sign of a float32 estimate of x.m, taken from the
-float64 point only near the tie (:func:`_outcomes`, by :func:`model._plus`,
-the kernel ``verify`` counts with), so each equals the float64 point's.
+the scan settles it against its round's two cut bins where it lies past them
+by more than :data:`geometry.ESTIMATE_BAND` bins/2, and bins only the rest
+(~4%) from the float64 point, so each decision is the float64 bin's.  A batch
+holds the sender's output (the accepted index and its code length) as the scan
+leaves it; its outcome and Born rows are computed on their first read, so a
+command that reads only the sender's output never runs the receiver.  The
+outcomes are the sign of a float32 estimate of x.m, taken from the float64
+point only inside that band (:func:`_outcomes`, by :func:`model._plus`, the
+kernel ``verify`` counts with), so each equals the float64 point's.
 The two-party path works in Python floats, one round at a time:
 :func:`alice_send` reads codebook entry i (:func:`_entry_point`, the scalar
 image of :func:`_sphere_point`) and its bin's acceptance probability at
@@ -52,10 +52,10 @@ import numpy as np
 
 from .coding import (code_lengths, elias_delta_decode, elias_delta_encode, whole_indices,
                      whole_number)
-from .geometry import (BLOCK, Measurement, born_from_dot, dot3, dot_estimate, parallel_map,
-                       require_unit, sphere_from_zphi)
+from .geometry import (BLOCK, ESTIMATE_BAND, Measurement, born_from_dot, dot3, dot_estimate,
+                       parallel_map, require_unit, sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
-                     ProtocolFailure, greedy_one_shot)
+                     ProtocolFailure, _coin, greedy_one_shot)
 from .model import _plus
 from .rngstream import _INV53, counter_uniforms, mix, mix_vec, to_unit
 
@@ -74,8 +74,6 @@ _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 _TRIALS_PER_THREAD = 1 << 15
 #: largest bin count accepted; the protocol keeps several float arrays of this length
 _MAX_BINS = 1 << 20
-#: half-width, in heights v.x, of the band about each cut where the estimate is not trusted
-_EDGE_BAND = 2.0 ** -17
 
 
 def _word(value, what: str) -> int:
@@ -206,16 +204,15 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[s
 
     ``state`` is one unit vector, kept as its (3,) row (:func:`_given`).
     ``accept_uniforms`` supplies the sender's private coins (an iterable of
-    floats in [0, 1); any other coin, NaN included, raises ValueError);
-    exactly one is taken per round up to the accepted one.  Round i reads
-    codebook entry i as Python floats (:func:`_entry_point`) and its
-    acceptance probability from the shared schedule
-    (:meth:`GreedySchedule.accept_prob_at`, which builds through round i),
-    so a trial costs time linear in its accepted index, whose mean is at
-    most 4.  Returns the transmitted bitstring and the sender-side report.  Raises
-    :class:`ProtocolFailure` if the coins run out first or nothing is
-    accepted within :data:`greedy.DEFAULT_ROUND_CAP` rounds, a guard that
-    the schedule's floor round (562 545 at 2**15 bins) keeps from binding.
+    numbers in [0, 1), :func:`greedy._coin`; any other coin raises ValueError);
+    exactly one is taken per round up to the accepted one.  Round i reads codebook
+    entry i as Python floats (:func:`_entry_point`) and its acceptance probability
+    from the shared schedule (:meth:`GreedySchedule.accept_prob_at`, which builds
+    through round i), so a trial costs time linear in its accepted index, whose
+    mean is at most 4.  Returns the transmitted bitstring and the sender-side
+    report.  Raises :class:`ProtocolFailure` if the coins run out first or nothing
+    is accepted within :data:`greedy.DEFAULT_ROUND_CAP` rounds, a guard that the
+    schedule's floor round (562 545 at 2**15 bins) keeps from binding.
     """
     state = _given(state, "state")
     v0, v1, v2 = state.tolist()
@@ -231,11 +228,9 @@ def alice_send(state, codebook: Codebook, bins: int, accept_uniforms) -> tuple[s
         b = math.floor((0.0 + x0 * v0 + x1 * v1 + x2 * v2 + 1.0) * half)
         p = schedule.accept_prob_at(min(max(b, 0), bins - 1), i)
         try:
-            u = float(next(coins))
+            u = _coin(next(coins))
         except StopIteration:
             raise ProtocolFailure(f"stream exhausted after {i - 1} rounds") from None
-        if not 0.0 <= u < 1.0:
-            raise ValueError(f"coins must lie in [0, 1), got {u!r}")
         if u < p:
             bits = elias_delta_encode(i)
             return bits, TrialReport(state=state, meas=None, accepted_index=i,
@@ -336,12 +331,11 @@ def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _positions(z: np.ndarray, phi: np.ndarray, v, bins: int):
     """The scan's positions of draws (z, phi) about v, and the callback that bins them exactly.
 
-    ``v`` is one (3,) state or one per column of the (width, active) ``z``.  t =
-    (s + 1) bins/2 in float32, s the :func:`geometry.dot_estimate` of v.x, lies
-    within ~1.2e-6 bins/2 (s errs by ~1e-6, the float32 steps add 2e-7) of the
-    float64 (v.x + 1) bins/2, whose floor is the bin ``exact(cells)`` gives for
-    row-major flat cells; the scan's band :data:`_EDGE_BAND` bins/2 is over six
-    times that (c +- band moves <= 2^-23 bins/2 in float32).
+    ``v`` is one (3,) state or one per column of the (width, active) ``z``; t =
+    (s + 1) bins/2 in float32, s the :func:`geometry.dot_estimate` of v.x, and
+    ``exact(cells)`` gives the float64 bins of row-major flat cells.  The steps of t
+    add 2e-7 bins/2 to the error of s: the scan's band :data:`geometry.ESTIMATE_BAND`
+    bins/2, less its own float32 rounding, stays over six times the sum.
     """
     t = dot_estimate(z, phi, v)
     t += 1.0
@@ -426,7 +420,7 @@ def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
     def coins(runs, rounds):
         return to_unit(mix_vec(acc_keys[runs], rounds))
 
-    accepted, _ = schedule.scan(trial.size, draw, coins, _EDGE_BAND * bins / 2)
+    accepted, _ = schedule.scan(trial.size, draw, coins, ESTIMATE_BAND * bins / 2)
     return TrialBatch(accepted, code_lengths(accepted),
                       lambda: _answers(trial, cb_keys, accepted, v, meas))
 

@@ -6,9 +6,9 @@ from scipy.stats import kstest
 
 from kschannel import (Measurement, born_probability, ks_density, ks_response, ks_sample,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
-from kschannel import quadrature
-from kschannel.geometry import BLOCK, dot3, dot_estimate
-from kschannel.model import MARGINAL_DENSITY, TIE_BAND, _plus, _plus_count, ks_draws
+from kschannel import model, protocol, quadrature
+from kschannel.geometry import BLOCK, ESTIMATE_BAND, dot3, dot_estimate
+from kschannel.model import MARGINAL_DENSITY, _plus, _plus_count, ks_draws
 from kschannel.quadrature import _integrate_z, born_plus_integral
 from conftest import unit_vectors
 from oracles import density_normalization, marginal_from_prior
@@ -201,14 +201,14 @@ class TestKsPlusCount:
         assert plus_count(zb, phib, v, meas) == _exact_plus(zb, phib, v, meas)
 
     def test_float32_trig_error_is_far_inside_the_tie_band(self):
-        # the bound behind TIE_BAND: float32 cos and sin of float32(phi) within ~2.6e-7 of
+        # the bound behind ESTIMATE_BAND: float32 cos and sin of float32(phi) within ~2.6e-7 of
         # float64's on [0, 2 pi); a platform whose float32 trig is worse fails here
         worst = 0.0
         for phi in np.split(np.linspace(0.0, 2.0 * np.pi, 1 << 22, endpoint=False), 16):
             phi32 = phi.astype(np.float32)
             worst = max(worst, np.max(np.abs(np.cos(phi32) - np.cos(phi))),
                         np.max(np.abs(np.sin(phi32) - np.sin(phi))))
-        assert worst <= TIE_BAND / 64
+        assert worst <= ESTIMATE_BAND / 8
 
     def test_no_draws_count_zero(self):
         assert plus_count(np.empty(0), np.empty(0), ZHAT, Measurement(XHAT)) == 0
@@ -239,11 +239,37 @@ class TestPlusKernel:
             return dot3(sphere_from_zphi(z[rows], phi[rows]), u)
 
         got = _plus(z, phi, u, exact)
-        want = np.flatnonzero(np.abs(s) < TIE_BAND)
+        want = np.flatnonzero(np.abs(s) < ESTIMATE_BAND)
         assert len(asked) == 1 and np.array_equal(asked[0], want)
         assert 400 < want.size < 600 and np.all(np.diff(want) > 0)
         assert got.dtype == bool
         assert np.array_equal(got, dot3(sphere_from_zphi(z, phi), u) >= 0.0)
+
+    @pytest.mark.parametrize("receiver", ["verify", "outcomes"])
+    def test_receivers_answer_from_the_estimate_outside_the_band(self, monkeypatch, receiver):
+        # m = z-hat about the pole z-hat, so x.m is the height z and the estimate is
+        # float32(z) exactly: heights 2^-16 and 2^-14 from the tie are answered by their
+        # sign, and only those 2^-19 from it are built as float64 points
+        heights = [2.0 ** -16, -2.0 ** -16, 2.0 ** -14, -2.0 ** -14, 2.0 ** -19, -2.0 ** -19]
+        azimuths = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+        z, phi = np.repeat(heights, azimuths.size), np.tile(azimuths, len(heights))
+        module = model if receiver == "verify" else protocol
+        points, built = module.sphere_from_zphi, []
+
+        def recording_points(zz, pp):
+            built.append(zz.copy())
+            return points(zz, pp)
+
+        monkeypatch.setattr(module, "sphere_from_zphi", recording_points)
+        if receiver == "verify":
+            assert plus_count(z, phi, ZHAT, Measurement(ZHAT)) == np.count_nonzero(z > 0.0)
+        else:
+            monkeypatch.setattr(protocol, "_sphere_zphi", lambda keys, ctr: (z[keys], phi[keys]))
+            got = protocol._outcomes(np.arange(z.size, dtype=np.uint64),
+                                     np.ones(z.size, dtype=np.int64), ZHAT)
+            assert np.array_equal(got, np.where(z > 0.0, 1, -1))
+        assert np.array_equal(np.concatenate(built), z[np.abs(z) < ESTIMATE_BAND])
+        assert np.array_equal(np.abs(z[np.abs(z) < ESTIMATE_BAND]), np.full(128, 2.0 ** -19))
 
 
 class TestKsResponse:

@@ -13,7 +13,8 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
                        elias_delta_decode, elias_delta_encode, greedy_one_shot,
                        random_unit_vec, rotate_to_frame, sphere_from_zphi, unit_vector)
 from kschannel import cli, protocol
-from kschannel.geometry import BLOCK, born_from_dot, dot3, dot_estimate
+from kschannel.geometry import BLOCK, ESTIMATE_BAND, born_from_dot, dot3, dot_estimate
+from kschannel.greedy import DiscreteDistribution
 from kschannel.model import ks_response
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_MEAS, _SUB_STATE,
                                 TrialBatch, _ks_laws, _ks_schedule, _sphere_point, _trial_root,
@@ -584,7 +585,7 @@ def assert_on_the_bins_side(t, bins_of, bins):
     """Each position t, against every whole c within two of it, is on c's side as its exact
     bin is, wherever the scan trusts it: t >= c + band only if the bin is >= c, and t < c -
     band only if it is < c, with c +- band rounded to t's float32 as the scan rounds it."""
-    band = protocol._EDGE_BAND * bins / 2
+    band = ESTIMATE_BAND * bins / 2
     for d in (-2, -1, 0, 1, 2):
         c = np.floor(t.astype(np.float64)) + d
         assert not np.any((t >= (c + band).astype(t.dtype)) & (bins_of < c))
@@ -600,7 +601,7 @@ class TestHeightBins:
         # the draws as one row of a block; exact() of every cell, and of every third cell
         # (the cells the scan would ask about), is the float64 point's bin
         rng = np.random.default_rng(bins)
-        band = protocol._EDGE_BAND
+        band = ESTIMATE_BAND
         for jitter in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 2 * band, -2 * band):
             z, phi, v = edge_draws(EDGE_STATES[state], bins, jitter, rng)
             exact = exact_bins(z, phi, v, bins)
@@ -660,7 +661,7 @@ class TestHeightBins:
             v = random_unit_vec(rng, z.size if k % 64 == 0 else None)
             s = dot_estimate(z, phi, v)
             worst = max(worst, float(np.abs(s - dot3(sphere_from_zphi(z, phi), v)).max()))
-        assert worst <= protocol._EDGE_BAND / 8
+        assert worst <= ESTIMATE_BAND / 8
 
     def test_float32_trig_error_on_every_1024th_float32_azimuth(self):
         # the trig term of dot_estimate's error over the float32 azimuths themselves: every
@@ -673,7 +674,7 @@ class TestHeightBins:
         phi = phi32.astype(np.float64)
         worst = max(np.max(np.abs(np.cos(phi32) - np.cos(phi))),
                     np.max(np.abs(np.sin(phi32) - np.sin(phi))))
-        assert worst <= protocol._EDGE_BAND / 8
+        assert worst <= ESTIMATE_BAND / 8
 
     @pytest.mark.parametrize("bins", [64, 1 << 16])
     def test_few_draws_reach_the_exact_formula(self, monkeypatch, bins):
@@ -1036,6 +1037,25 @@ class TestSender:
         for n in (index - 1, 8, 0):
             with pytest.raises(ProtocolFailure, match="exhausted"):
                 alice_send(v, codebook, 4096, coins[:n])
+
+    @pytest.mark.parametrize("coin", ["0.0", b"0.0", False, np.False_],
+                             ids=["str", "bytes", "bool", "np_bool"])
+    @pytest.mark.parametrize("send", ["alice_send", "greedy_one_shot"])
+    def test_coins_must_be_numbers(self, send, coin):
+        # float() reads each of these as the coin 0.0, so both loops ran them; Python
+        # and numpy floats still run, to the same round
+        _, codebook, _ = trial_inputs(self.SEED, 0)
+        law = DiscreteDistribution(np.array([0.25, 0.75]))
+
+        def run(c):
+            if send == "alice_send":
+                return alice_send(unit_vector(0.0, 0.0, 1.0), codebook, 64,
+                                  itertools.repeat(c))[1].accepted_index
+            return greedy_one_shot(law, law, itertools.repeat(1), itertools.repeat(c))[0]
+
+        with pytest.raises(ValueError, match=r"coins must lie in \[0, 1\) as numbers"):
+            run(coin)
+        assert run(0.5) == run(np.float32(0.5)) >= 1
 
 
 class TestSharedSchedule:
