@@ -2,19 +2,21 @@
 """A registry of hand-made faults the tests must catch, and a runner that checks they do.
 
 Each entry names a file under `src/`, a piece of its text that occurs there
-exactly once, the text that replaces it, the pytest node ids that must fail
-on the changed copy (run in the order listed, stopping at the first
-failure).  A mutant whose tests run out of time counts as missed.  Each
+exactly once, the text that replaces it, and the pytest node ids that must
+each fail on the changed copy.  Each id runs on its own, stopping at its
+first failure, so an id that names a parametrized test or a class fails
+when one of its cases does; a mutant counts as caught only when every
+listed id fails, and an id that runs out of time does not count.  Each
 mutant runs on its own copy of `src/`, `tests/` and `pyproject.toml` in a
 temporary directory; the tree itself is never changed.  All the registered
 node ids are first run once on an unchanged copy, where they must pass.
 
     python scripts/mutants.py
 
-Each mutant's tests get TIMEOUT_S seconds.  Exit status: 0 when every mutant
-is caught, 1 when one survives or runs out of time, 2 when an entry's old
-text does not occur exactly once, a node id is not found, or the unchanged
-copy fails.
+Each id gets TIMEOUT_S seconds.  Exit status: 0 when every mutant is
+caught, 1 when one is missed by some id, 2 when an entry's old text does
+not occur exactly once, a node id is not found, or the unchanged copy
+fails.
 
 A fault known to be equivalent is recorded here, not registered: `<` for
 `<=` in `require_unit`'s one-vector branch.  |v.v - 1| is a multiple of
@@ -22,16 +24,19 @@ A fault known to be equivalent is recorded here, not registered: `<` for
 and a vector the branch does not pass falls through to the array check,
 which decides as before; the fault changes only speed.
 
-`run_trial`, `run_trials` and `alice_send` check a given state or
-measurement on one shared line (`protocol._given`), `alice_send` and
-`greedy_one_shot` check coins by one function (`greedy._coin`), `verify`'s
-count and the protocol's outcomes answer by one sign kernel (`model._plus`),
-and that kernel and the scan trust the float32 estimate outside one band
-(`geometry.ESTIMATE_BAND`); each fault there is one entry, listed with the
-tests of every path that runs it.
+`run_trials`, `alice_send` and the tests' reference `run_trial`
+(`tests/oracles.py`) check a given state or measurement on one shared line
+(`protocol._given`), `alice_send` and `greedy_one_shot` check coins by one
+function (`greedy._coin`), `verify`'s count and the protocol's outcomes
+answer by one sign kernel (`model._plus`), and that kernel and the scan
+trust the float32 estimate outside one band (`geometry.ESTIMATE_BAND`);
+each fault there is one entry, listed with the tests of every path that
+runs it.
 `coins_for_every_draw` moves no row of `run_trials`, whose coins are
 addressed by run and round; only a test that records the coins the scan
-asks for can catch it.
+asks for can catch it.  `floor_override_dropped` lists the law table alone:
+without the override, the scan tests' runs that reach the floor round draw
+on to the round cap, and time out.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: seconds a mutant's tests may take; each registered mutant fails in a few seconds
+#: seconds one node id may take on a mutant; each registered id fails in a few seconds
 TIMEOUT_S = 120
 
 
@@ -83,7 +88,7 @@ MUTANTS = [
     Mutant("zero_fraction_tossed", "src/kschannel/greedy.py",
            "        if not p.all():", "        if False:", (_GRID, _EVERY_DRAW)),
     Mutant("floor_override_dropped", "src/kschannel/greedy.py",
-           "        if self.floor_round <= last:", "        if False:", (_GRID, _EVERY_DRAW)),
+           "        if self.floor_round <= last:", "        if False:", (_GRID,)),
     Mutant("draws_not_sliced_to_a_block", "src/kschannel/greedy.py",
            "for start in range(0, active.size, BLOCK):",
            "for start in range(0, active.size, active.size):",
@@ -95,9 +100,9 @@ MUTANTS = [
     Mutant("mix_without_key_xor", "src/kschannel/rngstream.py",
            "z ^= (z >> 31) ^ key\n", "z ^= z >> 31\n",
            ("tests/test_protocol.py::TestCodebook::test_mix_is_the_finalizer_applied_twice",
-            "tests/test_receiver.py::test_hash_known_answers")),
+            "tests/test_receiver.py::test_codebook_key_known_answers")),
     Mutant("given_vector_kept_as_given", "src/kschannel/protocol.py",
-           "return np.array(_components(require_unit(vec, name), name))",
+           "return _row(require_unit(vec, name), name).copy()",
            "return require_unit(vec, name)",
            ("tests/test_protocol.py::TestTrials::test_fixed_1_by_3_inputs_run_as_their_rows",
             "tests/test_protocol.py::TestScalarPaths::"
@@ -105,7 +110,7 @@ MUTANTS = [
             "tests/test_protocol.py::TestScalarPaths::"
             "test_alice_send_keeps_a_1_by_3_state_as_its_row")),
     Mutant("given_vector_checked_only_for_its_shape", "src/kschannel/protocol.py",
-           "_components(require_unit(vec, name), name)", "_components(np.array(vec, float), name)",
+           "_row(require_unit(vec, name), name)", "_row(np.array(vec, float), name)",
            ("tests/test_protocol.py::TestScalarPaths::"
             "test_run_trial_checks_the_measurement_before_the_sender_runs",)),
     Mutant("fixed_born_from_the_state_alone", "src/kschannel/protocol.py",
@@ -173,6 +178,9 @@ MUTANTS = [
            '                                   "uinteger": state["uinteger"]}\n', "",
            ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",
             "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_mc_mutual_information")),
+    Mutant("draws_without_advance_unchecked", "src/kschannel/model.py",
+           '    if not hasattr(bits, "advance"):\n', "    if False:\n",
+           ("tests/test_blocked.py::TestKsDrawBlocks::test_bit_generators",)),
     Mutant("coin_type_unchecked", "src/kschannel/greedy.py",
            "isinstance(u, bool) or not isinstance(u, numbers.Real) or not", "not",
            ("tests/test_protocol.py::TestSender::test_coins_must_be_numbers",)),
@@ -191,9 +199,10 @@ def occurrences(mutant: Mutant) -> int:
     return (ROOT / mutant.file).read_text().count(mutant.old)
 
 
-def run(tests, timeout: float, mutant: Mutant | None = None) -> str:
-    """'killed', 'survived', 'timeout' or 'error (pytest exit N)' for ``tests`` on a copy
-    of the tree with ``mutant`` applied (none: the unchanged copy)."""
+def run(groups, timeout: float, mutant: Mutant | None = None) -> list:
+    """'killed', 'survived', 'timeout' or 'error (pytest exit N)' for each group of node ids in
+    ``groups``, each run by its own pytest on one copy of the tree with ``mutant`` applied
+    (none: the unchanged copy)."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
         for part in ("src", "tests"):
@@ -204,12 +213,17 @@ def run(tests, timeout: float, mutant: Mutant | None = None) -> str:
             path = tmp / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
         env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-        try:
-            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, timeout=timeout)
-        except subprocess.TimeoutExpired:
-            return "timeout"
-    return {0: "survived", 1: "killed"}.get(proc.returncode, f"error (pytest exit {proc.returncode})")
+        outcomes = []
+        for tests in groups:
+            cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+            try:
+                code = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True,
+                                      timeout=timeout).returncode
+            except subprocess.TimeoutExpired:
+                outcomes.append("timeout")
+                continue
+            outcomes.append({0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})"))
+    return outcomes
 
 
 def main() -> None:
@@ -221,7 +235,7 @@ def main() -> None:
         sys.exit(2)
     # a mutant counts as caught only if its tests pass without it
     tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
-    baseline = run(tests, TIMEOUT_S * len(MUTANTS))
+    [baseline] = run([tests], TIMEOUT_S * len(tests))
     if baseline != "survived":
         print(f"the unchanged copy does not pass the registered tests: {baseline}",
               file=sys.stderr)
@@ -229,12 +243,15 @@ def main() -> None:
     failed = errors = 0
     for mutant in MUTANTS:
         start = time.perf_counter()
-        outcome = run(mutant.tests, TIMEOUT_S, mutant)
-        caught = outcome == "killed"
-        failed += not caught
-        errors += outcome.startswith("error")
-        print(f"{'caught' if caught else 'MISSED'}  {mutant.name:42s} {outcome:10s} "
+        outcomes = run([(test,) for test in mutant.tests], TIMEOUT_S, mutant)
+        missed = [(test, outcome) for test, outcome in zip(mutant.tests, outcomes)
+                  if outcome != "killed"]
+        failed += bool(missed)
+        errors += any(outcome.startswith("error") for outcome in outcomes)
+        print(f"{'MISSED' if missed else 'caught'}  {mutant.name:42s} {len(outcomes):2d} ids "
               f"{time.perf_counter() - start:6.1f} s", flush=True)
+        for test, outcome in missed:
+            print(f"        {outcome:10s} {test}", flush=True)
     print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants caught")
     sys.exit(2 if errors else 1 if failed else 0)
 

@@ -14,13 +14,12 @@ __version__ = "0.1.0"
 from .coding import DecodeError, code_lengths, elias_delta_decode, elias_delta_encode
 from .geometry import (Measurement, born_from_dot, born_probability, random_unit_vec,
                        require_unit, rotate_to_frame, sphere_from_zphi, unit_vector)
-from .greedy import (DiscreteDistribution, ProtocolFailure, greedy_one_shot,
-                     greedy_sample_batch)
+from .greedy import DiscreteDistribution, ProtocolFailure, greedy_one_shot
 from .info import (MiEstimate, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
 from .model import ks_density, ks_response, ks_sample
 from .protocol import (Codebook, TrialBatch, TrialReport, alice_send, bob_receive,
-                       ks_bin_masses, run_trial, run_trials, trial_codebook)
+                       ks_bin_masses, run_trials, trial_codebook)
 
 __all__ = [
     "__version__",
@@ -30,7 +29,7 @@ __all__ = [
     "MiEstimate", "conditional_entropy_ks", "exact_ks_mi", "marginal_entropy_ks",
     "mc_mutual_information",
     "DecodeError", "code_lengths", "elias_delta_decode", "elias_delta_encode",
-    "DiscreteDistribution", "ProtocolFailure", "greedy_one_shot", "greedy_sample_batch",
+    "DiscreteDistribution", "ProtocolFailure", "greedy_one_shot",
     "Codebook", "TrialBatch", "TrialReport", "alice_send", "bob_receive",
-    "ks_bin_masses", "run_trial", "run_trials", "trial_codebook",
+    "ks_bin_masses", "run_trials", "trial_codebook",
 ]

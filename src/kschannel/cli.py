@@ -38,7 +38,7 @@ from .greedy import ProtocolFailure
 from .info import (MIN_MI_SAMPLES, conditional_entropy_ks, exact_ks_mi, marginal_entropy_ks,
                    mc_mutual_information)
 from .model import _plus_count, ks_draws
-from .protocol import _MAX_BINS, _bin_count, ks_bin_masses, run_trials
+from .protocol import _MAX_BINS, _TRIALS_PER_THREAD, _bin_count, ks_bin_masses, run_trials
 from .rngstream import mix
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_RUNTIME = 0, 1, 2, 3
@@ -168,9 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json")
         if name != "verify":
             p.add_argument("--workers", type=_positive_int, default=_usable_cpus(),
-                           help="worker threads, at most one per 32768 trials for simulate and "
-                                f"cost and one per {BLOCK}-sample block for mi; never changes "
-                                "results (default: the CPUs this process may use, "
+                           help=f"worker threads, at most one per {_TRIALS_PER_THREAD} trials "
+                                f"for simulate and cost and one per {BLOCK}-sample block for mi; "
+                                "never changes results (default: the CPUs this process may use, "
                                 "%(default)s here)")
     return parser
 

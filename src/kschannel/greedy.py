@@ -16,9 +16,9 @@ ends up holding a sample distributed exactly by the target.
 The mass schedule s_i depends on the two laws only, so it is built once,
 lazily, and shared by every run and thread (:class:`GreedySchedule`), which
 states its law draw by draw and as two cut symbols a round.  Its ``scan``
-runs many loops at once on (rounds, runs) arrays of draw positions; the
-protocol's sender reads the law one round at a time, and
-:func:`greedy_one_shot` keeps the per-round loop as the scalar reference.
+runs many loops at once on (rounds, runs) arrays of draw positions and
+returns their accepted indices alone; the sender reads the law one round
+at a time, and :func:`greedy_one_shot` is the per-round scalar reference.
 """
 
 from __future__ import annotations
@@ -224,8 +224,8 @@ class GreedySchedule:
         k = self.saturation.item(symbol)
         return 1.0 if i < k else self.fraction.item(symbol) if i == k else 0.0
 
-    def scan(self, runs: int, draw, coins, band: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Accepted round index, and position drawn there, of each of ``runs`` independent runs.
+    def scan(self, runs: int, draw, coins, band: float = 0.0) -> np.ndarray:
+        """Accepted round index of each of ``runs`` independent runs.
 
         ``draw(active, rounds)`` returns ``(t, exact)`` for the active runs at
         the next width rounds: t (width, active), one row per round, holds the
@@ -241,7 +241,6 @@ class GreedySchedule:
         """
         cap = DEFAULT_ROUND_CAP
         index = np.zeros(runs, dtype=np.int64)
-        value = index   # takes the positions' dtype at the first block
         active = np.arange(runs)
         done = 0
         while active.size:
@@ -257,10 +256,10 @@ class GreedySchedule:
                 above = part >= (hi + band).astype(part.dtype)[:, None]
                 cells = np.flatnonzero((part >= (lo - band).astype(part.dtype)[:, None]) ^ above)
                 # two or more slices only at width 1, where a slice's flat cell is its column
-                parts.append((part, above, cells + start, exact(cells)))
-                del exact   # frees the draw's own arrays before the next slice's
-            t, hit, near, symbols = (column[0] if len(parts) == 1 else
-                                     np.concatenate(column, axis=-1) for column in zip(*parts))
+                parts.append((above, cells + start, exact(cells)))
+                del part, exact   # frees the draw's own arrays before the next slice's
+            hit, near, symbols = (column[0] if len(parts) == 1 else
+                                  np.concatenate(column, axis=-1) for column in zip(*parts))
             if near.size:
                 row, col = np.divmod(near, active.size)
                 decided, tossed, p = self.decide(symbols, rounds[row])
@@ -273,12 +272,9 @@ class GreedySchedule:
                 first = np.where(hit, np.arange(width)[:, None], width).min(axis=0)
                 won = (first < width).nonzero()[0]
                 rows_won, lost = first[won], first == width
-            value = np.zeros(runs, dtype=t.dtype) if value is index else value
-            runs_won = active[won]
-            index[runs_won] = rounds[rows_won]
-            value[runs_won] = t[rows_won, won]
+            index[active[won]] = rounds[rows_won]
             active = active.compress(lost)   # 3x a boolean index's speed here
-        return index, value
+        return index
 
 
 def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution,
@@ -326,25 +322,3 @@ def greedy_one_shot(target: DiscreteDistribution, proposal: DiscreteDistribution
             return i, a
         s += delta
         total = float(np.sum(s))
-
-
-def greedy_sample_batch(target: DiscreteDistribution, proposal: DiscreteDistribution,
-                        n_runs: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``n_runs`` independent acceptance loops with one :meth:`GreedySchedule.scan`.
-
-    Each draw call takes from ``rng`` the proposal symbols of its block as
-    a (width, active) array, and each coin call one uniform per coin, in
-    the order the scan asks for them.  Returns the arrays (accepted round
-    indices, accepted symbols).  A run count that is not a whole number
-    >= 0 raises ValueError.
-    """
-    n_runs = whole_number(n_runs, "run count", 0)
-    cdf = np.cumsum(proposal.masses)
-
-    def draw(active, rounds):
-        u = rng.random((rounds.size, active.size))
-        symbols = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
-        return symbols, symbols.ravel().take   # a symbol is its own exact position
-
-    schedule = GreedySchedule(target, proposal)
-    return schedule.scan(n_runs, draw, lambda runs, _: rng.random(runs.size))

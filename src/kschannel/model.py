@@ -48,17 +48,26 @@ def _ks_density(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(d > 0.0, d * DENSITY_SCALE, 0.0)
 
 
+def _seekable(rng: np.random.Generator) -> np.random.BitGenerator:
+    """``rng``'s bit generator, which :func:`ks_draws` advances; ValueError without ``advance``."""
+    bits = rng.bit_generator
+    if not hasattr(bits, "advance"):
+        raise ValueError(f"the draws need a bit generator with advance, not {type(bits).__name__}")
+    return bits
+
+
 def ks_draws(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Polar coordinates (z, phi) of ``n`` draws from rho(.|v) about its pole, BLOCK draws a block.
 
     The height z = v.x has marginal density 2z on (0, 1], so z = sqrt(u)
-    with u ~ U(0, 1]; the azimuth about v is uniform.  The stream holds all n
-    heights, one word each, then all n azimuths, which are read from a copy of
-    the bit generator advanced past the heights (PCG64, which ``default_rng``
-    makes, has ``advance``).  ``rng`` is left past the azimuths only once
-    every block is read, so callers run the blocks to the end.
+    with u ~ U(0, 1]; the azimuth about v is uniform.  The n heights take a
+    word each; the n azimuths come from a copy of the bit generator advanced
+    by n, so they follow the heights with PCG64 (``default_rng``'s) and
+    PCG64DXSM, start at word 4n with Philox, and with no ``advance`` (MT19937,
+    SFC64) raise ValueError before any draw.  ``rng`` is left past the
+    azimuths only once every block is read, so callers run the blocks to the end.
     """
-    bits = rng.bit_generator
+    bits = _seekable(rng)
     azimuths = copy.deepcopy(bits)
     azimuths.advance(n)
     phi_rng = np.random.Generator(azimuths)
@@ -82,7 +91,8 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     each).  Each block of draws is rotated into its rows of the one result.  A
     batch of states is split with the rows, and a single state, (3,) or (1, 3),
     serves every block.  Each block checks its states as it reaches them: a
-    non-unit state raises ValueError.
+    non-unit state raises ValueError.  PCG64 and PCG64DXSM keep the draws in
+    :func:`ks_draws`' whole-array order; a generator without ``advance`` raises.
     """
     v = np.asarray(v, dtype=float)
     shape = v.shape[:-1] if n is None else (whole_number(n, "sample count", 0),)

@@ -30,7 +30,7 @@ The two-party path works in Python floats, one round at a time:
 image of :func:`_sphere_point`) and its bin's acceptance probability at
 round i, and takes one coin; :func:`bob_receive` rebuilds the one accepted
 entry the same way.  Every draw is the counter word the per-round reference
-(:func:`greedy.greedy_one_shot`, which :func:`run_trial` uses) reads, so
+(:func:`greedy.greedy_one_shot`, run by ``tests/oracles.py``) reads, so
 all paths give the same trial bit for bit.  Bin counts must be even whole
 numbers in [2, :data:`_MAX_BINS`].
 
@@ -55,9 +55,9 @@ from .coding import (code_lengths, elias_delta_decode, elias_delta_encode, whole
 from .geometry import (BLOCK, ESTIMATE_BAND, Measurement, born_from_dot, dot3, dot_estimate,
                        parallel_map, require_unit, sphere_from_zphi)
 from .greedy import (DEFAULT_ROUND_CAP, DiscreteDistribution, GreedySchedule,
-                     ProtocolFailure, _coin, greedy_one_shot)
+                     ProtocolFailure, _coin)
 from .model import _plus
-from .rngstream import _INV53, counter_uniforms, mix, mix_vec, to_unit
+from .rngstream import _INV53, mix, mix_vec, to_unit
 
 _TWO_PI = 2.0 * np.pi
 
@@ -244,16 +244,16 @@ def bob_receive(bits: str, codebook: Codebook, meas: Measurement) -> int:
     +1 iff x.m >= 0, on Python floats; the direction has shape (3,) or (1, 3).
     """
     index = elias_delta_decode(bits)
-    m0, m1, m2 = _components(meas.direction, "measurement direction")
+    m0, m1, m2 = _row(meas.direction, "measurement direction").tolist()
     x0, x1, x2 = _entry_point(codebook.seed, index)   # decoded indices lie in [1, 2**63)
     return 1 if 0.0 + x0 * m0 + x1 * m1 + x2 * m2 >= 0.0 else -1
 
 
-def _components(vec: np.ndarray, name: str) -> list[float]:
-    """The components of one vector of shape (3,) or (1, 3); other shapes raise ValueError."""
+def _row(vec: np.ndarray, name: str) -> np.ndarray:
+    """The (3,) view of one vector of shape (3,) or (1, 3); other shapes raise ValueError."""
     if vec.shape not in ((3,), (1, 3)):
         raise ValueError(f"{name} must be one vector of shape (3,) or (1, 3), got {vec.shape}")
-    return vec.ravel().tolist()
+    return vec.reshape(3)
 
 
 def _entry_point(key: int, i: int) -> tuple[float, float, float]:
@@ -356,45 +356,13 @@ def trial_codebook(master_seed: int, trial_index: int) -> Codebook:
     return Codebook(seed=mix(trial, _SUB_CODEBOOK))
 
 
-def run_trial(master_seed: int, trial_index: int, bins: int,
-              state=None, meas=None) -> TrialReport:
-    """Reference scalar path for one complete trial (sender then receiver).
-
-    Trial t's streams are keyed ``mix(trial, _SUB_...)`` with ``trial =
-    mix(_trial_root(master_seed), t)``, as on the wire path.  The sender is
-    :func:`greedy.greedy_one_shot` over the codebook stream binned in numpy
-    float64, independent of the shared schedule.  Bit-identical to the
-    corresponding row of :func:`run_trials`.  Seeds and trial indices are
-    checked as in :func:`trial_codebook`; the state and the measurement are
-    each one unit vector of shape (3,) or (1, 3), checked before the sender
-    runs and kept as its (3,) row, and the report keeps copies of them.
-    """
-    trial = mix(_trial_root(_word(master_seed, "master seed")), _word(trial_index, "trial index"))
-    state, meas = _given_inputs(state, meas)
-    v, m = _trial_input(trial, state, _SUB_STATE), _trial_input(trial, meas, _SUB_MEAS)
-    bins = _bin_count(bins)
-    codebook = Codebook(seed=mix(trial, _SUB_CODEBOOK))
-    stream = (int(bin_index(dot3(codebook.entry(i), v), bins)) for i in count(1))
-    index, _ = greedy_one_shot(*_ks_laws(bins), stream, counter_uniforms(mix(trial, _SUB_ACCEPT)))
-    bits = elias_delta_encode(index)
-    outcome = bob_receive(bits, codebook, Measurement(m))
-    return TrialReport(state=v, meas=m, accepted_index=index,
-                       code_bits=len(bits), outcome=outcome)
-
-
 def _given(vec, name: str) -> np.ndarray:
-    """One unit vector of shape (3,) or (1, 3) as its checked (3,) row; other input raises."""
-    return np.array(_components(require_unit(vec, name), name))
-
-
-def _given_inputs(state, meas) -> list:
-    """A given state and measurement direction as their :func:`_given` rows; None stays None."""
-    return [None if vec is None else _given(vec, name)
-            for vec, name in ((state, "state"), (meas, "measurement direction"))]
+    """A copy of the checked (3,) row of one unit vector of shape (3,) or (1, 3); others raise."""
+    return _row(require_unit(vec, name), name).copy()
 
 
 def _trial_input(trial, vec, sub: int) -> np.ndarray:
-    """A :func:`_given_inputs` row as it is; None is drawn per key of ``trial`` from stream sub."""
+    """A :func:`_given` row as it is; None is drawn per key of ``trial`` from stream sub."""
     return _sphere_point(mix_vec(trial, sub), 1) if vec is None else vec
 
 
@@ -420,7 +388,7 @@ def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
     def coins(runs, rounds):
         return to_unit(mix_vec(acc_keys[runs], rounds))
 
-    accepted, _ = schedule.scan(trial.size, draw, coins, ESTIMATE_BAND * bins / 2)
+    accepted = schedule.scan(trial.size, draw, coins, ESTIMATE_BAND * bins / 2)
     return TrialBatch(accepted, code_lengths(accepted),
                       lambda: _answers(trial, cb_keys, accepted, v, meas))
 
@@ -472,7 +440,8 @@ def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None
     master_seed = _word(master_seed, "master seed")
     n_trials = whole_number(n_trials, "trial count", 0)
     workers = whole_number(workers, "workers", 1)
-    state, meas = _given_inputs(state, meas)
+    state, meas = (None if vec is None else _given(vec, name)
+                   for vec, name in ((state, "state"), (meas, "measurement direction")))
     bins = _bin_count(bins)
     schedule = _ks_schedule(bins)
     spans = max(1, min(workers, n_trials // _TRIALS_PER_THREAD))

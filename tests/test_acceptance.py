@@ -14,10 +14,11 @@ import numpy as np
 from scipy.integrate import quad
 
 from kschannel import (Measurement, born_probability, code_lengths, elias_delta_decode,
-                       elias_delta_encode, exact_ks_mi, greedy_sample_batch,
-                       mc_mutual_information, run_trials, sphere_from_zphi)
+                       elias_delta_encode, exact_ks_mi, mc_mutual_information, run_trials,
+                       sphere_from_zphi)
 from kschannel.cli import RunConfig, cmd_cost, cmd_mi, cmd_simulate, cmd_verify
 from kschannel.quadrature import born_plus_integral
+from oracles import greedy_sample_batch
 from test_greedy import dp_output_distribution, random_rational_pair, total_variation
 
 MI_EXACT = 1.2786524795555183

@@ -2,7 +2,7 @@
 
 import kschannel
 
-PUBLIC = [   # 34 names
+PUBLIC = [   # 32 names
     "__version__",
     "Measurement", "born_from_dot", "born_probability", "random_unit_vec",
     "require_unit", "rotate_to_frame", "sphere_from_zphi", "unit_vector",
@@ -10,9 +10,9 @@ PUBLIC = [   # 34 names
     "MiEstimate", "conditional_entropy_ks", "exact_ks_mi", "marginal_entropy_ks",
     "mc_mutual_information",
     "DecodeError", "code_lengths", "elias_delta_decode", "elias_delta_encode",
-    "DiscreteDistribution", "ProtocolFailure", "greedy_one_shot", "greedy_sample_batch",
+    "DiscreteDistribution", "ProtocolFailure", "greedy_one_shot",
     "Codebook", "TrialBatch", "TrialReport", "alice_send", "bob_receive",
-    "ks_bin_masses", "run_trial", "run_trials", "trial_codebook",
+    "ks_bin_masses", "run_trials", "trial_codebook",
 ]
 
 

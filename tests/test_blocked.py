@@ -196,10 +196,11 @@ class TestCodebookBinsAtBlockEdges:
     def test_holds_one_block_of_temporaries(self, monkeypatch, bins, per_run):
         # the first round of a 2**18-trial span, traced from its first codebook hash (the
         # scan's counters are a (rounds, 1) column; the states' are one word) to its first
-        # decide, on the draws of the round that the cuts leave: the BLOCK-trial slices'
-        # float32 positions and bool hits and their joins (5 + 5 bytes/point) and the cells
-        # left to decide (~1/8 of the round at 24 bytes each) peak at ~14 bytes/point;
-        # drawn whole, the words, hash, heights, azimuths and estimate need 48-80
+        # decide, on the draws of the round that the cuts leave: each BLOCK-trial slice is
+        # kept as its bool hits and the cells left to decide (~1/8 of the round at 24 bytes
+        # each), and their joins peak at ~9 bytes/point; holding each slice's float32
+        # positions to the join as well peaked at ~17; drawn whole, the words, hash,
+        # heights, azimuths and estimate need 48-80
         m = 1 << 18
         sphere_zphi, positions, slices = protocol._sphere_zphi, protocol._positions, []
 
@@ -229,7 +230,7 @@ class TestCodebookBinsAtBlockEdges:
         shape = (max(rows), sum(cols))   # the BLOCK-trial slices of one round, side by side
         assert built == 1 and set(rows) == {1}
         assert shape == (1, m)
-        assert peak / m < 24
+        assert peak / m < 12
 
 
 class TestFixedInputRun:
@@ -376,6 +377,31 @@ class TestKsDrawBlocks:
         assert_bit_identical(np.concatenate([np.empty(0)] + [zb for zb, _ in blocks]), z)
         assert_bit_identical(np.concatenate([np.empty(0)] + [pb for _, pb in blocks]), phi)
         assert rng.bit_generator.state == frozen_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                                      np.random.MT19937, np.random.SFC64],
+                             ids=lambda bits: bits.__name__)
+    def test_bit_generators(self, bits):
+        # the azimuths are read from a copy advanced past the heights: PCG64 and PCG64DXSM
+        # advance by words and keep the whole-array order; Philox advances by 4-word blocks,
+        # so its azimuths are words 4n..5n, past the heights; a generator without advance
+        # raises ValueError before any draw, in ks_sample and mc_mutual_information alike
+        n = BLOCK + 1
+        rng, heights, azimuths = (np.random.Generator(bits(5)) for _ in range(3))
+        if not hasattr(rng.bit_generator, "advance"):
+            for call in (lambda: ks_sample([0.0, 0.0, 1.0], rng, n),
+                         lambda: mc_mutual_information(1000, rng)):
+                with pytest.raises(ValueError, match="advance"):
+                    call()
+            assert_bit_identical(rng.random(4), heights.random(4))   # nothing drawn
+            return
+        blocks = list(ks_draws(rng, n))
+        words = 5 * n if bits is np.random.Philox else 2 * n
+        z = np.sqrt(1.0 - heights.random(words))
+        phi = azimuths.uniform(0.0, 2.0 * np.pi, size=words)
+        assert_bit_identical(np.concatenate([zb for zb, _ in blocks]), z[:n])
+        assert_bit_identical(np.concatenate([pb for _, pb in blocks]), phi[words - n:])
+        assert_bit_identical(rng.random(4), heights.random(4))   # left past the azimuths
 
 
 class TestModelCommandsAtBlockEdges:

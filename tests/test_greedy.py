@@ -6,13 +6,13 @@ import threading
 import numpy as np
 import pytest
 
-from kschannel import (DiscreteDistribution, ProtocolFailure, greedy_one_shot,
-                       greedy_sample_batch)
+from kschannel import DiscreteDistribution, ProtocolFailure, greedy_one_shot
 from kschannel import greedy
 from kschannel.geometry import BLOCK
 from kschannel.greedy import GreedySchedule
 from kschannel.protocol import ks_bin_masses
 from kschannel.rngstream import mix_vec, to_unit
+from oracles import greedy_sample_batch, scan_symbols
 
 
 def dp_output_distribution(target, proposal, tol=1e-9, max_rounds=10**6):
@@ -423,7 +423,7 @@ class TestSchedule:
                 tossed.update(zip(zip(runs.tolist(), rounds.tolist()), u.tolist()))
                 return u
 
-            got = GreedySchedule(target, proposal).scan(500, draw, coins)
+            got = scan_symbols(GreedySchedule(target, proposal), 500, draw, coins)
             assert np.array_equal(got[0], idx) and np.array_equal(got[1], sym)
             for run in range(500):
                 rounds, a = zip(*seen[run])
@@ -453,7 +453,7 @@ class TestSchedule:
 
             lazy = GreedySchedule(target, proposal)
             lazy.extend(built)
-            index, symbol = lazy.scan(500, draw, coins)
+            index, symbol = scan_symbols(lazy, 500, draw, coins)
             last_end = ends[-1]
             rounds = np.arange(1, index.max() + 1)
             symbols, _ = draw(np.arange(500), rounds)
@@ -488,7 +488,7 @@ class TestSchedule:
             asked.append((runs.copy(), rounds.copy()))
             return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
 
-        GreedySchedule(target, proposal).scan(2000, draw, coins)
+        scan_symbols(GreedySchedule(target, proposal), 2000, draw, coins)
         law = law_table(target, proposal, max(int(rounds[-1]) for _, rounds, _ in blocks))
         want = []
         for active, rounds, symbols in blocks:
@@ -523,11 +523,11 @@ class TestSchedule:
         def coins(runs, rounds):
             return to_unit(mix_vec(keys[runs], 2 * rounds.astype(np.uint64) + 1))
 
-        index, symbol = GreedySchedule(target, proposal).scan(runs, draw, coins)
+        index, symbol = scan_symbols(GreedySchedule(target, proposal), runs, draw, coins)
         assert max(sizes) == BLOCK and sizes[:runs // BLOCK] == [BLOCK] * (runs // BLOCK)
         monkeypatch.setattr(greedy, "BLOCK", 2 * runs)
         sizes.clear()
-        whole = GreedySchedule(target, proposal).scan(runs, draw, coins)
+        whole = scan_symbols(GreedySchedule(target, proposal), runs, draw, coins)
         assert sizes[0] == runs
         assert np.array_equal(whole[0], index) and np.array_equal(whole[1], symbol)
 
@@ -554,7 +554,7 @@ class TestSchedule:
 
             lazy = GreedySchedule(target, proposal)
             lazy.extend(99)
-            index, symbol = lazy.scan(runs, draw, lambda r, i: coins[i - 1, r])
+            index, symbol = scan_symbols(lazy, runs, draw, lambda r, i: coins[i - 1, r])
             assert (105, 144) in blocks
             assert np.all(index == 120) and np.all(symbol == 2)
             # the build stops at the floor round, not at the end (144) of the block holding it
@@ -577,13 +577,13 @@ class TestSchedule:
 
         for cap in (70, 71, 1000):
             monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap)
-            index, symbol = GreedySchedule(target, proposal).scan(5, draw, no_coins)
+            index, symbol = scan_symbols(GreedySchedule(target, proposal), 5, draw, no_coins)
             assert np.all(index == 70) and np.all(symbol == 0)
         for cap in (69, 1, 0):
             monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap)
             asked.clear()
             with pytest.raises(ProtocolFailure, match=f"within {cap} rounds"):
-                GreedySchedule(target, proposal).scan(5, draw, no_coins)
+                scan_symbols(GreedySchedule(target, proposal), 5, draw, no_coins)
             assert max(asked, default=0) == cap
 
     def test_concurrent_readers_see_the_serial_schedule(self):
@@ -668,7 +668,7 @@ class TestScanDecision:
             return coins[rounds - 1, runs]
 
         decided, slices, asked = [], [], []
-        index, symbol = GreedySchedule.scan(Law(), runs, draw, toss)
+        index, symbol = scan_symbols(Law(), runs, draw, toss)
         assert np.array_equal(index, first)
         assert np.array_equal(symbol, symbols[first - 1, np.arange(runs)])
         # no slice holds more than BLOCK draws; each block's slices cover its active runs in
@@ -706,10 +706,10 @@ class TestScanDecision:
         monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap)
         slices.clear()
         with pytest.raises(ProtocolFailure, match=f"within {cap} rounds"):
-            GreedySchedule.scan(Law(), runs, draw, toss)
+            scan_symbols(Law(), runs, draw, toss)
         assert max(int(r[-1]) for _, r in slices) == cap
         monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", cap + 1)
-        assert np.array_equal(GreedySchedule.scan(Law(), runs, draw, toss)[0], first)
+        assert np.array_equal(scan_symbols(Law(), runs, draw, toss)[0], first)
 
     @pytest.mark.parametrize("name", ["bins2", "bins4", "bins64", "early_floor", "late_break"])
     def test_every_draw_is_decided_as_accept_prob(self, name):
@@ -765,7 +765,7 @@ class TestScanDecision:
             p = p_of(drawn(runs, rounds), rounds)
             return np.where(low[runs], np.nextafter(p, 0.0), p)
 
-        index, accepted = GreedySchedule(target, proposal).scan(end.size, draw, coins)
+        index, accepted = scan_symbols(GreedySchedule(target, proposal), end.size, draw, coins)
         assert np.array_equal(index, end)
         assert np.array_equal(accepted, np.where(end <= last, symbol, wanted))
         # a coin for exactly the drawn (run, round) pairs with 0 < p < 1, in each block's
@@ -806,8 +806,8 @@ def scan_against_the_law(target, proposal, runs, seed):
     def coins(active, rounds):
         return to_unit(mix_vec(keys[active], 2 * rounds.astype(np.uint64) + 1))
 
-    got = GreedySchedule(target, proposal).scan(runs, lambda a, r: positions(symbols(a, r)),
-                                                 coins)
+    got = scan_symbols(GreedySchedule(target, proposal), runs,
+                       lambda a, r: positions(symbols(a, r)), coins)
     rounds = np.arange(1, got[0].max() + 1)
     drawn = symbols(np.arange(runs), rounds)
     p = law_table(target, proposal, rounds[-1])[rounds[:, None] - 1, drawn]

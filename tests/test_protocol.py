@@ -19,8 +19,10 @@ from kschannel.model import ks_response
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_MEAS, _SUB_STATE,
                                 TrialBatch, _ks_laws, _ks_schedule, _sphere_point, _trial_root,
                                 alice_send, bin_index, bob_receive, ks_bin_masses,
-                                run_trial, run_trials, trial_codebook)
+                                run_trials, trial_codebook)
 from kschannel.rngstream import GOLDEN, counter_uniforms, finalize64, mix, mix_vec
+import oracles
+from oracles import run_trial
 
 
 class TestBinning:
@@ -285,7 +287,7 @@ class TestScalarPaths:
         def sender(*_):
             raise AssertionError("the sender ran before the measurement was checked")
 
-        monkeypatch.setattr(protocol, "greedy_one_shot", sender)
+        monkeypatch.setattr(oracles, "greedy_one_shot", sender)
         with pytest.raises(ValueError, match="measurement"):
             run_trial(7, 0, 64, meas=meas)
 
@@ -916,8 +918,8 @@ class TestRunTrialDerivation:
             keys.append(("coins", key))
             return counter_uniforms(key)
 
-        monkeypatch.setattr(protocol, "Codebook", recording_codebook)
-        monkeypatch.setattr(protocol, "counter_uniforms", recording_coins)
+        monkeypatch.setattr(oracles, "Codebook", recording_codebook)
+        monkeypatch.setattr(oracles, "counter_uniforms", recording_coins)
         root = mix_vec(np.uint64(seed), protocol._TRIAL_SALT)
         for t in (0, 1, 2**63, 2**64 - 1):
             keys.clear()
