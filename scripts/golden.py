@@ -4,8 +4,9 @@
 Runs each pinned `kschannel verify` / `mi` / `simulate` / `cost`
 invocation in-process and hashes its `results` block (the JSON report
 without config, runtime and version, serialized with sorted keys), and
-hashes the per-trial rows of each pinned `protocol.run_trials` call (the
-dtype, shape and bytes of every `TrialBatch` field, in field order).  The
+hashes the per-trial rows of each pinned `protocol.run_trials` call, answered
+on its pinned measurement (the dtype, shape and bytes of the accepted index,
+code length, outcome and Born rows, in that order).  The
 digests are floating-point outputs, so they are recorded together with the
 numpy version and the platform tag (OS, machine and the SIMD targets numpy
 dispatches to) they were produced on; `tests/test_golden.py` compares only
@@ -32,7 +33,6 @@ import os
 import platform
 import sys
 import tempfile
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,8 @@ CASES = {
 }
 
 
-#: `run_trials` keyword arguments; the pinned state and measurement are the CLI's `_PINNED`
+#: `run_trials` keyword arguments and the measurement `answer` takes, ``meas``; the pinned
+#: state and measurement are the CLI's `_PINNED`
 ROW_CASES = {
     f"rows_bins{bins}_workers{workers}_{inputs}": {
         "master_seed": 7, "n_trials": 20001, "bins": bins, "workers": workers,
@@ -137,12 +138,21 @@ def results_digest(argv: list[str]) -> str:
 
 
 def rows_digest(kwargs: dict) -> str:
-    """sha256 over the name, dtype, shape and bytes of every field of one `run_trials` batch."""
+    """sha256 over the name, dtype, shape and bytes of each row array of one `run_trials` batch.
+
+    ``kwargs`` are `run_trials`' with the measurement beside them, ``meas``, which goes to
+    the batch's `answer`.  The rows are the accepted index, code length, outcome and Born
+    probability, in that order.
+    """
+    kwargs = dict(kwargs)
+    meas = kwargs.pop("meas", None)
     batch = protocol.run_trials(**kwargs)
+    outcome, born = batch.answer(meas)
     digest = hashlib.sha256()
-    for f in fields(protocol.TrialBatch):
-        values = np.ascontiguousarray(getattr(batch, f.name))
-        digest.update(f"{f.name}:{values.dtype.str}:{values.shape}".encode())
+    for name, values in (("accepted_index", batch.accepted_index), ("code_bits", batch.code_bits),
+                         ("outcome", outcome), ("born", born)):
+        values = np.ascontiguousarray(values)
+        digest.update(f"{name}:{values.dtype.str}:{values.shape}".encode())
         digest.update(values.tobytes())
     return digest.hexdigest()
 

@@ -3,20 +3,24 @@
 
 Each entry names a file under `src/`, a piece of its text that occurs there
 exactly once, the text that replaces it, and the pytest node ids that must
-each fail on the changed copy.  Each id runs on its own, stopping at its
-first failure, so an id that names a parametrized test or a class fails
-when one of its cases does; a mutant counts as caught only when every
-listed id fails, and an id that runs out of time does not count.  Each
-mutant runs on its own copy of `src/`, `tests/` and `pyproject.toml` in a
-temporary directory; the tree itself is never changed.  All the registered
-node ids are first run once on an unchanged copy, where they must pass.
+each fail on the changed copy.  A mutant's ids run together in one pytest
+process, and each case's outcome is read from pytest's `-rA` summary lines.
+An id that names a parametrized test or a class fails when one of its cases
+does, and its later cases are then skipped, as `-x` would stop a run of the
+id alone: this module is loaded into the run as a pytest plugin (`-p
+mutants`) to do that, since under some mutants a later case draws on toward
+the round cap.  A mutant counts as caught only when every listed id fails,
+and a run that runs out of time catches nothing.  Each mutant runs on its
+own copy of `src/`, `tests/` and `pyproject.toml` in a temporary directory;
+the tree itself is never changed.  All the registered node ids are first
+run once on an unchanged copy, where they must pass.
 
     python scripts/mutants.py
 
-Each id gets TIMEOUT_S seconds.  Exit status: 0 when every mutant is
-caught, 1 when one is missed by some id, 2 when an entry's old text does
-not occur exactly once, a node id is not found, or the unchanged copy
-fails.
+A run gets TIMEOUT_S seconds per id it lists.  Exit status: 0 when every
+mutant is caught, 1 when one is missed by some id, 2 when an entry's old
+text does not occur exactly once, a node id is not found or not run, or
+the unchanged copy fails.
 
 A fault known to be equivalent is recorded here, not registered: `<` for
 `<=` in `require_unit`'s one-vector branch.  |v.v - 1| is a multiple of
@@ -24,19 +28,20 @@ A fault known to be equivalent is recorded here, not registered: `<` for
 and a vector the branch does not pass falls through to the array check,
 which decides as before; the fault changes only speed.
 
-`run_trials`, `alice_send` and the tests' reference `run_trial`
-(`tests/oracles.py`) check a given state or measurement on one shared line
-(`protocol._given`), `alice_send` and `greedy_one_shot` check coins by one
-function (`greedy._coin`), `verify`'s count and the protocol's outcomes
-answer by one sign kernel (`model._plus`), and that kernel and the scan
-trust the float32 estimate outside one band (`geometry.ESTIMATE_BAND`);
+`run_trials`, `TrialBatch.answer`, `alice_send` and the tests' reference
+`run_trial` (`tests/oracles.py`) check a given state or measurement on one
+shared line (`protocol._given`), `alice_send` and `greedy_one_shot` check
+coins by one function (`greedy._coin`), `verify`'s count and the protocol's
+outcomes answer by one sign kernel (`model._plus`), and that kernel and the
+scan trust the float32 estimate outside one band (`geometry.ESTIMATE_BAND`);
 each fault there is one entry, listed with the tests of every path that
 runs it.
 `coins_for_every_draw` moves no row of `run_trials`, whose coins are
 addressed by run and round; only a test that records the coins the scan
-asks for can catch it.  `floor_override_dropped` lists the law table alone:
-without the override, the scan tests' runs that reach the floor round draw
-on to the round cap, and time out.
+asks for can catch it.  `floor_override_dropped` lists the law table and
+the one scan test that lowers the round cap, which then fails at once:
+without the override, the other scan tests' runs that reach the floor round
+draw on to the round cap, and time out.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 
-#: seconds one node id may take on a mutant; each registered id fails in a few seconds
+#: seconds a run may take per node id it lists; each registered id fails in a few seconds
 TIMEOUT_S = 120
 
 
@@ -88,7 +93,9 @@ MUTANTS = [
     Mutant("zero_fraction_tossed", "src/kschannel/greedy.py",
            "        if not p.all():", "        if False:", (_GRID, _EVERY_DRAW)),
     Mutant("floor_override_dropped", "src/kschannel/greedy.py",
-           "        if self.floor_round <= last:", "        if False:", (_GRID,)),
+           "        if self.floor_round <= last:", "        if False:",
+           (_GRID, "tests/test_greedy.py::TestSchedule::"
+                   "test_unordered_law_accepts_at_the_floor_round_by_decide")),
     Mutant("draws_not_sliced_to_a_block", "src/kschannel/greedy.py",
            "for start in range(0, active.size, BLOCK):",
            "for start in range(0, active.size, active.size):",
@@ -113,6 +120,16 @@ MUTANTS = [
            "_row(require_unit(vec, name), name)", "_row(np.array(vec, float), name)",
            ("tests/test_protocol.py::TestScalarPaths::"
             "test_run_trial_checks_the_measurement_before_the_sender_runs",)),
+    Mutant("answer_only_the_first_span", "src/kschannel/protocol.py",
+           "rows[0] if len(rows) == 1 else tuple(np.concatenate(c) for c in zip(*rows))",
+           "rows[0]",
+           ("tests/test_protocol.py::TestTrials::test_uneven_spans_match_one_worker",
+            "tests/test_protocol.py::TestAnswersOnRead::"
+            "test_each_answer_call_runs_each_span_once")),
+    Mutant("answer_ignores_its_measurement", "src/kschannel/protocol.py",
+           "lambda receive: receive(meas)", "lambda receive: receive(None)",
+           ("tests/test_protocol.py::TestTrials::test_fixed_state_and_meas_are_broadcast",
+            "tests/test_protocol.py::TestTrials::test_perfectly_aligned_measurement_always_plus")),
     Mutant("fixed_born_from_the_state_alone", "src/kschannel/protocol.py",
            "born_from_dot(dot3(v, m))", "born_from_dot(dot3(v, v))",
            ("tests/test_protocol.py::TestTrials::test_fixed_state_and_meas_are_broadcast",)),
@@ -194,15 +211,46 @@ MUTANTS = [
 ]
 
 
+def _within(nodeid: str, test: str) -> bool:
+    """Whether the case ``nodeid`` is the node id ``test`` or one of its cases."""
+    return nodeid == test or nodeid.startswith((test + "::", test + "["))
+
+
+class _StopEachId:
+    """Pytest plugin: once a case of a listed node id fails, skips the id's later cases."""
+
+    def __init__(self, tests):
+        self.tests, self.failed = tuple(tests), set()
+
+    def listed(self, nodeid: str) -> set:
+        return {test for test in self.tests if _within(nodeid, test)}
+
+    def pytest_runtest_setup(self, item):
+        listed = self.listed(item.nodeid)
+        if listed and listed <= self.failed:
+            import pytest
+            pytest.skip("a case of its node id has failed")
+
+    def pytest_runtest_logreport(self, report):
+        if report.failed:
+            self.failed |= self.listed(report.nodeid)
+
+
+def pytest_configure(config):
+    """Hook of the run this module is loaded into (``-p mutants``): its node ids stop one by one."""
+    config.pluginmanager.register(_StopEachId(config.args))
+
+
 def occurrences(mutant: Mutant) -> int:
     """How often the mutant's old text occurs in its file; a valid entry has exactly one."""
     return (ROOT / mutant.file).read_text().count(mutant.old)
 
 
-def run(groups, timeout: float, mutant: Mutant | None = None) -> list:
-    """'killed', 'survived', 'timeout' or 'error (pytest exit N)' for each group of node ids in
-    ``groups``, each run by its own pytest on one copy of the tree with ``mutant`` applied
-    (none: the unchanged copy)."""
+def run(tests, mutant: Mutant | None = None) -> list:
+    """'killed', 'survived', 'not run', 'timeout' or 'error (pytest exit N)' for each node id in
+    ``tests``, all run by one pytest on one copy of the tree with ``mutant`` applied (none:
+    the unchanged copy).  An id is killed when one of its cases is reported failed or in
+    error, and survives when its cases all ran and passed."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
         for part in ("src", "tests"):
@@ -212,17 +260,27 @@ def run(groups, timeout: float, mutant: Mutant | None = None) -> list:
         if mutant is not None:
             path = tmp / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
-        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
-        outcomes = []
-        for tests in groups:
-            cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-            try:
-                code = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True,
-                                      timeout=timeout).returncode
-            except subprocess.TimeoutExpired:
-                outcomes.append("timeout")
-                continue
-            outcomes.append({0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})"))
+        path = os.pathsep.join((str(tmp / "src"), str(ROOT / "scripts")))
+        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
+               "-p", "mutants", *tests]
+        try:
+            proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
+                                  timeout=TIMEOUT_S * len(tests))
+        except subprocess.TimeoutExpired:
+            return ["timeout"] * len(tests)
+    if proc.returncode not in (0, 1):
+        return [f"error (pytest exit {proc.returncode})"] * len(tests)
+    failed = {}   # case node id -> whether it failed, from lines "PASSED <id>", "FAILED <id> - ..."
+    for line in proc.stdout.splitlines():
+        word, _, rest = line.partition(" ")
+        if word in ("PASSED", "FAILED", "ERROR"):
+            case = rest.split(" - ")[0]
+            failed[case] = failed.get(case, False) or word != "PASSED"
+    outcomes = []
+    for test in tests:
+        cases = [bad for case, bad in failed.items() if _within(case, test)]
+        outcomes.append("killed" if any(cases) else "survived" if cases else "not run")
     return outcomes
 
 
@@ -235,19 +293,20 @@ def main() -> None:
         sys.exit(2)
     # a mutant counts as caught only if its tests pass without it
     tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
-    [baseline] = run([tests], TIMEOUT_S * len(tests))
-    if baseline != "survived":
-        print(f"the unchanged copy does not pass the registered tests: {baseline}",
-              file=sys.stderr)
+    baseline = [(test, outcome) for test, outcome in zip(tests, run(tests))
+                if outcome != "survived"]
+    if baseline:
+        print("the unchanged copy does not pass the registered tests: "
+              + ", ".join(f"{test} ({outcome})" for test, outcome in baseline), file=sys.stderr)
         sys.exit(2)
     failed = errors = 0
     for mutant in MUTANTS:
         start = time.perf_counter()
-        outcomes = run([(test,) for test in mutant.tests], TIMEOUT_S, mutant)
+        outcomes = run(mutant.tests, mutant)
         missed = [(test, outcome) for test, outcome in zip(mutant.tests, outcomes)
                   if outcome != "killed"]
         failed += bool(missed)
-        errors += any(outcome.startswith("error") for outcome in outcomes)
+        errors += any(outcome.startswith("error") or outcome == "not run" for outcome in outcomes)
         print(f"{'MISSED' if missed else 'caught'}  {mutant.name:42s} {len(outcomes):2d} ids "
               f"{time.perf_counter() - start:6.1f} s", flush=True)
         for test, outcome in missed:

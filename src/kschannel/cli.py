@@ -287,12 +287,12 @@ def _cost_sandwich(stats: dict) -> dict:
 
 def cmd_simulate(cfg: RunConfig) -> tuple[dict, bool]:
     """Full protocol pipeline; Born conformance plus code-length statistics."""
-    batch = run_trials(cfg.seed, cfg.trials, cfg.bins, state=cfg.state, meas=cfg.meas,
-                       workers=cfg.workers)
-    plus = (batch.outcome == 1).astype(float)
+    batch = run_trials(cfg.seed, cfg.trials, cfg.bins, state=cfg.state, workers=cfg.workers)
+    outcome, born = batch.answer(cfg.meas)
+    plus = (outcome == 1).astype(float)
     empirical = float(np.mean(plus))
-    born_mean = float(np.mean(batch.born))
-    err = plus - batch.born
+    born_mean = float(np.mean(born))
+    err = plus - born
     se = float(np.std(err, ddof=1) / np.sqrt(batch.n)) if batch.n > 1 else 0.0
     discretization = 1.0 / (2.0 * cfg.bins)
     conformance_tol = 3.0 * se + discretization
@@ -339,8 +339,7 @@ def cmd_mi(cfg: RunConfig) -> tuple[dict, bool]:
 
 def cmd_cost(cfg: RunConfig) -> tuple[dict, bool]:
     """Index/code-length histograms, plug-in entropy, and reference costs."""
-    batch = run_trials(cfg.seed, cfg.trials, cfg.bins, state=cfg.state, meas=cfg.meas,
-                       workers=cfg.workers)
+    batch = run_trials(cfg.seed, cfg.trials, cfg.bins, state=cfg.state, workers=cfg.workers)
     counts = np.bincount(batch.accepted_index)
     probs = counts[counts > 0].astype(float) / batch.n
     plugin_entropy = 0.0 - float(np.sum(probs * np.log2(probs)))   # 0.0, not -0.0, at one index

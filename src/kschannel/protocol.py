@@ -20,11 +20,12 @@ the scan settles it against its round's two cut bins where it lies past them
 by more than :data:`geometry.ESTIMATE_BAND` bins/2, and bins only the rest
 (~4%) from the float64 point, so each decision is the float64 bin's.  A batch
 holds the sender's output (the accepted index and its code length) as the scan
-leaves it; its outcome and Born rows are computed on their first read, so a
-command that reads only the sender's output never runs the receiver.  The
-outcomes are the sign of a float32 estimate of x.m, taken from the float64
-point only inside that band (:func:`_outcomes`, by :func:`model._plus`, the
-kernel ``verify`` counts with), so each equals the float64 point's.
+leaves it, and one receiver per span; :meth:`TrialBatch.answer` runs them on a
+measurement, so a command that reads only the sender's output never runs the
+receiver.  The outcomes are the sign of a float32 estimate of x.m, taken from
+the float64 point only inside that band (:func:`_outcomes`, by
+:func:`model._plus`, the kernel ``verify`` counts with), so each equals the
+float64 point's.
 The two-party path works in Python floats, one round at a time:
 :func:`alice_send` reads codebook entry i (:func:`_entry_point`, the scalar
 image of :func:`_sphere_point`) and its bin's acceptance probability at
@@ -43,7 +44,6 @@ results are independent of how trials are split across worker threads.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
@@ -132,41 +132,34 @@ class TrialReport:
     outcome: int | None
 
 
-@dataclass(eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class TrialBatch:
-    """Per-trial arrays for a batch of simulated trials; the inputs stay with the caller.
+    """The sender's per-trial arrays for a batch of simulated trials, and its receivers.
 
-    The sender's fields, ``accepted_index`` and ``code_bits``, are filled when
-    the batch is made.  The receiver's, ``outcome`` and ``born``, are computed
-    together on the first read of either, by the ``answer`` the batch was made
-    with, and then kept as plain attributes; a caller that reads only the
-    sender's fields never runs the receiver.
+    ``accepted_index`` and ``code_bits`` are the sender's output; ``receivers``
+    holds one call per span of trials, ``meas -> (outcome, born)`` on its rows,
+    which :meth:`answer` runs.  The inputs stay with the caller.
     """
 
     accepted_index: np.ndarray  # (n,) int64
     code_bits: np.ndarray       # (n,) int64
-    outcome: np.ndarray         # (n,) +1 / -1, int64
-    born: np.ndarray            # (n,) quantum "+" probability per trial
-
-    def __init__(self, accepted_index: np.ndarray, code_bits: np.ndarray, answer):
-        self.accepted_index = accepted_index
-        self.code_bits = code_bits
-        self._answer = answer   # () -> (outcome, born)
-        self._lock = threading.Lock()
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute not yet set: the receiver's fields before their first read
-        if name not in ("outcome", "born"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        with self._lock:   # one lock per batch, so a batch's parts can answer on other threads
-            if "born" not in self.__dict__:
-                self.outcome, self.born = self._answer()
-                del self._answer   # frees the keys and states the answer read
-        return self.__dict__[name]
+    receivers: tuple            # one per span, in trial order
 
     @property
     def n(self) -> int:
         return self.accepted_index.size
+
+    def answer(self, meas=None) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's outcome (+1 / -1, int64) and quantum "+" probability (float64).
+
+        ``meas`` fixes the measurement direction for every trial, one unit vector
+        of shape (3,) or (1, 3) kept as one (3,) row; None draws one per trial
+        from its own counter stream.  Each span answers on its own thread, as it
+        scanned, and each call computes the rows anew.
+        """
+        meas = None if meas is None else _given(meas, "measurement direction")
+        rows = parallel_map(lambda receive: receive(meas), self.receivers, len(self.receivers))
+        return rows[0] if len(rows) == 1 else tuple(np.concatenate(c) for c in zip(*rows))
 
 
 def ks_bin_masses(bins: int) -> np.ndarray:
@@ -367,12 +360,12 @@ def _trial_input(trial, vec, sub: int) -> np.ndarray:
 
 
 def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
-               state, meas, schedule: GreedySchedule) -> TrialBatch:
+               state, schedule: GreedySchedule) -> TrialBatch:
     """The sender's half of trials start .. stop - 1 of :func:`run_trials`.
 
-    The batch keeps the span's trial keys, codebook keys and state rows for
-    :func:`_answers`, which runs on the first read of its outcomes.  A fixed
-    input stays one (3,) row.
+    The batch's one receiver keeps the span's trial keys, codebook keys and
+    state rows for :func:`_answers`, which runs on each call of
+    :meth:`TrialBatch.answer`.  A fixed state stays one (3,) row.
     """
     trial = mix_vec(_trial_root(master_seed), np.arange(start, stop, dtype=np.uint64))
     v = _trial_input(trial, state, _SUB_STATE)
@@ -390,15 +383,15 @@ def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
 
     accepted = schedule.scan(trial.size, draw, coins, ESTIMATE_BAND * bins / 2)
     return TrialBatch(accepted, code_lengths(accepted),
-                      lambda: _answers(trial, cb_keys, accepted, v, meas))
+                      (lambda meas: _answers(trial, cb_keys, accepted, v, meas),))
 
 
 def _answers(trial, cb_keys, accepted, v, meas) -> tuple[np.ndarray, np.ndarray]:
     """The receiver's half of a span: its outcome and Born rows.
 
-    The measurement is the given (3,) row, or drawn now per trial key.  The
-    outcomes are :func:`_outcomes` of the accepted entries; a fixed pair's
-    Born probability is computed once and filled to the span.
+    The measurement is the given (3,) row, or, when None, drawn per trial key
+    on every call.  The outcomes are :func:`_outcomes` of the accepted entries;
+    a fixed pair's Born probability is computed once and filled to the span.
     """
     m = _trial_input(trial, meas, _SUB_MEAS)
     return _outcomes(cb_keys, accepted, m), np.full(trial.size, born_from_dot(dot3(v, m)))
@@ -422,38 +415,33 @@ def _outcomes(keys: np.ndarray, accepted: np.ndarray, m: np.ndarray) -> np.ndarr
     return out
 
 
-def run_trials(master_seed: int, n_trials: int, bins: int, state=None, meas=None,
+def run_trials(master_seed: int, n_trials: int, bins: int, state=None,
                workers: int = 1) -> TrialBatch:
-    """Simulate ``n_trials`` independent trials, vectorized; the batch holds no inputs.
+    """The sender's half of ``n_trials`` independent trials, vectorized; it holds no inputs.
 
-    ``state`` / ``meas`` fix the prepared state or measurement direction for
-    every trial, each one unit vector of shape (3,) or (1, 3) kept as one (3,)
-    row; when None they are drawn uniformly per trial from its own counter
-    stream.  The trials are split into one contiguous span per worker thread
-    (at most one per whole :data:`_TRIALS_PER_THREAD` trials), each scanned at
-    once; every row depends only on its trial index, so any worker count gives
-    bit-identical results.  Only the sender's fields are computed here; the
-    first read of ``outcome`` or ``born`` answers every span on its own
-    thread.  A seed outside [0, 2**64), and trial and worker counts that are
-    not whole numbers >= 0 and >= 1, raise ValueError.
+    ``state`` fixes the prepared state for every trial, one unit vector of
+    shape (3,) or (1, 3) kept as one (3,) row; when None it is drawn uniformly
+    per trial from its own counter stream.  The trials are split into one
+    contiguous span per worker thread (at most one per whole
+    :data:`_TRIALS_PER_THREAD` trials), each scanned at once; every row depends
+    only on its trial index, so any worker count gives bit-identical results.
+    The measurement belongs to the receiver: :meth:`TrialBatch.answer` takes
+    it and answers every span on its own thread.  A seed outside [0, 2**64),
+    and trial and worker counts that are not whole numbers >= 0 and >= 1,
+    raise ValueError.
     """
     master_seed = _word(master_seed, "master seed")
     n_trials = whole_number(n_trials, "trial count", 0)
     workers = whole_number(workers, "workers", 1)
-    state, meas = (None if vec is None else _given(vec, name)
-                   for vec, name in ((state, "state"), (meas, "measurement direction")))
+    state = None if state is None else _given(state, "state")
     bins = _bin_count(bins)
     schedule = _ks_schedule(bins)
     spans = max(1, min(workers, n_trials // _TRIALS_PER_THREAD))
     edges = [n_trials * k // spans for k in range(spans + 1)]
     parts = parallel_map(lambda k: _run_chunk(master_seed, edges[k], edges[k + 1], bins, state,
-                                              meas, schedule), range(spans), spans)
+                                              schedule), range(spans), spans)
     if spans == 1:
         return parts[0]
-
-    def answer():   # each span answers on its own thread, as it scanned
-        rows = parallel_map(lambda p: (p.outcome, p.born), parts, spans)
-        return tuple(np.concatenate(column) for column in zip(*rows))
-
     return TrialBatch(np.concatenate([p.accepted_index for p in parts]),
-                      np.concatenate([p.code_bits for p in parts]), answer)
+                      np.concatenate([p.code_bits for p in parts]),
+                      tuple(r for p in parts for r in p.receivers))

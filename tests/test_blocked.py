@@ -236,15 +236,15 @@ class TestCodebookBinsAtBlockEdges:
 class TestFixedInputRun:
     @pytest.mark.parametrize("bins", [64, 4096])
     def test_holds_no_per_trial_copy_of_fixed_inputs(self, bins):
-        # a fixed state and measurement stay one (3,) row each from run_trials down to the
-        # kernels: a 16384-trial run peaks at ~105 bytes/trial; (n, 3) float64 copies of
-        # both, returned with the batch, took it to ~153
+        # a fixed state and measurement stay one (3,) row each from run_trials and answer
+        # down to the kernels: a 16384-trial run and its answer peak at ~96 bytes/trial;
+        # (n, 3) float64 copies of both, returned with the batch, took a run to ~153
         m = 16384
         v, meas = [0.0, 0.6, 0.8], [0.6, 0.0, 0.8]
-        run_trials(3, 1, bins, state=v, meas=meas)   # the shared schedule, built untraced
+        run_trials(3, 1, bins, state=v)   # the shared schedule, built untraced
         tracemalloc.start()
         try:
-            run_trials(3, m, bins, state=v, meas=meas)
+            run_trials(3, m, bins, state=v).answer(meas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,7 +255,7 @@ class TestSenderRun:
     @pytest.mark.parametrize("bins", [64, 4096])
     def test_sender_holds_no_measurements(self, bins):
         # with random inputs a 16384-trial run peaks at ~144 bytes/trial: the measurements
-        # are drawn only when the outcomes are first read, after the scan; drawn before it,
+        # are drawn only when the batch is answered, after the scan; drawn before it,
         # their (n, 3) float64 rows were held through every round (~168)
         m = 16384
         run_trials(3, 1, bins)   # the shared schedule, built untraced

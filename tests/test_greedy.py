@@ -586,6 +586,30 @@ class TestSchedule:
                 scan_symbols(GreedySchedule(target, proposal), 5, draw, no_coins)
             assert max(asked, default=0) == cap
 
+    def test_unordered_law_accepts_at_the_floor_round_by_decide(self, monkeypatch):
+        # target (0.7, 0.3), proposal (1/2, 1/2): symbol 1 saturates at round 1 (f = 0.6)
+        # above the live symbol 0, so the law is unordered and its cuts (0, 2) leave every
+        # draw to decide.  Every run draws symbol 1 with coin 0.99, so it misses every
+        # round until the floor round (50), where decide's floor rule accepts it.  The cap
+        # is lowered to the floor round + 64, so a scan without that rule fails at once
+        target = DiscreteDistribution(np.array([0.7, 0.3]))
+        proposal = DiscreteDistribution(np.array([0.5, 0.5]))
+        full = GreedySchedule(target, proposal)
+        full.extend(1000)
+        floor = full.floor_round
+        assert floor == 50 and not full._ordered and full.saturation[1] == 1
+        lo, hi = full.cuts(np.arange(1, floor + 64))
+        assert np.all(lo == 0) and np.all(hi == 2)
+        monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", floor + 64)
+
+        def draw(active, rounds):
+            return positions(np.ones((rounds.size, active.size), dtype=np.int64))
+
+        for runs in (1, 5, BLOCK + 3):
+            index, symbol = scan_symbols(GreedySchedule(target, proposal), runs, draw,
+                                         lambda r, i: np.full(r.size, 0.99))
+            assert np.all(index == floor) and np.all(symbol == 1)
+
     def test_concurrent_readers_see_the_serial_schedule(self):
         # four threads (more than cores) extend one shared schedule a round
         # at a time; a lost or interleaved update changes some round's law

@@ -32,3 +32,17 @@ def test_tracer_finds_every_target_and_counts_mi_samples(monkeypatch):
     assert (mi_code, sim_code) == (0, 0)
     assert tracer.missing == []
     assert tracer.aggregates()["info.mc_mutual_information"].elements == 1000
+
+
+def test_tracer_counts_the_trials_of_both_batch_commands(monkeypatch):
+    # the observers read the sender's fields of run_trials' and _run_chunk's results;
+    # simulate answers its batch and cost does not, and each adds its trials
+    tracer_module = _load_tracer(monkeypatch)
+    with tracer_module.Tracer() as tracer:
+        codes = (cli.main(["simulate", "--trials", "64", "--bins", "64"]),
+                 cli.main(["cost", "--trials", "64", "--bins", "64", "--workers", "2"]))
+    assert codes == (0, 0)
+    counters = tracer.counters()
+    assert counters["protocol.trials"] == 64 + 64
+    assert counters["protocol.points_drawn"] >= 128 and counters["protocol.rounds"] >= 2
+    assert counters["coding.bits_sent"] >= 128
