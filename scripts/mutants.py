@@ -6,10 +6,7 @@ exactly once, the text that replaces it, and the pytest node ids that must
 each fail on the changed copy.  A mutant's ids run together in one pytest
 process, and each case's outcome is read from pytest's `-rA` summary lines.
 An id that names a parametrized test or a class fails when one of its cases
-does, and its later cases are then skipped, as `-x` would stop a run of the
-id alone: this module is loaded into the run as a pytest plugin (`-p
-mutants`) to do that, since under some mutants a later case draws on toward
-the round cap.  A mutant counts as caught only when every listed id fails,
+does.  A mutant counts as caught only when every listed id fails,
 and a run that runs out of time catches nothing.  Each mutant runs on its
 own copy of `src/`, `tests/` and `pyproject.toml` in a temporary directory;
 the tree itself is never changed.  All the registered node ids are first
@@ -26,7 +23,9 @@ A fault known to be equivalent is recorded here, not registered: `<` for
 `<=` in `require_unit`'s one-vector branch.  |v.v - 1| is a multiple of
 2**-53 below 1 and of 2**-52 above it, so it never equals UNIT_ATOL = 1e-12,
 and a vector the branch does not pass falls through to the array check,
-which decides as before; the fault changes only speed.
+which decides as before; the fault changes only speed.  So is `ks_sample`
+stopping after its last block instead of running `ks_draws` to the end:
+nothing runs in `ks_draws` after its last `yield`.
 
 `run_trials`, `TrialBatch.answer`, `alice_send` and the tests' reference
 `run_trial` (`tests/oracles.py`) check a given state or measurement on one
@@ -39,9 +38,9 @@ runs it.
 `coins_for_every_draw` moves no row of `run_trials`, whose coins are
 addressed by run and round; only a test that records the coins the scan
 asks for can catch it.  `floor_override_dropped` lists the law table and
-the one scan test that lowers the round cap, which then fails at once:
-without the override, the other scan tests' runs that reach the floor round
-draw on to the round cap, and time out.
+the scan tests that lower the round cap, which then fail at once: without
+the override, the other scan tests' runs that reach the floor round draw on
+to the round cap, and time out.
 """
 
 from __future__ import annotations
@@ -77,6 +76,8 @@ _EDGE_BINS = "tests/test_protocol.py::TestHeightBins::test_equals_the_exact_bins
 _TIE_OUTCOMES = "tests/test_protocol.py::TestAnswersOnRead::test_tie_draws_take_the_exact_answer"
 _EXACT_COUNT = "tests/test_model.py::TestKsPlusCount::test_equals_the_exact_count"
 _CUT_EDGES = "tests/test_protocol.py::TestCutEdges::test_draws_at_the_cuts_take_the_exact_bin"
+_KS_DRAWS = "tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws"
+_MI_EDGES = "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_mc_mutual_information"
 
 MUTANTS = [
     Mutant("hit_before_k_minus_1", "src/kschannel/greedy.py",
@@ -94,7 +95,7 @@ MUTANTS = [
            "        if not p.all():", "        if False:", (_GRID, _EVERY_DRAW)),
     Mutant("floor_override_dropped", "src/kschannel/greedy.py",
            "        if self.floor_round <= last:", "        if False:",
-           (_GRID, "tests/test_greedy.py::TestSchedule::"
+           (_GRID, _EVERY_DRAW, "tests/test_greedy.py::TestSchedule::"
                    "test_unordered_law_accepts_at_the_floor_round_by_decide")),
     Mutant("draws_not_sliced_to_a_block", "src/kschannel/greedy.py",
            "for start in range(0, active.size, BLOCK):",
@@ -182,22 +183,19 @@ MUTANTS = [
             "tests/test_protocol.py::TestAnswersOnRead::test_exact_zero_is_plus")),
     Mutant("outcome_fallback_rows_not_offset", "src/kschannel/protocol.py",
            "mb[tie] if mb.ndim > 1", "m[tie] if mb.ndim > 1", (_TIE_OUTCOMES,)),
-    Mutant("azimuths_not_advanced", "src/kschannel/model.py",
-           "azimuths.advance(n)\n", "azimuths.advance(0)\n",
-           ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",
-            "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_verify_pinned")),
-    Mutant("draws_not_run_to_the_end", "src/kschannel/model.py",
-           "in enumerate(ks_draws(rng, math.prod(shape))):",
-           "in zip(range(-(-math.prod(shape) // BLOCK)), ks_draws(rng, math.prod(shape))):",
-           ("tests/test_blocked.py::TestKsSampleAtBlockEdges::test_single_pole",)),
-    Mutant("draws_end_state_dropped", "src/kschannel/model.py",
-           '    bits.state = azimuths.state | {"has_uint32": state["has_uint32"],\n'
-           '                                   "uinteger": state["uinteger"]}\n', "",
-           ("tests/test_blocked.py::TestKsDrawBlocks::test_blocks_are_ks_draws",
-            "tests/test_blocked.py::TestModelCommandsAtBlockEdges::test_mc_mutual_information")),
-    Mutant("draws_without_advance_unchecked", "src/kschannel/model.py",
-           '    if not hasattr(bits, "advance"):\n', "    if False:\n",
-           ("tests/test_blocked.py::TestKsDrawBlocks::test_bit_generators",)),
+    Mutant("azimuths_drawn_before_heights", "src/kschannel/model.py",
+           "        u = rng.random(size)\n"
+           "        np.subtract(1.0, u, out=u)  # (0, 1]: keeps every sample strictly on the open "
+           "hemisphere\n"
+           "        yield np.sqrt(u, out=u), rng.uniform(0.0, 2.0 * np.pi, size=size)\n",
+           "        phi = rng.uniform(0.0, 2.0 * np.pi, size=size)\n"
+           "        u = rng.random(size)\n"
+           "        np.subtract(1.0, u, out=u)\n"
+           "        yield np.sqrt(u, out=u), phi\n",
+           (_KS_DRAWS, _MI_EDGES)),
+    Mutant("last_block_draws_a_whole_block", "src/kschannel/model.py",
+           "rng.uniform(0.0, 2.0 * np.pi, size=size)",
+           "rng.uniform(0.0, 2.0 * np.pi, size=BLOCK)[:size]", (_KS_DRAWS, _MI_EDGES)),
     Mutant("coin_type_unchecked", "src/kschannel/greedy.py",
            "isinstance(u, bool) or not isinstance(u, numbers.Real) or not", "not",
            ("tests/test_protocol.py::TestSender::test_coins_must_be_numbers",)),
@@ -214,31 +212,6 @@ MUTANTS = [
 def _within(nodeid: str, test: str) -> bool:
     """Whether the case ``nodeid`` is the node id ``test`` or one of its cases."""
     return nodeid == test or nodeid.startswith((test + "::", test + "["))
-
-
-class _StopEachId:
-    """Pytest plugin: once a case of a listed node id fails, skips the id's later cases."""
-
-    def __init__(self, tests):
-        self.tests, self.failed = tuple(tests), set()
-
-    def listed(self, nodeid: str) -> set:
-        return {test for test in self.tests if _within(nodeid, test)}
-
-    def pytest_runtest_setup(self, item):
-        listed = self.listed(item.nodeid)
-        if listed and listed <= self.failed:
-            import pytest
-            pytest.skip("a case of its node id has failed")
-
-    def pytest_runtest_logreport(self, report):
-        if report.failed:
-            self.failed |= self.listed(report.nodeid)
-
-
-def pytest_configure(config):
-    """Hook of the run this module is loaded into (``-p mutants``): its node ids stop one by one."""
-    config.pluginmanager.register(_StopEachId(config.args))
 
 
 def occurrences(mutant: Mutant) -> int:
@@ -260,10 +233,8 @@ def run(tests, mutant: Mutant | None = None) -> list:
         if mutant is not None:
             path = tmp / mutant.file
             path.write_text(path.read_text().replace(mutant.old, mutant.new))
-        path = os.pathsep.join((str(tmp / "src"), str(ROOT / "scripts")))
-        env = dict(os.environ, PYTHONPATH=path, PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider",
-               "-p", "mutants", *tests]
+        env = dict(os.environ, PYTHONPATH=str(tmp / "src"), PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-rA", "-p", "no:cacheprovider", *tests]
         try:
             proc = subprocess.run(cmd, cwd=tmp, env=env, capture_output=True, text=True,
                                   timeout=TIMEOUT_S * len(tests))

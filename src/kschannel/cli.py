@@ -187,13 +187,14 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     """Direct-model sweep: sample the conditional density, answer the measurement.
 
     Each cell checks its state and builds its measurement's frame vector
-    once, then draws its samples BLOCK at a time (:func:`model.ks_draws`)
-    and counts each block's "+" answers as it is drawn, by
-    :func:`model._plus`, the kernel the protocol's receiver answers with: a
-    sample is decided from a float32 estimate of x.m, and its exact float64
-    point is built only within :data:`geometry.ESTIMATE_BAND` of the tie.  No
-    array longer than a block is made, so a cell's time does not hang on how
-    the allocator serves multi-megabyte arrays.  The counts are exact integers.
+    once, then draws its samples BLOCK at a time, each block's heights and
+    then its azimuths (:func:`model.ks_draws`), and counts each block's "+"
+    answers as it is drawn, by :func:`model._plus`, the kernel the protocol's
+    receiver answers with: a sample is decided from a float32 estimate of
+    x.m, and its exact float64 point is built only within
+    :data:`geometry.ESTIMATE_BAND` of the tie.  No array longer than a block
+    is made, so a cell's time does not hang on how the allocator serves
+    multi-megabyte arrays.  The counts are exact integers.
     It runs on one thread: a pool was slower than one thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:

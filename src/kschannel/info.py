@@ -29,7 +29,7 @@ import numpy as np
 
 from .coding import whole_number
 from .geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
-from .model import MARGINAL_DENSITY, _ks_density, _seekable, ks_draws
+from .model import MARGINAL_DENSITY, _ks_density, ks_draws
 
 _LN2 = np.log(2.0)
 
@@ -85,8 +85,7 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     and workers >= 1 (booleans and fractions raise ValueError).
 
     Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
-    order: the states' heights, their azimuths, then :func:`ks_draws`' blocks
-    (whole-array order with PCG64 and PCG64DXSM; no ``advance`` raises first).
+    order: the states' heights, their azimuths, then :func:`ks_draws`' blocks.
     Each block, with its BLOCK rows of states, is then built, rotated and
     turned into log-ratios in one pass, on up to ``workers`` threads (see
     :func:`parallel_map`), and the sums are taken over the whole chunk, so
@@ -94,7 +93,6 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     """
     n = whole_number(n, "sample count", MIN_MI_SAMPLES)
     workers = whole_number(workers, "workers", 1)
-    _seekable(rng)
     total = 0.0
     total_sq = 0.0
     done = 0

@@ -15,7 +15,6 @@ account of prepare-and-measure statistics; the quadrature checks live in
 
 from __future__ import annotations
 
-import copy
 import math
 from collections.abc import Iterator
 
@@ -48,39 +47,19 @@ def _ks_density(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(d > 0.0, d * DENSITY_SCALE, 0.0)
 
 
-def _seekable(rng: np.random.Generator) -> np.random.BitGenerator:
-    """``rng``'s bit generator, which :func:`ks_draws` advances; ValueError without ``advance``."""
-    bits = rng.bit_generator
-    if not hasattr(bits, "advance"):
-        raise ValueError(f"the draws need a bit generator with advance, not {type(bits).__name__}")
-    return bits
-
-
 def ks_draws(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Polar coordinates (z, phi) of ``n`` draws from rho(.|v) about its pole, BLOCK draws a block.
 
     The height z = v.x has marginal density 2z on (0, 1], so z = sqrt(u)
-    with u ~ U(0, 1]; the azimuth about v is uniform.  The n heights take a
-    word each; the n azimuths come from a copy of the bit generator advanced
-    by n, so they follow the heights with PCG64 (``default_rng``'s) and
-    PCG64DXSM, start at word 4n with Philox, and with no ``advance`` (MT19937,
-    SFC64) raise ValueError before any draw.  ``rng`` is left past the
-    azimuths only once every block is read, so callers run the blocks to the end.
+    with u ~ U(0, 1]; the azimuth about v is uniform.  Each block takes its
+    heights, then its azimuths, from ``rng``, whatever its bit generator
+    (block order; with n <= BLOCK, all n heights and then all n azimuths).
     """
-    bits = _seekable(rng)
-    azimuths = copy.deepcopy(bits)
-    azimuths.advance(n)
-    phi_rng = np.random.Generator(azimuths)
     for lo in range(0, n, BLOCK):
         size = min(BLOCK, n - lo)
         u = rng.random(size)
         np.subtract(1.0, u, out=u)  # (0, 1]: keeps every sample strictly on the open hemisphere
-        yield np.sqrt(u, out=u), phi_rng.uniform(0.0, 2.0 * np.pi, size=size)
-    # past the azimuths, with the generator's spare 32-bit word kept (advance drops it,
-    # and neither draw reads it)
-    state = bits.state
-    bits.state = azimuths.state | {"has_uint32": state["has_uint32"],
-                                   "uinteger": state["uinteger"]}
+        yield np.sqrt(u, out=u), rng.uniform(0.0, 2.0 * np.pi, size=size)
 
 
 def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -91,8 +70,7 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     each).  Each block of draws is rotated into its rows of the one result.  A
     batch of states is split with the rows, and a single state, (3,) or (1, 3),
     serves every block.  Each block checks its states as it reaches them: a
-    non-unit state raises ValueError.  PCG64 and PCG64DXSM keep the draws in
-    :func:`ks_draws`' whole-array order; a generator without ``advance`` raises.
+    non-unit state raises ValueError.
     """
     v = np.asarray(v, dtype=float)
     shape = v.shape[:-1] if n is None else (whole_number(n, "sample count", 0),)

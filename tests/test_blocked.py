@@ -1,7 +1,7 @@
 """Blocked evaluation at block edges: ks_sample, verify and mi evaluate their
 samples BLOCK rows at a time (mi on one thread or several), and none of it may
-move a bit against the frozen whole-array forms; the one-path kernels are
-checked at the same row counts."""
+move a bit against the frozen whole-array forms, whose model draws are taken in
+block order; the one-path kernels are checked at the same row counts."""
 
 import sys
 import tracemalloc
@@ -268,9 +268,20 @@ class TestSenderRun:
         assert peak / m < 150
 
 
+def _block_order_draws(rng, n):
+    """The n model heights and azimuths in block order: each BLOCK's heights, then its azimuths."""
+    z, phi = [np.empty(0)], [np.empty(0)]
+    for lo in range(0, n, BLOCK):
+        size = min(BLOCK, n - lo)
+        z.append(np.sqrt(1.0 - rng.random(size)))
+        phi.append(rng.uniform(0.0, 2.0 * np.pi, size=size))
+    return np.concatenate(z), np.concatenate(phi)
+
+
 def _whole_array_ks_sample(v, rng, n):
-    z = np.sqrt(1.0 - rng.random(n))
-    phi = rng.uniform(0.0, 2.0 * np.pi, size=n)
+    z, phi = _block_order_draws(rng, 1 if n is None else n)
+    if n is None:
+        z, phi = z[0], phi[0]
     return _stacked_rotate_to_frame(_stacked_sphere_from_zphi(z, phi), v)
 
 
@@ -299,7 +310,8 @@ def _whole_array_mi(n, rng, chunk):
         states = _stacked_sphere_from_zphi(rng.uniform(-1.0, 1.0, m),
                                            rng.uniform(0.0, 2.0 * np.pi, m))
         d = _stacked_dot3(_whole_array_ks_sample(states, rng, m), states)
-        w = np.log2(np.where(d > 0.0, d / np.pi, 0.0) / np.full(m, 1.0 / (4.0 * np.pi)))
+        # d times 1/pi, as the model scales it: d / pi differs in the last bit on ~8% of rows
+        w = np.log2(np.where(d > 0.0, d * (1.0 / np.pi), 0.0) / np.full(m, 1.0 / (4.0 * np.pi)))
         total += float(np.sum(w))
         total_sq += float(np.sum(w * w))
         done += m
@@ -363,15 +375,14 @@ class TestKsDrawBlocks:
     @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 250_000])
     @pytest.mark.parametrize("spare", [False, True], ids=["fresh", "spare_word"])
     def test_blocks_are_ks_draws(self, n, spare):
-        # joined, the blocks are the generator's whole-array heights and azimuths bit for
+        # joined, the blocks are the generator's block-order heights and azimuths bit for
         # bit, and the generator ends where those draws leave it, a spare 32-bit word included
         rng, frozen_rng = np.random.default_rng(n), np.random.default_rng(n)
         if spare:
             rng.integers(0, 1 << 32, dtype=np.uint32)
             frozen_rng.integers(0, 1 << 32, dtype=np.uint32)
         blocks = list(ks_draws(rng, n))
-        z = np.sqrt(1.0 - frozen_rng.random(n))
-        phi = frozen_rng.uniform(0.0, 2.0 * np.pi, size=n)
+        z, phi = _block_order_draws(frozen_rng, n)
         assert all(zb.size == phib.size <= BLOCK for zb, phib in blocks)
         assert len(blocks) == -(-n // BLOCK)
         assert_bit_identical(np.concatenate([np.empty(0)] + [zb for zb, _ in blocks]), z)
@@ -382,26 +393,20 @@ class TestKsDrawBlocks:
                                       np.random.MT19937, np.random.SFC64],
                              ids=lambda bits: bits.__name__)
     def test_bit_generators(self, bits):
-        # the azimuths are read from a copy advanced past the heights: PCG64 and PCG64DXSM
-        # advance by words and keep the whole-array order; Philox advances by 4-word blocks,
-        # so its azimuths are words 4n..5n, past the heights; a generator without advance
-        # raises ValueError before any draw, in ks_sample and mc_mutual_information alike
+        # the draws use the generator as it is, so every numpy bit generator gives its
+        # block-order draws and ends where they leave it, and ks_sample and mi run on it
         n = BLOCK + 1
-        rng, heights, azimuths = (np.random.Generator(bits(5)) for _ in range(3))
-        if not hasattr(rng.bit_generator, "advance"):
-            for call in (lambda: ks_sample([0.0, 0.0, 1.0], rng, n),
-                         lambda: mc_mutual_information(1000, rng)):
-                with pytest.raises(ValueError, match="advance"):
-                    call()
-            assert_bit_identical(rng.random(4), heights.random(4))   # nothing drawn
-            return
+        rng, frozen_rng = (np.random.Generator(bits(5)) for _ in range(2))
         blocks = list(ks_draws(rng, n))
-        words = 5 * n if bits is np.random.Philox else 2 * n
-        z = np.sqrt(1.0 - heights.random(words))
-        phi = azimuths.uniform(0.0, 2.0 * np.pi, size=words)
-        assert_bit_identical(np.concatenate([zb for zb, _ in blocks]), z[:n])
-        assert_bit_identical(np.concatenate([pb for _, pb in blocks]), phi[words - n:])
-        assert_bit_identical(rng.random(4), heights.random(4))   # left past the azimuths
+        z, phi = _block_order_draws(frozen_rng, n)
+        assert_bit_identical(np.concatenate([zb for zb, _ in blocks]), z)
+        assert_bit_identical(np.concatenate([pb for _, pb in blocks]), phi)
+        np.testing.assert_equal(rng.bit_generator.state, frozen_rng.bit_generator.state)
+        pole = np.array([0.36, -0.48, 0.8])
+        assert_bit_identical(ks_sample(pole, rng, n), _whole_array_ks_sample(pole, frozen_rng, n))
+        est = mc_mutual_information(1000, rng)
+        assert (est.value, est.std_error) == _whole_array_mi(1000, frozen_rng, 1 << 18)
+        np.testing.assert_equal(rng.bit_generator.state, frozen_rng.bit_generator.state)
 
 
 class TestModelCommandsAtBlockEdges:

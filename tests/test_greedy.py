@@ -736,7 +736,7 @@ class TestScanDecision:
         assert np.array_equal(scan_symbols(Law(), runs, draw, toss)[0], first)
 
     @pytest.mark.parametrize("name", ["bins2", "bins4", "bins64", "early_floor", "late_break"])
-    def test_every_draw_is_decided_as_accept_prob(self, name):
+    def test_every_draw_is_decided_as_accept_prob(self, monkeypatch, name):
         # the name predates decide and law_table; it is kept so the test id stays stable
         # every (symbol, round) through floor_round + 2 is drawn by a run that reaches it on
         # misses alone.  A run draws a never-wanted symbol before its start round, its own
@@ -744,7 +744,9 @@ class TestScanDecision:
         # being past the floor).  Chains of runs start at round 1 and just after each p = 1
         # round of their symbol, so each ends at the next one; their coins, asked at
         # 0 < p < 1, are p itself, which misses.  One more run per such draw starts there
-        # with the float below p as its coin, which hits
+        # with the float below p as its coin, which hits.  Every run ends by round last + 1,
+        # so the cap is lowered to last + 64: a scan that keeps a run waiting past it raises
+        # at once instead of drawing on toward 2^32 rounds
         target, proposal = _LAWS[name]
         full = GreedySchedule(target, proposal)
         full.extend(1 << 20)
@@ -752,6 +754,7 @@ class TestScanDecision:
         assert last == _GRID_LAST[name]
         assert np.all(full.fraction[full.saturation <= full.rounds] < 1.0)
         law = law_table(target, proposal, last)   # past `last` every round has the floor's law
+        monkeypatch.setattr(greedy, "DEFAULT_ROUND_CAP", last + 64)
 
         def p_of(symbols, rounds):
             return law[np.minimum(rounds, last) - 1, symbols]
