@@ -35,6 +35,10 @@ outcomes answer by one sign kernel (`model._plus`), and that kernel and the
 scan trust the float32 estimate outside one band (`geometry.ESTIMATE_BAND`);
 each fault there is one entry, listed with the tests of every path that
 runs it.
+`estimate_scratch_over_the_heights` lists only the test that positions a
+workspace's own draws there: under it the scan's positions are wrong but
+finite, and a run whose draws never reach an accepting bin would draw on
+toward the round cap.
 `coins_for_every_draw` moves no row of `run_trials`, whose coins are
 addressed by run and round; only a test that records the coins the scan
 asks for can catch it.  `floor_override_dropped` lists the law table and
@@ -157,10 +161,18 @@ MUTANTS = [
            ("tests/test_protocol.py::TestHeightBins::"
             "test_estimate_error_is_far_inside_the_band",)),
     Mutant("exact_bins_from_the_estimate", "src/kschannel/protocol.py",
-           "bin_index(dot3(sphere_from_zphi(z.ravel()[cells], phi.ravel()[cells]),\n" + " " * 43
+           "bin_index(dot3(sphere_from_zphi(z.ravel()[cells], phi.ravel()[cells]),\n" + " " * 37
            + "v[cells % z.shape[-1]] if v.ndim > 1 else v), bins)",
            "np.clip(t.ravel()[cells].astype(np.int64), 0, bins - 1)",
            (_EDGE_BINS, _CUT_EDGES)),
+    Mutant("toss_zone_floor_everywhere", "src/kschannel/protocol.py",
+           "        if near.size:\n            cells = cells[near]\n",
+           "        if False:\n            cells = cells[near]\n", (_EDGE_BINS, _CUT_EDGES)),
+    Mutant("estimate_scratch_over_the_heights", "src/kschannel/protocol.py",
+           "t = dot_estimate(z, phi, v, work.words)",
+           "t = dot_estimate(z, phi, v, work.units.view(np.uint64))",
+           ("tests/test_protocol.py::TestHeightBins::"
+            "test_positions_read_the_draws_in_their_workspace",)),
     Mutant("cut_hi_one_symbol_low", "src/kschannel/greedy.py",
            'hi = np.searchsorted(self.saturation, rounds, side="right")\n',
            'hi = np.searchsorted(self.saturation, rounds, side="right") - 1\n',

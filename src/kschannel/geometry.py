@@ -114,7 +114,7 @@ def sphere_from_zphi(z, phi, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def dot_estimate(z: np.ndarray, phi: np.ndarray, u) -> np.ndarray:
+def dot_estimate(z: np.ndarray, phi: np.ndarray, u, work: np.ndarray | None = None) -> np.ndarray:
     """Float32 estimate s of ``dot3(sphere_from_zphi(z, phi), u)``, unchecked.
 
     ``z`` and ``phi`` are equal-shape float arrays of heights in [-1, 1] and
@@ -129,21 +129,30 @@ def dot_estimate(z: np.ndarray, phi: np.ndarray, u) -> np.ndarray:
     few 1e-8; since |u| = 1, |s - u.x| <= ~1e-6 (3.2e-7 at worst seen; tests
     guard it), while the float64 u.x errs by ~1e-16.  So the sign of s - c is
     u.x - c's where |s - c| >= :data:`ESTIMATE_BAND` = 2^-17, over six times that.
+
+    The temporaries, float64 1 - z^2 and two float32 arrays, are taken from
+    ``work``, a contiguous 1-D array of at least 16 z.size bytes that overlaps no
+    input, whose contents are overwritten; None allocates them.  s is a new array.
     """
     # Python floats keep one vector's products in float32
     u0, u1, u2 = ((u[..., k].astype(np.float32) for k in range(3)) if u.ndim > 1
                   else u.tolist())
-    phi32 = phi.astype(np.float32)
+    n = z.size
+    work = np.empty(2 * n, dtype=np.uint64) if work is None else work
+    r = work.view(np.float64)[:n].reshape(z.shape)
+    phi32, r32 = (work.view(np.float32)[k * n:(k + 1) * n].reshape(z.shape) for k in (2, 3))
+    phi32[...] = phi
     s = np.cos(phi32)
     s *= u0
     sin = np.sin(phi32, out=phi32)
     sin *= u1
     s += sin
-    r = z * z
+    np.multiply(z, z, out=r)
     np.subtract(1.0, r, out=r)
-    r = r.astype(np.float32)
-    s *= np.sqrt(r, out=r)
-    cz = z.astype(np.float32)
+    r32[...] = r
+    s *= np.sqrt(r32, out=r32)
+    cz = phi32
+    cz[...] = z
     cz *= u2
     s += cz
     return s

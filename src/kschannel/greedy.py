@@ -238,6 +238,8 @@ class GreedySchedule:
         hit below p.  A run ends at its first hit, or raises ProtocolFailure
         past :data:`DEFAULT_ROUND_CAP` rounds.  The width is a BLOCK draw budget
         capped at the rounds done; past BLOCK runs (width 1) it draws slices.
+        A draw's ``exact`` may read buffers that the next draw overwrites, so
+        it is called on each slice before the next slice is drawn.
         """
         cap = DEFAULT_ROUND_CAP
         index = np.zeros(runs, dtype=np.int64)

@@ -91,15 +91,16 @@ def ks_response(x, meas: Measurement) -> np.ndarray | int:
     return int(out) if out.ndim == 0 else out
 
 
-def _plus(z: np.ndarray, phi: np.ndarray, u, exact) -> np.ndarray:
+def _plus(z: np.ndarray, phi: np.ndarray, u, exact, work=None) -> np.ndarray:
     """Whether each draw (z, phi) answers "+" (x.u >= 0) as its float64 point does: a bool array.
 
     ``u`` is the measurement in the draws' frame, one (3,) vector or one per
     draw.  A draw is answered by the sign of its :func:`geometry.dot_estimate`
-    s of x.u where |s| >= :data:`geometry.ESTIMATE_BAND`, and by ``exact(rows)``,
-    the float64 x.u at ascending indices ``rows`` into ``z``, for the ~8e-6 inside.
+    s of x.u (its temporaries in ``work``, when given) where |s| >=
+    :data:`geometry.ESTIMATE_BAND`, and by ``exact(rows)``, the float64 x.u at
+    ascending indices ``rows`` into ``z``, for the ~8e-6 inside.
     """
-    s = dot_estimate(z, phi, u)
+    s = dot_estimate(z, phi, u, work)
     plus = s >= 0.0
     tie = np.flatnonzero(np.abs(s) < ESTIMATE_BAND)
     if tie.size:

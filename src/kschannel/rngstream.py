@@ -61,20 +61,29 @@ def mix(key: int, n: int) -> int:
     return z ^ (z >> 31)
 
 
-def mix_vec(key, n) -> np.ndarray:
+def mix_vec(key, n, *, out=None, scratch=None) -> np.ndarray:
     """Vectorized :func:`mix`; ``key`` and ``n`` broadcast as uint64 arrays.
 
     Two scalars give one ``np.uint64`` word.  The first step broadcasts the
     two into the result; every later step writes into it or into one
-    scratch array.
+    scratch array.  For arrays, ``out`` and ``scratch``, when given, are
+    uint64 arrays of the broadcast shape used as the result and the scratch
+    instead of allocating them.  ``n`` may share memory with ``scratch``, as
+    it is read before the scratch is written; ``key`` may share none with
+    either, nor ``n`` with ``out``.
     """
     key = np.asarray(key, dtype=np.uint64)
     n = np.asarray(n, dtype=np.uint64)
     if key.ndim == n.ndim == 0:
         # numpy scalar arithmetic warns on overflow; array arithmetic wraps, as the hash needs
         return mix_vec(key.reshape(1), n)[0]
-    z = key + n * _U_GOLDEN
-    scratch = np.empty_like(z)
+    if out is None:
+        z = key + n * _U_GOLDEN
+    else:   # n G + key: the same word, as uint64 addition commutes
+        z = np.multiply(n, _U_GOLDEN, out=out)
+        z += key
+    if scratch is None:
+        scratch = np.empty_like(z)
     _finalize_into(z, scratch)
     z ^= key
     _finalize_into(z, scratch)

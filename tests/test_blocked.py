@@ -3,12 +3,16 @@ samples BLOCK rows at a time (mi on one thread or several), and none of it may
 move a bit against the frozen whole-array forms, whose model draws are taken in
 block order; the one-path kernels are checked at the same row counts."""
 
+import os
+import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kschannel
 from kschannel import cli, ks_sample, mc_mutual_information, random_unit_vec
 from kschannel.geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
 from kschannel import protocol
@@ -204,13 +208,13 @@ class TestCodebookBinsAtBlockEdges:
         m = 1 << 18
         sphere_zphi, positions, slices = protocol._sphere_zphi, protocol._positions, []
 
-        def traced_zphi(keys, ctr):
+        def traced_zphi(keys, ctr, work):
             if ctr.ndim == 2 and not tracemalloc.is_tracing():
                 tracemalloc.start()
-            return sphere_zphi(keys, ctr)
+            return sphere_zphi(keys, ctr, work)
 
-        def recorded_positions(z, phi, v, k):
-            t, exact = positions(z, phi, v, k)
+        def recorded_positions(z, phi, v, k, work):
+            t, exact = positions(z, phi, v, k, work)
             slices.append(t.shape)
             return t, exact
 
@@ -249,6 +253,36 @@ class TestFixedInputRun:
         finally:
             tracemalloc.stop()
         assert peak / m < 128
+
+
+_WARM_CALL_FAULTS = """
+import resource, statistics
+from kschannel.protocol import run_trials
+
+def faults(r):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_trials(r, 16384, 64, state=(0, 0, 1))
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+for r in range(5):
+    run_trials(r, 16384, 64, state=(0, 0, 1))
+print(statistics.median(faults(r) for r in range(5, 35)))
+"""
+
+
+class TestWarmCallFaults:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's allocator")
+    def test_cost_shape_keeps_its_pages(self):
+        # the cost shape, 5 warm calls and then 30, in a fresh process with the allocator
+        # at its defaults: with each block's hash, scratch and heights allocated afresh,
+        # glibc gave their pages back between blocks and calls, ~400 minor faults a call;
+        # one workspace a span, reused block after block, takes ~0
+        env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(Path(kschannel.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        run = subprocess.run([sys.executable, "-c", _WARM_CALL_FAULTS], env=env,
+                             capture_output=True, text=True, timeout=120, check=True)
+        assert float(run.stdout) <= 40
 
 
 class TestSenderRun:

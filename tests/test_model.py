@@ -264,7 +264,8 @@ class TestPlusKernel:
         if receiver == "verify":
             assert plus_count(z, phi, ZHAT, Measurement(ZHAT)) == np.count_nonzero(z > 0.0)
         else:
-            monkeypatch.setattr(protocol, "_sphere_zphi", lambda keys, ctr: (z[keys], phi[keys]))
+            monkeypatch.setattr(protocol, "_sphere_zphi",
+                                lambda keys, ctr, work: (z[keys], phi[keys]))
             got = protocol._outcomes(np.arange(z.size, dtype=np.uint64),
                                      np.ones(z.size, dtype=np.int64), ZHAT)
             assert np.array_equal(got, np.where(z > 0.0, 1, -1))

@@ -113,6 +113,30 @@ class TestCodebook:
         assert isinstance(word, np.uint64) and word == mix(int(key), int(ctr))
         assert mix_vec(np.asarray(key), [ctr])[0] == word
 
+    @pytest.mark.parametrize("key, n", [
+        (2**64 - 12345, np.arange(7, dtype=np.uint64)),
+        (np.arange(5, dtype=np.uint64), 2**63 + 3),
+        (np.arange(9, dtype=np.uint64), np.arange(2 * 4, dtype=np.uint64).reshape(2, 4, 1)),
+        (np.arange(3, dtype=np.uint64), np.zeros((2, 0, 1), dtype=np.uint64)),
+        (np.zeros(0, dtype=np.uint64), 5),
+    ], ids=["scalar_key", "scalar_counter", "counter_2_w_1", "no_rows", "no_keys"])
+    def test_out_and_scratch_keep_the_words(self, key, n):
+        # given buffers of leftover words, the hash writes the words of mix_vec(key, n) into
+        # out and returns it; the counters may be read from the scratch's own leading words,
+        # as the codebook draws pass them
+        rng = np.random.default_rng(58)
+        key = np.asarray(key, dtype=np.uint64) * np.uint64(GOLDEN)
+        want = mix_vec(key, n)
+        ctr = np.asarray(n, dtype=np.uint64)
+        for shared in (False, True):
+            out, scratch = rng.integers(0, 2**64, (2, want.size + ctr.size), dtype=np.uint64,
+                                        endpoint=False)
+            counters = scratch[:ctr.size].reshape(ctr.shape) if shared else ctr.copy()
+            counters[...] = ctr
+            into = out[:want.size].reshape(want.shape)
+            got = mix_vec(key, counters, out=into, scratch=scratch[:want.size].reshape(want.shape))
+            assert got is into and np.array_equal(got, want)
+
     def test_mix_is_the_finalizer_applied_twice(self):
         # mix writes both finalize64 passes out in one body; keys and counters count mod
         # 2**64, so words past it and negative ones hash as their residues
@@ -620,12 +644,13 @@ class TestHeightBins:
         # (the cells the scan would ask about), is the float64 point's bin
         rng = np.random.default_rng(bins)
         band = ESTIMATE_BAND
+        work = protocol._workspace()
         for jitter in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 2 * band, -2 * band):
             z, phi, v = edge_draws(EDGE_STATES[state], bins, jitter, rng)
             exact = exact_bins(z, phi, v, bins)
             vs = [v] if v.ndim > 1 else [v, np.broadcast_to(v, z.shape + (3,)).copy()]
             for vv in vs:   # a fixed state also once per point, as random states reach it
-                t, exact_of = protocol._positions(z[None], phi[None], vv, bins)
+                t, exact_of = protocol._positions(z[None], phi[None], vv, bins, work)
                 assert t.dtype == np.float32 and t.shape == (1, z.size)
                 assert_on_the_bins_side(t[0], exact, bins)
                 cells = np.arange(0, z.size, 3)
@@ -641,8 +666,8 @@ class TestHeightBins:
         # run_trial); one state per trial, then one for all
         positions, shapes = protocol._positions, []
 
-        def checked_positions(z, phi, v, k):
-            t, exact_of = positions(z, phi, v, k)
+        def checked_positions(z, phi, v, k, work):
+            t, exact_of = positions(z, phi, v, k, work)
             vv = np.broadcast_to(v, z.shape + (3,)) if v.ndim > 1 else v
             assert_on_the_bins_side(t, exact_bins(z, phi, vv, k), k)
             shapes.append(z.shape)
@@ -681,6 +706,50 @@ class TestHeightBins:
             worst = max(worst, float(np.abs(s - dot3(sphere_from_zphi(z, phi), v)).max()))
         assert worst <= ESTIMATE_BAND / 8
 
+    @pytest.mark.parametrize("bins", [64, 4096])
+    def test_positions_read_the_draws_in_their_workspace(self, bins):
+        # a scan block's draws, 27 rounds of 600 runs, as _sphere_zphi leaves them in a
+        # workspace and _positions reads them there: the positions and the exact bins of
+        # every cell equal those of copies of the draws positioned apart, bit for bit
+        rng = np.random.default_rng(bins)
+        keys = rng.integers(0, 2**64, 600, dtype=np.uint64, endpoint=False)
+        ctr = 2 * np.arange(1, 28, dtype=np.uint64)[:, None]
+        for v in (unit_vector(0.36, -0.48, 0.8), random_unit_vec(rng, keys.size)):
+            work = protocol._workspace()
+            z, phi = protocol._sphere_zphi(keys, ctr, work)
+            apart = z.copy(), phi.copy()
+            t, exact = protocol._positions(z, phi, v, bins, work)
+            want_t, want_exact = protocol._positions(*apart, v, bins, protocol._workspace())
+            cells = np.arange(z.size)
+            assert np.array_equal(t.view(np.uint32), want_t.view(np.uint32))
+            vv = np.broadcast_to(v, z.shape + (3,)) if v.ndim > 1 else v
+            assert np.array_equal(exact(cells), want_exact(cells))
+            assert np.array_equal(exact(cells), exact_bins(*apart, vv, bins).ravel())
+
+    def test_estimate_in_a_workspace_is_bit_for_bit(self):
+        # the error test's grid, with one state per point on even blocks and one state on
+        # odd ones, and a (width, active) block with one state per column: the estimate
+        # with its temporaries in a workspace of leftover words equals the one that
+        # allocates them, bit for bit, and writes only the first 16 z.size bytes
+        rng = np.random.default_rng(3)
+        heights = np.linspace(-1.0, 1.0, 2048)
+        azimuths = np.linspace(0.0, 2.0 * np.pi, 2048)
+        fill = np.random.default_rng(4).integers(0, 2**64, 2 * 32 * 2048 + 64, dtype=np.uint64,
+                                                 endpoint=False)
+        cases = []
+        for k in range(0, heights.size, 32):
+            z, phi = np.repeat(heights[k:k + 32], azimuths.size), np.tile(azimuths, 32)
+            cases.append((z, phi, random_unit_vec(rng, z.size if k % 64 == 0 else None)))
+        cases.append((cases[0][0].reshape(64, 1024), cases[0][1].reshape(64, 1024),
+                      random_unit_vec(rng, 1024)))
+        for z, phi, v in cases:
+            work = fill.copy()
+            got = dot_estimate(z, phi, v, work)
+            want = dot_estimate(z, phi, v)
+            assert got.dtype == want.dtype == np.float32 and got.shape == z.shape
+            assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+            assert np.array_equal(work[2 * z.size:], fill[2 * z.size:])
+
     def test_float32_trig_error_on_every_1024th_float32_azimuth(self):
         # the trig term of dot_estimate's error over the float32 azimuths themselves: every
         # 1024th bit pattern from 0 to float32(2 pi), which phi = 2 pi u rounds up to, and
@@ -694,26 +763,60 @@ class TestHeightBins:
                     np.max(np.abs(np.sin(phi32) - np.sin(phi))))
         assert worst <= ESTIMATE_BAND / 8
 
-    @pytest.mark.parametrize("bins", [64, 1 << 16])
+    @pytest.mark.parametrize("bins", [64, 1 << 16, 1 << 20])
     def test_few_draws_reach_the_exact_formula(self, monkeypatch, bins):
-        # only the draws near a cut or between the cuts, where a coin may decide, are
-        # binned from their float64 points: ~4% of the draws at every bin count
-        counts = {"draws": 0, "exact": 0}
-        positions, exact = protocol._positions, protocol.bin_index
+        # the scan asks exact() about the draws near a cut or between the cuts, where a coin
+        # may decide (~4% of the draws); of those, exactly the ones within the band of a whole
+        # number, t < float32(c + band) or t >= float32(c + 1 - band) for c = floor(t), are
+        # binned from their float64 points, in order: few at 64 bins, all at 2**20
+        band = ESTIMATE_BAND * bins / 2
+        positions, binned = protocol._positions, protocol.bin_index
+        want, seen, counts = [], [], {"asked": 0, "near": 0}
 
-        def counting_positions(z, phi, v, k):
-            counts["draws"] += z.size
-            return positions(z, phi, v, k)
+        def checked_positions(z, phi, v, k, work):
+            t, exact = positions(z, phi, v, k, work)
 
-        def counting_exact(h, k):
-            counts["exact"] += np.size(h)
-            return exact(h, k)
+            def checked_exact(cells):
+                at = t.ravel()[cells]
+                c = np.floor(at.astype(np.float64))
+                near = cells[(at < (c + band).astype(np.float32)) |
+                             (at >= (c + 1 - band).astype(np.float32))]
+                points = sphere_from_zphi(z.ravel()[near], phi.ravel()[near])
+                want.append(dot3(points, v[near % z.shape[-1]] if v.ndim > 1 else v))
+                counts["asked"] += cells.size
+                counts["near"] += near.size
+                return exact(cells)
 
-        monkeypatch.setattr(protocol, "_positions", counting_positions)
-        monkeypatch.setattr(protocol, "bin_index", counting_exact)
+            return t, checked_exact
+
+        def recording_bins(h, k):
+            seen.append(np.array(h, copy=True))
+            return binned(h, k)
+
+        monkeypatch.setattr(protocol, "_positions", checked_positions)
+        monkeypatch.setattr(protocol, "bin_index", recording_bins)
         run_trials(7, 16384, bins)
-        assert counts["draws"] > 16384
-        assert 0.01 * counts["draws"] < counts["exact"] < 0.06 * counts["draws"]
+        assert counts["asked"] > 16384 // 100
+        assert np.array_equal(np.concatenate(seen), np.concatenate(want))
+        if bins == 64:
+            assert counts["near"] < 0.01 * counts["asked"]
+        if bins == 1 << 20:
+            assert counts["near"] == counts["asked"]
+
+
+class TestSpanWorkspaces:
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
+    def test_three_spans_match_one(self, fixed):
+        # three 2**15-trial spans (the last five longer) each draw in their own workspace,
+        # side by side on their threads, and answer in new ones: every row is one span's
+        n = 3 * (1 << 15) + 5
+        state, meas = ((unit_vector(0.0, 0.6, 0.8), unit_vector(1.0, 0.0, 0.0)) if fixed
+                       else (None, None))
+        serial = run_trials(11, n, 64, state=state)
+        split = run_trials(11, n, 64, state=state, workers=3)
+        assert len(serial.receivers) == 1 and len(split.receivers) == 3
+        for name, a in rows(serial, meas).items():
+            assert np.array_equal(a, rows(split, meas)[name]), name
 
 
 class TestLargeBinCounts:
@@ -787,8 +890,8 @@ class TestCutEdges:
                           for zphi in ((edge_z, edge_phi), (miss_z, miss_phi)))
         real_zphi, real_entry = protocol._sphere_zphi, protocol._entry_point
 
-        def stub_zphi(k, ctr):
-            z, phi = real_zphi(k, ctr)
+        def stub_zphi(k, ctr, work):
+            z, phi = real_zphi(k, ctr, work)
             if ctr.ndim == 2:   # the scan's (rounds, 1) counters over its runs' keys
                 j = order[np.searchsorted(keys, k, sorter=order)]
                 r = (ctr // np.uint64(2)).astype(np.int64)
@@ -1169,7 +1272,8 @@ class TestAnswersOnRead:
         n = 2 * BLOCK + 5
         m = random_unit_vec(rng, n) if per_trial else unit_vector(0.36, -0.48, 0.8)
         z, phi = tie_draws(rng, m, n)
-        monkeypatch.setattr(protocol, "_sphere_zphi", lambda keys, ctr: (z[keys], phi[keys]))
+        monkeypatch.setattr(protocol, "_sphere_zphi",
+                            lambda keys, ctr, work: (z[keys], phi[keys]))
         keys, accepted = np.arange(n, dtype=np.uint64), np.ones(n, dtype=np.int64)
         want = np.where(dot3(sphere_from_zphi(z, phi), m) >= 0.0, 1, -1)
         guess = np.where(dot_estimate(z, phi, m) >= 0.0, 1, -1)
@@ -1188,7 +1292,7 @@ class TestAnswersOnRead:
         n = BLOCK + 64
         phi = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
         monkeypatch.setattr(protocol, "_sphere_zphi",
-                            lambda keys, ctr: (np.zeros(keys.size), phi[keys]))
+                            lambda keys, ctr, work: (np.zeros(keys.size), phi[keys]))
         zhat = unit_vector(0.0, 0.0, 1.0)
         m = np.tile(zhat, (n, 1)) if per_trial else zhat
         keys, accepted = np.arange(n, dtype=np.uint64), np.ones(n, dtype=np.int64)
