@@ -169,8 +169,8 @@ MUTANTS = [
            "        if near.size:\n            cells = cells[near]\n",
            "        if False:\n            cells = cells[near]\n", (_EDGE_BINS, _CUT_EDGES)),
     Mutant("estimate_scratch_over_the_heights", "src/kschannel/protocol.py",
-           "t = dot_estimate(z, phi, v, work.words)",
-           "t = dot_estimate(z, phi, v, work.units.view(np.uint64))",
+           "t = dot_estimate(z, phi, v, work[0])",
+           "t = dot_estimate(z, phi, v, work[1].view(np.uint64))",
            ("tests/test_protocol.py::TestHeightBins::"
             "test_positions_read_the_draws_in_their_workspace",)),
     Mutant("cut_hi_one_symbol_low", "src/kschannel/greedy.py",

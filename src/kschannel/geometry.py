@@ -130,9 +130,8 @@ def dot_estimate(z: np.ndarray, phi: np.ndarray, u, work: np.ndarray | None = No
     guard it), while the float64 u.x errs by ~1e-16.  So the sign of s - c is
     u.x - c's where |s - c| >= :data:`ESTIMATE_BAND` = 2^-17, over six times that.
 
-    The temporaries, float64 1 - z^2 and two float32 arrays, are taken from
-    ``work``, a contiguous 1-D array of at least 16 z.size bytes that overlaps no
-    input, whose contents are overwritten; None allocates them.  s is a new array.
+    The temporaries (16 z.size bytes) are views of ``work``, when given, a
+    contiguous 1-D array that overlaps no input; s is a new array.
     """
     # Python floats keep one vector's products in float32
     u0, u1, u2 = ((u[..., k].astype(np.float32) for k in range(3)) if u.ndim > 1

@@ -15,20 +15,18 @@ per bin count (:func:`_ks_schedule`) serves every trial and worker thread;
 each read extends it, under its lock, through the last round read.
 :func:`run_trials` hands each worker's span to :meth:`GreedySchedule.scan`
 in blocks of rounds, one row per round, of at most :data:`geometry.BLOCK`
-draws, each written into the span's one :func:`_workspace`.  A draw is its
-float32 position t = (v.x + 1) bins/2 (:func:`_positions`); the scan settles
-it against its round's two cut bins where it lies past them by more than
+draws, hashed into the span's one :func:`_workspace`.  A draw is its float32
+position t = (v.x + 1) bins/2 (:func:`_positions`); the scan settles it
+against its round's two cut bins where it lies past them by more than
 :data:`geometry.ESTIMATE_BAND` bins/2, and asks the bins of the rest (~4%),
-which are floor(t) where t lies the band from every whole number and the
-float64 point's bin on the near-edge ones alone, so each decision is the
-float64 bin's.  A batch
-holds the sender's output (the accepted index and its code length) as the scan
-leaves it, and one receiver per span; :meth:`TrialBatch.answer` runs them on a
-measurement, so a command that reads only the sender's output never runs the
-receiver.  The outcomes are the sign of a float32 estimate of x.m, taken from
-the float64 point only inside that band (:func:`_outcomes`, by
-:func:`model._plus`, the kernel ``verify`` counts with), so each equals the
-float64 point's.
+binning from the float64 point only those within the band of a bin edge, so
+each decision is the float64 bin's.  A batch holds the sender's output (the
+accepted index and its code length) as the scan leaves it, and one receiver
+per span; :meth:`TrialBatch.answer` runs them on a measurement, so a command
+that reads only the sender's output never runs the receiver.  The outcomes
+are the sign of a float32 estimate of x.m, taken from the float64 point only
+inside that band (:func:`_outcomes`, by :func:`model._plus`, the kernel
+``verify`` counts with), so each equals the float64 point's.
 The two-party path works in Python floats, one round at a time:
 :func:`alice_send` reads codebook entry i (:func:`_entry_point`, the scalar
 image of :func:`_sphere_point`) and its bin's acceptance probability at
@@ -50,7 +48,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
-from typing import NamedTuple
 
 import numpy as np
 
@@ -290,46 +287,24 @@ def _sphere_point(keys, ctr) -> np.ndarray:
     points = np.broadcast(keys, ctr)
     keys, ctr = (a.reshape(()) if a.size == 1 else
                  np.broadcast_to(a, points.shape).reshape(points.size) for a in (keys, ctr))
-    out, work = np.empty((points.size, 3)), _workspace(points.size, runs=False)
+    out, work = np.empty((points.size, 3)), _workspace(points.size)
     for lo in range(0, points.size, BLOCK):
         z, phi = _sphere_zphi(*(a[lo:lo + BLOCK] if a.ndim else a for a in (keys, ctr)), work)
         sphere_from_zphi(z, phi, out=out[lo:lo + BLOCK])
     return out.reshape(*points.shape, 3)
 
 
-class _Workspace(NamedTuple):
-    """The block-sized buffers, views of one allocation, that each draw of a span writes in turn.
+def _workspace(points: int = BLOCK, rest: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Views (words, units, rest) of one uint64 block for draws of b = min(points, BLOCK) points.
 
-    ``words`` (uint64) takes the codebook hash, then the float32 estimate's
-    temporaries; ``units`` (float64) the counter words and the hash's scratch,
-    then the heights and azimuths; ``keys`` and ``states`` the codebook keys
-    and states of the runs a scan slice draws (empty in a receiver's).
-    """
-
-    words: np.ndarray
-    units: np.ndarray
-    keys: np.ndarray
-    states: np.ndarray
-
-
-def _workspace(points: int = BLOCK, runs: bool = True) -> _Workspace:
-    """A :class:`_Workspace` of 2b, 2b, b and 3b words, the last two for ``runs`` only.
-
-    b = min(points, :data:`geometry.BLOCK`).  Each span and each receiver
-    call makes its own, so no two threads share one.  A span's is one block
-    of 8b words even where a fixed state leaves ``states`` unwritten: glibc
-    trims its heap past twice the largest block it has freed, and this keeps
-    that above the rest of a 16384-trial span, so warm calls fault no pages in.
+    ``words`` (2b uint64) takes the codebook hash, then the float32 estimate's
+    temporaries; ``units`` (2b float64) the counter words and the hash's
+    scratch, then the heights and azimuths; the last ``rest`` b words are the
+    caller's.  Each span and each receiver call makes its own.
     """
     b = min(points, BLOCK)
-    buf = np.empty((8 if runs else 4) * b, dtype=np.uint64)
-    return _Workspace(buf[:2 * b], buf[2 * b:4 * b].view(np.float64), buf[4 * b:5 * b],
-                      buf[5 * b:].view(np.float64).reshape(-1, 3))
-
-
-def _shaped(buf: np.ndarray, shape: tuple) -> np.ndarray:
-    """The leading elements of the 1-D ``buf`` as an array of ``shape``."""
-    return buf[:math.prod(shape)].reshape(shape)
+    buf = np.empty((4 + rest) * b, dtype=np.uint64)
+    return buf[:2 * b], buf[2 * b:4 * b].view(np.float64), buf[4 * b:]
 
 
 def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray, work) -> tuple[np.ndarray, np.ndarray]:
@@ -339,24 +314,25 @@ def _sphere_zphi(keys: np.ndarray, ctr: np.ndarray, work) -> tuple[np.ndarray, n
     leading axis of length 2 whose two halves, the z words and the azimuth
     words, are each contiguous.  The counter words keep the counters' own
     shape, aligned to the keys' trailing axes; the hash broadcasts them
-    against the keys.  The counter words and the hash's scratch take the
-    ``units`` of ``work``, a :func:`_workspace` for at least as many points,
-    and the hash its ``words``; z and phi are views of ``units``, valid until
-    its next use.  The hashed words are shifted in place and converted once;
+    against the keys, into the ``words`` of ``work``, a :func:`_workspace`,
+    with its ``units`` as scratch; z and phi are views of ``units``, valid
+    until its next use.  The words are shifted in place and converted once;
     :func:`rngstream.to_unit`'s factor 2**-53 is folded into the scales of z
     and phi without moving a bit: k = w >> 11 < 2**53 is exact in float64,
     and so are k 2**-53 and fl(2 pi) 2**-53, so (k 2**-53) 2 = k 2**-52, and
     (k 2**-53) fl(2 pi) and k (fl(2 pi) 2**-53) are one real number, rounded once.
     """
-    scratch = work.units.view(np.uint64)
-    counters = _shaped(scratch, (2,) + (1,) * (keys.ndim - ctr.ndim) + ctr.shape)
+    words, units = work[:2]
+    shape = (2,) + (1,) * (keys.ndim - ctr.ndim) + ctr.shape
+    counters = units.view(np.uint64)[:math.prod(shape)].reshape(shape)
     counters[0] = ctr
     np.add(ctr, 1, out=counters[1:])
-    shape = np.broadcast_shapes(keys.shape, counters.shape)
-    hashed = mix_vec(keys, counters, out=_shaped(work.words, shape),
-                     scratch=_shaped(scratch, shape))
+    shape = np.broadcast_shapes(keys.shape, shape)
+    n = math.prod(shape)
+    hashed = mix_vec(keys, counters, out=words[:n].reshape(shape),
+                     scratch=units.view(np.uint64)[:n].reshape(shape))
     hashed >>= np.uint64(11)
-    u = _shaped(work.units, shape)
+    u = units[:n].reshape(shape)
     u[...] = hashed
     z, phi = u[0, ...], u[1, ...]   # views of the units buffer, scaled in place
     z *= 2.0 * _INV53
@@ -369,18 +345,16 @@ def _positions(z: np.ndarray, phi: np.ndarray, v, bins: int, work):
     """The scan's positions of draws (z, phi) about v, and the callback that bins them exactly.
 
     ``v`` is one (3,) state or one per column of the (width, active) ``z``; t =
-    (s + 1) bins/2 in float32, s the :func:`geometry.dot_estimate` of v.x, with
-    its temporaries in the spent hash ``words`` of ``work``, the :func:`_workspace`
-    that holds z and phi; ``exact(cells)`` gives the float64 bins of row-major
-    flat cells, and reads z and phi, so it holds only until ``work`` is next
-    used.  The steps of t add 2e-7 bins/2 to the error of s: the scan's band
-    :data:`geometry.ESTIMATE_BAND` bins/2, less its own float32 rounding,
-    stays over six times the sum.  So where t >= c + band and t < c + 1 - band
-    for c = floor(t), both cast to float32 as the scan casts its cuts, c is
-    the bin, and only the cells within the band of a whole number are binned
-    from their float64 points.
+    (s + 1) bins/2 in float32, s the :func:`geometry.dot_estimate` of v.x, its
+    temporaries in the spent hash words of ``work``, the :func:`_workspace`
+    holding z and phi.  The steps of t add 2e-7 bins/2 to the error of s: the
+    scan's band :data:`geometry.ESTIMATE_BAND` bins/2, less its own float32
+    rounding, stays over six times the sum.  So ``exact(cells)``, the bins of
+    row-major flat cells, is c = floor(t) where t >= c + band and t < c + 1 -
+    band, both cast to float32 as the scan casts its cuts, and the float64
+    point's bin elsewhere; it reads z and phi, so holds until ``work``'s next use.
     """
-    t = dot_estimate(z, phi, v, work.words)
+    t = dot_estimate(z, phi, v, work[0])
     t += 1.0
     t *= bins / 2
     band = ESTIMATE_BAND * bins / 2
@@ -432,17 +406,19 @@ def _run_chunk(master_seed: int, start: int, stop: int, bins: int,
     trial = mix_vec(_trial_root(master_seed), np.arange(start, stop, dtype=np.uint64))
     v = _trial_input(trial, state, _SUB_STATE)
     cb_keys = mix_vec(trial, _SUB_CODEBOOK)
-    work = _workspace()
+    # the draws' 4 BLOCK words, then a slice's keys (BLOCK) and states (3 BLOCK, unused for a
+    # fixed state, but on glibc a 1 MB block freed keeps warm calls' pages: ROADMAP item 13)
+    work = _workspace(rest=4)
+    keys, states = work[2][:BLOCK], work[2][BLOCK:].view(np.float64).reshape(-1, 3)
 
     def draw(active, rounds):
-        # per-trial keys and states, gathered into the workspace, broadcast along the rows; a
-        # fixed state is one (3,) vector.  The indices are in range, so mode="clip" changes
-        # no row, and lets np.take write into out= directly, where "raise" would buffer
+        # per-trial keys and states, gathered into the workspace (mode="clip", as the indices are
+        # in range, lets np.take write out= unbuffered); a fixed state is one (3,) vector
         ctr = 2 * rounds.astype(np.uint64)[:, None]
-        keys = np.take(cb_keys, active, out=work.keys[:active.size], mode="clip")
         rows = v if state is not None else np.take(v, active, axis=0, mode="clip",
-                                                   out=work.states[:active.size])
-        return _positions(*_sphere_zphi(keys, ctr, work), rows, bins, work)
+                                                   out=states[:active.size])
+        return _positions(*_sphere_zphi(np.take(cb_keys, active, out=keys[:active.size],
+                                                mode="clip"), ctr, work), rows, bins, work)
 
     def coins(runs, rounds):
         # the coin keys of the tossed runs alone, hashed as they are asked for
@@ -471,13 +447,13 @@ def _outcomes(keys: np.ndarray, accepted: np.ndarray, m: np.ndarray) -> np.ndarr
     rows' accepted entries are hashed to their height and azimuth
     (:func:`_sphere_zphi`) and answered by the kernel, in one :func:`_workspace`.
     """
-    out, work = np.empty(keys.size, dtype=np.int64), _workspace(keys.size, runs=False)
+    out, work = np.empty(keys.size, dtype=np.int64), _workspace(keys.size)
     for lo in range(0, keys.size, BLOCK):
         rows = slice(lo, lo + BLOCK)
         z, phi = _sphere_zphi(keys[rows], 2 * accepted[rows].astype(np.uint64), work)
         mb = m[rows] if m.ndim > 1 else m
         plus = _plus(z, phi, mb, lambda tie: dot3(sphere_from_zphi(z[tie], phi[tie]),
-                                                  mb[tie] if mb.ndim > 1 else mb), work.words)
+                                                  mb[tie] if mb.ndim > 1 else mb), work[0])
         out[rows] = np.where(plus, 1, -1)
     return out
 

@@ -66,11 +66,8 @@ def mix_vec(key, n, *, out=None, scratch=None) -> np.ndarray:
 
     Two scalars give one ``np.uint64`` word.  The first step broadcasts the
     two into the result; every later step writes into it or into one
-    scratch array.  For arrays, ``out`` and ``scratch``, when given, are
-    uint64 arrays of the broadcast shape used as the result and the scratch
-    instead of allocating them.  ``n`` may share memory with ``scratch``, as
-    it is read before the scratch is written; ``key`` may share none with
-    either, nor ``n`` with ``out``.
+    scratch array; for arrays, ``out`` and ``scratch`` may give those two
+    (uint64, of the broadcast shape).  Only ``n`` and ``scratch`` may overlap.
     """
     key = np.asarray(key, dtype=np.uint64)
     n = np.asarray(n, dtype=np.uint64)
@@ -78,12 +75,10 @@ def mix_vec(key, n, *, out=None, scratch=None) -> np.ndarray:
         # numpy scalar arithmetic warns on overflow; array arithmetic wraps, as the hash needs
         return mix_vec(key.reshape(1), n)[0]
     if out is None:
-        z = key + n * _U_GOLDEN
-    else:   # n G + key: the same word, as uint64 addition commutes
-        z = np.multiply(n, _U_GOLDEN, out=out)
-        z += key
-    if scratch is None:
-        scratch = np.empty_like(z)
+        out = np.empty(np.broadcast_shapes(key.shape, n.shape), dtype=np.uint64)
+    z = np.multiply(n, _U_GOLDEN, out=out)
+    z += key
+    scratch = np.empty_like(z) if scratch is None else scratch
     _finalize_into(z, scratch)
     z ^= key
     _finalize_into(z, scratch)
