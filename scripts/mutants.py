@@ -196,18 +196,21 @@ MUTANTS = [
     Mutant("outcome_fallback_rows_not_offset", "src/kschannel/protocol.py",
            "mb[tie] if mb.ndim > 1", "m[tie] if mb.ndim > 1", (_TIE_OUTCOMES,)),
     Mutant("azimuths_drawn_before_heights", "src/kschannel/model.py",
-           "        u = rng.random(size)\n"
-           "        np.subtract(1.0, u, out=u)  # (0, 1]: keeps every sample strictly on the open "
+           "    np.subtract(1.0, rng.random(out=z), out=z)  # (0, 1]: strictly on the open "
            "hemisphere\n"
-           "        yield np.sqrt(u, out=u), rng.uniform(0.0, 2.0 * np.pi, size=size)\n",
-           "        phi = rng.uniform(0.0, 2.0 * np.pi, size=size)\n"
-           "        u = rng.random(size)\n"
-           "        np.subtract(1.0, u, out=u)\n"
-           "        yield np.sqrt(u, out=u), phi\n",
+           "    np.sqrt(z, out=z)\n"
+           "    _uniform(rng, 0.0, 2.0 * np.pi, phi)\n",
+           "    _uniform(rng, 0.0, 2.0 * np.pi, phi)\n"
+           "    np.subtract(1.0, rng.random(out=z), out=z)\n"
+           "    np.sqrt(z, out=z)\n",
            (_KS_DRAWS, _MI_EDGES)),
     Mutant("last_block_draws_a_whole_block", "src/kschannel/model.py",
-           "rng.uniform(0.0, 2.0 * np.pi, size=size)",
-           "rng.uniform(0.0, 2.0 * np.pi, size=BLOCK)[:size]", (_KS_DRAWS, _MI_EDGES)),
+           "_uniform(rng, 0.0, 2.0 * np.pi, phi)",
+           "phi[...] = rng.uniform(0.0, 2.0 * np.pi, BLOCK)[:phi.size]", (_KS_DRAWS, _MI_EDGES)),
+    Mutant("slot_against_the_previous_blocks_states", "src/kschannel/info.py",
+           "sphere_from_zphi(state_z[rows], state_phi[rows])",
+           "sphere_from_zphi(np.roll(state_z, BLOCK)[rows], np.roll(state_phi, BLOCK)[rows])",
+           (_MI_EDGES,)),
     Mutant("coin_type_unchecked", "src/kschannel/greedy.py",
            "isinstance(u, bool) or not isinstance(u, numbers.Real) or not", "not",
            ("tests/test_protocol.py::TestSender::test_coins_must_be_numbers",)),

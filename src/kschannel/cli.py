@@ -188,13 +188,13 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
 
     Each cell checks its state and builds its measurement's frame vector
     once, then draws its samples BLOCK at a time, each block's heights and
-    then its azimuths (:func:`model.ks_draws`), and counts each block's "+"
-    answers as it is drawn, by :func:`model._plus`, the kernel the protocol's
-    receiver answers with: a sample is decided from a float32 estimate of
-    x.m, and its exact float64 point is built only within
-    :data:`geometry.ESTIMATE_BAND` of the tie.  No array longer than a block
-    is made, so a cell's time does not hang on how the allocator serves
-    multi-megabyte arrays.  The counts are exact integers.
+    then its azimuths (:func:`model.ks_draws`), into one reused buffer, and
+    counts each block's "+" answers as it is drawn, by :func:`model._plus`,
+    the kernel the protocol's receiver answers with: a sample is decided from
+    a float32 estimate of x.m, and its exact float64 point is built only
+    within :data:`geometry.ESTIMATE_BAND` of the tie.  No array longer than a
+    block is made, nor a block-sized one per block, so a cell's time does not
+    hang on how the allocator serves them.  The counts are exact integers.
     It runs on one thread: a pool was slower than one thread on this kernel.
     """
     if cfg.state is not None and cfg.meas is not None:
@@ -202,6 +202,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     else:
         grid = np.linspace(-1.0, 1.0, _GRID_ANGLES).tolist()
     root = mix(cfg.seed, _VERIFY_SALT)
+    draws = np.empty((2, min(BLOCK, cfg.trials)))  # every block of every cell is drawn here
     cells = []
     for j, target_dot in enumerate(grid):
         rng = np.random.default_rng(mix(root, j))
@@ -219,7 +220,7 @@ def cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         meas = Measurement(m)
         # ks_sample's draws: the count of "+" answers is exact, so count / n is the
         # mean of the whole response array
-        plus = _plus_count(ks_draws(rng, cfg.trials), require_unit(v, "state v"), meas)
+        plus = _plus_count(ks_draws(rng, cfg.trials, draws), require_unit(v, "state v"), meas)
         empirical = plus / cfg.trials
         born = float(born_from_dot(np.sum(v * m)))
         sigma = _binomial_sigma(born, cfg.trials)

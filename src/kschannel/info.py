@@ -15,21 +15,21 @@ sample; their mutual information diverges and no finite entropy exists to
 compute, so no such number is offered here.
 
 The Monte Carlo estimate draws the polar coordinates of uniform states and
-of the model's points from the generator in a fixed order, then builds the
-states, rotates the points about them and divides each conditional density
-by the constant marginal 1/(4 pi) in one pass per BLOCK rows, so only one
-block's points and temporaries are live at a time on each thread.
+of the model's points in a fixed order into buffers it makes once, then
+builds the states, rotates the points about them and divides each density
+by the constant marginal 1/(4 pi) a BLOCK at a time: one block per thread.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coding import whole_number
 from .geometry import BLOCK, parallel_map, rotate_to_frame, sphere_from_zphi
-from .model import MARGINAL_DENSITY, _ks_density, ks_draws
+from .model import MARGINAL_DENSITY, _ks_block, _ks_density, _uniform
 
 _LN2 = np.log(2.0)
 
@@ -84,36 +84,42 @@ def mc_mutual_information(n: int, rng: np.random.Generator, workers: int = 1) ->
     sample deviation over sqrt(n).  Requires whole numbers n >= MIN_MI_SAMPLES
     and workers >= 1 (booleans and fractions raise ValueError).
 
-    Samples are drawn :data:`_MI_CHUNK` pairs at a time, in the generator's
-    order: the states' heights, their azimuths, then :func:`ks_draws`' blocks.
-    Each block, with its BLOCK rows of states, is then built, rotated and
-    turned into log-ratios in one pass, on up to ``workers`` threads (see
-    :func:`parallel_map`), and the sums are taken over the whole chunk, so
+    Samples are drawn :data:`_MI_CHUNK` pairs at a time into buffers made once,
+    in the generator's order: the states' heights, their azimuths, the model's
+    blocks.  Each of up to ``workers`` threads (:func:`parallel_map`) draws the
+    next block into its own (2, BLOCK) slot under one lock, then builds its
+    states and points, rotates them and writes the log-ratios over its state
+    heights while the others draw.  The sums are taken over the whole chunk, so
     neither the split nor ``workers`` moves a bit of the estimate.
     """
     n = whole_number(n, "sample count", MIN_MI_SAMPLES)
     workers = whole_number(workers, "workers", 1)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < n:
-        m = min(_MI_CHUNK, n - done)
-        state_z = rng.uniform(-1.0, 1.0, m)
-        state_phi = rng.uniform(0.0, 2.0 * np.pi, m)
-        draws = list(ks_draws(rng, m))
-        w = np.empty(m)
+    chunk = np.empty((2, min(n, _MI_CHUNK)))
+    slots = np.empty((min(workers, -(-chunk.shape[1] // BLOCK)), 2, BLOCK))
+    lock = threading.Lock()
+    total = total_sq = 0.0
+    for done in range(0, n, _MI_CHUNK):
+        # each block's log-ratios overwrite the state heights of its rows, which it alone reads
+        w, state_phi = chunk[:, :min(_MI_CHUNK, n - done)]
+        state_z = _uniform(rng, -1.0, 1.0, w)
+        _uniform(rng, 0.0, 2.0 * np.pi, state_phi)
+        starts = iter(range(0, w.size, BLOCK))
 
-        def block(k: int) -> None:
-            rows = slice(k * BLOCK, (k + 1) * BLOCK)
-            # states and points built here are unit by construction
-            state = sphere_from_zphi(state_z[rows], state_phi[rows])
-            x = rotate_to_frame(sphere_from_zphi(*draws[k]), state)
-            np.log2(_ks_density(x, state) / MARGINAL_DENSITY, out=w[rows])
+        def evaluate(slot: np.ndarray) -> None:
+            while True:
+                with lock:  # the blocks leave the generator in order, whichever thread takes them
+                    if (start := next(starts, None)) is None:
+                        return
+                    rows = slice(start, start + BLOCK)
+                    z, phi = _ks_block(rng, slot[:, :min(BLOCK, w.size - start)])
+                # states and points built here are unit by construction
+                state = sphere_from_zphi(state_z[rows], state_phi[rows])
+                x = rotate_to_frame(sphere_from_zphi(z, phi), state)
+                np.log2(_ks_density(x, state) / MARGINAL_DENSITY, out=w[rows])
 
-        parallel_map(block, range(len(draws)), workers)
+        parallel_map(evaluate, slots[:-(-w.size // BLOCK)], workers)  # a thread per block at most
         total += float(np.sum(w))
-        total_sq += float(np.sum(w * w))
-        done += m
+        total_sq += float(np.sum(np.multiply(w, w, out=w)))
     mean = total / n
     var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
     return MiEstimate(value=mean, std_error=float(np.sqrt(var / n)), n_samples=n)

@@ -47,19 +47,36 @@ def _ks_density(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.where(d > 0.0, d * DENSITY_SCALE, 0.0)
 
 
-def ks_draws(rng: np.random.Generator, n: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Polar coordinates (z, phi) of ``n`` draws from rho(.|v) about its pole, BLOCK draws a block.
+def ks_draws(rng: np.random.Generator, n: int, out: np.ndarray | None = None) -> Iterator[np.ndarray]:
+    """Polar coordinates of ``n`` draws from rho(.|v) about its pole, BLOCK draws a block.
 
-    The height z = v.x has marginal density 2z on (0, 1], so z = sqrt(u)
-    with u ~ U(0, 1]; the azimuth about v is uniform.  Each block takes its
-    heights, then its azimuths, from ``rng``, whatever its bit generator
-    (block order; with n <= BLOCK, all n heights and then all n azimuths).
+    Each block is a (2, size) array of heights z = v.x, then azimuths about v
+    (:func:`_ks_block`): a new one, or, given ``out`` (2, >= min(n, BLOCK)),
+    out's leading columns, which the next block overwrites.  The stream is in
+    block order on every bit generator (n <= BLOCK: all heights, then azimuths).
     """
     for lo in range(0, n, BLOCK):
         size = min(BLOCK, n - lo)
-        u = rng.random(size)
-        np.subtract(1.0, u, out=u)  # (0, 1]: keeps every sample strictly on the open hemisphere
-        yield np.sqrt(u, out=u), rng.uniform(0.0, 2.0 * np.pi, size=size)
+        yield _ks_block(rng, np.empty((2, size)) if out is None else out[:, :size])
+
+
+def _ks_block(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """One block into ``out`` ((2, size), contiguous rows), returned: first all its heights,
+    z = sqrt(u) with u ~ U(0, 1] for z = v.x's density 2z, then its uniform azimuths."""
+    z, phi = out
+    np.subtract(1.0, rng.random(out=z), out=z)  # (0, 1]: strictly on the open hemisphere
+    np.sqrt(z, out=z)
+    _uniform(rng, 0.0, 2.0 * np.pi, phi)
+    return out
+
+
+def _uniform(rng: np.random.Generator, low: float, high: float, out: np.ndarray) -> np.ndarray:
+    """``rng.uniform(low, high, out.size)`` into the contiguous ``out``: low + (high - low) u,
+    its bits, fused or not, where (as in every use here) low is 0 or high - low a power of 2."""
+    rng.random(out=out)
+    out *= high - low
+    out += low
+    return out
 
 
 def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
@@ -111,13 +128,14 @@ def _plus(z: np.ndarray, phi: np.ndarray, u, exact, work=None) -> np.ndarray:
 def _plus_count(blocks, v: np.ndarray, meas: Measurement) -> int:
     """How many draws about the unit pole ``v`` answer "+" to ``meas``, by :func:`_plus`.
 
-    ``blocks`` yields (z, phi) pairs of heights and azimuths about v, as
-    :func:`ks_draws` makes them; the measurement is put in v's frame once, and
-    each block is counted as it is read.
+    ``blocks`` yields (z, phi) pairs of at most BLOCK heights and azimuths about
+    v, as :func:`ks_draws` makes them; the measurement's frame vector and one
+    estimate workspace are made once, and each block is counted as it is read.
     """
     abc = rotate_to_frame(np.eye(3), v) @ meas.direction
+    work = np.empty(2 * BLOCK, dtype=np.uint64)
     plus = 0
     for z, phi in blocks:
         plus += int(np.count_nonzero(_plus(z, phi, abc, lambda rows: dot3(
-            rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), v), meas.direction))))
+            rotate_to_frame(sphere_from_zphi(z[rows], phi[rows]), v), meas.direction), work)))
     return plus

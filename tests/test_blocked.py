@@ -426,7 +426,19 @@ class TestKsDrawBlocks:
         assert_bit_identical(np.concatenate([np.empty(0)] + [pb for _, pb in blocks]), phi)
         assert rng.bit_generator.state == frozen_rng.bit_generator.state
 
-    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 5])
+    def test_blocks_drawn_into_a_buffer(self, n):
+        # given a wider buffer, each block is its leading columns and holds the fresh block's bits
+        rng, frozen_rng = np.random.default_rng(n), np.random.default_rng(n)
+        buf = np.full((2, min(n, BLOCK) + 3), np.nan)
+        fresh = list(ks_draws(frozen_rng, n))
+        for block, want in zip(ks_draws(rng, n, buf), fresh, strict=True):
+            assert np.shares_memory(block, buf) and block.shape == want.shape
+            assert_bit_identical(block, want)
+        assert np.isnan(buf[:, -3:]).all()
+        assert rng.bit_generator.state == frozen_rng.bit_generator.state
+
+    @pytest.mark.parametrize("bits",[np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
                                       np.random.MT19937, np.random.SFC64],
                              ids=lambda bits: bits.__name__)
     def test_bit_generators(self, bits):
@@ -444,6 +456,11 @@ class TestKsDrawBlocks:
         est = mc_mutual_information(1000, rng)
         assert (est.value, est.std_error) == _whole_array_mi(1000, frozen_rng, 1 << 18)
         np.testing.assert_equal(rng.bit_generator.state, frozen_rng.bit_generator.state)
+        # past one chunk and on threads, where each block is drawn into a worker's slot
+        n = (1 << 18) + BLOCK + 1
+        est = mc_mutual_information(n, rng, workers=3)
+        assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, 1 << 18)
+        np.testing.assert_equal(rng.bit_generator.state, frozen_rng.bit_generator.state)
 
 
 class TestModelCommandsAtBlockEdges:
@@ -454,8 +471,9 @@ class TestModelCommandsAtBlockEdges:
         assert _verify_rates(state, meas, 11, n) == want
 
     def test_verify_holds_one_block_of_draws(self):
-        # a 250k-sample cell peaks at ~2.6 bytes/sample: one block's draws and estimates;
-        # drawn whole, the cell's heights and azimuths alone took 16
+        # a 250k-sample cell peaks at ~2.8 bytes/sample: the one block of draws, the
+        # estimate's workspace and one block's signs; drawn whole, the cell's heights and
+        # azimuths alone took 16
         n = 250_000
         _verify_rates((0.6, 0.0, -0.8), (-0.36, 0.48, 0.8), 11, BLOCK)   # imports, untraced
         tracemalloc.start()
@@ -464,7 +482,7 @@ class TestModelCommandsAtBlockEdges:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / n < 4
+        assert peak / n < 3
 
     def test_verify_grid_about_a_fixed_state(self):
         state = (0.0, -0.6, 0.8)
@@ -477,21 +495,30 @@ class TestModelCommandsAtBlockEdges:
     @pytest.mark.parametrize("n, chunk", [((1 << 18) + BLOCK + 1, 1 << 18),
                                           (BLOCK - 1, 1 << 18)])
     def test_mc_mutual_information(self, n, chunk):
-        for workers in (1, 3):
+        for workers in (1, 2, 3):
             rng, frozen_rng = np.random.default_rng(5), np.random.default_rng(5)
             est = mc_mutual_information(n, rng, workers=workers)
             assert (est.value, est.std_error) == _whole_array_mi(n, frozen_rng, chunk)
             assert rng.random() == frozen_rng.random()  # the generator was consumed the same way
 
-    def test_mi_holds_no_array_of_points(self):
-        # one chunk: the draws (32 bytes/row) and the log-ratios (8), plus slack
-        # smaller than one 24-byte/row (m, 3) array of states or points
+    @staticmethod
+    def _mi_peak_per_row(workers):
         m = 1 << 18
         rng = np.random.default_rng(5)
         tracemalloc.start()
         try:
-            mc_mutual_information(m, rng)
+            mc_mutual_information(m, rng, workers=workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / m < 64
+        return peak / m
+
+    def test_mi_holds_no_array_of_points(self):
+        # one chunk: the state heights, which the log-ratios replace, and azimuths (16
+        # bytes/row), one block's slot of points (1) and its temporaries (~11), ~28 in all;
+        # a separate log-ratio array would add 8, one (m, 3) array of states or points 24
+        assert self._mi_peak_per_row(1) < 32
+
+    def test_mi_on_two_threads_holds_a_block_of_points_per_thread(self):
+        # ~40 bytes/row: the chunk (16), two slots (2) and two blocks' temporaries (~22)
+        assert self._mi_peak_per_row(2) < 44
