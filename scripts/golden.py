@@ -57,11 +57,12 @@ CASES = {
     **{f"{cmd}_pinned_workers4": [cmd, "--trials", "20000", "--seed", "7", "--bins", "64",
                                   *_PINNED, "--workers", "4"]
        for cmd in ("simulate", "cost")},
-    # 20001 trials asking for three workers: one span at the 2**15-trial thread grain
+    # 20001 trials asking for three workers: one span at the thread grain
     **{f"{cmd}_bins4096_workers3": [cmd, "--trials", "20001", "--seed", "7", "--bins", "4096",
                                     "--workers", "3"]
        for cmd in ("simulate", "cost")},
-    # a threaded split at the 2**15-trial thread grain: spans of 32768, 32768 and 32769 trials
+    # three spans of 32768, 32768 and 32769 trials at the 2**15-trial thread grain they were
+    # recorded at, one span at today's 2**17 (the rows do not depend on the split)
     **{f"{cmd}_bins4096_trials98305_workers3": [cmd, "--trials", "98305", "--seed", "7",
                                                 "--bins", "4096", "--workers", "3"]
        for cmd in ("simulate", "cost")},

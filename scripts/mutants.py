@@ -105,6 +105,16 @@ MUTANTS = [
            "for start in range(0, active.size, BLOCK):",
            "for start in range(0, active.size, active.size):",
            (_SCAN_STUB, "tests/test_greedy.py::TestSchedule::test_no_draw_call_draws_more_than_a_block")),
+    Mutant("blocks_past_the_built_rounds", "src/kschannel/greedy.py",
+           "min(2 * done, self.ready - done)", "2 * done",
+           ("tests/test_protocol.py::TestSharedSchedule::"
+            "test_built_no_deeper_than_the_deepest_acceptance",)),
+    Mutant("built_rounds_ignored", "src/kschannel/greedy.py",
+           "min(2 * done, self.ready - done)", "min(2 * done, 0)",
+           ("tests/test_protocol.py::TestSharedSchedule::"
+            "test_a_built_schedule_takes_fewer_draw_calls",
+            "tests/test_greedy.py::TestSchedule::"
+            "test_first_accept_reaches_the_floor_round_through_saturated_draws")),
     Mutant("require_unit_without_abs", "src/kschannel/geometry.py",
            "if abs(0.0 + x * x + y * y + z * z - 1.0) <= UNIT_ATOL:",
            "if 0.0 + x * x + y * y + z * z - 1.0 <= UNIT_ATOL:",
@@ -216,8 +226,10 @@ MUTANTS = [
            ("tests/test_protocol.py::TestSender::test_coins_must_be_numbers",)),
     Mutant("percentiles_without_upper_branch", "src/kschannel/cli.py",
            "a + d * t if t < 0.5 else b - d * (1 - t)", "a + d * t",
-           ("tests/test_cli.py::TestCodeBitStats::"
-            "test_percentiles_are_numpy_percentile_bit_for_bit",)),
+           ("tests/test_cli.py::TestCodeBitStats::test_stats_are_numpys_bit_for_bit",)),
+    Mutant("order_statistic_from_the_left", "src/kschannel/cli.py",
+           'side="right"', 'side="left"',
+           ("tests/test_cli.py::TestCodeBitStats::test_stats_are_numpys_bit_for_bit",)),
     Mutant("plugin_entropy_negative_zero", "src/kschannel/cli.py",
            "0.0 - float(np.sum(probs * np.log2(probs)))", "float(-np.sum(probs * np.log2(probs)))",
            ("tests/test_cli.py::TestCost::test_plugin_entropy_is_never_negative_zero",)),

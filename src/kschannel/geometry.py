@@ -76,6 +76,13 @@ def unit_vector(x: float, y: float, z: float) -> np.ndarray:
     return v / norm
 
 
+def _as_floats(vec, name: str) -> np.ndarray:
+    try:   # numpy raises TypeError on an object or a dict; the rule here is ValueError
+        return np.asarray(vec, dtype=float)
+    except TypeError:
+        raise ValueError(f"{name} must be numbers, got {type(vec).__name__}") from None
+
+
 def require_unit(vec, name: str = "vector") -> np.ndarray:
     """Validate that ``vec`` has unit norm (within UNIT_ATOL on the squared norm).
 
@@ -83,9 +90,9 @@ def require_unit(vec, name: str = "vector") -> np.ndarray:
     is accepted in Python floats, by :func:`dot3`'s sum in its order, so it
     passes exactly when the array check would pass it; every other shape,
     and every vector that does not pass, takes the array check, which raises
-    its messages.
+    its messages; so does input numpy cannot read as floats (:func:`_as_floats`).
     """
-    vec = np.asarray(vec, dtype=float)
+    vec = _as_floats(vec, name)
     if vec.shape == (3,):
         x, y, z = vec.tolist()
         if abs(0.0 + x * x + y * y + z * z - 1.0) <= UNIT_ATOL:

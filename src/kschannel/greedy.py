@@ -224,6 +224,11 @@ class GreedySchedule:
         k = self.saturation.item(symbol)
         return 1.0 if i < k else self.fraction.item(symbol) if i == k else 0.0
 
+    @property
+    def ready(self) -> int:
+        """Rounds read without building: those built, or all once floor_round is known."""
+        return self.rounds if self.floor_round == _UNSATURATED else DEFAULT_ROUND_CAP
+
     def scan(self, runs: int, draw, coins, band: float = 0.0) -> np.ndarray:
         """Accepted round index of each of ``runs`` independent runs.
 
@@ -237,7 +242,9 @@ class GreedySchedule:
         ``coins(runs, rounds)`` in row-major order, for coins in [0, 1) that
         hit below p.  A run ends at its first hit, or raises ProtocolFailure
         past :data:`DEFAULT_ROUND_CAP` rounds.  The width is a BLOCK draw budget
-        capped at the rounds done; past BLOCK runs (width 1) it draws slices.
+        capped at the rounds done, or at twice them through the rounds :attr:`ready`
+        counts; a block that builds rounds at most doubles the rounds done, as on a
+        fresh schedule, and a stale count only narrows it.  Past BLOCK runs it slices.
         A draw's ``exact`` may read buffers that the next draw overwrites, so
         it is called on each slice before the next slice is drawn.
         """
@@ -248,7 +255,8 @@ class GreedySchedule:
         while active.size:
             if done >= cap:
                 raise ProtocolFailure(f"no acceptance within {cap} rounds")
-            width = min(max(1, BLOCK // active.size), max(1, done), cap - done)
+            width = min(max(1, BLOCK // active.size),
+                        max(1, done, min(2 * done, self.ready - done)), cap - done)
             rounds = np.arange(done + 1, done + width + 1)
             done += width
             lo, hi = self.cuts(rounds)

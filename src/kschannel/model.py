@@ -21,8 +21,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .coding import whole_number
-from .geometry import (BLOCK, ESTIMATE_BAND, Measurement, dot3, dot_estimate, require_unit,
-                       rotate_to_frame, sphere_from_zphi)
+from .geometry import (BLOCK, ESTIMATE_BAND, Measurement, _as_floats, dot3, dot_estimate,
+                       require_unit, rotate_to_frame, sphere_from_zphi)
 
 #: conditional density on its support, divided by the dot product
 DENSITY_SCALE = 1.0 / np.pi
@@ -89,7 +89,7 @@ def ks_sample(v, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
     serves every block.  Each block checks its states as it reaches them: a
     non-unit state raises ValueError.
     """
-    v = np.asarray(v, dtype=float)
+    v = _as_floats(v, "state v")
     shape = v.shape[:-1] if n is None else (whole_number(n, "sample count", 0),)
     out = np.empty(np.broadcast_shapes(shape + (3,), v.shape))
     per_row = v.shape[:-1] == shape

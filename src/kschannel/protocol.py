@@ -67,12 +67,11 @@ _TRIAL_SALT = 0x747269616C
 #: per-trial sub-stream indices
 _SUB_CODEBOOK, _SUB_ACCEPT, _SUB_STATE, _SUB_MEAS = 1, 2, 3, 4
 
-#: fewest trials per worker thread: a run starts no more threads than its trial
-#: count has whole 2**15-trial blocks, as a span's scan is some thousand numpy calls
-#: and short spans lose to handing the GIL: on two vCPUs, two threads took 1.03-1.05x,
-#: 0.77-0.86x, 0.74x and 0.64x one's time at 2**16, 2**17, 2**18 and 2**20 random
-#: trials at 4096 bins, and 1.28x, 1.01-1.14x, 0.96x and 0.75x at 64 fixed-input bins
-_TRIALS_PER_THREAD = 1 << 15
+#: fewest trials per worker thread: a run starts no more threads than its trial count has
+#: whole 2**17-trial blocks, as short spans lose to handing the GIL: on two vCPUs, two threads
+#: took 1.13x and 1.11x one's time at 100 000 and 2**17 trials at 64 fixed-input bins, 0.90x
+#: and 0.85x at 4096 random bins, and 1.05x and 0.65x at 2**18 (interleaved, outcomes read)
+_TRIALS_PER_THREAD = 1 << 17
 #: largest bin count accepted; the protocol keeps several float arrays of this length
 _MAX_BINS = 1 << 20
 

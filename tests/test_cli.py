@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from kschannel import cli, require_unit
+from kschannel import cli, code_lengths, protocol, require_unit
 
 
 def run_cli(capsys, argv):
@@ -241,9 +241,10 @@ class TestSimulate:
         a.pop("runtime_seconds"), b.pop("runtime_seconds")
         assert a == b
 
-    def test_workers_do_not_change_output(self, capsys):
+    def test_workers_do_not_change_output(self, capsys, monkeypatch):
         # simulate: 98304 trials are three 2**15-trial spans at four workers; mi: 300000
         # are two chunks, the second of 37856 rows (verify takes no --workers)
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 1 << 15)
         for argv in (["simulate", "--trials", str(3 << 15), "--seed", "5"],
                      ["mi", "--trials", "300000", "--seed", "5"]):
             _, a = run_json(capsys, [*argv, "--workers", "1"])
@@ -254,20 +255,31 @@ class TestSimulate:
 
 
 class TestCodeBitStats:
-    def test_percentiles_are_numpy_percentile_bit_for_bit(self):
-        # every size from 1 to 400 (code lengths, small and wide ranges) and the trial
-        # counts of the benchmark and of the default run, against np.percentile
+    def test_stats_are_numpys_bit_for_bit(self):
+        # code lengths of every size from 1 to 400 (indices below 3, below 2**12, and of
+        # 1 to 62 bits, so lengths from 1 to 72 bits), at the trial counts of the benchmark
+        # and of the default run, and constant ones: the histogram's mean, p50, p99 and
+        # max against np.mean, np.percentile and np.max
         rng = np.random.default_rng(50)
-        arrays = [rng.integers(1, high, size=n)
-                  for n in range(1, 401) for high in (3, 30, 2**40)]
-        arrays += [rng.integers(1, 40, size=n) for n in (8192, 16384, 10**5)]
-        arrays += [np.full(7, 5), np.arange(-3, 3), np.array([2**53, -2**53, 17])]
+        arrays = [code_lengths(rng.integers(1, high(n)))
+                  for n in range(1, 401) for high in (lambda n: np.full(n, 3),
+                                                      lambda n: np.full(n, 2**12),
+                                                      lambda n: 1 << rng.integers(1, 63, n))]
+        arrays += [code_lengths(rng.integers(1, 2**20, size=n)) for n in (8192, 16384, 10**5)]
+        arrays += [np.full(n, bits) for n in (1, 2, 7, 10**5) for bits in (1, 4, 73)]
+        # in up to 16 lengths p99 falls between the two largest, here any two of 1 to 73
+        # bits; a few pairs in a hundred tell numpy's two interpolation branches apart
+        arrays += [np.repeat(np.sort(rng.integers(1, 74, 2)), (n - 1, 1))
+                   for n in range(2, 17) for _ in range(100)]
         for x in arrays:
-            for qs in ([50, 99], [0, 25, 75, 100]):
-                want = np.percentile(x, qs)
-                got = np.array(cli._percentiles(x, qs))
-                assert got.tobytes() == want.tobytes(), (x.size, qs)
-        assert len(arrays) >= 1000
+            stats = cli._code_bit_stats(x, np.bincount(x))
+            p50, p99 = np.percentile(x, [50, 99]).tolist()
+            want = {"mean": float(np.mean(x)), "p50": p50, "p99": p99, "max": int(np.max(x)),
+                    "n": x.size,
+                    "std_error": float(np.std(x, ddof=1) / np.sqrt(x.size)) if x.size > 1 else 0.0}
+            assert {k: (type(v), repr(v)) for k, v in stats.items()} == \
+                {k: (type(v), repr(v)) for k, v in want.items()}, x.size
+        assert len(arrays) >= 2700
 
 
 class TestWorkers:
@@ -463,7 +475,7 @@ print("numpy.ma" in sys.modules)
 
 def test_protocol_commands_never_import_masked_arrays():
     # np.percentile's np.unique imported numpy.ma on a process's first call; the code-bit
-    # percentiles come from one np.partition instead
+    # percentiles are read from their histogram instead
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS_RUN], env=env,
                           capture_output=True, text=True, timeout=120)

@@ -540,7 +540,9 @@ class TestSchedule:
         full = GreedySchedule(target, proposal)
         full.extend(1000)
         assert full.floor_round == 120 and full.saturation[2] == 2
-        runs = BLOCK // 40   # 40-round blocks once 64 rounds are done: 105..144 holds 120 and 131
+        # 40-round blocks once 27 rounds are done: through the 99 rounds built, blocks reach
+        # three times the rounds done, so 108..147 holds 120 and 131
+        runs = BLOCK // 40
         symbols = np.zeros((200, runs), dtype=np.int64)   # one row per round
         symbols[99:] = 2
         coins = np.random.default_rng(4).random((runs, 200)).T
@@ -555,9 +557,9 @@ class TestSchedule:
             lazy = GreedySchedule(target, proposal)
             lazy.extend(99)
             index, symbol = scan_symbols(lazy, runs, draw, lambda r, i: coins[i - 1, r])
-            assert (105, 144) in blocks
+            assert (108, 147) in blocks
             assert np.all(index == 120) and np.all(symbol == 2)
-            # the build stops at the floor round, not at the end (144) of the block holding it
+            # the build stops at the floor round, not at the end (147) of the block holding it
             assert lazy.rounds == 119 and lazy.floor_round == 120
 
     def test_scan_raises_at_the_cap_and_draws_no_further(self, monkeypatch):
@@ -655,8 +657,9 @@ class TestSchedule:
 
 class TestScanDecision:
     def test_scan_reads_the_law_only_through_decide(self, monkeypatch):
-        # a stub law that has nothing but cuts and decide, read from a fixed (round, symbol)
-        # table of p: its cuts cover every symbol, so every draw goes to decide.  The scan
+        # a stub law that has nothing but cuts, decide and the count of rounds it answers
+        # without building (12 of them), read from a fixed (round, symbol) table of p: its
+        # cuts cover every symbol, so every draw goes to decide.  The scan
         # itself slices the draws, tosses the coins, finds each first hit and keeps the
         # round guard, and any read of a schedule field fails here.  20 runs over a BLOCK of
         # 8 draws: the first rounds are drawn in 8-run slices and joined.  Coins of exactly
@@ -674,6 +677,8 @@ class TestScanDecision:
         assert 1 < first.max() < depth
 
         class Law:
+            ready = 12
+
             def cuts(self, rounds):
                 return np.zeros(rounds.size, dtype=np.int64), np.full(rounds.size, 5)
 

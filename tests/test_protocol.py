@@ -15,7 +15,7 @@ from kschannel import (Codebook, Measurement, ProtocolFailure, born_probability,
 from kschannel import cli, protocol
 from kschannel.geometry import BLOCK, ESTIMATE_BAND, born_from_dot, dot3, dot_estimate
 from kschannel.greedy import DiscreteDistribution
-from kschannel.model import ks_response
+from kschannel.model import ks_density, ks_response, ks_sample
 from kschannel.protocol import (_SUB_ACCEPT, _SUB_CODEBOOK, _SUB_MEAS, _SUB_STATE,
                                 TrialBatch, _ks_laws, _ks_schedule, _sphere_point, _trial_root,
                                 alice_send, bin_index, bob_receive, ks_bin_masses,
@@ -30,6 +30,28 @@ def rows(batch, meas=None):
     outcome, born = batch.answer(meas)
     return {"accepted_index": batch.accepted_index, "code_bits": batch.code_bits,
             "outcome": outcome, "born": born}
+
+
+#: every public entry point that takes one vector, called with ``vec`` in that place
+VECTOR_ENTRY_POINTS = {
+    "run_trials": lambda vec: run_trials(1, 3, 64, state=vec),
+    "answer": lambda vec: run_trials(1, 3, 64).answer(vec),
+    "alice_send": lambda vec: alice_send(vec, trial_codebook(1, 0), 64, itertools.repeat(0.5)),
+    "Measurement": Measurement,
+    "born_probability": lambda vec: born_probability(vec, Measurement([0.0, 0.0, 1.0])),
+    "ks_density": lambda vec: ks_density([0.0, 0.0, 1.0], vec),
+    "ks_sample": lambda vec: ks_sample(vec, np.random.default_rng(0), 3),
+}
+
+
+@pytest.mark.parametrize("entry", list(VECTOR_ENTRY_POINTS))
+@pytest.mark.parametrize("vec", [Measurement([0.0, 0.0, 1.0]), {"x": 1.0}, object()],
+                         ids=["Measurement", "dict", "object"])
+def test_vectors_that_are_not_numbers_raise_value_error(entry, vec):
+    # numpy raised its TypeError for these, though the rule is ValueError; a Measurement
+    # is refused as a vector too, where bob_receive takes one as the measurement
+    with pytest.raises(ValueError, match="must be numbers"):
+        VECTOR_ENTRY_POINTS[entry](vec)
 
 
 class TestBinning:
@@ -539,7 +561,8 @@ class TestTrials:
             assert (a.shape, a.dtype) == (b.shape, b.dtype), name
             assert np.array_equal(a, b), name
 
-    def test_threads_are_bounded_by_the_trial_count(self, serial_pool):
+    def test_threads_are_bounded_by_the_trial_count(self, monkeypatch, serial_pool):
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 1 << 15)   # the rule on shorter runs
         n = 3 * protocol._TRIALS_PER_THREAD + 5
         split = run_trials(7, n, 64, workers=10**6)
         serial = run_trials(7, n, 64, workers=1)
@@ -549,8 +572,11 @@ class TestTrials:
         for name in serial:
             assert np.array_equal(split[name], serial[name]), name
 
-    def test_every_thread_gets_a_whole_grain_of_trials(self, serial_pool):
-        assert protocol._TRIALS_PER_THREAD == 1 << 15
+    def test_every_thread_gets_a_whole_grain_of_trials(self, monkeypatch, serial_pool):
+        assert protocol._TRIALS_PER_THREAD == 1 << 17
+        run_trials(7, 100_000, 64, workers=2)
+        assert serial_pool == []    # the default run of 100 000 trials is one span
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 1 << 15)   # the rule on shorter runs
         run_trials(7, (1 << 16) - 1, 64, workers=2)
         assert serial_pool == []    # one span: two would each hold fewer than 2**15 trials
         run_trials(7, 1 << 16, 64, workers=2)
@@ -808,9 +834,10 @@ class TestHeightBins:
 
 class TestSpanWorkspaces:
     @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
-    def test_three_spans_match_one(self, fixed):
+    def test_three_spans_match_one(self, monkeypatch, fixed):
         # three 2**15-trial spans (the last five longer) each draw in their own workspace,
         # side by side on their threads, and answer in new ones: every row is one span's
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 1 << 15)
         n = 3 * (1 << 15) + 5
         state, meas = ((unit_vector(0.0, 0.6, 0.8), unit_vector(1.0, 0.0, 0.0)) if fixed
                        else (None, None))
@@ -1204,6 +1231,40 @@ class TestSharedSchedule:
             built = min(max(built, report.accepted_index), schedule.floor_round - 1)
             assert schedule.rounds == built
 
+    @pytest.mark.parametrize("bins", [64, 4096])
+    @pytest.mark.parametrize("fixed", [False, True], ids=["random", "fixed"])
+    def test_rows_do_not_depend_on_how_far_the_schedule_is_built(self, monkeypatch, bins, fixed):
+        # built rounds let the scan's blocks reach three times the rounds done, where a cold
+        # schedule doubles them; draws and coins are addressed by (run, round), so the rows
+        # are the cold ones, on one span and on three.  64 bins are built through their
+        # floor round (every round is then answered), 4096 past the deepest acceptance
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 3000)
+        state, meas = ((unit_vector(0.0, 0.6, 0.8), unit_vector(1.0, 0.0, 0.0)) if fixed
+                       else (None, None))
+        for workers in (1, 3):
+            _ks_schedule.cache_clear()
+            cold = rows(run_trials(23, 9001, bins, state=state, workers=workers), meas)
+            _ks_schedule.cache_clear()
+            _ks_schedule(bins).extend(1 << 20 if bins == 64 else 4 * cold["accepted_index"].max())
+            assert (_ks_schedule(bins).floor_round < 1 << 20) == (bins == 64)
+            warm = rows(run_trials(23, 9001, bins, state=state, workers=workers), meas)
+            for name, a in cold.items():
+                assert np.array_equal(a, warm[name]), (workers, name)
+
+    def test_a_built_schedule_takes_fewer_draw_calls(self, monkeypatch):
+        # simulate's default shape, 8192 runs at 4096 bins: the second run scans rounds the
+        # first one built, in fewer and fuller blocks, and gets the same rows
+        calls, positions = [], protocol._positions
+        monkeypatch.setattr(protocol, "_positions", lambda *args: calls.append(1) or
+                            positions(*args))
+        _ks_schedule.cache_clear()
+        cold = run_trials(3, 8192, 4096).accepted_index
+        built, cold_calls = _ks_schedule(4096).rounds, len(calls)
+        calls.clear()
+        assert np.array_equal(run_trials(3, 8192, 4096).accepted_index, cold)
+        assert len(calls) < cold_calls
+        assert _ks_schedule(4096).rounds == built   # and builds no further
+
     def test_concurrent_senders_match_a_serial_run(self):
         def send(t):
             v, codebook, key = trial_inputs(31, t)
@@ -1307,6 +1368,7 @@ class TestAnswersOnRead:
             assert cli.main([*argv, "--out", str(path)]) == cli.EXIT_OK
             return json.loads(path.read_text())["results"]
 
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 1 << 15)   # two spans
         argv = ["cost", "--trials", "70000", "--bins", "64", "--seed", "5", "--workers", "2"]
         want = results(argv)
 
@@ -1329,6 +1391,7 @@ class TestAnswersOnRead:
             return answers(trial, *args)
 
         monkeypatch.setattr(protocol, "_answers", counted)
+        monkeypatch.setattr(protocol, "_TRIALS_PER_THREAD", 1 << 15)   # two spans
         batch = run_trials(7, 70_001, 64, state=state, workers=3)
         assert calls == [] and len(batch.receivers) == 2
         first = batch.answer(meas)
